@@ -16,6 +16,7 @@ import time
 from ..errors import ConfigError, CrossingLabError
 from ..params import classify_regimes, mu
 from ..potential import find_crossings, model_from_config
+from .sweep import ORACLES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -23,6 +24,7 @@ EXIT_NUMERIC = 3
 EXIT_ACCEPT = 4
 
 ENV_PREFIX = "CROSSINGLAB_"
+DEFAULT_TOL = 1e-9
 
 
 def _env_default(name: str, fallback, cast):
@@ -71,52 +73,35 @@ def cmd_describe(args) -> int:
     return EXIT_OK
 
 
+def _tol(args, config_tol: float = DEFAULT_TOL) -> float:
+    """--tol, else CROSSINGLAB_TOL (the flag's default), else the config's tol."""
+    return config_tol if args.tol is None else args.tol
+
+
 def cmd_simulate(args) -> int:
     from ..scattering import scattering_matrix
 
     doc = _load_config(args.config)
     model = _model_from(doc)
-    rep = scattering_matrix(model, args.eps, args.h, tol=args.tol,
+    rep = scattering_matrix(model, args.eps, args.h, tol=_tol(args),
                             method=args.method)
     _emit(rep.to_dict(), args.out, "simulate.json")
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    from ..predictor import predict_mixed, predict_nonadiabatic
-    from ..potential.turning import turning_points
-    from ..transfer import predicted_scattering
-
     doc = _load_config(args.config)
     model = _model_from(doc)
     catalog = find_crossings(model)
     out = {"eps": args.eps, "h": args.h}
-    which = args.which
-    if which in ("nonadiabatic", "all"):
+    closed_forms = [name for name in ORACLES if name != "numeric"]
+    names = closed_forms if args.which == "all" else [args.which]
+    for name in names:
         try:
-            out["nonadiabatic"] = predict_nonadiabatic(
-                model, catalog, args.eps, args.h).to_dict()
+            _, result = ORACLES[name](model, catalog, args.eps, args.h, _tol(args))
+            out[name] = result.to_dict()
         except CrossingLabError as exc:
-            out["nonadiabatic"] = {"error": str(exc)}
-    if which in ("chain", "all"):
-        try:
-            split = classify_regimes(catalog.orders, args.eps, args.h)
-            pred = predicted_scattering(model, args.eps, args.h, split,
-                                        catalog=catalog)
-            out["chain"] = {"P_pred": pred.p_pred,
-                            "paths": pred.p_chain_paths,
-                            "chain": pred.chain.to_dict()}
-        except CrossingLabError as exc:
-            out["chain"] = {"error": str(exc)}
-    if which in ("mixed", "all"):
-        try:
-            split = classify_regimes(catalog.orders, args.eps, args.h)
-            tps = {k: turning_points(model, catalog, k, args.eps)
-                   for k, a in enumerate(split.assignment) if a == "A"}
-            out["mixed"] = predict_mixed(model, catalog, args.eps, args.h,
-                                         split, turning_sets=tps).to_dict()
-        except CrossingLabError as exc:
-            out["mixed"] = {"error": str(exc)}
+            out[name] = {"error": str(exc)}
     _emit(out, args.out, "predict.json")
     return EXIT_OK
 
@@ -136,13 +121,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .sweep import SweepConfig, run_sweep, write_csv, write_report
+    from .sweep import CSV_SCHEMA_VERSION, SweepConfig, run_sweep, write_csv, write_report
 
     config = SweepConfig.from_json(args.config)
     if args.jobs:
         config.jobs = args.jobs
-    if args.tol:
-        config.tol = args.tol
+    config.tol = _tol(args, config.tol)
     t0 = time.time()
     rows = run_sweep(config)
     out_dir = args.out or "."
@@ -155,7 +139,7 @@ def cmd_sweep(args) -> int:
         "failed": sum(1 for r in rows if r["status"] == "failed"),
         "wall_time_s": time.time() - t0,
         "csv": csv_path,
-        "schema_version": 1,
+        "schema_version": CSV_SCHEMA_VERSION,
     }
     write_report(meta, os.path.join(out_dir, f"{config.label}.report.json"))
     print(json.dumps(meta, indent=2))
@@ -166,6 +150,7 @@ def cmd_interfere(args) -> int:
     from .sweep import SweepConfig, scan_interference
 
     config = SweepConfig.from_json(args.config)
+    config.tol = _tol(args, config.tol)
     result = scan_interference(config, mu_fixed=args.mu)
     _emit(result, args.out, "interference.json")
     offsets = [p["rel_offset"] for p in result["pairs"] if p["rel_offset"] is not None]
@@ -180,7 +165,7 @@ def cmd_switch_demo(args) -> int:
     potential = None
     if args.config:
         potential = _load_config(args.config).get("potential")
-    report = regime_switch_demo(potential=potential, tol=args.tol)
+    report = regime_switch_demo(potential=potential, tol=_tol(args))
     report["decay_fit"] = sharp_decay_slope(potential=potential)
     _emit(report, args.out, "switch_demo.json")
     for row in report["rows"]:
@@ -216,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=_env_default("out", None, str),
                         help="output directory (default: print to stdout)")
         sp.add_argument("--tol", type=float,
-                        default=_env_default("tol", 1e-9, float))
+                        default=_env_default("tol", None, float),
+                        help=f"tolerance (default: CROSSINGLAB_TOL, then the "
+                             f"config's tol, then {DEFAULT_TOL:g})")
 
     sp = sub.add_parser("describe", help="catalog and regime map")
     add_common(sp)
@@ -236,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--h", type=float, required=True)
-    sp.add_argument("--which", choices=["nonadiabatic", "chain", "mixed", "all"],
-                    default="all")
+    sp.add_argument("--which", choices=[*ORACLES, "all"], default="all",
+                    help="one oracle, or all closed forms")
     sp.set_defaults(fn=cmd_predict)
 
     sp = sub.add_parser("verify", help="randomized property suites")

@@ -236,8 +236,7 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
         near = mat @ jb
         from ..potential.catalog import find_crossings as fc, regularized_action
         r_r = regularized_action(model, "right", anchor, catalog=fc(model))
-        from ..potential.catalog import phase_integral
-        phase = np.exp(-1j * (r_r + phase_integral(model, anchor, anchor)) / h_fix)
+        phase = np.exp(-1j * r_r / h_fix)
         offs.append(abs(near[1, 0]))
         diags.append(abs(near[0, 0] / phase - 1.0))
     slope_off = float(np.polyfit(np.log(eps_vals), np.log(offs), 1)[0])

@@ -94,10 +94,6 @@ class MsaSolution:
         return np.array([self.grid.interp(self.comp1, t),
                          self.grid.interp(self.comp2, t)])
 
-    def column_matrix_at(self, other: "MsaSolution", t) -> np.ndarray:
-        return np.array([[self.grid.interp(self.comp1, t), other.grid.interp(other.comp1, t)],
-                         [self.grid.interp(self.comp2, t), other.grid.interp(other.comp2, t)]])
-
 
 def msa_solution(model, eps: float, h: float, which: str,
                  a_plus: float, a_minus: float, depth: int = 3,

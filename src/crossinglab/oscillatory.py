@@ -127,18 +127,11 @@ def _nodes_eval(model, mesh: np.ndarray, order: int) -> np.ndarray:
 
 
 def _max_zero_order_inside(model, a: float, b: float) -> int:
-    try:
-        candidates = [z for z in model.candidate_zeros() if a <= z <= b]
-    except Exception:
-        return 1
-    if not candidates:
-        return 1
+    """Largest zero order of V on [a, b], 1 when V has no zero there.
+
+    Raises ZeroOrderUndetermined when a zero's order cannot be read.
+    """
     from .potential.catalog import _zero_order
 
-    orders = []
-    for z in candidates:
-        try:
-            orders.append(_zero_order(model, z)[0])
-        except Exception:
-            orders.append(1)
-    return max(orders)
+    return max((_zero_order(model, z)[0] for z in model.candidate_zeros() if a <= z <= b),
+               default=1)

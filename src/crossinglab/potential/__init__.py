@@ -10,7 +10,6 @@ from .catalog import (
     CrossingCatalog,
     area_adjacent,
     area_between,
-    effective_phase_integral,
     effective_potential,
     find_crossings,
     phase_integral,

@@ -38,6 +38,7 @@ class Crossing:
 class CrossingCatalog:
     crossings: tuple[Crossing, ...]   # ordered by decreasing t
     sigma: tuple[int, ...]            # sigma[k] = m_0 + ... + m_k
+    gaps: tuple[float, ...]           # gaps[k] = integral of V from t_{k+1} to t_k
 
     @property
     def n(self) -> int:
@@ -68,10 +69,24 @@ class CrossingCatalog:
         """sigma_{k-1}: total order of crossings to the right of crossing k."""
         return self.sigma[k - 1] if k > 0 else 0
 
+    def phase_between(self, j: int, k: int) -> float:
+        """integral of V from crossing k up to crossing j (j <= k), a sum of gaps."""
+        return sum(self.gaps[j:k], 0.0)
+
+    def masked_gaps(self, mask: "SignMask") -> tuple[float, ...]:
+        """Gap integrals of the sign-masked coupling.
+
+        Mask flips sit only at crossings, so the sign is constant on each gap.
+        """
+        pts = self.positions
+        return tuple(float(mask.sign(0.5 * (pts[k] + pts[k + 1]))) * g
+                     for k, g in enumerate(self.gaps))
+
     def to_dict(self) -> dict:
         return {
             "crossings": [{"t": c.t, "m": c.m, "v": c.v} for c in self.crossings],
             "sigma": list(self.sigma),
+            "gaps": list(self.gaps),
             "m_star": self.m_star if self.crossings else None,
             "lambda_star": list(self.lambda_star) if self.crossings else [],
         }
@@ -123,7 +138,9 @@ def find_crossings(model: PotentialModel,
 
     Builtin families expose their zero candidates exactly; a sign-change scan
     over the search interval guards against omissions (it can only add
-    odd-order zeros, the even-order ones do not change sign).
+    odd-order zeros, the even-order ones do not change sign).  The integrals
+    of V between consecutive zeros depend on neither h nor eps and are
+    computed here, once.
     """
     if search_interval is None:
         search_interval = model.suggest_interval()
@@ -156,7 +173,8 @@ def find_crossings(model: PotentialModel,
         crossings.append(Crossing(t=t0, m=m, v=v))
 
     sigma = tuple(int(s) for s in np.cumsum([c.m for c in crossings]))
-    catalog = CrossingCatalog(tuple(crossings), sigma)
+    gaps = tuple(phase_integral(model, lo_t, hi_t) for hi_t, lo_t in zip(zeros, zeros[1:]))
+    catalog = CrossingCatalog(tuple(crossings), sigma, gaps)
     _check_sign_pattern(model, catalog, lo, hi)
     return catalog
 
@@ -192,30 +210,23 @@ def cumulative_phase(model: PotentialModel, grid: np.ndarray) -> np.ndarray:
     return cumulative_smooth(lambda s: np.real(model.eval(s)), grid)
 
 
-def area_between(catalog: CrossingCatalog, model: PotentialModel,
-                 j: int, k: int) -> float:
+def area_between(catalog: CrossingCatalog, j: int, k: int) -> float:
     """Phase-space area 2 * integral of |V| between crossings j and k (j < k).
 
     Indices follow the catalog ordering (decreasing t), so crossing j lies to
-    the right of crossing k.  The integral is split at intermediate zeros
-    where |V| has kinks.
+    the right of crossing k.  V keeps its sign on each gap, so the area is
+    twice the sum of the absolute gap integrals.
     """
     if j == k:
         return 0.0
     if not (0 <= j < k < catalog.n):
         raise IndexError(f"need 0 <= j < k < {catalog.n}")
-    total = 0.0
-    pts = catalog.positions
-    for idx in range(j, k):
-        hi, lo = pts[idx], pts[idx + 1]
-        piece = integrate_smooth(lambda s: np.real(model.eval(s)), lo, hi)
-        total += abs(piece)
-    return 2.0 * total
+    return 2.0 * sum(abs(g) for g in catalog.gaps[j:k])
 
 
-def area_adjacent(catalog: CrossingCatalog, model: PotentialModel, k: int) -> float:
+def area_adjacent(catalog: CrossingCatalog, k: int) -> float:
     """Area A_k between consecutive crossings k and k+1 (0-based)."""
-    return area_between(catalog, model, k, k + 1)
+    return area_between(catalog, k, k + 1)
 
 
 def regularized_action(model: PotentialModel, side: str, t_anchor: float,
@@ -282,17 +293,3 @@ class SignMask:
             lower = pts[i + 1] if i + 1 < len(pts) else -math.inf
             out.append((lower, upper))
         return out
-
-
-def effective_phase_integral(model: PotentialModel, mask: SignMask,
-                             a: float, b: float) -> float:
-    """integral of mask * V over [a, b], split at mask flip points."""
-    if a == b:
-        return 0.0
-    lo, hi = (a, b) if a < b else (b, a)
-    cuts = [lo] + [p for p in sorted(mask.flip_points) if lo < p < hi] + [hi]
-    total = 0.0
-    for x0, x1 in zip(cuts[:-1], cuts[1:]):
-        s = float(mask.sign(0.5 * (x0 + x1)))
-        total += s * integrate_smooth(lambda u: np.real(model.eval(u)), x0, x1)
-    return total if a < b else -total

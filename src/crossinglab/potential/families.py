@@ -25,6 +25,7 @@ import numpy as np
 from scipy.special import spence
 
 from ..errors import ConfigError
+from ..quadrature import integrate_smooth
 
 _MAX_JET_ORDER = 24
 
@@ -222,9 +223,23 @@ class PotentialModel:
             t += step
         raise ConfigError("tail envelope never reached the requested level")
 
-    def tail_integral(self, side: str, anchor: float) -> float:
-        """integral of (V - V_side) from the anchor out to +/- infinity."""
+    @property
+    def tail_rate(self) -> float:
+        """Exponential decay rate of |V - V_side| in both tails."""
         raise NotImplementedError
+
+    def tail_integral(self, side: str, anchor: float) -> float:
+        """integral of (V - V_side) from the anchor out to +/- infinity.
+
+        Quadrature over a span long enough for the tail, decaying at
+        ``tail_rate``, to fall below double precision.
+        """
+        v_inf = self.v_right if side == "right" else self.v_left
+        span = max(60.0 / self.tail_rate, 10.0)
+        fn = lambda s: np.real(self.eval(s)) - v_inf  # noqa: E731
+        if side == "right":
+            return integrate_smooth(fn, anchor, anchor + span, max_panel=0.5)
+        return integrate_smooth(fn, anchor - span, anchor, max_panel=0.5)
 
     # -- config --------------------------------------------------------------
     def to_config(self) -> dict:
@@ -320,16 +335,9 @@ class ScaledTanhProduct(PotentialModel):
             total += 2.0 * f.power * math.exp(-2.0 * abs(x))
         return 2.0 * abs(self.scale) * total
 
-    def tail_integral(self, side: str, anchor: float) -> float:
-        from ..quadrature import integrate_smooth
-
-        v_inf = self.v_right if side == "right" else self.v_left
-        rate = 2.0 * min(f.slope for f in self.factors)
-        span = max(60.0 / rate, 10.0)
-        fn = lambda s: np.real(self.eval(s)) - v_inf  # noqa: E731
-        if side == "right":
-            return integrate_smooth(fn, anchor, anchor + span, max_panel=0.5)
-        return integrate_smooth(fn, anchor - span, anchor, max_panel=0.5)
+    @property
+    def tail_rate(self) -> float:
+        return 2.0 * min(f.slope for f in self.factors)
 
     def to_config(self) -> dict:
         return {
@@ -493,15 +501,9 @@ class PolynomialWindowed(PotentialModel):
             np.polynomial.polynomial.polyval(np.linspace(-w, w, 64), dp))))
         return slope_max * 2.0 * math.exp(-b * x) / b
 
-    def tail_integral(self, side: str, anchor: float) -> float:
-        from ..quadrature import integrate_smooth
-
-        v_inf = self.v_right if side == "right" else self.v_left
-        span = max(60.0 / self.clamp.beta, 10.0)
-        fn = lambda s: np.real(self.eval(s)) - v_inf  # noqa: E731
-        if side == "right":
-            return integrate_smooth(fn, anchor, anchor + span, max_panel=0.5)
-        return integrate_smooth(fn, anchor - span, anchor, max_panel=0.5)
+    @property
+    def tail_rate(self) -> float:
+        return self.clamp.beta
 
     def to_config(self) -> dict:
         return {

@@ -24,26 +24,14 @@ from scipy.special import gamma as gamma_fn
 from .errors import MStarTooSmall, RegimeViolation
 from .oscillatory import omega_m
 from .params import MU_NONADIABATIC_MAX, RegimeSplit, mu
-from .potential.catalog import (
-    CrossingCatalog,
-    effective_phase_integral,
-    effective_potential,
-    phase_integral,
+from .potential.catalog import CrossingCatalog, effective_potential
+from .transfer import (
+    _tilde_flags,
+    chain_pair_term,
+    chain_prob_leading,
+    crossing_transfer_adiabatic,
+    crossing_transfer_nonadiabatic,
 )
-from .transfer import chain_prob_leading, crossing_transfer_adiabatic
-
-PHASE_CONVENTIONS = ("standard", "half_shift")
-
-
-@dataclass(frozen=True)
-class _RawFactor:
-    """Unit-diagonal coupling pair used for leading-order chain numbers."""
-
-    a: complex
-    b: complex
-
-    def q_conjugated(self) -> "_RawFactor":
-        return _RawFactor(np.conj(self.a), -np.conj(self.b))
 
 
 def gamma_factor(m: int) -> float:
@@ -56,52 +44,35 @@ def gamma_factor(m: int) -> float:
     return float(base * (1.0 - even_fold * math.sin(math.pi / (2.0 * (m + 1))) ** 2))
 
 
-def _coherent_phases(catalog: CrossingCatalog, model, h: float) -> list[complex]:
-    """Unit phasors of the maximal-order crossings, referenced to the last zero."""
+def _coherent_phases(catalog: CrossingCatalog, h) -> list:
+    """Unit phasors of the maximal-order crossings, referenced to the last zero.
+
+    ``h`` may be an array; each phasor then has its shape.
+    """
     m_star = catalog.m_star
-    t_ref = catalog.positions[-1]
+    last = catalog.n - 1
     theta_m = (math.pi / (2.0 * (m_star + 1))) if m_star % 2 == 1 else 0.0
     phasors = []
     for j in catalog.lambda_star:
-        c = catalog.crossings[j]
-        phase = 2.0 / h * phase_integral(model, t_ref, c.t)
-        phase += math.copysign(1.0, c.v) * theta_m
-        phasors.append(cmath.exp(1j * phase))
+        phase = 2.0 / h * catalog.phase_between(j, last)
+        phase += math.copysign(1.0, catalog.crossings[j].v) * theta_m
+        phasors.append(np.exp(1j * phase))
     return phasors
 
 
-def interference_factor(catalog: CrossingCatalog, model, h: float,
-                        convention: str = "standard") -> float:
+def interference_factor(catalog: CrossingCatalog, h):
     """Interference coefficient: weighted coherent sum over maximal crossings.
 
-    ``standard`` evaluates |sum_j |v_j|^(-1/(m+1)) e^(i phi_j)|^2, whose pair
-    expansion carries the phase offset (sgn v_j) pi/(m+1) for opposite-sign
-    odd-order pairs; it is the encoding validated by the interference
-    acceptance run.  ``half_shift`` is the alternate pairwise encoding with
-    half that offset, kept switchable for comparison.
+    Evaluates |sum_j |v_j|^(-1/(m+1)) e^(i phi_j)|^2, whose pair expansion
+    carries the phase offset (sgn v_j) pi/(m+1) for opposite-sign odd-order
+    pairs.  ``h`` may be an array, giving one value per entry.
     """
-    if convention not in PHASE_CONVENTIONS:
-        raise ValueError(f"convention must be one of {PHASE_CONVENTIONS}")
     m_star = catalog.m_star
     weights = [abs(catalog.crossings[j].v) ** (-1.0 / (m_star + 1))
                for j in catalog.lambda_star]
-    if convention == "standard":
-        phasors = _coherent_phases(catalog, model, h)
-        total = sum(w * p for w, p in zip(weights, phasors))
-        return float(abs(total) ** 2)
-
-    # pairwise form with the halved phase offset
-    idx = list(catalog.lambda_star)
-    total = sum(w * w for w in weights)
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            j, k = idx[a], idx[b]
-            cj, ck = catalog.crossings[j], catalog.crossings[k]
-            phase = 2.0 / h * phase_integral(model, ck.t, cj.t)
-            if m_star % 2 == 1 and math.copysign(1, cj.v) != math.copysign(1, ck.v):
-                phase += math.copysign(1.0, cj.v) * math.pi / (2.0 * (m_star + 1))
-            total += 2.0 * weights[a] * weights[b] * math.cos(phase)
-    return float(total)
+    total = sum(w * p for w, p in zip(weights, _coherent_phases(catalog, h)))
+    vals = np.abs(total) ** 2
+    return vals if np.ndim(vals) else float(vals)
 
 
 @dataclass
@@ -128,7 +99,6 @@ class NonadiabaticPrediction:
 
 
 def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
-                         convention: str = "standard",
                          allow_order_one: bool = False,
                          enforce_regime: bool = True) -> NonadiabaticPrediction:
     """Leading asymptotics of P when every crossing is crossed diabatically."""
@@ -142,7 +112,7 @@ def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
     if enforce_regime and mu_star > MU_NONADIABATIC_MAX:
         raise RegimeViolation(f"mu_star={mu_star:.3g} outside the diabatic regime")
     gamma_val = gamma_factor(m_star)
-    delta_val = interference_factor(catalog, model, h, convention=convention)
+    delta_val = interference_factor(catalog, h)
     c_star = gamma_val * delta_val
     parity_odd = catalog.sigma_n % 2 == 1
     correction = c_star * mu_star ** 2
@@ -154,14 +124,14 @@ def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
         error_order=order)
 
 
-def quantization_ladder(catalog: CrossingCatalog, model, h_range,
+def quantization_ladder(catalog: CrossingCatalog, h_range,
                         max_terms: int = 4096) -> list[float]:
     """Values of h in [h_min, h_max] where the two-crossing interference
     factor vanishes exactly (area quantization)."""
     if len(catalog.lambda_star) != 2:
         raise ValueError("closed ladder requires exactly two maximal crossings")
     j, k = catalog.lambda_star
-    area = 2.0 * abs(phase_integral(model, catalog.positions[k], catalog.positions[j]))
+    area = 2.0 * abs(catalog.phase_between(j, k))
     m = catalog.m_star
     shift = m * math.pi / (m + 1.0) if m % 2 == 1 else math.pi
     h_min, h_max = min(h_range), max(h_range)
@@ -179,7 +149,7 @@ def quantization_ladder(catalog: CrossingCatalog, model, h_range,
 
 
 def interference_zeros(model, catalog: CrossingCatalog, h_range,
-                       samples: int = 2048, convention: str = "standard"):
+                       samples: int = 2048):
     """Locations in h where the interference factor vanishes (or is minimal).
 
     Two maximal crossings with equal |v| admit the exact quantization ladder;
@@ -190,12 +160,11 @@ def interference_zeros(model, catalog: CrossingCatalog, h_range,
     weights = [abs(catalog.crossings[j].v) for j in lam]
     h_min, h_max = min(h_range), max(h_range)
     if len(lam) == 2 and abs(weights[0] - weights[1]) < 1e-9 * max(weights):
-        return quantization_ladder(catalog, model, h_range)
+        return quantization_ladder(catalog, h_range)
     if len(lam) < 2:
         return []
     hs = np.linspace(h_min, h_max, samples)
-    vals = np.array([interference_factor(catalog, model, h, convention=convention)
-                     for h in hs])
+    vals = interference_factor(catalog, hs)
     floor = float(np.max(vals)) * 1e-6
     out = []
     for i in range(1, samples - 1):
@@ -246,10 +215,7 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     n = catalog.n
     if len(split.assignment) != n:
         raise ValueError("regime split does not match catalog")
-    from .transfer import _tilde_flags, crossing_transfer_nonadiabatic
-
     tilde = _tilde_flags(split, n)
-    mask = effective_potential(catalog, split.sharp_odd)
 
     alphas: list[complex] = []
     betas: list[complex] = []
@@ -262,26 +228,22 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
             c = catalog.crossings[k]
             if enforce_regime:
                 crossing_transfer_nonadiabatic(k, eps, h, catalog)
-            raw_b = -1j * np.conj(omega_m(c.m, c.v)) * mu(c.m, eps, h)
-            base = _RawFactor(1.0 + 0.0j, raw_b)
+            a, b = 1.0 + 0.0j, -1j * np.conj(omega_m(c.m, c.v)) * mu(c.m, eps, h)
         else:
             tps = None if turning_sets is None else turning_sets.get(k)
             fac = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps,
                                               model=model,
                                               enforce_regime=enforce_regime)
-            base = fac.su2
+            a, b = fac.su2.a, fac.su2.b
             if turning_sets is not None and k in turning_sets:
                 decay[k] = turning_sets[k].a_min
         if tilde[k]:
-            base = base.q_conjugated()
-        alphas.append(base.a)
-        betas.append(base.b)
+            a, b = np.conj(a), -np.conj(b)  # Q-conjugation by the flip matrix
+        alphas.append(a)
+        betas.append(b)
 
-    nus: list[complex] = []
-    for k in range(n - 1):
-        integral = effective_phase_integral(
-            model, mask, catalog.positions[k + 1], catalog.positions[k])
-        nus.append(cmath.exp(-1j * integral / h))
+    mask = effective_potential(catalog, split.sharp_odd)
+    nus = [cmath.exp(-1j * g / h) for g in catalog.masked_gaps(mask)]
     nus.append(1.0 + 0.0j)  # trailing connector phase, modulus irrelevant
 
     leading = chain_prob_leading(alphas, betas, nus)
@@ -307,18 +269,8 @@ def _mixed_blocks(catalog, split, alphas, betas, nus, eps, h, decay):
     diag_sharp = sum(abs(betas[k]) ** 2 for k in sharp)
 
     def cross_sum(js, ks):
-        total = 0.0
-        for j in js:
-            for k in ks:
-                if j >= k:
-                    continue
-                cross = betas[j] * np.conj(betas[k]) * alphas[j] * alphas[k]
-                for kappa in range(j + 1, k):
-                    cross *= alphas[kappa] ** 2
-                for kappa in range(j, k):
-                    cross *= nus[kappa] ** 2
-                total += 2.0 * float(np.real(cross))
-        return total
+        return sum((chain_pair_term(alphas, betas, nus, j, k)
+                    for j in js for k in ks if j < k), 0.0)
 
     blocks = {
         "flat_flat_diag": diag_flat,

@@ -21,7 +21,7 @@ reported, never silently corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class PropagationDiagnostics:
     richardson_error: float = 0.0
     norm_drift: float = 0.0
     method: str = "cf4"
-    extras: dict = field(default_factory=dict)
 
 
 def hamiltonian(model, eps: float, t):

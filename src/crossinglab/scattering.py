@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TailNotConverged
+from .errors import ConfigError, TailNotConverged
 from .potential.catalog import CrossingCatalog, find_crossings, regularized_action
 from .propagator import PropagationDiagnostics, fundamental_matrix
 from .quadrature import linear_phase_integral
@@ -101,7 +101,7 @@ def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
     level = max(tol * abs(omega) / 4.0, 1e-300)
     try:
         t_far = model.tail_anchor(side, min(level, 1e-7))
-    except Exception as exc:  # envelope never reaches the level
+    except ConfigError as exc:  # envelope never reaches the level
         raise TailNotConverged(str(exc)) from exc
     if side == "right":
         t_far = max(t_far, t_eval) + 5.0

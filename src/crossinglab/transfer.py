@@ -30,12 +30,7 @@ from .params import (
     RegimeSplit,
     mu,
 )
-from .potential.catalog import (
-    CrossingCatalog,
-    effective_phase_integral,
-    effective_potential,
-    phase_integral,
-)
+from .potential.catalog import CrossingCatalog, effective_potential
 from .potential.turning import TurningPointSet, turning_points
 
 Q_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -137,20 +132,15 @@ def crossing_transfer_nonadiabatic(k: int, eps: float, h: float,
     return factor, order
 
 
-def between_transfer(k: int, eps: float, h: float, model,
-                     catalog: CrossingCatalog, mask=None):
+def between_transfer(k: int, eps: float, h: float, catalog: CrossingCatalog,
+                     mask=None):
     """Diagonal phase factor between crossings k and k+1.
 
     With a sign mask the phase integrand is the effective coupling instead of
     V itself (mixed-regime bookkeeping).
     """
-    t_hi = catalog.positions[k]
-    t_lo = catalog.positions[k + 1]
-    if mask is None:
-        integral = phase_integral(model, t_lo, t_hi)
-    else:
-        integral = effective_phase_integral(model, mask, t_lo, t_hi)
-    nu = cmath.exp(-1j * integral / h)
+    gaps = catalog.gaps if mask is None else catalog.masked_gaps(mask)
+    nu = cmath.exp(-1j * gaps[k] / h)
     return diagonal_su2(nu), ErrorOrder(({"eps": 2, "h": -1},))
 
 
@@ -308,6 +298,19 @@ def chain_offdiag_leading(alphas, betas, nus) -> complex:
     return total
 
 
+def chain_pair_term(alphas, betas, nus, j: int, k: int,
+                    assume_unit_alpha: bool = False) -> float:
+    """Twice the real part of the ordered cross term of couplings j < k."""
+    cross = betas[j] * np.conj(betas[k])
+    if not assume_unit_alpha:
+        cross *= alphas[j] * alphas[k]
+        for kappa in range(j + 1, k):
+            cross *= alphas[kappa] ** 2
+    for kappa in range(j, k):
+        cross *= nus[kappa] ** 2
+    return 2.0 * float(np.real(cross))
+
+
 def chain_prob_leading(alphas, betas, nus, assume_unit_alpha: bool = False) -> float:
     """|tau_21|^2 to second order in the off-diagonal couplings.
 
@@ -319,14 +322,7 @@ def chain_prob_leading(alphas, betas, nus, assume_unit_alpha: bool = False) -> f
     total = float(sum(abs(b) ** 2 for b in betas))
     for j in range(n):
         for k in range(j + 1, n):
-            cross = betas[j] * np.conj(betas[k])
-            if not assume_unit_alpha:
-                cross *= alphas[j] * alphas[k]
-                for kappa in range(j + 1, k):
-                    cross *= alphas[kappa] ** 2
-            for kappa in range(j, k):
-                cross *= nus[kappa] ** 2
-            total += 2.0 * float(np.real(cross))
+            total += chain_pair_term(alphas, betas, nus, j, k, assume_unit_alpha)
     return total
 
 
@@ -343,6 +339,10 @@ class PredictedScattering:
     n_sharp_odd: int
     tau21_sq: float
     p_chain_paths: dict
+
+    def to_dict(self) -> dict:
+        return {"P_pred": self.p_pred, "paths": self.p_chain_paths,
+                "chain": self.chain.to_dict()}
 
 
 def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
@@ -386,7 +386,7 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
                                             model=model,
                                             enforce_regime=enforce_regime)
         crossing_factors.append(f)
-    between = [between_transfer(k, eps, h, model, catalog)[0] for k in range(n - 1)]
+    between = [between_transfer(k, eps, h, catalog)[0] for k in range(n - 1)]
 
     chain = TransferChain(crossing_factors, between,
                           tags=list(split.assignment))
@@ -417,7 +417,7 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
         base = f.su2 if isinstance(f, AdiabaticFactor) else f
         su2_factors.append(base.q_conjugated() if tilde[k] else base)
         if k < n - 1:
-            bt, _ = between_transfer(k, eps, h, model, catalog, mask=mask)
+            bt, _ = between_transfer(k, eps, h, catalog, mask=mask)
             su2_factors.append(bt)
     tau = su2_chain_product(su2_factors)
     tau21_sq = float(abs(tau.b) ** 2)

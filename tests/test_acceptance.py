@@ -86,7 +86,7 @@ def test_criterion_3_interference_cos_squared():
         {"power": 3, "slope": 1.0, "center": -2.0},
     ])
     catalog = find_crossings(model)
-    area = area_adjacent(catalog, model, 0)
+    area = area_adjacent(catalog, 0)
     v = abs(catalog.crossings[0].v)
     amp = 4.0 * gamma_factor(3) * v ** (-0.5)
     mu3 = 0.05
@@ -105,7 +105,7 @@ def test_criterion_3_interference_cos_squared():
     ss_tot = float(np.sum((data - data.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot
 
-    ladder = quantization_ladder(catalog, model, (hs.min(), hs.max()))
+    ladder = quantization_ladder(catalog, (hs.min(), hs.max()))
     offsets = [p["rel_offset"] for p in scan["pairs"]]
     ok = (r_squared > 0.98 and len(scan["minima"]) >= 3
           and len(ladder) >= 3 and max(offsets) < 0.02)

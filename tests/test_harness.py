@@ -91,6 +91,13 @@ class TestConfigAndRows:
         with pytest.raises(ConfigError):
             SweepConfig.from_json({"grid": {}})
 
+    def test_unknown_oracle_rejected(self):
+        doc = {"potential": CUBIC_DOC,
+               "grid": {"type": "list", "rows": [{"eps": 0.01, "h": 0.05}]},
+               "oracles": ["numerc"]}
+        with pytest.raises(ConfigError, match="numerc"):
+            SweepConfig.from_json(doc)
+
 
 @pytest.fixture(scope="module")
 def small_config():
@@ -134,7 +141,24 @@ class TestRunSweep:
         )
         rows = run_sweep(config)
         assert rows[0]["status"] == "failed"
-        assert "nonadiabatic" in rows[0]["error"]
+        assert rows[0]["error"].startswith("nonadiabatic: RegimeViolation: ")
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        """Only CrossingLabError becomes a failed row; the table looks its
+        callees up by name, so the patched one runs."""
+        import crossinglab.harness.sweep as sweep_module
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(sweep_module, "predict_nonadiabatic", broken)
+        config = SweepConfig(
+            potential=CUBIC_DOC,
+            grid={"type": "list", "rows": [{"eps": 0.0005, "h": 0.002}]},
+            oracles=("nonadiabatic",),
+        )
+        with pytest.raises(ValueError, match="bug"):
+            run_sweep(config)
 
     def test_empty_grid(self):
         config = SweepConfig(potential=CUBIC_DOC,
@@ -191,6 +215,16 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["nonadiabatic"]["P_pred"] > 0.9
 
+    def test_predict_all_closed_forms(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, CUBIC_DOC)
+        rc = cli_main(["predict", "--config", cfg, "--eps", "0.0005", "--h", "0.002"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"eps", "h", "nonadiabatic", "chain", "mixed"}
+        assert set(doc["chain"]) == {"P_pred", "paths", "chain"}
+        assert doc["chain"]["P_pred"] == pytest.approx(doc["nonadiabatic"]["P_pred"],
+                                                       abs=1e-3)
+
     def test_verify_subset(self, capsys):
         rc = cli_main(["verify", "--seed", "7", "--suites", "su2"])
         assert rc == 0
@@ -218,3 +252,61 @@ class TestCli:
         rc = cli_main(["verify", "--suites", "su2"])
         assert rc == 0
         assert "seed 9" in capsys.readouterr().out
+
+
+TOL_CASES = [
+    # (config tol, CROSSINGLAB_TOL, --tol, tol used)
+    (1e-5, None, None, 1e-5),
+    (None, None, None, 1e-9),
+    (1e-5, "1e-6", None, 1e-6),
+    (1e-5, "1e-6", "1e-4", 1e-4),
+]
+TOL_IDS = ["config", "default", "env_over_config", "flag_over_env"]
+
+
+class TestTolPrecedence:
+    """--tol beats CROSSINGLAB_TOL, which beats the config's tol, then 1e-9."""
+
+    def _run(self, tmp_path, monkeypatch, command, spy_name, result, case):
+        import crossinglab.harness.sweep as sweep_module
+
+        config_tol, env, flag, expected = case
+        doc = {"potential": TANH_PAIR_DOC,
+               "grid": {"type": "list", "rows": [{"eps": 0.01, "h": 0.05}]},
+               "label": "tol"}
+        if config_tol is not None:
+            doc["tol"] = config_tol
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if env is None:
+            monkeypatch.delenv("CROSSINGLAB_TOL", raising=False)
+        else:
+            monkeypatch.setenv("CROSSINGLAB_TOL", env)
+        used = []
+
+        def spy(config, *args, **kwargs):
+            used.append(config.tol)
+            return result
+
+        monkeypatch.setattr(sweep_module, spy_name, spy)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if flag is not None:
+            argv += ["--tol", flag]
+        assert cli_main(argv) == 0
+        assert used == [expected]
+
+    @pytest.mark.parametrize("case", TOL_CASES, ids=TOL_IDS)
+    def test_sweep(self, tmp_path, monkeypatch, capsys, case):
+        self._run(tmp_path, monkeypatch, "sweep", "run_sweep", [], case)
+
+    @pytest.mark.parametrize("case", TOL_CASES, ids=TOL_IDS)
+    def test_interfere(self, tmp_path, monkeypatch, capsys, case):
+        self._run(tmp_path, monkeypatch, "interfere", "scan_interference",
+                  {"minima": [], "pairs": []}, case)
+
+    def test_sweep_report_schema_version(self, tmp_path, monkeypatch, capsys):
+        from crossinglab.harness.sweep import CSV_SCHEMA_VERSION
+
+        self._run(tmp_path, monkeypatch, "sweep", "run_sweep", [], TOL_CASES[0])
+        report = json.loads((tmp_path / "out" / "tol.report.json").read_text())
+        assert report["schema_version"] == CSV_SCHEMA_VERSION == 1

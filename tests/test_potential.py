@@ -22,7 +22,7 @@ from crossinglab.potential import (
     phase_integral,
     regularized_action,
 )
-from crossinglab.potential.catalog import area_adjacent, effective_phase_integral
+from crossinglab.potential.catalog import area_adjacent
 
 
 def high_order_fd(model, t0, order, step=5e-3):
@@ -143,9 +143,45 @@ class TestFindCrossings:
         assert (-1.0) ** cat.sigma_n * tanh_pair.v_left > 0
 
 
+THREE_MIXED = [
+    {"power": 1, "slope": 1.0, "center": 3.0},
+    {"power": 2, "slope": 1.0, "center": 0.0},
+    {"power": 1, "slope": 1.0, "center": -3.0},
+]
+THREE_ODD = [
+    {"power": 1, "slope": 1.0, "center": 3.0},
+    {"power": 3, "slope": 1.0, "center": 0.0},
+    {"power": 5, "slope": 1.0, "center": -3.0},
+]
+
+
+class TestGaps:
+    def test_gaps_match_phase_integral(self):
+        model = ScaledTanhProduct(1.0, THREE_MIXED)
+        cat = find_crossings(model)
+        pts = cat.positions
+        assert len(cat.gaps) == cat.n - 1
+        for k, gap in enumerate(cat.gaps):
+            direct = phase_integral(model, pts[k + 1], pts[k])
+            assert gap == pytest.approx(direct, rel=1e-13)
+        # non-adjacent crossings: one quadrature over the span vs summed gaps
+        assert cat.phase_between(0, 2) == pytest.approx(
+            phase_integral(model, pts[2], pts[0]), rel=1e-13)
+        assert cat.phase_between(1, 1) == 0.0
+
+    def test_area_is_twice_absolute_gaps(self):
+        cat = find_crossings(ScaledTanhProduct(1.0, THREE_ODD))
+        assert cat.gaps[0] * cat.gaps[1] < 0  # V changes sign at the middle zero
+        assert area_between(cat, 0, 2) == 2.0 * (abs(cat.gaps[0]) + abs(cat.gaps[1]))
+        assert area_adjacent(cat, 1) == 2.0 * abs(cat.gaps[1])
+
+    def test_single_crossing_has_no_gaps(self, tanh_cubed_catalog):
+        assert tanh_cubed_catalog.gaps == ()
+
+
 class TestAreas:
     def test_trivial_same_index(self, tanh_pair, tanh_pair_catalog):
-        assert area_between(tanh_pair_catalog, tanh_pair, 0, 0) == 0.0
+        assert area_between(tanh_pair_catalog, 0, 0) == 0.0
 
     def test_linear_absolute_area(self):
         """2 * integral_{-1}^{1} |t| dt = 2, via the split-at-zero quadrature."""
@@ -157,19 +193,15 @@ class TestAreas:
     def test_pair_area_vs_quad_oracle(self, tanh_pair, tanh_pair_catalog):
         oracle = quad(lambda t: abs(np.tanh(t - 2) ** 3 * np.tanh(t + 2) ** 3),
                       -2.0, 2.0, epsabs=1e-13, epsrel=1e-13)[0]
-        area = area_adjacent(tanh_pair_catalog, tanh_pair, 0)
+        area = area_adjacent(tanh_pair_catalog, 0)
         assert area == pytest.approx(2.0 * oracle, rel=1e-10)
 
     def test_additivity(self):
-        model = ScaledTanhProduct(1.0, [
-            {"power": 1, "slope": 1.0, "center": 3.0},
-            {"power": 2, "slope": 1.0, "center": 0.0},
-            {"power": 1, "slope": 1.0, "center": -3.0},
-        ])
+        model = ScaledTanhProduct(1.0, THREE_MIXED)
         cat = find_crossings(model)
-        a02 = area_between(cat, model, 0, 2)
-        a01 = area_between(cat, model, 0, 1)
-        a12 = area_between(cat, model, 1, 2)
+        a02 = area_between(cat, 0, 2)
+        a01 = area_between(cat, 0, 1)
+        a12 = area_between(cat, 1, 2)
         assert a02 == pytest.approx(a01 + a12, rel=1e-12)
 
 
@@ -242,14 +274,17 @@ class TestEffectivePotential:
         mask3 = effective_potential(cat, (0, 1, 2))
         assert mask3.intervals() == [(t2, t1), (-math.inf, t3)]
 
-    def test_effective_phase_integral_split(self, tanh_pair, tanh_pair_catalog):
-        mask = effective_potential(tanh_pair_catalog, (1,))
-        t2 = tanh_pair_catalog.positions[1]
-        a, b = t2 - 1.0, t2 + 1.0
-        plain_left = phase_integral(tanh_pair, a, t2)
-        plain_right = phase_integral(tanh_pair, t2, b)
-        val = effective_phase_integral(tanh_pair, mask, a, b)
-        assert val == pytest.approx(-plain_left + plain_right, rel=1e-12)
+    def test_masked_gaps_are_signed_gaps(self):
+        """Each masked gap is the mask's sign on that gap times the plain gap."""
+        cat = find_crossings(ScaledTanhProduct(1.0, THREE_ODD))
+        gaps = cat.gaps
+        # flipped on (t2, t1) and beyond t3: the first gap flips, the second not
+        mask = effective_potential(cat, (0, 1, 2))
+        assert cat.masked_gaps(mask) == (-gaps[0], gaps[1])
+        # flipped below t2 only: the second gap flips
+        mask = effective_potential(cat, (1,))
+        assert cat.masked_gaps(mask) == (gaps[0], -gaps[1])
+        assert cat.masked_gaps(effective_potential(cat, ())) == gaps
 
 
 class TestConfig:

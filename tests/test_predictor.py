@@ -9,6 +9,7 @@ from crossinglab.errors import MStarTooSmall, RegimeViolation
 from crossinglab.oscillatory import omega_m
 from crossinglab.params import RegimeSplit
 from crossinglab.potential import ScaledTanhProduct, find_crossings, phase_integral
+import crossinglab.potential.catalog as catalog_module
 from crossinglab.potential.catalog import area_adjacent
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import (
@@ -20,7 +21,7 @@ from crossinglab.predictor import (
     predict_nonadiabatic,
     quantization_ladder,
 )
-from crossinglab.transfer import chain_prob_leading
+from crossinglab.transfer import chain_prob_leading, predicted_scattering
 
 
 class TestGamma:
@@ -45,21 +46,33 @@ class TestGamma:
 
 class TestInterferenceFactor:
     def test_single_crossing(self, tanh_cubed, tanh_cubed_catalog):
-        val = interference_factor(tanh_cubed_catalog, tanh_cubed, 0.05)
+        val = interference_factor(tanh_cubed_catalog, 0.05)
         assert val == pytest.approx(6.0 ** (-0.5), rel=1e-12)
 
     def test_two_crossing_closed_form(self, tanh_pair, tanh_pair_catalog):
         """Equal |v| odd pair: delta = 4 |v|^(-1/2) cos^2(A/(2h) - pi/8)."""
-        area = area_adjacent(tanh_pair_catalog, tanh_pair, 0)
+        area = area_adjacent(tanh_pair_catalog, 0)
         v = abs(tanh_pair_catalog.crossings[0].v)
         for h in (0.03, 0.045, 0.07):
-            val = interference_factor(tanh_pair_catalog, tanh_pair, h)
+            val = interference_factor(tanh_pair_catalog, h)
             expect = 4.0 * v ** (-0.5) * math.cos(area / (2 * h) - math.pi / 8) ** 2
             assert val == pytest.approx(expect, rel=1e-10)
 
     def test_nonnegative(self, tanh_pair, tanh_pair_catalog, rng):
         for h in rng.uniform(0.01, 0.2, 40):
-            assert interference_factor(tanh_pair_catalog, tanh_pair, float(h)) >= 0.0
+            assert interference_factor(tanh_pair_catalog, float(h)) >= 0.0
+
+    def test_array_h_matches_scalar_calls(self):
+        """One call over an array of h gives the per-sample values."""
+        cat = find_crossings(ScaledTanhProduct(1.0, [
+            {"power": 3, "slope": 1.0, "center": 4.2},
+            {"power": 3, "slope": 1.0, "center": 0.0},
+            {"power": 3, "slope": 1.0, "center": -3.1},
+        ]))
+        hs = np.linspace(0.02, 0.09, 64)
+        scalar = [interference_factor(cat, float(h)) for h in hs]
+        np.testing.assert_allclose(interference_factor(cat, hs), scalar,
+                                   rtol=1e-12, atol=1e-15 * max(scalar))
 
     def test_three_crossing_bracket(self):
         """Three equal odd crossings reproduce the bracket
@@ -74,10 +87,10 @@ class TestInterferenceFactor:
         # not all |v| equal here, so build the bracket from the general form
         m = 3
         w = [abs(c.v) ** (-1 / (m + 1)) for c in cat.crossings]
-        a1 = area_adjacent(cat, model, 0)
-        a2 = area_adjacent(cat, model, 1)
+        a1 = area_adjacent(cat, 0)
+        a2 = area_adjacent(cat, 1)
         for h in (0.05, 0.083):
-            val = interference_factor(cat, model, h)
+            val = interference_factor(cat, h)
             shift = math.pi / (m + 1)
             expect = (w[0] ** 2 + w[1] ** 2 + w[2] ** 2
                       + 2 * w[0] * w[1] * math.cos(a1 / h - shift)
@@ -96,22 +109,15 @@ class TestInterferenceFactor:
         vs = [abs(c.v) for c in cat.crossings]
         spread = max(vs) / min(vs) - 1.0
         assert spread < 1e-4
-        a1 = area_adjacent(cat, model, 0)
-        a2 = area_adjacent(cat, model, 1)
+        a1 = area_adjacent(cat, 0)
+        a2 = area_adjacent(cat, 1)
         h = 0.06
-        val = interference_factor(cat, model, h)
+        val = interference_factor(cat, h)
         w2 = vs[0] ** (-2 / 4)
         bracket = 3.0 + 2.0 * (math.cos(a1 / h - math.pi / 4)
                                + math.cos(a2 / h - math.pi / 4)
                                + math.cos((a1 - a2) / h))
         assert val == pytest.approx(w2 * bracket, rel=20.0 * spread + 1e-9)
-
-    def test_alternate_convention_differs(self, tanh_pair, tanh_pair_catalog):
-        h = 0.05
-        main = interference_factor(tanh_pair_catalog, tanh_pair, h)
-        alt = interference_factor(tanh_pair_catalog, tanh_pair, h,
-                                  convention="half_shift")
-        assert abs(main - alt) > 1e-3  # the factor-two phase question is real
 
 
 class TestNonadiabaticPrediction:
@@ -175,10 +181,10 @@ class TestNonadiabaticPrediction:
 class TestInterferenceZeros:
     def test_quantization_ladder_odd(self, tanh_pair, tanh_pair_catalog):
         """delta vanishes exactly at h = A / (2 pi k - m pi/(m+1))."""
-        zeros = quantization_ladder(tanh_pair_catalog, tanh_pair, (0.02, 0.08))
+        zeros = quantization_ladder(tanh_pair_catalog, (0.02, 0.08))
         assert len(zeros) >= 3
         for h in zeros:
-            val = interference_factor(tanh_pair_catalog, tanh_pair, h)
+            val = interference_factor(tanh_pair_catalog, h)
             assert val < 1e-18
 
     def test_quantization_ladder_even(self):
@@ -187,13 +193,13 @@ class TestInterferenceZeros:
             {"power": 2, "slope": 1.0, "center": -2.0},
         ])
         cat = find_crossings(model)
-        area = area_adjacent(cat, model, 0)
+        area = area_adjacent(cat, 0)
         zeros = interference_zeros(model, cat, (0.02, 0.08))
         for h in zeros:
             # even order: A/h + pi in 2 pi Z
             k = (area / h + math.pi) / (2 * math.pi)
             assert abs(k - round(k)) < 1e-9
-            assert interference_factor(cat, model, h) < 1e-18
+            assert interference_factor(cat, h) < 1e-18
 
     def test_single_crossing_empty(self, tanh_cubed, tanh_cubed_catalog):
         assert interference_zeros(tanh_cubed, tanh_cubed_catalog, (0.02, 0.1)) == []
@@ -220,10 +226,10 @@ class TestInterferenceZeros:
         cat = find_crossings(model)
         zeros = interference_zeros(model, cat, (0.02, 0.09), samples=8000)
         assert zeros, "expected destructive-interference points"
-        peak = max(interference_factor(cat, model, hh)
+        peak = max(interference_factor(cat, hh)
                    for hh in np.linspace(0.02, 0.09, 64))
         for h in zeros:
-            assert interference_factor(cat, model, h) < 0.06 * peak
+            assert interference_factor(cat, h) < 0.06 * peak
 
         # the symmetric-spacing layout never vanishes: floor at 1/9 of peak
         sym = ScaledTanhProduct(1.0, [
@@ -233,16 +239,16 @@ class TestInterferenceZeros:
         ])
         cat_sym = find_crossings(sym)
         hs = np.linspace(0.02, 0.09, 800)
-        vals = [interference_factor(cat_sym, sym, float(h)) for h in hs]
+        vals = [interference_factor(cat_sym, float(h)) for h in hs]
         assert min(vals) > 0.10 * max(vals)
 
 
 class TestDeltaSpectrum:
     def test_fft_recovers_area_frequency(self, tanh_pair, tanh_pair_catalog):
         """delta as a function of 1/h oscillates at the enclosed area."""
-        area = area_adjacent(tanh_pair_catalog, tanh_pair, 0)
+        area = area_adjacent(tanh_pair_catalog, 0)
         x = np.linspace(10.0, 40.0, 2048)   # 1/h grid
-        vals = np.array([interference_factor(tanh_pair_catalog, tanh_pair, 1.0 / xi)
+        vals = np.array([interference_factor(tanh_pair_catalog, 1.0 / xi)
                          for xi in x])
         vals -= vals.mean()
         freqs = np.fft.rfftfreq(len(x), d=(x[1] - x[0]) / (2 * math.pi))
@@ -309,3 +315,45 @@ class TestMixedPrediction:
             for a in (0.5, 0.91):
                 lhs = math.exp(-a * mu_sharp ** ((m + 1) / m))
                 assert lhs == pytest.approx(h ** (a * rho), rel=1e-10)
+
+
+class TestGeometryCache:
+    def test_no_quadrature_once_the_catalog_exists(self, monkeypatch):
+        """Between-crossing integrals are computed by find_crossings only.
+
+        Counts the quadratures of V made through the catalog module; the
+        regularized tail actions use the family's own quadrature and are not
+        counted.
+        """
+        calls = []
+        real = catalog_module.integrate_smooth
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "integrate_smooth", counting)
+        three = ScaledTanhProduct(1.0, [
+            {"power": 3, "slope": 1.0, "center": 4.2},
+            {"power": 3, "slope": 1.0, "center": 0.0},
+            {"power": 3, "slope": 1.0, "center": -3.1},
+        ])
+        cat = find_crossings(three)
+        assert len(calls) == cat.n - 1
+        demo = ScaledTanhProduct(1.0, [
+            {"power": 1, "slope": 6.0, "center": 2.0},
+            {"power": 3, "slope": 1.0, "center": -2.0},
+        ])
+        demo_cat = find_crossings(demo)
+        calls.clear()
+
+        assert interference_zeros(three, cat, (0.02, 0.09), samples=2048)
+        h = 1e-4
+        eps = 0.3 * math.sqrt(h)
+        split = RegimeSplit.build(demo_cat.orders, ["N", "A"])
+        tps = {1: turning_points(demo, demo_cat, 1, eps)}
+        predicted_scattering(demo, eps, h, split, catalog=demo_cat, turning_sets=tps,
+                             enforce_regime=False)
+        predict_mixed(demo, demo_cat, eps, h, split, turning_sets=tps,
+                      enforce_regime=False)
+        assert calls == []

@@ -109,7 +109,7 @@ class TestNonadiabaticFactor:
 class TestBetweenFactor:
     def test_diagonal_phase(self, tanh_pair, tanh_pair_catalog):
         h = 0.05
-        f, order = between_transfer(0, 0.01, h, tanh_pair, tanh_pair_catalog)
+        f, order = between_transfer(0, 0.01, h, tanh_pair_catalog)
         integral = phase_integral(tanh_pair, tanh_pair_catalog.positions[1],
                                   tanh_pair_catalog.positions[0])
         assert f.a == pytest.approx(cmath.exp(-1j * integral / h), rel=1e-12)
@@ -120,7 +120,7 @@ class TestBetweenFactor:
         integral = phase_integral(tanh_pair, tanh_pair_catalog.positions[1],
                                   tanh_pair_catalog.positions[0])
         h = abs(integral) / math.pi
-        f, _ = between_transfer(0, 0.01, h, tanh_pair, tanh_pair_catalog)
+        f, _ = between_transfer(0, 0.01, h, tanh_pair_catalog)
         assert f.a == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_integral_identity(self):
