@@ -10,8 +10,10 @@ Iterating produces two exact solutions w1, w2 normalized to (u^+, 0) and
 (0, u^-) at the base points; truncating the Neumann series at depth d leaves
 a tail O(mu^(2(d+1))) with mu = eps * h^(-m/(m+1)).  Everything is sampled on
 a uniform grid fine enough that the fastest phase advances by a fraction of a
-radian per interval; cumulative integrals use exact quintic-spline
-antiderivatives.
+radian per interval; cumulative integrals use the sixth-order fixed-weight
+rule ``quadrature.cumulative_uniform``, and values between nodes come from the
+degree-5 Lagrange interpolant on the same six-node stencil.  Base points must
+be grid nodes.
 """
 
 from __future__ import annotations
@@ -20,15 +22,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .errors import QuadratureTolExceeded, SeriesNotContracting
 from .potential.catalog import CrossingCatalog, find_crossings, phase_integral
-from .quadrature import cumulative_smooth
+from .quadrature import cumulative_smooth, cumulative_uniform
 
 GRID_MIN_POINTS = 4097
 GRID_PHASE_STEP = 0.2     # max radians of the fastest phase per grid interval
 GRID_MAX_POINTS = 1 << 21
+NODE_TOL = 1e-9           # fraction of a grid step within which a point is a node
+_STENCIL = np.arange(6)   # interpolation nodes, in grid steps from the stencil start
+# prod_{k != j} (j - k): denominators of the Lagrange basis on the nodes 0..5
+_LAGRANGE_DENOM = np.array([np.prod([j - k for k in range(6) if k != j]) for j in range(6)],
+                           dtype=float)
 
 
 @dataclass
@@ -61,21 +67,42 @@ class MsaGrid:
         return MsaGrid(model=model, h=h, t_ref=t_ref, points=pts, phase=phase,
                        u_plus=u_plus, u_minus=np.conj(u_plus))
 
+    @property
+    def dx(self) -> float:
+        return float(self.points[-1] - self.points[0]) / (len(self.points) - 1)
+
     def u(self, sign: int) -> np.ndarray:
         return self.u_plus if sign > 0 else self.u_minus
 
+    def index(self, t: float) -> int:
+        """Index of the grid node at t; ValueError when t is not a node."""
+        i = int(round((t - self.points[0]) / self.dx))
+        if not 0 <= i < len(self.points) or abs(self.points[i] - t) > NODE_TOL * self.dx:
+            raise ValueError(f"t={t} is not a node of the grid over "
+                             f"[{self.points[0]}, {self.points[-1]}]")
+        return i
+
     def interp(self, values: np.ndarray, t):
-        spl = make_interp_spline(self.points, values, k=5)
-        return spl(t)
+        """Degree-5 Lagrange interpolant through the six nodes nearest t (the
+        first or last six at the ends), the stencil of cumulative_uniform."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.points[0]) or np.any(t > self.points[-1]):
+            raise ValueError(f"t outside the grid [{self.points[0]}, {self.points[-1]}]")
+        pos = (t - self.points[0]) / self.dx
+        start = np.clip(np.floor(pos).astype(int) - 2, 0, len(self.points) - 6)
+        diff = (pos - start)[..., None] - _STENCIL
+        basis = np.stack([np.prod(np.delete(diff, j, axis=-1), axis=-1)
+                          for j in range(6)], axis=-1) / _LAGRANGE_DENOM
+        return np.sum(basis * values[start[..., None] + _STENCIL], axis=-1)
 
 
 def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray) -> np.ndarray:
-    """Volterra application K_a^+- f on the grid (sign +1 for K^+)."""
+    """Volterra application K_a^+- f on the grid (sign +1 for K^+); the base
+    point ``a`` must be a grid node."""
+    i = grid.index(a)
     g = f * grid.u(-sign)          # f / u^{sign} = f * u^{-sign}
-    spl = make_interp_spline(grid.points, g, k=5)
-    anti = spl.antiderivative()
-    cumulative = anti(grid.points) - anti(a)
-    return (1j / grid.h) * grid.u(sign) * cumulative
+    cumulative = cumulative_uniform(g, grid.dx)
+    return (1j / grid.h) * grid.u(sign) * (cumulative - cumulative[i])
 
 
 @dataclass
@@ -103,8 +130,9 @@ def msa_solution(model, eps: float, h: float, which: str,
     """Truncated Neumann-series solution w1 or w2 on an interval.
 
     w1 is normalized to (u^+, 0) at the base points (first component seeded by
-    u^+), w2 to (0, u^-).  ``depth`` counts the eps^2 double applications; the
-    recorded truncation estimate is the geometric tail of the term sups.
+    u^+), w2 to (0, u^-).  The base points must be grid nodes.  ``depth``
+    counts the eps^2 double applications; the recorded truncation estimate is
+    the geometric tail of the term sups.
     """
     if grid is None:
         if interval is None or t_ref is None:
@@ -172,7 +200,8 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
     """Change of basis between left-based and right-based solutions.
 
     Both bases are built over [ell, r] around crossing k; the matrix is read
-    off at t = r where the right-based pair reduces to diag(u^+, u^-).
+    off at t = r where the right-based pair reduces to diag(u^+, u^-).  A
+    given grid must span exactly [ell, r] and take its phase from t_k.
     """
     if catalog is None:
         catalog = find_crossings(model)
@@ -181,6 +210,11 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
         raise ValueError(f"need ell < t_k={t_k} < r")
     if grid is None:
         grid = MsaGrid.build(model, h, (ell, r), t_k)
+    elif grid.index(ell) != 0 or grid.index(r) != len(grid.points) - 1:
+        raise ValueError(f"grid spans [{grid.points[0]}, {grid.points[-1]}], "
+                         f"not [ell, r] = [{ell}, {r}]")
+    elif abs(grid.t_ref - t_k) > NODE_TOL * grid.dx:
+        raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
     w1l = msa_solution(model, eps, h, "w1", ell, ell, depth=depth, grid=grid)
     w2l = msa_solution(model, eps, h, "w2", ell, ell, depth=depth, grid=grid)
     u_plus_r = grid.u_plus[-1]

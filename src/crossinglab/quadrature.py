@@ -1,9 +1,11 @@
 """Quadrature primitives shared across the package.
 
-Two families of tools live here:
+Three families of tools live here:
 
 * composite Gauss-Legendre rules for smooth (non-oscillatory) integrands,
   used for action integrals and phase accumulation;
+* a sixth-order cumulative rule for samples on a uniform grid, used by the
+  successive-approximation operators;
 * Chebyshev-Lobatto panel machinery for highly oscillatory integrands, where
   each panel is short enough that the phase advances by only a fraction of a
   radian and the integrand is polynomial-like.  Panels carry a spectral
@@ -201,6 +203,40 @@ def cumulative_smooth(fn, points: np.ndarray, order: int = 8) -> np.ndarray:
     vals = fn(pts.ravel()).reshape(pts.shape)
     increments = (vals @ w) * half
     return np.concatenate([[0.0], np.cumsum(increments)])
+
+
+# Row k integrates, over [k, k+1], the degree-5 Lagrange interpolant through
+# the nodes 0..5, in units of the grid step.  Row 2 is the centred interior
+# rule; rows 0, 1 and 3, 4 serve the two intervals at each end.
+_CUMULATIVE_WEIGHTS = np.array([
+    [475, 1427, -798, 482, -173, 27],
+    [-27, 637, 1022, -258, 77, -11],
+    [11, -93, 802, 802, -93, 11],
+    [-11, 77, -258, 1022, 637, -27],
+    [27, -173, 482, -798, 1427, 475],
+]) / 1440.0
+
+
+def cumulative_uniform(values: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative integral of samples on a uniform grid with step ``dx``.
+
+    Returns F with F[0] = 0 and F[j] = integral from the first node to node j
+    of the degree-5 interpolant through the six nodes nearest each interval
+    (the first or last six at the ends): exact on polynomials of degree <= 5,
+    sixth order on smooth data.
+    """
+    g = np.asarray(values)
+    n = g.shape[0]
+    if n < 6:
+        raise ValueError("cumulative_uniform needs at least 6 samples")
+    w = _CUMULATIVE_WEIGHTS
+    inc = np.empty(n - 1, dtype=np.result_type(g, float))
+    # interval i = 2..n-4 uses nodes i-2..i+3 with the symmetric interior row
+    inc[2:n - 3] = (w[2, 0] * (g[0:n - 5] + g[5:n]) + w[2, 1] * (g[1:n - 4] + g[4:n - 1])
+                    + w[2, 2] * (g[2:n - 3] + g[3:n - 2]))
+    inc[:2] = w[:2] @ g[:6]
+    inc[n - 3:] = w[3:] @ g[n - 6:]
+    return np.concatenate([[0.0], np.cumsum(dx * inc)])
 
 
 def linear_phase_integral(fn, a: float, b: float, omega: float,

@@ -11,6 +11,7 @@ from crossinglab.msa import (
     sampled_norm,
 )
 from crossinglab.oscillatory import omega_m
+from crossinglab.potential import PolynomialWindowed, find_crossings
 from crossinglab.propagator import propagate
 
 
@@ -63,6 +64,37 @@ class TestApplyK:
             ratios.append(sampled_norm(g, out, q) / sampled_norm(g, f, q)
                           * h ** (m / (m + 1)))
         assert max(ratios) / min(ratios) < 3.0
+
+
+    def test_interior_node_base_point(self, cubic_setup):
+        """A base point inside the grid shifts the antiderivative's constant."""
+        _, _, _, grid = cubic_setup
+        i = len(grid.points) // 3
+        from_end = apply_K(grid, +1, -0.7, grid.u_minus)
+        from_node = apply_K(grid, +1, grid.points[i], grid.u_minus)
+        assert from_node[i] == 0.0
+        shift = (from_end - from_node) / grid.u_plus
+        assert np.max(np.abs(shift - shift[0])) < 1e-9 * np.max(np.abs(shift))
+
+    @pytest.mark.parametrize("offset", [1.0 / 3.0, -0.5, 1e-4])
+    def test_off_grid_base_point_raises(self, cubic_setup, offset):
+        _, _, _, grid = cubic_setup
+        with pytest.raises(ValueError, match="not a node"):
+            apply_K(grid, +1, -0.7 + offset * grid.dx, grid.u_minus)
+
+
+class TestInterp:
+    def test_exact_on_quintics_between_nodes(self, cubic_setup):
+        _, _, _, grid = cubic_setup
+        poly = np.polynomial.Polynomial([0.3, -1.0, 2.0, 0.5, -4.0, 1.5])
+        t = np.array([-0.7, -0.7 + 0.3 * grid.dx, -0.1234, 0.0, 0.5678,
+                      0.7 - 0.6 * grid.dx, 0.7])
+        assert np.max(np.abs(grid.interp(poly(grid.points), t) - poly(t))) < 1e-12
+
+    def test_outside_grid_raises(self, cubic_setup):
+        _, _, _, grid = cubic_setup
+        with pytest.raises(ValueError):
+            grid.interp(grid.u_plus, 0.71)
 
 
 class TestMsaSolution:
@@ -123,6 +155,17 @@ class TestMsaSolution:
         assert np.max(np.abs(sol.comp1[right] - grid.u_plus[right])) \
             < 2.0 * bound * eps**2 / h
 
+    @pytest.mark.parametrize("which", ["w1", "w2"])
+    @pytest.mark.parametrize("off", ["plus", "minus"])
+    def test_off_grid_base_points_raise(self, cubic_setup, which, off):
+        model, _, h, grid = cubic_setup
+        eps = 0.05 * h**0.75
+        bases = {"plus": -0.7, "minus": -0.7}
+        bases[off] += 0.5 * grid.dx
+        with pytest.raises(ValueError, match="not a node"):
+            msa_solution(model, eps, h, which, bases["plus"], bases["minus"],
+                         depth=1, grid=grid)
+
     def test_not_contracting_raises(self, tanh_cubed):
         h = 5e-3
         grid = MsaGrid.build(tanh_cubed, h, (-0.7, 0.7), 0.0)
@@ -159,6 +202,31 @@ class TestConnection:
         err = abs(t_mat[1, 0] - lead)
         envelope = mu_val**2 + mu_val * h ** 0.25
         assert err < envelope
+
+    @pytest.mark.parametrize("interval, t_ref", [
+        ((-0.9, 0.9), 0.0),
+        ((-0.9, 0.7), 0.0),
+        ((-0.7, 0.9), 0.0),
+        ((-0.7, 0.7), 0.3),
+    ], ids=["wider", "left_end", "right_end", "t_ref"])
+    def test_mismatched_grid_raises(self, cubic_setup, interval, t_ref):
+        model, cat, h, _ = cubic_setup
+        grid = MsaGrid.build(model, h, interval, t_ref)
+        with pytest.raises(ValueError, match="grid"):
+            connection_T_numeric(model, 0.05 * h**0.75, h, 0, -0.7, 0.7,
+                                 catalog=cat, grid=grid)
+
+    def test_grid_refinement(self):
+        """At a criterion-5 point the matrix is converged in the grid step."""
+        model = PolynomialWindowed([0, 0, 1.0], window=3.0, sharpness=8.0)
+        cat = find_crossings(model)
+        h = 2e-4
+        eps = 0.05 * h ** (2.0 / 3.0)
+        grid = MsaGrid.build(model, h, (-1.2, 1.2), 0.0)
+        fine = MsaGrid.build(model, h, (-1.2, 1.2), 0.0, n=2 * len(grid.points) - 1)
+        t_mat, t_fine = (connection_T_numeric(model, eps, h, 0, -1.2, 1.2, catalog=cat,
+                                              grid=g) for g in (grid, fine))
+        assert np.max(np.abs(t_mat - t_fine)) < 1e-9
 
     def test_against_propagator_oracle(self, cubic_setup):
         """The same change of basis from the ODE integrator."""

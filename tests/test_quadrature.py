@@ -1,0 +1,37 @@
+import numpy as np
+import pytest
+
+from crossinglab.quadrature import cumulative_uniform
+
+
+class TestCumulativeUniform:
+    @pytest.mark.parametrize("n", [6, 7, 8, 21])
+    def test_exact_on_quintics(self, n):
+        """Every interval, the two at each end included, is exact to degree 5."""
+        x = np.linspace(-1.0, 2.0, n)
+        for degree in range(6):
+            coeffs = np.arange(1.0, degree + 2.0) * (-1.0) ** np.arange(degree + 1)
+            anti = np.polynomial.Polynomial(coeffs).integ()
+            got = cumulative_uniform(anti.deriv()(x), x[1] - x[0])
+            assert got[0] == 0.0
+            assert np.max(np.abs(got - (anti(x) - anti(x[0])))) < 1e-12, degree
+
+    def test_complex_values(self):
+        x = np.linspace(0.0, 1.0, 9)
+        got = cumulative_uniform((1.0 + 2.0j) * x**5, x[1] - x[0])
+        assert np.max(np.abs(got - (1.0 + 2.0j) * x**6 / 6.0)) < 1e-14
+
+    def test_sixth_order_on_oscillation(self):
+        k = 7.0
+        errors = []
+        for n in (41, 81, 161):
+            x = np.linspace(0.0, 1.0, n)
+            exact = (np.exp(1j * k * x) - 1.0) / (1j * k)
+            got = cumulative_uniform(np.exp(1j * k * x), x[1] - x[0])
+            errors.append(np.max(np.abs(got - exact)))
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((orders > 5.5) & (orders < 6.5)), orders
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError):
+            cumulative_uniform(np.ones(5), 0.1)
