@@ -107,10 +107,6 @@ class RegimeSplit:
     def all_nonadiabatic(self) -> bool:
         return all(a == "N" for a in self.assignment)
 
-    @property
-    def all_adiabatic(self) -> bool:
-        return all(a == "A" for a in self.assignment)
-
 
 def classify_regimes(orders, eps: float, h: float,
                      lo: float = MU_NONADIABATIC_MAX,

@@ -20,7 +20,7 @@ from ..errors import (
     TailIntegralVanishes,
     ZeroOrderUndetermined,
 )
-from ..quadrature import cumulative_smooth, integrate_smooth
+from ..quadrature import integrate_smooth
 from .families import PotentialModel
 
 ORDER_TOL = 1e-9       # |V^(l)| below ORDER_TOL * scale counts as vanishing
@@ -203,11 +203,6 @@ def phase_integral(model: PotentialModel, a: float, b: float) -> float:
     if a == b:
         return 0.0
     return integrate_smooth(lambda s: np.real(model.eval(s)), a, b)
-
-
-def cumulative_phase(model: PotentialModel, grid: np.ndarray) -> np.ndarray:
-    """Cumulative integral of V from grid[0] along an ascending grid."""
-    return cumulative_smooth(lambda s: np.real(model.eval(s)), grid)
 
 
 def area_between(catalog: CrossingCatalog, j: int, k: int) -> float:

@@ -105,13 +105,10 @@ def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
         raise TailNotConverged(str(exc)) from exc
     if side == "right":
         t_far = max(t_far, t_eval) + 5.0
-        val = linear_phase_integral(
-            lambda s: np.real(model.eval(s)) - v_inf, t_far, t_eval, omega)
     else:
         t_far = min(t_far, t_eval) - 5.0
-        val = linear_phase_integral(
-            lambda s: np.real(model.eval(s)) - v_inf, t_far, t_eval, omega)
-    return val
+    return linear_phase_integral(
+        lambda s: np.real(model.eval(s)) - v_inf, t_far, t_eval, omega)
 
 
 def jost_basis(model, eps: float, h: float, side: str, T: float,
@@ -132,12 +129,8 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
     two_a = 2.0 * angles.angle
     cos2, sin2 = math.cos(two_a), math.sin(two_a)
     smooth_tail = model.tail_integral(side, t_eval)   # integral to +/-inf from t_eval
-    if side == "right":
-        i_diag = -smooth_tail
-        osc = _oscillatory_tail(model, side, v_inf, t_eval, 2.0 * angles.lam / h, tol)
-    else:
-        i_diag = smooth_tail
-        osc = _oscillatory_tail(model, side, v_inf, t_eval, 2.0 * angles.lam / h, tol)
+    i_diag = -smooth_tail if side == "right" else smooth_tail
+    osc = _oscillatory_tail(model, side, v_inf, t_eval, 2.0 * angles.lam / h, tol)
     sign_diag = 1.0 if v_inf > 0 else -1.0
     x = sign_diag * cos2 * i_diag
     b = -sin2 * osc

@@ -1,4 +1,4 @@
-"""Closed-form transfer matrices and their SU(2) product algebra.
+"""Closed-form transfer matrices and their SU(2) chain products.
 
 A crossing traversed diabatically contributes a near-identity SU(2) factor
 with off-diagonal -i * conj(omega_m) * mu_m; a crossing in the adiabatic
@@ -16,8 +16,7 @@ separately so the full product can serve as their oracle.
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,62 +31,10 @@ from .params import (
 )
 from .potential.catalog import CrossingCatalog, effective_potential
 from .potential.turning import TurningPointSet, turning_points
+from .su2 import SU2Matrix, diagonal_su2, identity_su2
 
 Q_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 J_STRUCTURE = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class SU2Matrix:
-    """Matrix [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1."""
-
-    a: complex
-    b: complex
-
-    TOL = 1e-12
-
-    def __post_init__(self):
-        det = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(det - 1.0) > 100 * self.TOL:
-            raise ValueError(f"not special-unitary: |a|^2+|b|^2 = {det}")
-
-    @staticmethod
-    def normalized(a: complex, b: complex) -> "SU2Matrix":
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        return SU2Matrix(a / norm, b / norm)
-
-    @staticmethod
-    def from_matrix(m: np.ndarray, tol: float = 1e-9) -> "SU2Matrix":
-        a, b = m[0, 0], m[1, 0]
-        if abs(m[1, 1] - np.conj(a)) > tol or abs(m[0, 1] + np.conj(b)) > tol:
-            raise ValueError("matrix does not have the SU(2) symmetry pattern")
-        return SU2Matrix.normalized(a, b)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, -np.conj(self.b)], [self.b, np.conj(self.a)]])
-
-    def __matmul__(self, other: "SU2Matrix") -> "SU2Matrix":
-        a = self.a * other.a - np.conj(self.b) * other.b
-        b = self.b * other.a + np.conj(self.a) * other.b
-        return SU2Matrix(a, b)
-
-    def conjugated(self) -> "SU2Matrix":
-        """Entrywise complex conjugation (stays in SU(2))."""
-        return SU2Matrix(np.conj(self.a), np.conj(self.b))
-
-    def q_conjugated(self) -> "SU2Matrix":
-        """Q M Q with the flip matrix (swaps a <-> conj(a), b <-> -conj(b))."""
-        return SU2Matrix(np.conj(self.a), -np.conj(self.b))
-
-
-def identity_su2() -> SU2Matrix:
-    return SU2Matrix(1.0 + 0.0j, 0.0j)
-
-
-def diagonal_su2(phase: complex) -> SU2Matrix:
-    """diag(phase, conj(phase)) for |phase| = 1."""
-    return SU2Matrix(phase, 0.0j)
 
 
 # ----------------------------------------------------------------------------
@@ -239,17 +186,6 @@ class TransferChain:
     crossing_factors: list          # SU2Matrix or AdiabaticFactor per crossing
     between_factors: list[SU2Matrix]
     tags: list[str]                 # "N" or "A" per crossing
-    tilde_mask: list[bool] = field(default_factory=list)
-
-    def factor_matrices(self) -> list[np.ndarray]:
-        out = []
-        n = len(self.crossing_factors)
-        for k in range(n):
-            f = self.crossing_factors[k]
-            out.append(f.full_matrix if isinstance(f, AdiabaticFactor) else f.matrix)
-            if k < len(self.between_factors):
-                out.append(self.between_factors[k].matrix)
-        return out
 
     def to_dict(self) -> dict:
         def enc(z):
@@ -409,7 +345,6 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
 
     # ---- path 2: flip-conjugated SU(2) chain with effective phases --------
     tilde = _tilde_flags(split, n)
-    chain.tilde_mask = tilde
     mask = effective_potential(catalog, split.sharp_odd)
     su2_factors = []
     for k in range(n):

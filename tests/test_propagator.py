@@ -61,6 +61,16 @@ class TestInvariants:
         assert abs(np.linalg.norm(psi1) - np.linalg.norm(psi0)) < 10 * tol
         assert diag.norm_drift < 10 * tol
 
+    def test_norm_drift_does_not_scale_with_the_state(self, tanh_cubed):
+        """propagate reports the drift of the propagator, not of |psi0|."""
+        matrix_diag = PropagationDiagnostics()
+        fundamental_matrix(tanh_cubed, 0.08, 0.04, -4.0, 4.0, tol=1e-10,
+                           diagnostics=matrix_diag)
+        state_diag = PropagationDiagnostics()
+        propagate(tanh_cubed, 0.08, 0.04, -4.0, 4.0, [2.0, 0.0], tol=1e-10,
+                  diagnostics=state_diag)
+        assert state_diag.norm_drift == matrix_diag.norm_drift
+
     def test_time_reversal_structure(self, tanh_cubed, rng):
         """If psi solves the system, so does (-conj(psi2), conj(psi1))."""
         psi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
