@@ -13,9 +13,15 @@ import numpy as np
 
 from ..msa import MsaGrid, apply_K, msa_solution, residual_norm, sampled_norm
 from ..oscillatory import osc_integral, stationary_phase_leading
-from ..potential import ScaledTanhProduct
+from ..potential import LinearLZ, PolynomialWindowed, ScaledTanhProduct
 from ..propagator import fundamental_matrix, propagate
-from ..scattering import herm_phase_exp, jost_basis, scattering_matrix
+from ..scattering import (
+    _oscillatory_tail,
+    _panel_tail,
+    herm_phase_exp,
+    jost_basis,
+    scattering_matrix,
+)
 from ..transfer import (
     Q_FLIP,
     SU2Matrix,
@@ -222,6 +228,23 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
     basis = jost_basis(model, eps, h, "right", rep1.truncation)
     ortho = float(np.max(np.abs(basis.conj().T @ basis - np.eye(2))))
     out.append(("jost.orthonormal", ortho < 1e-10, f"defect {ortho:.2e}"))
+
+    # the jet series' remainder bound against the panel rule at a tighter tol:
+    # it must cover the observed difference without overstating it by 1e6
+    ratios, routes = [], set()
+    for fam in (model, LinearLZ(slope=0.25, window=4.0, sharpness=4.0),
+                PolynomialWindowed([0.0, 0.5, 0.0, 0.05], window=2.0)):
+        for side, v_inf in (("right", fam.v_right), ("left", fam.v_left)):
+            t_eval = fam.tail_anchor(side, 1e-8)
+            for h_tail in (1e-1, 1e-2, 1e-3):
+                omega = 2.0 * abs(v_inf) / h_tail
+                tail = _oscillatory_tail(fam, side, v_inf, t_eval, omega, 1e-12)
+                oracle = _panel_tail(fam, side, v_inf, t_eval, omega, 1e-15)
+                routes.add(tail.route)
+                ratios.append(tail.bound / abs(tail.value - oracle.value))
+    calibrated = routes == {"series"} and 1.0 <= min(ratios) and max(ratios) <= 1e6
+    out.append(("jost.tail_series_vs_panels", calibrated,
+                f"routes {sorted(routes)}, bound/diff in [{min(ratios):.2g}, {max(ratios):.2g}]"))
 
     # structure of the tail-corrected solution near the anchor: the gauge
     # off-diagonals are O(eps), diagonal corrections O(eps^2/h)

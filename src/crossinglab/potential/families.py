@@ -4,7 +4,7 @@ Each family is an analytic function V(t) with nonzero limits V_r, V_l at
 t -> +/-inf, exponentially integrable tails, and exact derivatives of any
 order obtained by propagating Taylor jets through the closed-form building
 blocks (tanh, sigmoid, softplus, polynomials).  Jets eliminate finite
-difference noise when classifying zero orders and進 leading coefficients.
+difference noise when classifying zero orders and leading coefficients.
 
 Families:
 
@@ -156,6 +156,17 @@ class _SmoothClamp:
         return lin - sp1 + sp2
 
 
+def _ipow(x, p: int):
+    """x**p for an integer p >= 0 by repeated multiplication.
+
+    numpy's power has no fast path for integer exponents above 2.
+    """
+    out = np.ones_like(x) if p == 0 else x
+    for _ in range(p - 1):
+        out = out * x
+    return out
+
+
 # ----------------------------------------------------------------------------
 
 
@@ -284,21 +295,22 @@ class ScaledTanhProduct(PotentialModel):
         t = np.asarray(t)
         out = np.full(t.shape, self.scale, dtype=complex if np.iscomplexobj(t) else float)
         for f in self.factors:
-            out = out * np.tanh(f.slope * (t - f.center)) ** f.power
+            out = out * _ipow(np.tanh(f.slope * (t - f.center)), f.power)
         return out[()] if out.ndim == 0 else out
 
     def deriv(self, t):
         t = np.asarray(t)
         dtype = complex if np.iscomplexobj(t) else float
         th = [np.tanh(f.slope * (t - f.center)) for f in self.factors]
+        lower = [_ipow(x, f.power - 1) for x, f in zip(th, self.factors)]
         total = np.zeros(t.shape, dtype=dtype)
         for i, f in enumerate(self.factors):
             term = np.full(t.shape, self.scale, dtype=dtype)
-            for j, g in enumerate(self.factors):
+            for j in range(len(self.factors)):
                 if j == i:
-                    term = term * f.power * f.slope * th[j] ** (f.power - 1) * (1.0 - th[j] ** 2)
+                    term = term * f.power * f.slope * lower[j] * (1.0 - th[j] * th[j])
                 else:
-                    term = term * th[j] ** g.power
+                    term = term * (lower[j] * th[j])
             total += term
         return total
 
@@ -403,6 +415,12 @@ class LinearLZ(PotentialModel):
 
     def candidate_zeros(self) -> list[float]:
         return [0.0]
+
+    @property
+    def tail_rate(self) -> float:
+        if self.clamp is None:
+            raise ConfigError("pure linear model has no tail")
+        return self.clamp.beta
 
     def tail_envelope(self, side: str, t: float) -> float:
         if self.clamp is None:

@@ -7,14 +7,28 @@ limiting Hamiltonian corrected with the tail exponential
     U(t) = exp(-(i/h) * integral_{+/-inf}^{t} A(s) ds),
 
 whose exponent splits into a smooth diagonal tail integral (closed form per
-family) and an oscillatory off-diagonal one (integration by parts bounds the
-truncation).  The scattering matrix is the change of basis between the left
-and right Jost pairs across the numerically propagated middle region, and the
-transition probability is the squared modulus of its (2,1) entry.
+family) and an oscillatory off-diagonal one,
+
+    integral_{+/-inf}^{T} f(s) exp(i omega s) ds,   f = V - V_inf,
+
+with omega = 2 lam / h.  The oscillatory tail is the integration-by-parts
+series e^{i omega T} sum_k (-1)^k f^(k)(T) / (i omega)^(k+1), built from the
+family's exact Taylor jet at T (Iserles & Norsett, Proc. R. Soc. A 461
+(2005) 1383).  Terms are added while they decrease; the sum is accepted once
+the remainder bound |f^(K)(T)| / (tail_rate omega^K), from the exponential
+decay of the tail, is at or below tol, so its cost does not depend on h.
+Only when omega is within a small factor of the tail rate does the series
+miss the bound; the tail then falls back to oscillation-aware panels out to
+where one integration by parts bounds the truncation below tol.
+
+The scattering matrix is the change of basis between the left and right Jost
+pairs across the numerically propagated middle region, and the transition
+probability is the squared modulus of its (2,1) entry.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, TailNotConverged
 from .potential.catalog import CrossingCatalog, find_crossings, regularized_action
+from .potential.families import _MAX_JET_ORDER
 from .propagator import PropagationDiagnostics, fundamental_matrix
 from .quadrature import linear_phase_integral
 
@@ -91,9 +106,41 @@ def free_basis(angles: JostAngles, h: float, t: float) -> np.ndarray:
                      [math.cos(a) * ph_minus, math.sin(a) * ph_plus]])
 
 
-def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
-                      omega: float, tol: float) -> complex:
-    """integral_{+/-inf}^{t_eval} (V - V_inf) exp(i omega s) ds.
+@dataclass(frozen=True)
+class TailIntegral:
+    """An oscillatory tail integral, the route that gave it and its error bound."""
+
+    value: complex
+    route: str        # "series" or "panels"
+    bound: float      # bound on |value - exact|
+
+
+def _series_tail(model, v_inf: float, t_eval: float, omega: float,
+                 tol: float) -> TailIntegral | None:
+    """Integration-by-parts series of the tail from the exact jet at t_eval.
+
+    None when the terms stop decreasing before the remainder bound reaches tol.
+    """
+    jet = np.real(model.taylor(t_eval, _MAX_JET_ORDER)).tolist()
+    jet[0] -= v_inf
+    rate = model.tail_rate
+    total, last = 0j, math.inf
+    for k, c in enumerate(jet):
+        deriv = math.factorial(k) * c   # f^(k)(t_eval)
+        bound = abs(deriv) / (rate * omega**k)
+        if bound <= tol:
+            return TailIntegral(cmath.exp(1j * omega * t_eval) * total, "series", bound)
+        term = (-1) ** k * deriv / (1j * omega) ** (k + 1)
+        if abs(term) >= last:
+            return None
+        total += term
+        last = abs(term)
+    return None
+
+
+def _panel_tail(model, side: str, v_inf: float, t_eval: float, omega: float,
+                tol: float) -> TailIntegral:
+    """The tail by oscillation-aware panels.
 
     Truncated where one integration by parts bounds the remainder by
     2 * envelope / |omega| below tol.
@@ -107,16 +154,30 @@ def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
         t_far = max(t_far, t_eval) + 5.0
     else:
         t_far = min(t_far, t_eval) - 5.0
-    return linear_phase_integral(
+    value = linear_phase_integral(
         lambda s: np.real(model.eval(s)) - v_inf, t_far, t_eval, omega)
+    bound = 2.0 * model.tail_envelope(side, t_far) / abs(omega)
+    return TailIntegral(value, "panels", bound)
+
+
+def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
+                      omega: float, tol: float) -> TailIntegral:
+    """integral_{+/-inf}^{t_eval} (V - V_inf) exp(i omega s) ds.
+
+    The jet series when its remainder bound meets tol, else the panel rule.
+    """
+    return (_series_tail(model, v_inf, t_eval, omega, tol)
+            or _panel_tail(model, side, v_inf, t_eval, omega, tol))
 
 
 def jost_basis(model, eps: float, h: float, side: str, T: float,
-               tol: float = 1e-12) -> np.ndarray:
+               tol: float = 1e-12, diagnostics: dict | None = None) -> np.ndarray:
     """Jost pair (J^+, J^-) evaluated at t = +T (right) or t = -T (left).
 
     The free basis of the limiting Hamiltonian is corrected by the
-    tail-exponential; columns are orthonormal to floating precision.
+    tail-exponential; columns are orthonormal to floating precision.  A
+    given ``diagnostics`` dict receives the oscillatory tail's route and
+    remainder bound.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
@@ -131,9 +192,11 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
     smooth_tail = model.tail_integral(side, t_eval)   # integral to +/-inf from t_eval
     i_diag = -smooth_tail if side == "right" else smooth_tail
     osc = _oscillatory_tail(model, side, v_inf, t_eval, 2.0 * angles.lam / h, tol)
+    if diagnostics is not None:
+        diagnostics.update(tail_route=osc.route, tail_bound=osc.bound)
     sign_diag = 1.0 if v_inf > 0 else -1.0
     x = sign_diag * cos2 * i_diag
-    b = -sin2 * osc
+    b = -sin2 * osc.value
     u_corr = herm_phase_exp(x, b, h)
     return phi @ u_corr
 
@@ -158,8 +221,12 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
     diag = PropagationDiagnostics()
     m_prop = fundamental_matrix(model, eps, h, -truncation, truncation,
                                 tol=tol, method=method, diagnostics=diag)
-    j_right = jost_basis(model, eps, h, "right", truncation, tol=tol * 1e-3)
-    j_left = jost_basis(model, eps, h, "left", truncation, tol=tol * 1e-3)
+    tail_r: dict = {}
+    tail_l: dict = {}
+    j_right = jost_basis(model, eps, h, "right", truncation, tol=tol * 1e-3,
+                         diagnostics=tail_r)
+    j_left = jost_basis(model, eps, h, "left", truncation, tol=tol * 1e-3,
+                        diagnostics=tail_l)
     s = j_right.conj().T @ m_prop @ j_left
     defect = float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
     p = float(abs(s[1, 0]) ** 2)
@@ -168,8 +235,13 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
         anchors=(truncation, -truncation), unitarity_defect=defect,
         diagnostics={
             "steps": diag.steps,
+            "refinements": diag.refinements,
             "richardson_error": diag.richardson_error,
+            "norm_drift": diag.norm_drift,
             "method": diag.method,
+            "tail_route": ("panels" if "panels" in (tail_r["tail_route"], tail_l["tail_route"])
+                           else "series"),
+            "tail_bound": max(tail_r["tail_bound"], tail_l["tail_bound"]),
         },
     )
 

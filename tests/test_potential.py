@@ -47,6 +47,23 @@ class TestEval:
         ts = np.linspace(-3, 3, 11)
         np.testing.assert_allclose(tanh_cubed.eval(ts), np.tanh(ts) ** 3, rtol=1e-15)
 
+    def test_integer_powers_match_numpy_power(self, rng):
+        """Repeated multiplication agrees with ``**`` on eval and deriv."""
+        model = ScaledTanhProduct(1.5, [{"power": 4, "slope": 1.3, "center": 0.4},
+                                        {"power": 1, "slope": 0.8, "center": -1.0},
+                                        {"power": 3, "slope": 1.1, "center": -2.5}])
+        for ts in (rng.uniform(-4, 4, 64), rng.uniform(-4, 4, 64) + 0.3j):
+            th = [np.tanh(f.slope * (ts - f.center)) for f in model.factors]
+            ref_eval = model.scale * np.prod([x ** f.power for x, f in zip(th, model.factors)],
+                                             axis=0)
+            ref_deriv = sum(
+                model.scale * f.power * f.slope * th[i] ** (f.power - 1) * (1.0 - th[i] ** 2)
+                * np.prod([th[j] ** g.power for j, g in enumerate(model.factors) if j != i],
+                          axis=0)
+                for i, f in enumerate(model.factors))
+            np.testing.assert_allclose(model.eval(ts), ref_eval, rtol=1e-13, atol=1e-15)
+            np.testing.assert_allclose(model.deriv(ts), ref_deriv, rtol=1e-13, atol=1e-15)
+
     def test_windowed_linear_saturates(self, lz_windowed):
         assert float(lz_windowed.eval(30.0)) == pytest.approx(8.0, abs=1e-13)
         assert float(lz_windowed.eval(-30.0)) == pytest.approx(-8.0, abs=1e-13)
@@ -84,6 +101,15 @@ class TestDerivatives:
             approx = (phase_integral(tanh_cubed, 0.0, t + d)
                       - phase_integral(tanh_cubed, 0.0, t - d)) / (2 * d)
             assert approx == pytest.approx(float(tanh_cubed.eval(t)), rel=1e-8, abs=1e-10)
+
+
+class TestTailRate:
+    def test_windowed_linear_is_clamp_sharpness(self):
+        assert LinearLZ(slope=2.0, window=5.0, sharpness=3.0).tail_rate == 3.0
+
+    def test_pure_linear_has_none(self, lz_pure):
+        with pytest.raises(ConfigError):
+            lz_pure.tail_rate
 
 
 class TestFindCrossings:

@@ -10,14 +10,21 @@ from crossinglab.potential import (
     find_crossings,
     regularized_action,
 )
+from crossinglab import scattering
 from crossinglab.scattering import (
     JostAngles,
+    _oscillatory_tail,
+    _panel_tail,
+    _series_tail,
     connector,
     herm_phase_exp,
     jost_basis,
     landau_zener_probability,
     scattering_matrix,
 )
+
+# x + x^3/5 clamped to |x| <= 2: one crossing, V_r = -V_l = 3.6
+CUBIC_WINDOWED = PolynomialWindowed([0.0, 1.0, 0.0, 0.2], window=2.0)
 
 
 class TestJostAngles:
@@ -159,3 +166,68 @@ class TestConnectors:
         slope_diag = np.polyfit(np.log(eps_values), np.log(diags), 1)[0]
         assert slope_off > 0.85
         assert slope_diag > 1.6
+
+
+def _tail_point(model, side, h):
+    """A typical Jost anchor (tail envelope 1e-8) and the side's omega at eps = 0."""
+    v_inf = model.v_right if side == "right" else model.v_left
+    return v_inf, model.tail_anchor(side, 1e-8), 2.0 * abs(v_inf) / h
+
+
+class TestOscillatoryTail:
+    @pytest.mark.parametrize("family", ["tanh_cubed", "lz_windowed", "cubic_windowed"])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("h", [1e-1, 1e-2, 1e-3])
+    def test_series_matches_panels(self, request, family, side, h):
+        model = (CUBIC_WINDOWED if family == "cubic_windowed"
+                 else request.getfixturevalue(family))
+        v_inf, t_eval, omega = _tail_point(model, side, h)
+        tail = _oscillatory_tail(model, side, v_inf, t_eval, omega, 1e-12)
+        oracle = _panel_tail(model, side, v_inf, t_eval, omega, 1e-15)
+        diff = abs(tail.value - oracle.value)
+        assert tail.route == "series"
+        assert diff / h <= 1e-12
+        assert diff <= tail.bound <= 1e-12
+
+    def test_fallback_at_small_omega(self, tanh_cubed):
+        """At h = 1 omega equals the tail rate: the series diverges, panels answer."""
+        v_inf, t_eval, omega = _tail_point(tanh_cubed, "right", 1.0)
+        assert _series_tail(tanh_cubed, v_inf, t_eval, omega, 1e-12) is None
+        tail = _oscillatory_tail(tanh_cubed, "right", v_inf, t_eval, omega, 1e-12)
+        panels = _panel_tail(tanh_cubed, "right", v_inf, t_eval, omega, 1e-12)
+        assert tail.route == "panels"
+        assert tail.value == panels.value
+        assert tail.bound == panels.bound <= 1e-12
+
+    def test_cost_flat_in_h(self, tanh_pair, monkeypatch):
+        """The Jost layer evaluates V at the same points for every h, with no panels."""
+        points = []
+        real_eval = tanh_pair.eval
+
+        def counting_eval(t):
+            points.append(np.size(t))
+            return real_eval(t)
+
+        def no_panels(*args, **kwargs):
+            raise AssertionError("panel rule called")
+
+        monkeypatch.setattr(tanh_pair, "eval", counting_eval)
+        monkeypatch.setattr(scattering, "linear_phase_integral", no_panels)
+        counts = []
+        for h in (1e-2, 1e-4):
+            points.clear()
+            for side in ("right", "left"):
+                jost_basis(tanh_pair, 0.05 * h**0.75, h, side, 14.0)
+            counts.append(sum(points))
+        assert counts[0] == counts[1] > 0
+
+    def test_report_diagnostics(self, tanh_pair, tanh_pair_catalog):
+        h, tol = 1e-3, 1e-9
+        rep = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, tol=tol,
+                                catalog=tanh_pair_catalog)
+        diag = rep.diagnostics
+        assert diag["refinements"] >= 0
+        assert 0.0 <= diag["norm_drift"] < 1e-10
+        assert diag["tail_route"] == "series"
+        assert 0.0 < diag["tail_bound"] <= tol * 1e-3
+        assert diag["steps"] > 0 and diag["method"] == "cf4"
