@@ -14,7 +14,7 @@ import numpy as np
 from ..msa import MsaGrid, apply_K, msa_solution, residual_norm, sampled_norm
 from ..oscillatory import osc_integral, stationary_phase_leading
 from ..potential import LinearLZ, PolynomialWindowed, ScaledTanhProduct
-from ..propagator import fundamental_matrix, propagate
+from ..propagator import PropagationDiagnostics, fundamental_matrix, propagate
 from ..scattering import (
     _oscillatory_tail,
     _panel_tail,
@@ -30,6 +30,9 @@ from ..transfer import (
     diagonal_su2,
     su2_chain_product,
 )
+
+# largest accepted richardson_error / observed error of the cf4 propagator
+CALIBRATION_MAX = 10.0
 
 
 def _random_tanh_model(rng) -> ScaledTanhProduct:
@@ -72,7 +75,36 @@ def propagator_suite(seed: int = 42, tol: float = 1e-9) -> list:
     out.append(("propagator.composition", worst_flow < 200 * tol, f"defect {worst_flow:.2e}"))
     out.append(("propagator.time_reversal", worst_rev < 200 * tol, f"defect {worst_rev:.2e}"))
     out.append(("propagator.backend_agreement", worst_cross < 1e-8, f"diff {worst_cross:.2e}"))
+    out.append(_error_calibration(tol))
     return out
+
+
+def _error_calibration(tol: float):
+    """richardson_error against the observed error of the returned matrix.
+
+    The observed error is the difference from the same run at tol/100 and,
+    where h >= 5e-2, from dop853 at tol/100.  The estimate must cover it
+    without overstating it by more than CALIBRATION_MAX.
+    """
+    pair = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
+                                   {"power": 3, "slope": 1.0, "center": -2.0}])
+    lz = LinearLZ(slope=1.0, window=4.0, sharpness=4.0)
+    cases = [(pair, lambda h: 0.05 * h ** 0.75, 6.0), (lz, lambda h: 0.2 * math.sqrt(h), 6.0)]
+    ratios = []
+    for model, eps_of, span in cases:
+        for h in (1e-1, 5e-2, 1e-2, 1e-3):
+            eps = eps_of(h)
+            diag = PropagationDiagnostics()
+            mat = fundamental_matrix(model, eps, h, -span, span, tol=tol, diagnostics=diag)
+            refs = [fundamental_matrix(model, eps, h, -span, span, tol=tol / 100)]
+            if h >= 5e-2:
+                refs.append(fundamental_matrix(model, eps, h, -span, span, tol=tol / 100,
+                                               method="dop853"))
+            for ref in refs:
+                ratios.append(diag.richardson_error / float(np.max(np.abs(mat - ref))))
+    calibrated = 1.0 <= min(ratios) and max(ratios) <= CALIBRATION_MAX
+    return ("propagator.error_calibration", calibrated,
+            f"estimate/observed in [{min(ratios):.2f}, {max(ratios):.2f}]")
 
 
 def msa_suite(seed: int = 42, tol: float = 1e-10) -> list:

@@ -103,10 +103,6 @@ class RegimeSplit:
         """Count of odd-order adiabatic crossings (parity contribution N)."""
         return len(self.sharp_odd)
 
-    @property
-    def all_nonadiabatic(self) -> bool:
-        return all(a == "N" for a in self.assignment)
-
 
 def classify_regimes(orders, eps: float, h: float,
                      lo: float = MU_NONADIABATIC_MAX,

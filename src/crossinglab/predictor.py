@@ -308,13 +308,3 @@ def _error_gauges(catalog, split, eps, h, decay):
     eps2 = mu_flat * (mu_flat + flat_h) + sharp_pref
     return eps1, eps2
 
-
-def landau_zener_consistency(eps: float, h: float, slope: float) -> tuple[float, float]:
-    """First-order diabatic coefficient versus the exact linear-model exponent.
-
-    Returns (gamma_1 * delta_1 * mu_1^2, pi eps^2/(slope h)); the two agree
-    because gamma_1 = pi and delta_1 = 1/slope for a single transversal zero.
-    """
-    c = gamma_factor(1) * slope ** (-1.0) * mu(1, eps, h) ** 2
-    exact_exponent = math.pi * eps * eps / (slope * h)
-    return c, exact_exponent

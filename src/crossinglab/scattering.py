@@ -106,6 +106,10 @@ def free_basis(angles: JostAngles, h: float, t: float) -> np.ndarray:
                      [math.cos(a) * ph_minus, math.sin(a) * ph_plus]])
 
 
+# multiple of eps_machine |V_inf| / omega below which a tail bound is not reported
+_ROUNDOFF_FLOOR = 4.0
+
+
 @dataclass(frozen=True)
 class TailIntegral:
     """An oscillatory tail integral, the route that gave it and its error bound."""
@@ -124,12 +128,15 @@ def _series_tail(model, v_inf: float, t_eval: float, omega: float,
     jet = np.real(model.taylor(t_eval, _MAX_JET_ORDER)).tolist()
     jet[0] -= v_inf
     rate = model.tail_rate
+    # V - V_inf is only known to about eps |V_inf|, so neither is the tail
+    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * abs(v_inf) / omega
     total, last = 0j, math.inf
     for k, c in enumerate(jet):
         deriv = math.factorial(k) * c   # f^(k)(t_eval)
         bound = abs(deriv) / (rate * omega**k)
         if bound <= tol:
-            return TailIntegral(cmath.exp(1j * omega * t_eval) * total, "series", bound)
+            return TailIntegral(cmath.exp(1j * omega * t_eval) * total, "series",
+                                max(bound, floor))
         term = (-1) ** k * deriv / (1j * omega) ** (k + 1)
         if abs(term) >= last:
             return None
@@ -235,6 +242,7 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
         anchors=(truncation, -truncation), unitarity_defect=defect,
         diagnostics={
             "steps": diag.steps,
+            "steps_built": diag.steps_built,
             "refinements": diag.refinements,
             "richardson_error": diag.richardson_error,
             "norm_drift": diag.norm_drift,

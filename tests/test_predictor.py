@@ -16,12 +16,22 @@ from crossinglab.predictor import (
     gamma_factor,
     interference_factor,
     interference_zeros,
-    landau_zener_consistency,
     predict_mixed,
     predict_nonadiabatic,
     quantization_ladder,
 )
 from crossinglab.transfer import chain_prob_leading, predicted_scattering
+
+
+def landau_zener_consistency(eps: float, h: float, slope: float) -> tuple[float, float]:
+    """First-order diabatic coefficient versus the exact linear-model exponent.
+
+    Returns (gamma_1 * delta_1 * mu_1^2, pi eps^2/(slope h)); the two agree
+    because gamma_1 = pi and delta_1 = 1/slope for a single transversal zero.
+    """
+    c = gamma_factor(1) * slope ** (-1.0) * mu(1, eps, h) ** 2
+    exact_exponent = math.pi * eps * eps / (slope * h)
+    return c, exact_exponent
 
 
 class TestGamma:
@@ -263,7 +273,7 @@ class TestMixedPrediction:
         h = 0.05
         eps = 0.03 * h**0.75
         split = classify_regimes(tanh_pair_catalog.orders, eps, h)
-        assert split.all_nonadiabatic
+        assert split.assignment == ("N", "N")
         mixed = predict_mixed(tanh_pair, tanh_pair_catalog, eps, h, split)
         plain = predict_nonadiabatic(tanh_pair, tanh_pair_catalog, eps, h)
         assert mixed.leading == pytest.approx(plain.c_star * plain.mu_star**2,

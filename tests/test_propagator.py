@@ -1,15 +1,26 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from crossinglab import propagator
 from crossinglab.errors import StepUnderflow
 from crossinglab.potential import PolynomialWindowed, ScaledTanhProduct
 from crossinglab.propagator import (
+    MAX_REFINEMENTS,
+    MIN_BOOST_RATIO,
+    PILOT_BOOSTS,
     PropagationDiagnostics,
     fundamental_matrix,
-    hamiltonian,
     propagate,
 )
+
+
+def hamiltonian(model, eps: float, t):
+    v = np.real(model.eval(t))
+    return np.array([[v, eps], [eps, -v]], dtype=float)
 
 
 class TestClosedForms:
@@ -115,3 +126,76 @@ class TestBackends:
                            diagnostics=diag)
         assert diag.steps > 0
         assert diag.richardson_error < 1e-9
+
+
+class TestStepControl:
+    @staticmethod
+    def _record_meshes(monkeypatch):
+        """(boost, steps) of every mesh the propagator builds."""
+        meshes = []
+        build = propagator._cf4_mesh
+
+        def recording(*args):
+            mesh = build(*args)
+            meshes.append((args[-1], len(mesh) - 1))
+            return mesh
+
+        monkeypatch.setattr(propagator, "_cf4_mesh", recording)
+        return meshes
+
+    def test_pilot_pair_accepted_on_windowed_lz(self, lz_windowed, monkeypatch):
+        meshes = self._record_meshes(monkeypatch)
+        diag = PropagationDiagnostics()
+        fundamental_matrix(lz_windowed, 0.1, 0.1, -12.0, 12.0, tol=1e-9, diagnostics=diag)
+        assert [boost for boost, _ in meshes] == list(PILOT_BOOSTS)
+        assert diag.refinements == 0
+        assert diag.richardson_error <= 1e-9
+        assert diag.steps_built == sum(steps for _, steps in meshes)
+
+    def test_rejected_pilot_is_followed_by_a_sized_mesh(self, tanh_pair, monkeypatch):
+        meshes = self._record_meshes(monkeypatch)
+        h = 1e-2
+        diag = PropagationDiagnostics()
+        fundamental_matrix(tanh_pair, 0.05 * h**0.75, h, -6.0, 6.0, tol=1e-9,
+                           diagnostics=diag)
+        boosts = [boost for boost, _ in meshes]
+        assert boosts[:2] == list(PILOT_BOOSTS)
+        assert len(boosts) == 3 and diag.refinements == 1
+        ratio = boosts[2] / boosts[1]
+        assert ratio >= MIN_BOOST_RATIO
+        assert abs(ratio - 2.0) > 0.1
+
+    def test_true_error_within_tol(self, tanh_pair):
+        """Against a tol/100 run the error is below tol, and the estimate covers it."""
+        h, tol = 1e-2, 1e-9
+        eps = 0.05 * h**0.75
+        diag = PropagationDiagnostics()
+        mat = fundamental_matrix(tanh_pair, eps, h, -6.0, 6.0, tol=tol, diagnostics=diag)
+        ref = fundamental_matrix(tanh_pair, eps, h, -6.0, 6.0, tol=tol / 100)
+        observed = float(np.max(np.abs(mat - ref)))
+        assert observed <= tol
+        assert observed <= diag.richardson_error <= tol
+
+    def test_exhausted_refinement_raises(self, tanh_cubed, monkeypatch):
+        """Estimates that never shrink stop after MAX_REFINEMENTS sized meshes."""
+        calls = itertools.count()
+        monkeypatch.setattr(propagator, "_cf4_mesh", lambda *args: np.linspace(-1.0, 1.0, 9))
+
+        def drifting(*args):
+            angle = 1e-3 * next(calls)
+            return complex(math.cos(angle)), complex(math.sin(angle))
+
+        monkeypatch.setattr(propagator, "_cf4_matrix_on_mesh", drifting)
+        diag = PropagationDiagnostics()
+        with pytest.raises(StepUnderflow, match="failed to reach"):
+            fundamental_matrix(tanh_cubed, 0.1, 0.1, -1.0, 1.0, tol=1e-9, diagnostics=diag)
+        assert diag.refinements == MAX_REFINEMENTS
+        assert diag.steps_built == 8 * (MAX_REFINEMENTS + 2)
+
+    def test_tol_below_rounding_raises(self, tanh_cubed):
+        """No mesh reaches a tol below the rounding of the product; stop at once."""
+        diag = PropagationDiagnostics()
+        with pytest.raises(StepUnderflow, match="rounding"):
+            fundamental_matrix(tanh_cubed, 0.1, 0.5, -0.5, 0.5, tol=1e-17, diagnostics=diag)
+        assert diag.norm_drift > 1e-17
+        assert diag.refinements == 0

@@ -25,6 +25,26 @@ from crossinglab.scattering import (
 
 # x + x^3/5 clamped to |x| <= 2: one crossing, V_r = -V_l = 3.6
 CUBIC_WINDOWED = PolynomialWindowed([0.0, 1.0, 0.0, 0.2], window=2.0)
+# 3x - x^3/9 clamped to |x| <= 3: p'(3) = 0, so V - V_inf is quadratic in the
+# clamp's distance from the window edge and rounds to zero at Jost anchors
+FLAT_EDGE = PolynomialWindowed([0.0, 3.0, 0.0, -1.0 / 9.0], window=3.0)
+
+
+def _flat_edge_tail(side, t_eval, omega):
+    """The FLAT_EDGE tail integral with V - V_inf computed without cancellation.
+
+    On the right, with d = 3 - clamp(s) > 0, p(3 - d) - p(3) = -d^2 + d^3/9
+    exactly; V is odd, so the left side is the mirror image with a sign flip.
+    """
+    beta = FLAT_EDGE.clamp.beta
+
+    def f(s):
+        x = np.abs(s)
+        d = (np.log1p(np.exp(-beta * (x - 3.0))) - np.log1p(np.exp(-beta * (x + 3.0)))) / beta
+        return (-d * d + d**3 / 9.0) * np.sign(s)
+
+    t_far = t_eval + 10.0 if side == "right" else t_eval - 10.0
+    return scattering.linear_phase_integral(f, t_far, t_eval, omega)
 
 
 class TestJostAngles:
@@ -189,6 +209,29 @@ class TestOscillatoryTail:
         assert diff / h <= 1e-12
         assert diff <= tail.bound <= 1e-12
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("h", [1.0, 1e-1, 1e-2, 1e-3])
+    def test_bound_has_a_rounding_floor(self, side, h):
+        """The jet of V - V_inf rounds to zero: the bound stays above the error."""
+        v_inf, t_eval, omega = _tail_point(FLAT_EDGE, side, h)
+        tail = _oscillatory_tail(FLAT_EDGE, side, v_inf, t_eval, omega, 1e-12)
+        exact = _flat_edge_tail(side, t_eval, omega)
+        assert tail.route == "series"
+        assert abs(tail.value - exact) <= tail.bound <= 1e-15
+
+    @pytest.mark.parametrize("side", ["right", "left"])
+    @pytest.mark.parametrize("h", [1.0, 1e-1])
+    def test_rounding_floor_covers_the_panel_rule(self, side, h):
+        """Where the panels' own rounding is below the floor, the floor covers them.
+
+        At h <= 1e-2 the panel rule's rounding (1e-17 and more, from V - V_inf
+        formed at |V| = 6) exceeds the floor and the tail itself (< 1e-20).
+        """
+        v_inf, t_eval, omega = _tail_point(FLAT_EDGE, side, h)
+        tail = _oscillatory_tail(FLAT_EDGE, side, v_inf, t_eval, omega, 1e-12)
+        oracle = _panel_tail(FLAT_EDGE, side, v_inf, t_eval, omega, 1e-15)
+        assert tail.bound >= abs(tail.value - oracle.value)
+
     def test_fallback_at_small_omega(self, tanh_cubed):
         """At h = 1 omega equals the tail rate: the series diverges, panels answer."""
         v_inf, t_eval, omega = _tail_point(tanh_cubed, "right", 1.0)
@@ -231,3 +274,12 @@ class TestOscillatoryTail:
         assert diag["tail_route"] == "series"
         assert 0.0 < diag["tail_bound"] <= tol * 1e-3
         assert diag["steps"] > 0 and diag["method"] == "cf4"
+
+    def test_report_counts_every_mesh_built(self, tanh_pair, tanh_pair_catalog):
+        """The pilot pair and the sized mesh cost less than 1.6 final meshes."""
+        h, tol = 1e-3, 1e-9
+        rep = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, tol=tol,
+                                catalog=tanh_pair_catalog)
+        diag = rep.diagnostics
+        assert diag["steps"] < diag["steps_built"] <= 1.6 * diag["steps"]
+        assert diag["richardson_error"] <= tol
