@@ -1,0 +1,269 @@
+"""Transfer of the state across stretches where the gap stays open.
+
+With lam = sqrt(V^2 + eps^2) and theta = atan2(eps, V) / 2 the Hamiltonian
+is H = lam R(theta) sigma_z R(theta)^T, R the rotation by theta.  In the
+adiabatic frame psi = R(theta) diag(e^{-i Phi/h}, e^{+i Phi/h}) c, with
+Phi(t) the integral of lam from a, the amplitudes obey
+
+    c' = theta' [[0, e^{i s}], [-e^{-i s}, 0]] c,      s = 2 Phi / h,
+
+so the only coupling left is theta' = -eps V' / (2 lam^2), against a phase
+that turns at the rate 2 lam / h.  Across [a, b] the transfer is the pair
+
+    R(theta_b) diag(e^{-+i Phi_ab/h}) (1 + delta, -conj(B)) R(theta_a)^T
+
+(``su2`` pairs; Berry, Proc. R. Soc. A 429 (1990) 61; Jahnke & Lubich,
+Numer. Math. 94 (2003) 289).  B, the integral of theta' e^{i s} over
+[a, b], is the integration-by-parts series
+
+    B = sum_{k <= K} i^(k+1) [r_k e^{i s}]_a^b,
+    r_0 = -(h/2) theta' / lam,     r_(k+1) = (h/2) r_k' / lam,
+
+from exact Taylor jets at a and b.  delta is the second-order Dyson term:
+the first superadiabatic phase gamma = int h theta'^2 / (2 lam) plus the
+boundary terms of its own integration by parts,
+
+    delta = -i gamma - (i r_0(a) + r_1(a)) B - (r_0(b)^2 - r_0(a)^2) / 2.
+
+None of it costs more as h shrinks.  With E_k = |r_k(a)| + |r_k(b)|,
+S_k = sup |r_k| and TV_k the total variation of r_k on [a, b], the error of
+the pair is at most
+
+    (E_(K+1) + TV_(K+1)) (1 + S_0 + S_1)          truncated series, in B and delta
+    + D = int |theta'(t)| (|r_2(t)| + |r_2(a)| + TV_[a,t] r_2) dt
+                                                   rest of the second order
+    + Theta U e^Theta                              third order and beyond
+
+where Theta = TV(theta) and U = gamma + (E_0 + E_1) P_0 + (S_0^2 + E_0^2)/2
++ D, with P_0 = E_0 + S_0 + TV_0, bounds the second-order term anywhere on
+[a, b] (one more integration by parts, then a Gronwall estimate).  K
+minimises the first line.
+
+``plan_windows`` places one cf4 window around each crossing, outside of
+which these pairs carry the state.  Sups, total variations and integrals in
+the bound come from jets on a sample grid graded in the distance from the
+crossing, whose points are the candidate window edges.  Each stretch between
+windows is split at its midpoint, and each half takes the smallest window on
+its side whose bound meets its share of tol.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import QuadratureTolExceeded
+from .potential.catalog import CrossingCatalog
+from .potential.families import _jet_mul
+from .quadrature import integrate_panels
+from .su2 import su2_mul
+
+JET_ORDER = 8      # order of the V jets: series terms r_0 ... r_7
+GRID_RATIO = 1.1   # distance ratio of successive candidate window edges
+# largest spacing of the samples, in units of the tails' decay length
+MAX_SPACING = 1.0
+
+
+@dataclass(frozen=True)
+class WindowPlan:
+    """cf4 windows around the crossings and the adiabatic pairs between them.
+
+    ``windows`` ascend in t; ``transfers[j]`` carries the state across the
+    stretch that ends where window j starts, and the last one from the last
+    window out to the truncation point.  ``bound`` sums their error bounds.
+    """
+
+    windows: tuple[tuple[float, float], ...]
+    transfers: tuple[tuple[complex, complex], ...]
+    bound: float
+
+
+def _jet_deriv(c: np.ndarray) -> np.ndarray:
+    k = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c[1:] * k
+
+
+def _jet_power(a: np.ndarray, p: float, n: int) -> np.ndarray:
+    """Jet of a**p for a real exponent, a[0] > 0: k a0 b_k = sum (p j - k + j) a_j b_(k-j)."""
+    b = np.zeros((n + 1,) + a.shape[1:])
+    b[0] = a[0] ** p
+    for k in range(1, n + 1):
+        j = np.arange(1, k + 1).reshape((-1,) + (1,) * (a.ndim - 1))
+        b[k] = np.sum((p * j - (k - j)) * a[1:k + 1] * b[k - 1::-1], axis=0) / (k * a[0])
+    return b
+
+
+class _Side:
+    """The half-stretch on one side of a crossing, sampled from its far end inward.
+
+    ``t[0]`` is the far end (the truncation point or the midpoint to the
+    next crossing); ``t[i]``, i >= 1, are the candidate window edges, closing
+    in on the crossing by GRID_RATIO.
+    """
+
+    def __init__(self, center: float, sign: int, scale: float, far: float,
+                 max_step: float):
+        self.sign = sign
+        dist = [scale]
+        while True:
+            nxt = dist[-1] + min((GRID_RATIO - 1.0) * dist[-1], max_step)
+            if nxt >= far:
+                break
+            dist.append(nxt)
+        self.t = center + sign * np.array([far] + dist[::-1])
+
+    def take(self, r: np.ndarray, theta: np.ndarray, theta_p: np.ndarray, start: int) -> int:
+        """This side's columns of the sampled r_k, theta and theta'."""
+        stop = start + len(self.t)
+        self.r, self.theta, self.theta_p = r[:, start:stop], theta[start:stop], theta_p[start:stop]
+        return stop
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Error bound and series order K for every candidate edge (index 0 unused).
+
+        Sample j runs over the half-stretch from its far end (j = 0) to the
+        edge, so every quantity is a running sum or maximum up to the edge.
+        """
+        r = self.r
+        absr = np.abs(r)
+        dt = np.abs(np.diff(self.t))
+
+        def running(x):
+            return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+
+        def integral(f):          # trapezoid rule from the far end
+            return running(0.5 * (f[..., 1:] + f[..., :-1]) * dt)
+
+        tv = running(np.abs(np.diff(r, axis=1)))
+        sup = np.maximum.accumulate(absr, axis=1)
+        ends = absr[:, :1] + absr
+        w = np.abs(self.theta_p)
+        theta_tv = running(np.abs(np.diff(self.theta)))
+        series = ends[1:] + tv[1:]          # row K: remainder after the terms 0..K
+        order = np.argmin(series, axis=0)
+        series = series[order, np.arange(r.shape[1])]
+        # int |theta'(t)| (|r_2(t)| + |r_2(a)| + TV_[a,t] r_2) dt, with a the
+        # earlier end: the far end on the left of a crossing, the edge on its right
+        w_tv2 = integral(w * tv[2])
+        if self.sign < 0:
+            second = integral(w * absr[2]) + integral(w) * absr[2, 0] + w_tv2
+        else:
+            second = integral(w * absr[2]) + integral(w) * (absr[2] + tv[2]) - w_tv2
+        # the second-order term anywhere on the half-stretch: -i gamma(t) on
+        # the diagonal, whose product with the coupling is oscillatory, and
+        # a rest; they bound the third order and beyond
+        gamma = integral(w * absr[0])
+        rest = ((ends[0] + ends[1]) * (ends[0] + sup[0] + tv[0])
+                + 0.5 * (sup[0]**2 + ends[0]**2) + second)
+        bound = (series * (1.0 + sup[0] + sup[1]) + second
+                 + (gamma * (2.0 * sup[0] + tv[0]) + theta_tv * rest) * np.exp(theta_tv))
+        return bound, order
+
+    def choose(self, share: float) -> bool:
+        """Take the innermost edge up to which every bound meets ``share``."""
+        bound, order = self.bounds()
+        ok = bound[1:] <= share
+        if not ok[0]:
+            return False
+        self.edge = int(np.argmin(ok)) if not ok.all() else len(ok)
+        self.bound = float(bound[self.edge])
+        self.order = int(order[self.edge])
+        return True
+
+    def transfer(self, model, eps: float, h: float):
+        """SU(2) pair of the adiabatic transfer across the chosen half-stretch."""
+        i, r = self.edge, self.r
+        # in time order: a before b
+        a, b = (i, 0) if self.sign > 0 else (0, i)
+        # panels of two sample steps, graded like the samples
+        edges = np.sort(self.t[list(range(i, 0, -2)) + [0]])
+        phases = integrate_panels(lambda s: _phase_rates(model, eps, h, s), edges)
+        phi, gamma = phases.real, phases.imag
+        turn = cmath.exp(2j * phi / h)
+        big_b = sum(1j ** (k + 1) * (r[k, b] * turn - r[k, a]) for k in range(self.order + 1))
+        delta = (-1j * (gamma + r[0, a] * big_b) - r[1, a] * big_b
+                 - 0.5 * (r[0, b] ** 2 - r[0, a] ** 2))
+        coupled = (1.0 + delta, -np.conj(big_b))
+        ca, sa = math.cos(self.theta[a]), math.sin(self.theta[a])
+        cb, sb = math.cos(self.theta[b]), math.sin(self.theta[b])
+        pair = su2_mul(*coupled, ca, -sa)
+        pair = su2_mul(cmath.exp(-1j * phi / h), 0j, *pair)
+        return su2_mul(cb, sb, *pair)
+
+
+def _sample(v: np.ndarray, eps: float, h: float):
+    """r_0 ... r_(n-1), theta and theta' at the base points of the V jets ``v`` (order n)."""
+    n = len(v) - 1
+    lam2 = _jet_mul(v, v, n - 1)
+    lam2[0] += eps * eps
+    inv_lam = _jet_power(lam2, -0.5, n - 1)
+    theta_p = (-0.5 * eps) * _jet_mul(_jet_deriv(v), _jet_power(lam2, -1.0, n - 1), n - 1)
+    r = [(-0.5 * h) * _jet_mul(theta_p, inv_lam, n - 1)]
+    for k in range(n - 1):
+        r.append((0.5 * h) * _jet_mul(inv_lam, _jet_deriv(r[-1]), n - 2 - k))
+    return np.array([rk[0] for rk in r]), 0.5 * np.arctan2(eps, v[0]), theta_p[0]
+
+
+def _phase_rates(model, eps: float, h: float, t):
+    """lam + i h theta'^2 / (2 lam): the integrals are Phi and the first superadiabatic phase."""
+    v = np.real(model.eval(t))
+    lam2 = v * v + eps * eps
+    theta_p = -0.5 * eps * np.real(model.deriv(t)) / lam2
+    lam = np.sqrt(lam2)
+    return lam + 0.5j * h * theta_p**2 / lam
+
+
+def _scale(crossing, eps: float, h: float) -> float:
+    """The innermost candidate window edge, max((h / |v|)^(1/(m+1)), (eps / |v|)^(1/m))
+    from a crossing of order m where V ~ v (t - t_k)^m: there h / (lam * distance)
+    or eps / |V| reaches 1."""
+    v = abs(crossing.v) / math.factorial(crossing.m)
+    return max((h / v) ** (1.0 / (crossing.m + 1)), (eps / v) ** (1.0 / crossing.m))
+
+
+def plan_windows(model, eps: float, h: float, catalog: CrossingCatalog,
+                 truncation: float, tol: float) -> WindowPlan | None:
+    """Windows and adiabatic transfers whose bounds sum to at most ``tol``.
+
+    None when there is no crossing, or when the windows would merge or
+    reach +/- truncation: the bound never meets tol outside of them.
+    """
+    n = catalog.n
+    if n == 0:
+        return None
+    pos = catalog.positions[::-1]                   # ascending
+    cross = catalog.crossings[::-1]
+    max_step = MAX_SPACING / model.tail_rate
+    sides = []
+    for k in range(n):
+        scale = _scale(cross[k], eps, h)
+        far_left = pos[k] + truncation if k == 0 else 0.5 * (pos[k] - pos[k - 1])
+        far_right = truncation - pos[k] if k == n - 1 else 0.5 * (pos[k + 1] - pos[k])
+        if scale >= min(far_left, far_right):
+            return None
+        sides.append(_Side(pos[k], -1, scale, far_left, max_step))
+        sides.append(_Side(pos[k], +1, scale, far_right, max_step))
+    sampled = _sample(np.real(model.taylor(np.concatenate([s.t for s in sides]), JET_ORDER)),
+                      eps, h)
+    share = tol / len(sides)
+    start = 0
+    for side in sides:
+        start = side.take(*sampled, start)
+        if not side.choose(share):
+            return None
+    try:
+        halves = [side.transfer(model, eps, h) for side in sides]
+    except QuadratureTolExceeded:
+        return None
+    # sides alternate left, right around each crossing, ascending in t
+    transfers = [halves[0]]
+    for k in range(1, n):
+        transfers.append(su2_mul(*halves[2 * k], *halves[2 * k - 1]))
+    transfers.append(halves[-1])
+    windows = tuple((float(side_l.t[side_l.edge]), float(side_r.t[side_r.edge]))
+                    for side_l, side_r in zip(sides[::2], sides[1::2]))
+    return WindowPlan(windows=windows, transfers=tuple(transfers),
+                      bound=sum(side.bound for side in sides))

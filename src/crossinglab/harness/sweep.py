@@ -31,11 +31,13 @@ from ..scattering import scattering_matrix
 from ..transfer import predicted_scattering, wkb_alpha_beta
 from ..potential.turning import turning_points
 
-CSV_SCHEMA_VERSION = 1
+CSV_SCHEMA_VERSION = 2
+# how the numeric oracle obtained P_numeric, from its scattering diagnostics
+NUMERIC_COLUMNS = ["route", "steps", "steps_built", "error_estimate", "tail_route"]
 CSV_COLUMNS = [
     "index", "eps", "h", "mu_star", "status",
     "P_numeric", "P_nonadiabatic", "P_mixed", "P_chain",
-    "residual_nonadiabatic", "residual_chain", "error",
+    "residual_nonadiabatic", "residual_chain", *NUMERIC_COLUMNS, "error",
 ]
 
 
@@ -109,19 +111,21 @@ def build_rows(config: SweepConfig) -> list[tuple[float, float]]:
     g = config.grid
     kind = g.get("type", "list")
     if kind == "list":
-        return [(float(r["eps"]), float(r["h"])) for r in g["rows"]]
-    if kind == "h_ladder":
+        rows = [(float(r["eps"]), float(r["h"])) for r in g["rows"]]
+    elif kind == "h_ladder":
         hs = [float(x) for x in g["h_values"]]
         increasing = all(b > a for a, b in zip(hs, hs[1:]))
         decreasing = all(b < a for a, b in zip(hs, hs[1:]))
         if not (increasing or decreasing):
             raise ConfigError("h ladder must be strictly monotone")
         rule = g.get("eps_rule", {"type": "fixed", "value": 0.05})
-        rows = []
-        for h in hs:
-            rows.append((_eps_from_rule(rule, h), h))
-        return rows
-    raise ConfigError(f"unknown grid type {kind!r}")
+        rows = [(_eps_from_rule(rule, h), h) for h in hs]
+    else:
+        raise ConfigError(f"unknown grid type {kind!r}")
+    for eps, h in rows:
+        if not (0 < h < math.inf and 0 <= eps < math.inf):
+            raise ConfigError(f"sweep row eps={eps}, h={h}: need h > 0, eps >= 0, both finite")
+    return rows
 
 
 def _eps_from_rule(rule: dict, h: float) -> float:
@@ -156,9 +160,12 @@ def _compute_row(args):
         if name not in config.oracles:
             continue
         try:
-            row[f"P_{name}"], _ = ORACLES[name](model, catalog, eps, h, config.tol)
+            row[f"P_{name}"], result = ORACLES[name](model, catalog, eps, h, config.tol)
         except CrossingLabError as exc:
             errors.append(f"{name}: {type(exc).__name__}: {exc}")
+            continue
+        if name == "numeric":
+            row.update({col: result.diagnostics[col] for col in NUMERIC_COLUMNS})
 
     if row["P_numeric"] != "" and row["P_nonadiabatic"] != "":
         row["residual_nonadiabatic"] = abs(row["P_numeric"] - row["P_nonadiabatic"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..msa import MsaGrid, apply_K, msa_solution, residual_norm, sampled_norm
 from ..oscillatory import osc_integral, stationary_phase_leading
-from ..potential import LinearLZ, PolynomialWindowed, ScaledTanhProduct
+from ..potential import LinearLZ, PolynomialWindowed, ScaledTanhProduct, find_crossings
 from ..propagator import PropagationDiagnostics, fundamental_matrix, propagate
 from ..scattering import (
     _oscillatory_tail,
@@ -33,6 +33,12 @@ from ..transfer import (
 
 # largest accepted richardson_error / observed error of the cf4 propagator
 CALIBRATION_MAX = 10.0
+# largest accepted error_estimate / observed error of the windowed scattering
+# route.  Wider than CALIBRATION_MAX: the estimate adds the windows' Richardson
+# estimates and the adiabatic bounds, while the errors they bound partly cancel
+# in S (observed 7.8-23.9 at tol 1e-9; the windows' Richardson sum alone reads
+# up to 12 times the observed error of S).
+WINDOW_CALIBRATION_MAX = 40.0
 
 
 def _random_tanh_model(rng) -> ScaledTanhProduct:
@@ -105,6 +111,40 @@ def _error_calibration(tol: float):
     calibrated = 1.0 <= min(ratios) and max(ratios) <= CALIBRATION_MAX
     return ("propagator.error_calibration", calibrated,
             f"estimate/observed in [{min(ratios):.2f}, {max(ratios):.2f}]")
+
+
+def scattering_suite(seed: int = 42, tol: float = 1e-9) -> list:
+    return [_window_bound_calibration(tol)]
+
+
+def _window_bound_calibration(tol: float):
+    """error_estimate of the windowed route against whole-line cf4 at tol/100.
+
+    The estimate must cover the observed difference of S without
+    overstating it by more than WINDOW_CALIBRATION_MAX.
+    """
+    pair = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
+                                   {"power": 3, "slope": 1.0, "center": -2.0}])
+    three = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 4.2},
+                                    {"power": 3, "slope": 1.0, "center": 0.0},
+                                    {"power": 3, "slope": 1.0, "center": -3.1}])
+    ratios, routes = [], set()
+    for model in (pair, three):
+        catalog = find_crossings(model)
+        for h in (1e-2, 1e-3, 1e-4):
+            eps = 0.05 * h ** 0.75
+            rep = scattering_matrix(model, eps, h, tol=tol, catalog=catalog)
+            mat = fundamental_matrix(model, eps, h, -rep.truncation, rep.truncation,
+                                     tol=tol / 100)
+            ref = (jost_basis(model, eps, h, "right", rep.truncation, tol=tol * 1e-3).conj().T
+                   @ mat @ jost_basis(model, eps, h, "left", rep.truncation, tol=tol * 1e-3))
+            routes.add(rep.diagnostics["route"])
+            ratios.append(rep.diagnostics["error_estimate"]
+                          / float(np.max(np.abs(rep.s_matrix - ref))))
+    calibrated = (routes == {"windowed"} and 1.0 <= min(ratios)
+                  and max(ratios) <= WINDOW_CALIBRATION_MAX)
+    return ("scattering.window_bound_calibration", calibrated,
+            f"routes {sorted(routes)}, estimate/observed in [{min(ratios):.2f}, {max(ratios):.2f}]")
 
 
 def msa_suite(seed: int = 42, tol: float = 1e-10) -> list:
@@ -307,6 +347,7 @@ ALL_SUITES = {
     "stationary": stationary_suite,
     "su2": su2_suite,
     "jost": jost_suite,
+    "scattering": scattering_suite,
 }
 
 

@@ -200,7 +200,8 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
     """Change of basis between left-based and right-based solutions.
 
     Both bases are built over [ell, r] around crossing k; the matrix is read
-    off at t = r where the right-based pair reduces to diag(u^+, u^-).  A
+    off at t = r where the right-based pair reduces to diag(u^+, u^-).  Only
+    w1 is solved; w2 follows from it by symmetry.  A
     given grid must span exactly [ell, r] and take its phase from t_k.
     """
     if catalog is None:
@@ -216,9 +217,8 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
     elif abs(grid.t_ref - t_k) > NODE_TOL * grid.dx:
         raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
     w1l = msa_solution(model, eps, h, "w1", ell, ell, depth=depth, grid=grid)
-    w2l = msa_solution(model, eps, h, "w2", ell, ell, depth=depth, grid=grid)
-    u_plus_r = grid.u_plus[-1]
-    u_minus_r = grid.u_minus[-1]
-    left_cols = np.array([[w1l.comp1[-1], w2l.comp1[-1]],
-                          [w1l.comp2[-1], w2l.comp2[-1]]])
-    return np.diag([u_minus_r, u_plus_r]) @ left_cols
+    # H is real and J H J^-1 = -H with J = [[0, -1], [1, 0]], so the second
+    # solution is w2 = J conj(w1): its columns need no second solve
+    a, b = w1l.comp1[-1], w1l.comp2[-1]
+    left_cols = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+    return np.diag([grid.u_minus[-1], grid.u_plus[-1]]) @ left_cols

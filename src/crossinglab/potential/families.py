@@ -31,20 +31,39 @@ _MAX_JET_ORDER = 24
 
 
 # ----------------------------------------------------------------------------
-# Jet (truncated Taylor series) arithmetic.  A jet is a 1-D numpy array of
-# coefficients c[k] of tau**k around some base point; complex base points are
-# allowed everywhere.
+# Jet (truncated Taylor series) arithmetic.  A jet is a numpy array of
+# coefficients c[k] of tau**k around some base point, the order k along the
+# first axis; further axes run over an array of base points.  Complex base
+# points are allowed everywhere.
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    out = np.convolve(a, b)[: n + 1]
-    if len(out) < n + 1:
-        out = np.pad(out, (0, n + 1 - len(out)))
+    if a.ndim == b.ndim == 1:
+        out = np.convolve(a, b)[: n + 1]
+        if len(out) < n + 1:
+            out = np.pad(out, (0, n + 1 - len(out)))
+        return out
+    shape = (n + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros(shape, dtype=np.result_type(a, b))
+    for j in range(min(len(a), n + 1)):
+        k = min(len(b), n + 1 - j)
+        out[j:j + k] += a[j] * b[:k]
     return out
 
 
+def _jet_dot(a: np.ndarray, b: np.ndarray):
+    """sum_j a[j] * b[j] over the order axis."""
+    return np.dot(a, b) if a.ndim == 1 else np.einsum("i...,i...->...", a, b)
+
+
+def _jet_scale(c: np.ndarray, s: float) -> np.ndarray:
+    """The jet of f(s * tau) from the jet c of f(tau): c[k] * s**k."""
+    k = np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c * s**k
+
+
 def _jet_pow(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    out = np.zeros(n + 1, dtype=a.dtype)
+    out = np.zeros((n + 1,) + a.shape[1:], dtype=a.dtype)
     out[0] = 1.0
     base = a
     while p:
@@ -56,30 +75,32 @@ def _jet_pow(a: np.ndarray, p: int, n: int) -> np.ndarray:
     return out
 
 
-def _tanh_jet(x0: complex, n: int) -> np.ndarray:
+def _tanh_jet(x0, n: int) -> np.ndarray:
     """Taylor coefficients of tanh around x0, via u' = 1 - u**2."""
-    c = np.zeros(n + 1, dtype=complex)
+    x0 = np.asarray(x0, dtype=complex)
+    c = np.zeros((n + 1,) + x0.shape, dtype=complex)
     c[0] = np.tanh(x0)
     for k in range(n):
-        sq = np.dot(c[: k + 1], c[k::-1])
+        sq = _jet_dot(c[: k + 1], c[k::-1])
         rhs = (1.0 if k == 0 else 0.0) - sq
         c[k + 1] = rhs / (k + 1)
     return c
 
 
-def _sigmoid(x0: complex) -> complex:
-    if np.real(x0) >= 0:
-        return 1.0 / (1.0 + np.exp(-x0))
-    e = np.exp(x0)
-    return e / (1.0 + e)
+def _sigmoid(x0):
+    """The logistic function, elementwise and overflow-safe."""
+    right = np.real(x0) >= 0
+    e = np.exp(np.where(right, -x0, x0))   # never overflows
+    return np.where(right, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _sigmoid_jet(x0: complex, n: int) -> np.ndarray:
+def _sigmoid_jet(x0, n: int) -> np.ndarray:
     """Taylor coefficients of the logistic function, via s' = s - s**2."""
-    c = np.zeros(n + 1, dtype=complex)
+    x0 = np.asarray(x0, dtype=complex)
+    c = np.zeros((n + 1,) + x0.shape, dtype=complex)
     c[0] = _sigmoid(x0)
     for k in range(n):
-        sq = np.dot(c[: k + 1], c[k::-1])
+        sq = _jet_dot(c[: k + 1], c[k::-1])
         c[k + 1] = (c[k] - sq) / (k + 1)
     return c
 
@@ -98,9 +119,10 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _softplus_jet(x0: complex, n: int) -> np.ndarray:
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = complex(_softplus(np.asarray(x0, dtype=complex)))
+def _softplus_jet(x0, n: int) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=complex)
+    c = np.zeros((n + 1,) + x0.shape, dtype=complex)
+    c[0] = _softplus(x0)
     if n >= 1:
         sig = _sigmoid_jet(x0, n - 1)
         for k in range(1, n + 1):
@@ -144,15 +166,15 @@ class _SmoothClamp:
         from scipy.special import expit
         return 1.0 - expit(b * (t - self.w)) - expit(-b * (t + self.w))
 
-    def jet(self, t0: complex, n: int) -> np.ndarray:
+    def jet(self, t0, n: int) -> np.ndarray:
         b = self.beta
-        lin = np.zeros(n + 1, dtype=complex)
-        lin[0] = complex(t0)
+        t0 = np.asarray(t0, dtype=complex)
+        lin = np.zeros((n + 1,) + t0.shape, dtype=complex)
+        lin[0] = t0
         if n >= 1:
             lin[1] = 1.0
-        k = np.arange(n + 1)
-        sp1 = _softplus_jet(b * (complex(t0) - self.w), n) * (b ** k) / b
-        sp2 = _softplus_jet(b * (-complex(t0) - self.w), n) * ((-b) ** k) / b
+        sp1 = _jet_scale(_softplus_jet(b * (t0 - self.w), n), b) / b
+        sp2 = _jet_scale(_softplus_jet(b * (-t0 - self.w), n), -b) / b
         return lin - sp1 + sp2
 
 
@@ -183,7 +205,10 @@ class PotentialModel:
         raise NotImplementedError
 
     def taylor(self, t0, n: int) -> np.ndarray:
-        """Taylor coefficients c[0..n] of V around t0 (complex allowed)."""
+        """Taylor coefficients c[0..n] of V around t0 (complex allowed).
+
+        For an array of base points the result has shape (n + 1,) + shape(t0).
+        """
         raise NotImplementedError
 
     def derivative(self, t0, order: int):
@@ -315,11 +340,11 @@ class ScaledTanhProduct(PotentialModel):
         return total
 
     def taylor(self, t0, n: int) -> np.ndarray:
-        out = np.zeros(n + 1, dtype=complex)
+        t0 = np.asarray(t0, dtype=complex)
+        out = np.zeros((n + 1,) + t0.shape, dtype=complex)
         out[0] = self.scale
         for f in self.factors:
-            base = _tanh_jet(f.slope * (complex(t0) - f.center), n)
-            base = base * (f.slope ** np.arange(n + 1))
+            base = _jet_scale(_tanh_jet(f.slope * (t0 - f.center), n), f.slope)
             out = _jet_mul(out, _jet_pow(base, f.power, n), n)
         return out
 
@@ -395,13 +420,14 @@ class LinearLZ(PotentialModel):
         return self.slope * self.clamp.deriv(t)
 
     def taylor(self, t0, n: int) -> np.ndarray:
+        t0 = np.asarray(t0, dtype=complex)
         if self.clamp is None:
-            out = np.zeros(n + 1, dtype=complex)
-            out[0] = self.slope * complex(t0)
+            out = np.zeros((n + 1,) + t0.shape, dtype=complex)
+            out[0] = self.slope * t0
             if n >= 1:
                 out[1] = self.slope
             return out
-        return self.slope * self.clamp.jet(complex(t0), n)
+        return self.slope * self.clamp.jet(t0, n)
 
     @property
     def v_right(self) -> float:
@@ -482,8 +508,8 @@ class PolynomialWindowed(PotentialModel):
         return np.polynomial.polynomial.polyval(self.clamp(t), dp) * self.clamp.deriv(t)
 
     def taylor(self, t0, n: int) -> np.ndarray:
-        q = self.clamp.jet(complex(t0), n)
-        out = np.zeros(n + 1, dtype=complex)
+        q = self.clamp.jet(t0, n)
+        out = np.zeros(q.shape, dtype=complex)
         for a in self.coefficients[::-1]:
             out = _jet_mul(out, q, n)
             out[0] += a

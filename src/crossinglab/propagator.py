@@ -25,6 +25,10 @@ Two independent backends:
 * "dop853": scipy's adaptive Runge-Kutta, used as a cross-check oracle at
   moderate h.
 
+Both propagate the whole interval they are given.  Scattering calls cf4 on
+the windows around the crossings only (see ``scattering``), so these full
+propagations are its independent oracles.
+
 Both preserve the norm to within the requested tolerance; the drift is
 reported, never silently corrected.
 """
@@ -98,20 +102,33 @@ def _cf4_matrix_on_mesh(model, eps: float, h: float, mesh: np.ndarray):
     return total
 
 
-def _cf4_mesh(model, eps: float, h: float, t0: float, t1: float, tol: float,
-              boost: float) -> np.ndarray:
+def _cf4_density(model, eps: float, h: float, t0: float, t1: float, tol: float):
+    """Steps per unit length of the cf4 meshes over [t0, t1], at boost 1.
+
+    Every mesh of one propagation samples it at the same points, so the
+    samples of the first are kept for the others.
+    """
     span = abs(t1 - t0)
     tol_local = max(tol, 1e-14) / max(span, 1.0)
+    samples = {}
 
     def density(t):
-        lam2 = np.real(model.eval(t)) ** 2 + eps * eps
-        dv = np.abs(np.real(model.deriv(t)))
-        # local truncation ~ dt^5 * lam^2 * |V'| / h^3  (commutator-type term)
-        rho = (lam2 * (dv + 1e-12) / (tol_local * h**3)) ** 0.2
-        return boost * np.maximum(rho, 1.0 / max(span, 1.0))
+        key = (t[0], t[-1], t.size)
+        if key not in samples:
+            lam2 = np.real(model.eval(t)) ** 2 + eps * eps
+            dv = np.abs(np.real(model.deriv(t)))
+            # local truncation ~ dt^5 * lam^2 * |V'| / h^3  (commutator-type term)
+            rho = (lam2 * (dv + 1e-12) / (tol_local * h**3)) ** 0.2
+            samples[key] = np.maximum(rho, 1.0 / max(span, 1.0))
+        return samples[key]
 
+    return density
+
+
+def _cf4_mesh(density, t0: float, t1: float, h: float, tol: float,
+              boost: float) -> np.ndarray:
     try:
-        mesh = adaptive_mesh(density, min(t0, t1), max(t0, t1),
+        mesh = adaptive_mesh(lambda t: boost * density(t), min(t0, t1), max(t0, t1),
                              max_points=MAX_TOTAL_STEPS)
     except QuadratureTolExceeded as exc:
         raise StepUnderflow(
@@ -139,8 +156,10 @@ def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
     diagnostics.method = "cf4"
     diagnostics.steps_built = 0
 
+    density = _cf4_density(model, eps, h, t0, t1, tol)
+
     def solve(boost):
-        mesh = _cf4_mesh(model, eps, h, t0, t1, tol, boost)
+        mesh = _cf4_mesh(density, t0, t1, h, tol, boost)
         diagnostics.steps = len(mesh) - 1
         diagnostics.steps_built += diagnostics.steps
         return _cf4_matrix_on_mesh(model, eps, h, mesh)

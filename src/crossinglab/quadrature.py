@@ -160,8 +160,7 @@ def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125,
                      atol: float = 1e-15) -> float:
     """Composite Gauss-Legendre integral of a smooth vectorized function.
 
-    Compares the requested order against order//2 on the same panels as an
-    error estimate; raises QuadratureTolExceeded when it is not met.
+    Equal panels no longer than ``max_panel``; see ``integrate_panels``.
     """
     if a == b:
         return 0.0
@@ -170,7 +169,18 @@ def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125,
         a, b = b, a
         sign = -1.0
     n_panels = max(1, int(np.ceil((b - a) / max_panel)))
-    edges = np.linspace(a, b, n_panels + 1)
+    return sign * integrate_panels(fn, np.linspace(a, b, n_panels + 1), order, rtol, atol)
+
+
+def integrate_panels(fn, edges: np.ndarray, order: int = 16, rtol: float = 1e-13,
+                     atol: float = 1e-15) -> float:
+    """Composite Gauss-Legendre integral over the panels between ascending edges.
+
+    A complex-valued ``fn`` gives a complex integral.  Compares the requested
+    order against order//2 on the same panels as an error estimate; raises
+    QuadratureTolExceeded when it is not met.
+    """
+    edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
 
@@ -178,15 +188,15 @@ def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125,
         x, w = gauss_legendre(n)
         pts = mid[:, None] + half[:, None] * x[None, :]
         vals = fn(pts.ravel()).reshape(pts.shape)
-        return float(np.sum(vals @ w * half))
+        return np.sum(vals @ w * half).item()
 
     hi = composite(order)
     lo = composite(max(4, order // 2))
     err = abs(hi - lo)
     if err > atol + rtol * max(1.0, abs(hi)):
         raise QuadratureTolExceeded(
-            f"smooth quadrature error estimate {err:.3e} over [{a}, {b}]")
-    return sign * hi
+            f"smooth quadrature error estimate {err:.3e} over [{edges[0]}, {edges[-1]}]")
+    return hi
 
 
 def cumulative_smooth(fn, points: np.ndarray, order: int = 8) -> np.ndarray:

@@ -24,6 +24,14 @@ where one integration by parts bounds the truncation below tol.
 The scattering matrix is the change of basis between the left and right Jost
 pairs across the numerically propagated middle region, and the transition
 probability is the squared modulus of its (2,1) entry.
+
+With method "cf4" the middle region is propagated by cf4 only on one window
+per crossing; ``adiabatic`` pairs carry the state between the windows and
+out to the anchors.  The windows share half of tol and the adiabatic bounds
+the other half, so the report's error_estimate, their sum, meets tol.  The
+bound picks the route: when the windows would merge or reach the anchors,
+or there is no crossing, cf4 propagates the whole region as the other
+methods do.
 """
 
 from __future__ import annotations
@@ -34,11 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adiabatic import WindowPlan, plan_windows
 from .errors import ConfigError, TailNotConverged
 from .potential.catalog import CrossingCatalog, find_crossings, regularized_action
 from .potential.families import _MAX_JET_ORDER
 from .propagator import PropagationDiagnostics, fundamental_matrix
 from .quadrature import linear_phase_integral
+from .su2 import dense, su2_mul
 
 
 @dataclass(frozen=True)
@@ -212,6 +222,8 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
                       truncation: float | None = None, method: str = "cf4",
                       catalog: CrossingCatalog | None = None) -> ScatteringReport:
     """Full scattering matrix S and transition probability P = |S_21|^2."""
+    if not (0 < h < math.inf and 0 <= eps < math.inf and 0 < tol < math.inf):
+        raise ValueError("need h > 0, eps >= 0, tol > 0")
     if not model.has_tails:
         raise ValueError("scattering needs a potential with constant tails")
     if catalog is None:
@@ -225,9 +237,21 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
             truncation = max(truncation, abs(catalog.positions[0]) + 2.0,
                              abs(catalog.positions[-1]) + 2.0)
 
-    diag = PropagationDiagnostics()
-    m_prop = fundamental_matrix(model, eps, h, -truncation, truncation,
-                                tol=tol, method=method, diagnostics=diag)
+    plan = None
+    if method == "cf4":
+        plan = plan_windows(model, eps, h, catalog, truncation, 0.5 * tol)
+    if plan is None:
+        diags = [PropagationDiagnostics()]
+        m_prop = fundamental_matrix(model, eps, h, -truncation, truncation,
+                                    tol=tol, method=method, diagnostics=diags[0])
+        route = {"route": "whole_line", "windows": [], "series_bound": 0.0}
+    else:
+        m_prop, diags = _windowed_matrix(model, eps, h, tol, plan)
+        route = {"route": "windowed", "windows": [list(w) for w in plan.windows],
+                 "series_bound": plan.bound}
+    route.update({key: sum(getattr(d, key) for d in diags) for key in _SUMMED})
+    route["method"] = diags[0].method
+    route["error_estimate"] = route["richardson_error"] + route["series_bound"]
     tail_r: dict = {}
     tail_l: dict = {}
     j_right = jost_basis(model, eps, h, "right", truncation, tol=tol * 1e-3,
@@ -241,17 +265,32 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
         s_matrix=s, p_transition=p, eps=eps, h=h, truncation=truncation,
         anchors=(truncation, -truncation), unitarity_defect=defect,
         diagnostics={
-            "steps": diag.steps,
-            "steps_built": diag.steps_built,
-            "refinements": diag.refinements,
-            "richardson_error": diag.richardson_error,
-            "norm_drift": diag.norm_drift,
-            "method": diag.method,
+            **route,
             "tail_route": ("panels" if "panels" in (tail_r["tail_route"], tail_l["tail_route"])
                            else "series"),
             "tail_bound": max(tail_r["tail_bound"], tail_l["tail_bound"]),
         },
     )
+
+
+# propagation diagnostics that the windowed route sums over its windows
+_SUMMED = ("steps", "steps_built", "refinements", "richardson_error", "norm_drift")
+
+
+def _windowed_matrix(model, eps: float, h: float, tol: float, plan: WindowPlan):
+    """Propagator over [-T, T]: cf4 on each window, adiabatic pairs between them.
+
+    The windows share the half of tol that the plan's bound leaves; returns
+    the matrix and the windows' diagnostics.
+    """
+    total = plan.transfers[0]
+    diags = []
+    window_tol = 0.5 * tol / len(plan.windows)
+    for (lo, hi), after in zip(plan.windows, plan.transfers[1:]):
+        diags.append(PropagationDiagnostics())
+        mat = fundamental_matrix(model, eps, h, lo, hi, tol=window_tol, diagnostics=diags[-1])
+        total = su2_mul(*after, *su2_mul(mat[0, 0], mat[1, 0], *total))
+    return dense(*total), diags
 
 
 def _anchor_level(eps: float, h: float, tol: float) -> float:

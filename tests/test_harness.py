@@ -7,6 +7,7 @@ import pytest
 from crossinglab.errors import ConfigError, InsufficientData, NoMinimaFound
 from crossinglab.harness.cli import main as cli_main
 from crossinglab.harness.sweep import (
+    NUMERIC_COLUMNS,
     SweepConfig,
     build_rows,
     fit_rate,
@@ -86,6 +87,24 @@ class TestConfigAndRows:
         config = SweepConfig.from_json(str(path))
         assert config.label == "t"
         assert config.oracles == ("numeric",)
+
+    @pytest.mark.parametrize("row", [
+        {"eps": 0.01, "h": 0.0}, {"eps": 0.01, "h": -0.1}, {"eps": -0.01, "h": 0.1},
+        {"eps": float("nan"), "h": 0.1}, {"eps": 0.01, "h": float("inf")}],
+        ids=["h_zero", "h_negative", "eps_negative", "eps_nan", "h_inf"])
+    def test_bad_rows_rejected(self, row):
+        config = SweepConfig(potential=CUBIC_DOC, grid={"type": "list", "rows": [row]})
+        with pytest.raises(ConfigError, match="need h > 0"):
+            build_rows(config)
+
+    def test_bad_ladder_rows_rejected(self):
+        config = SweepConfig(
+            potential=CUBIC_DOC,
+            grid={"type": "h_ladder", "h_values": [0.1, 0.0, -0.1],
+                  "eps_rule": {"type": "fixed", "value": 0.05}},
+        )
+        with pytest.raises(ConfigError, match="need h > 0"):
+            build_rows(config)
 
     def test_bad_config(self):
         with pytest.raises(ConfigError):
@@ -171,6 +190,26 @@ class TestRunSweep:
         write_csv(rows, str(path))
         header = path.read_text().splitlines()[0]
         assert header.split(",")[:5] == ["index", "eps", "h", "mu_star", "status"]
+
+    def test_numeric_route_columns(self, tmp_path):
+        """Schema 2 says how P_numeric was obtained, identically for any jobs."""
+        config = SweepConfig(
+            potential=TANH_PAIR_DOC,
+            grid={"type": "h_ladder", "h_values": [0.1, 0.01],
+                  "eps_rule": {"type": "power", "coeff": 0.05, "exponent": 0.75}},
+            oracles=("numeric",), tol=1e-9)
+        rows = run_sweep(config)
+        par = run_sweep(SweepConfig(**{**config.__dict__, "jobs": 2}))
+        write_csv(rows, str(tmp_path / "a.csv"))
+        write_csv(par, str(tmp_path / "b.csv"))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        header = (tmp_path / "a.csv").read_text().splitlines()[0].split(",")
+        assert set(NUMERIC_COLUMNS) <= set(header)
+        assert [row["route"] for row in rows] == ["whole_line", "windowed"]
+        for row in rows:
+            assert row["steps"] <= row["steps_built"]
+            assert 0.0 < row["error_estimate"] <= 1e-9
+            assert row["tail_route"] == "series"
 
 
 class TestInterferenceScan:
@@ -309,4 +348,4 @@ class TestTolPrecedence:
 
         self._run(tmp_path, monkeypatch, "sweep", "run_sweep", [], TOL_CASES[0])
         report = json.loads((tmp_path / "out" / "tol.report.json").read_text())
-        assert report["schema_version"] == CSV_SCHEMA_VERSION == 1
+        assert report["schema_version"] == CSV_SCHEMA_VERSION == 2

@@ -181,6 +181,21 @@ class TestConnection:
                                      grid=grid)
         assert np.max(np.abs(t_mat - np.eye(2))) < 1e-12
 
+    def test_w2_by_symmetry_is_bitwise(self, cubic_setup):
+        """w2 = J conj(w1) holds bitwise, so the matrix from w1 alone is the
+        matrix from both explicit solves."""
+        model, cat, h, grid = cubic_setup
+        eps = 0.05 * h**0.75
+        w1 = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=3, grid=grid)
+        w2 = msa_solution(model, eps, h, "w2", -0.7, -0.7, depth=3, grid=grid)
+        assert np.array_equal(w2.comp1, -np.conj(w1.comp2))
+        assert np.array_equal(w2.comp2, np.conj(w1.comp1))
+        assert w2.truncation_estimate == w1.truncation_estimate
+        explicit = np.diag([grid.u_minus[-1], grid.u_plus[-1]]) @ np.array(
+            [[w1.comp1[-1], w2.comp1[-1]], [w1.comp2[-1], w2.comp2[-1]]])
+        t_mat = connection_T_numeric(model, eps, h, 0, -0.7, 0.7, catalog=cat, grid=grid)
+        assert np.array_equal(t_mat, explicit)
+
     def test_su2_structure(self, cubic_setup):
         model, cat, h, grid = cubic_setup
         eps = 0.05 * h**0.75

@@ -1,5 +1,8 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from scipy.linalg import expm
 
 from crossinglab.potential import (
     PolynomialWindowed,
+    ScaledTanhProduct,
     find_crossings,
     regularized_action,
 )
@@ -283,3 +287,112 @@ class TestOscillatoryTail:
         diag = rep.diagnostics
         assert diag["steps"] < diag["steps_built"] <= 1.6 * diag["steps"]
         assert diag["richardson_error"] <= tol
+
+
+THREE_CROSSINGS = ScaledTanhProduct(1.0, [
+    {"power": 3, "slope": 1.0, "center": 4.2},
+    {"power": 3, "slope": 1.0, "center": 0.0},
+    {"power": 3, "slope": 1.0, "center": -3.1},
+])
+
+
+def _whole_line(model, eps, h, tol, catalog, truncation):
+    """The scattering matrix by whole-line cf4, with the window planner switched off."""
+    saved = scattering.plan_windows
+    scattering.plan_windows = lambda *args, **kwargs: None
+    try:
+        return scattering_matrix(model, eps, h, tol=tol, catalog=catalog, truncation=truncation)
+    finally:
+        scattering.plan_windows = saved
+
+
+class TestWindowedRoute:
+    @pytest.mark.parametrize("family, h", [
+        ("pair", 1e-2), ("pair", 1e-3), ("pair", 1e-4), ("pair", 1e-5),
+        ("three", 1e-2), ("three", 1e-3)])
+    def test_agrees_with_whole_line(self, tanh_pair, family, h):
+        model = tanh_pair if family == "pair" else THREE_CROSSINGS
+        cat = find_crossings(model)
+        eps, tol = 0.05 * h**0.75, 1e-7
+        rep = scattering_matrix(model, eps, h, tol=tol, catalog=cat)
+        ref = _whole_line(model, eps, h, tol / 100, cat, rep.truncation)
+        diag = rep.diagnostics
+        assert diag["route"] == "windowed" and ref.diagnostics["route"] == "whole_line"
+        assert len(diag["windows"]) == cat.n
+        assert abs(rep.p_transition - ref.p_transition) <= tol
+        assert diag["richardson_error"] + diag["series_bound"] == diag["error_estimate"] <= tol
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
+    def test_landau_zener(self, lz_windowed, eps, h):
+        rep = scattering_matrix(lz_windowed, eps, h, tol=1e-9)
+        assert rep.diagnostics["route"] == "windowed"
+        assert abs(rep.p_transition - landau_zener_probability(eps, h)) <= 1e-9
+
+    def test_merged_windows_fall_back(self, tanh_pair, tanh_pair_catalog):
+        """At h = 0.1 the windows around +-2 would meet: whole-line cf4."""
+        rep = scattering_matrix(tanh_pair, 0.05 * 0.1**0.75, 0.1, tol=1e-9,
+                                catalog=tanh_pair_catalog)
+        diag = rep.diagnostics
+        assert diag["route"] == "whole_line"
+        assert diag["windows"] == [] and diag["series_bound"] == 0.0
+        assert diag["error_estimate"] == diag["richardson_error"] <= 1e-9
+
+    def test_cost_flat_in_h(self, tanh_pair, tanh_pair_catalog):
+        """The windows shrink as fast as cf4's density grows."""
+        steps = []
+        for h in (1e-3, 1e-5):
+            rep = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, tol=1e-9,
+                                    catalog=tanh_pair_catalog)
+            assert rep.diagnostics["route"] == "windowed"
+            steps.append(rep.diagnostics["steps"])
+        assert steps[1] <= 3 * steps[0]
+
+    def test_windows_propagate_through_the_module_name(self, tanh_pair, tanh_pair_catalog,
+                                                       monkeypatch):
+        """Each window is one call of scattering.fundamental_matrix, whose
+        diagnostics sum to the report's."""
+        calls = []
+        real = scattering.fundamental_matrix
+
+        def spy(*args, **kwargs):
+            mat = real(*args, **kwargs)
+            calls.append((args[3], args[4], kwargs["tol"], kwargs["diagnostics"]))
+            return mat
+
+        monkeypatch.setattr(scattering, "fundamental_matrix", spy)
+        h, tol = 1e-3, 1e-9
+        rep = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, tol=tol,
+                                catalog=tanh_pair_catalog)
+        diag = rep.diagnostics
+        assert [[lo, hi] for lo, hi, _, _ in calls] == diag["windows"]
+        for lo, hi, window_tol, _ in calls:
+            assert lo < hi and window_tol == tol / 4
+        assert diag["steps"] == sum(d.steps for *_, d in calls)
+        assert diag["steps_built"] == sum(d.steps_built for *_, d in calls)
+        assert diag["richardson_error"] == sum(d.richardson_error for *_, d in calls)
+        assert 0.0 < diag["series_bound"] <= tol / 2
+
+    def test_no_predictor_or_transfer(self):
+        """The route stays independent of the closed-form side."""
+        code = ("import sys, crossinglab.adiabatic, crossinglab.scattering; "
+                "print(sorted(m for m in sys.modules if m in "
+                "('crossinglab.predictor', 'crossinglab.transfer')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "[]"
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("eps, h, tol", [
+        (0.01, -0.1, 1e-9), (0.01, 0.0, 1e-9), (0.01, 0.1, -1e-9), (math.nan, 0.1, 1e-9),
+        (-0.01, 0.1, 1e-9), (0.01, math.inf, 1e-9), (0.01, math.nan, 1e-9),
+        (0.01, 0.1, math.nan), (math.inf, 0.1, 1e-9)])
+    def test_rejected_before_any_mesh(self, tanh_pair, monkeypatch, eps, h, tol):
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(scattering, "fundamental_matrix", no_mesh)
+        monkeypatch.setattr(scattering, "plan_windows", no_mesh)
+        with pytest.raises(ValueError, match=r"need h > 0, eps >= 0, tol > 0"):
+            scattering_matrix(tanh_pair, eps, h, tol=tol)
