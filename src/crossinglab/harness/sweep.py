@@ -144,10 +144,8 @@ def _eps_from_rule(rule: dict, h: float) -> float:
 
 
 def _compute_row(args):
-    config_doc, eps, h, index = args
+    config_doc, model, catalog, eps, h, index = args
     config = SweepConfig(**config_doc)
-    model = model_from_config(config.potential)
-    catalog = find_crossings(model)
     row = {c: "" for c in CSV_COLUMNS}
     row["index"] = index
     row["eps"] = eps
@@ -180,7 +178,10 @@ def _compute_row(args):
 def run_sweep(config: SweepConfig) -> list[dict]:
     """Evaluate every row; failures are recorded inline and never raised."""
     rows = build_rows(config)
-    args = [(config.__dict__, eps, h, i) for i, (eps, h) in enumerate(rows)]
+    # one model and catalog serve every row; pool workers get them pickled
+    model = model_from_config(config.potential)
+    catalog = find_crossings(model)
+    args = [(config.__dict__, model, catalog, eps, h, i) for i, (eps, h) in enumerate(rows)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             out = list(pool.map(_compute_row, args))

@@ -10,8 +10,9 @@ Iterating produces two exact solutions w1, w2 normalized to (u^+, 0) and
 (0, u^-) at the base points; truncating the Neumann series at depth d leaves
 a tail O(mu^(2(d+1))) with mu = eps * h^(-m/(m+1)).  Everything is sampled on
 a uniform grid fine enough that the fastest phase advances by a fraction of a
-radian per interval; cumulative integrals use the sixth-order fixed-weight
-rule ``quadrature.cumulative_uniform``, and values between nodes come from the
+radian per interval.  Cumulative integrals, the grid phase among them (from
+one evaluation of V per node), use the sixth-order fixed-weight rule
+``quadrature.cumulative_uniform``, and values between nodes come from the
 degree-5 Lagrange interpolant on the same six-node stencil.  Base points must
 be grid nodes.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import QuadratureTolExceeded, SeriesNotContracting
 from .potential.catalog import CrossingCatalog, find_crossings, phase_integral
-from .quadrature import cumulative_smooth, cumulative_uniform
+from .quadrature import cumulative_uniform
 
 GRID_MIN_POINTS = 4097
 GRID_PHASE_STEP = 0.2     # max radians of the fastest phase per grid interval
@@ -61,9 +62,10 @@ class MsaGrid:
                 raise QuadratureTolExceeded(
                     f"grid of {n} points needed to resolve oscillations; h too small")
         pts = np.linspace(a, b, n)
-        phase = cumulative_smooth(lambda s: np.real(model.eval(s)), pts)
-        phase = phase - phase_integral(model, a, t_ref)
-        u_plus = np.exp(-1j * phase / h)
+        phase = cumulative_uniform(np.real(model.eval(pts)), (b - a) / (n - 1))
+        phase -= phase_integral(model, a, t_ref)
+        u_plus = np.multiply(phase / h, -1j)
+        np.exp(u_plus, out=u_plus)    # in place: no temporary larger than the result
         return MsaGrid(model=model, h=h, t_ref=t_ref, points=pts, phase=phase,
                        u_plus=u_plus, u_minus=np.conj(u_plus))
 
@@ -96,13 +98,21 @@ class MsaGrid:
         return np.sum(basis * values[start[..., None] + _STENCIL], axis=-1)
 
 
-def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray) -> np.ndarray:
+def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray,
+            out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
     """Volterra application K_a^+- f on the grid (sign +1 for K^+); the base
-    point ``a`` must be a grid node."""
+    point ``a`` must be a grid node.
+
+    ``out`` and ``work``, complex arrays of the grid's length, are filled in
+    place instead of allocating: ``out`` receives the result (it may be
+    ``f`` itself), ``work`` is scratch and must be neither ``f`` nor ``out``.
+    """
     i = grid.index(a)
-    g = f * grid.u(-sign)          # f / u^{sign} = f * u^{-sign}
-    cumulative = cumulative_uniform(g, grid.dx)
-    return (1j / grid.h) * grid.u(sign) * (cumulative - cumulative[i])
+    g = np.multiply(f, grid.u(-sign), out=work)    # f / u^{sign} = f * u^{-sign}
+    cumulative = cumulative_uniform(g, grid.dx, out=out)
+    cumulative -= cumulative[i]
+    cumulative *= np.multiply(grid.u(sign), 1j / grid.h, out=g)
+    return cumulative
 
 
 @dataclass
@@ -147,14 +157,18 @@ def msa_solution(model, eps: float, h: float, which: str,
     a_lead = a_plus if which == "w1" else a_minus
     a_other = a_minus if which == "w1" else a_plus
 
+    # the terms f, g and apply_K's scratch reuse three buffers
     f = grid.u(lead_sign).copy()
+    g = np.empty_like(f)
+    work = np.empty_like(f)
     sum_lead = f.copy()
     sum_other = np.zeros_like(f)
     sups = [float(np.max(np.abs(f)))]
     for _ in range(depth):
-        g = apply_K(grid, -lead_sign, a_other, f)
+        apply_K(grid, -lead_sign, a_other, f, out=g, work=work)
         sum_other += g
-        f = eps * eps * apply_K(grid, lead_sign, a_lead, g)
+        apply_K(grid, lead_sign, a_lead, g, out=f, work=work)
+        f *= eps * eps
         sum_lead += f
         sups.append(float(np.max(np.abs(f))))
         if sups[-1] >= sups[-2] and sups[-1] > 1e-14:

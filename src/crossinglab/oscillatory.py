@@ -20,7 +20,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import QuadratureTolExceeded
 from .quadrature import DEFAULT_PANEL_ORDER, PanelPhaseModel, adaptive_mesh, panel_integrate_nodes
@@ -38,7 +37,7 @@ def omega_m(m: int, v: float) -> complex:
     if m < 1 or v == 0:
         raise ValueError("need m >= 1 and v != 0")
     amplitude = 2.0 * (math.factorial(m + 1) / (2.0 * abs(v))) ** (1.0 / (m + 1)) \
-        * gamma_fn((m + 2.0) / (m + 1.0))
+        * math.gamma((m + 2.0) / (m + 1.0))
     if m % 2 == 0:
         eta = math.cos(math.pi / (2.0 * (m + 1)))
     else:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import (
     AnchorInsideCrossings,
@@ -156,6 +155,8 @@ def find_crossings(model: PotentialModel,
         a, b = ts[idx], ts[idx + 1]
         if any(a - 1e-6 <= z <= b + 1e-6 for z in candidates):
             continue  # bracket sits on an already known zero
+        from scipy.optimize import brentq
+
         root = brentq(lambda s: float(np.real(model.eval(s))), a, b,
                       xtol=1e-12, maxiter=200)
         if not any(abs(root - z) < 1e-6 for z in candidates):

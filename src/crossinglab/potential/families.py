@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spence
 
 from ..errors import ConfigError
 from ..quadrature import integrate_smooth
@@ -130,6 +129,25 @@ def _softplus_jet(x0, n: int) -> np.ndarray:
     return c
 
 
+def _li2_neg(u: float) -> float:
+    """The dilogarithm Li2(-u) for 0 <= u <= 1.
+
+    Landen's identity Li2(-u) = -Li2(w) - log(1+u)**2 / 2 with w = u/(1+u)
+    <= 1/2 leaves the power series sum_k w**k / k**2, which gains a bit per
+    term.
+    """
+    w = u / (1.0 + u)
+    total, power, k = 0.0, w, 1
+    while True:
+        term = power / (k * k)
+        total += term
+        if term <= 1e-17 * total:
+            break
+        power *= w
+        k += 1
+    return -total - 0.5 * math.log1p(u) ** 2
+
+
 def _dilog_neg_exp(x: float, beta: float) -> float:
     """Closed form of integral_{-inf}^{x} softplus_beta(u) du.
 
@@ -138,10 +156,9 @@ def _dilog_neg_exp(x: float, beta: float) -> float:
     """
     y = beta * x
     if y <= 0:
-        return -float(spence(1.0 + math.exp(y))) / beta**2
-    li2_small = float(spence(1.0 + math.exp(-y)))
+        return -_li2_neg(math.exp(y)) / beta**2
     # Li2(-e^y) = -y^2/2 - pi^2/6 - Li2(-e^-y)
-    return (0.5 * y * y + math.pi**2 / 6.0 - li2_small) / beta**2
+    return (0.5 * y * y + math.pi**2 / 6.0 - _li2_neg(math.exp(-y))) / beta**2
 
 
 class _SmoothClamp:
@@ -159,12 +176,7 @@ class _SmoothClamp:
     def deriv(self, t):
         t = np.asarray(t)
         b = self.beta
-        if np.iscomplexobj(t):
-            s1 = 1.0 / (1.0 + np.exp(-b * (t - self.w)))
-            s2 = 1.0 / (1.0 + np.exp(b * (t + self.w)))
-            return 1.0 - s1 - s2
-        from scipy.special import expit
-        return 1.0 - expit(b * (t - self.w)) - expit(-b * (t + self.w))
+        return 1.0 - _sigmoid(b * (t - self.w)) - _sigmoid(-b * (t + self.w))
 
     def jet(self, t0, n: int) -> np.ndarray:
         b = self.beta

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import MStarTooSmall, RegimeViolation
 from .oscillatory import omega_m
@@ -39,7 +38,7 @@ def gamma_factor(m: int) -> float:
     if m < 1:
         raise ValueError("order must be >= 1")
     base = 4.0 * (math.factorial(m + 1) / 2.0) ** (2.0 / (m + 1)) \
-        * gamma_fn((m + 2.0) / (m + 1.0)) ** 2
+        * math.gamma((m + 2.0) / (m + 1.0)) ** 2
     even_fold = 0.5 * (1.0 + (-1.0) ** m)
     return float(base * (1.0 - even_fold * math.sin(math.pi / (2.0 * (m + 1))) ** 2))
 

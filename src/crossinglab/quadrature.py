@@ -3,9 +3,9 @@
 Three families of tools live here:
 
 * composite Gauss-Legendre rules for smooth (non-oscillatory) integrands,
-  used for action integrals and phase accumulation;
+  used for action integrals;
 * a sixth-order cumulative rule for samples on a uniform grid, used by the
-  successive-approximation operators;
+  successive-approximation operators and their grid phase;
 * Chebyshev-Lobatto panel machinery for highly oscillatory integrands, where
   each panel is short enough that the phase advances by only a fraction of a
   radian and the integrand is polynomial-like.  Panels carry a spectral
@@ -199,22 +199,6 @@ def integrate_panels(fn, edges: np.ndarray, order: int = 16, rtol: float = 1e-13
     return hi
 
 
-def cumulative_smooth(fn, points: np.ndarray, order: int = 8) -> np.ndarray:
-    """Cumulative integral of a smooth function along an ascending grid.
-
-    Returns F with F[0] = 0 and F[j] = integral from points[0] to points[j],
-    each interval handled by an order-point Gauss-Legendre rule.
-    """
-    points = np.asarray(points, dtype=float)
-    x, w = gauss_legendre(order)
-    mid = 0.5 * (points[:-1] + points[1:])
-    half = 0.5 * np.diff(points)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    increments = (vals @ w) * half
-    return np.concatenate([[0.0], np.cumsum(increments)])
-
-
 # Row k integrates, over [k, k+1], the degree-5 Lagrange interpolant through
 # the nodes 0..5, in units of the grid step.  Row 2 is the centred interior
 # rule; rows 0, 1 and 3, 4 serve the two intervals at each end.
@@ -227,26 +211,40 @@ _CUMULATIVE_WEIGHTS = np.array([
 ]) / 1440.0
 
 
-def cumulative_uniform(values: np.ndarray, dx: float) -> np.ndarray:
+def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative integral of samples on a uniform grid with step ``dx``.
 
     Returns F with F[0] = 0 and F[j] = integral from the first node to node j
     of the degree-5 interpolant through the six nodes nearest each interval
     (the first or last six at the ends): exact on polynomials of degree <= 5,
-    sixth order on smooth data.
+    sixth order on smooth data.  ``out``, when given, receives F in place; it
+    must not overlap ``values``.  Either way the result is the same, bit for
+    bit.
     """
     g = np.asarray(values)
     n = g.shape[0]
     if n < 6:
         raise ValueError("cumulative_uniform needs at least 6 samples")
+    if out is None:
+        out = np.empty(n, dtype=np.result_type(g, float))
     w = _CUMULATIVE_WEIGHTS
-    inc = np.empty(n - 1, dtype=np.result_type(g, float))
-    # interval i = 2..n-4 uses nodes i-2..i+3 with the symmetric interior row
-    inc[2:n - 3] = (w[2, 0] * (g[0:n - 5] + g[5:n]) + w[2, 1] * (g[1:n - 4] + g[4:n - 1])
-                    + w[2, 2] * (g[2:n - 3] + g[3:n - 2]))
+    inc = out[1:]
+    # interval i = 2..n-4 uses nodes i-2..i+3 with the symmetric interior row,
+    # accumulated as w0 (g0 + g5) + w1 (g1 + g4) + w2 (g2 + g3)
+    interior = inc[2:n - 3]
+    pair = np.empty_like(interior)
+    np.add(g[0:n - 5], g[5:n], out=interior)
+    interior *= w[2, 0]
+    for k in (1, 2):
+        np.add(g[k:n - 5 + k], g[5 - k:n - k], out=pair)
+        pair *= w[2, k]
+        interior += pair
     inc[:2] = w[:2] @ g[:6]
     inc[n - 3:] = w[3:] @ g[n - 6:]
-    return np.concatenate([[0.0], np.cumsum(dx * inc)])
+    inc *= dx
+    out[0] = 0.0
+    np.cumsum(inc, out=inc)
+    return out
 
 
 def linear_phase_integral(fn, a: float, b: float, omega: float,

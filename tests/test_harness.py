@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +182,31 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="bug"):
             run_sweep(config)
 
+    def test_model_and_catalog_built_once(self, monkeypatch):
+        """Rows share one model and catalog, looked up by module name."""
+        import crossinglab.harness.sweep as sweep_module
+
+        calls = {"model_from_config": 0, "find_crossings": 0}
+
+        def counted(name):
+            original = getattr(sweep_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sweep_module, name, counted(name))
+        config = SweepConfig(
+            potential=CUBIC_DOC,
+            grid={"type": "h_ladder", "h_values": [0.01, 0.005, 0.002],
+                  "eps_rule": {"type": "power", "coeff": 0.05, "exponent": 0.75}},
+            oracles=("nonadiabatic",))
+        rows = run_sweep(config)
+        assert [row["status"] for row in rows] == ["ok"] * 3
+        assert calls == {"model_from_config": 1, "find_crossings": 1}
+
     def test_empty_grid(self):
         config = SweepConfig(potential=CUBIC_DOC,
                              grid={"type": "list", "rows": []})
@@ -349,3 +377,13 @@ class TestTolPrecedence:
         self._run(tmp_path, monkeypatch, "sweep", "run_sweep", [], TOL_CASES[0])
         report = json.loads((tmp_path / "out" / "tol.report.json").read_text())
         assert report["schema_version"] == CSV_SCHEMA_VERSION == 2
+
+
+def test_library_import_loads_no_scipy():
+    """scipy serves only lazily imported fallbacks and cross-checks."""
+    code = ("import sys, crossinglab.harness.cli, crossinglab.msa, crossinglab.scattering, "
+            "crossinglab.predictor, crossinglab.transfer, crossinglab.harness.verify; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"

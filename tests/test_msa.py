@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import crossinglab.msa as msa
 from crossinglab.errors import SeriesNotContracting
 from crossinglab.msa import (
     MsaGrid,
@@ -81,6 +84,19 @@ class TestApplyK:
         _, _, _, grid = cubic_setup
         with pytest.raises(ValueError, match="not a node"):
             apply_K(grid, +1, -0.7 + offset * grid.dx, grid.u_minus)
+
+
+    def test_buffers_are_bitwise(self, cubic_setup):
+        """out and work buffers, out being f itself included, change no bit."""
+        _, _, _, grid = cubic_setup
+        f = grid.u_minus * np.cos(grid.points)
+        want = apply_K(grid, +1, -0.7, f)
+        out, work = np.empty_like(f), np.empty_like(f)
+        assert apply_K(grid, +1, -0.7, f, out=out, work=work) is out
+        assert out.tobytes() == want.tobytes()
+        f_copy = f.copy()
+        apply_K(grid, +1, -0.7, f_copy, out=f_copy, work=work)
+        assert f_copy.tobytes() == want.tobytes()
 
 
 class TestInterp:
@@ -267,3 +283,62 @@ class TestConnection:
             devs.append(abs(val - 1j * mu_val * w) / mu_val)
         slope = np.polyfit(np.log(hs), np.log(devs), 1)[0]
         assert slope >= 1.0 / 4.0 - 0.1
+
+
+class TestCosts:
+    """The criterion-5 grids: V once per node, and few grid-sized arrays."""
+
+    H = 2e-4
+
+    @pytest.fixture(scope="class")
+    def cubic_window(self):
+        model = PolynomialWindowed([0, 0, 0, 1.0], window=3.0, sharpness=8.0)
+        return model, find_crossings(model)
+
+    def test_one_evaluation_per_node(self, cubic_window, monkeypatch):
+        """Outside phase_integral the build evaluates V on the grid and the
+        512-point probe that sizes it, nothing more."""
+        model, _ = cubic_window
+        counts = {"build": 0, "phase_integral": 0}
+        where = ["build"]
+        phase_integral = msa.phase_integral
+
+        class Spy:
+            def eval(self, t):
+                counts[where[-1]] += np.size(t)
+                return model.eval(t)
+
+        def spied_phase_integral(spy, a, b):
+            where.append("phase_integral")
+            try:
+                return phase_integral(spy, a, b)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(msa, "phase_integral", spied_phase_integral)
+        grid = MsaGrid.build(Spy(), self.H, (-1.2, 1.2), 0.0)
+        assert counts["phase_integral"] > 0
+        assert counts["build"] <= len(grid.points) + 512
+
+    def test_build_peak_memory(self, cubic_window):
+        model, _ = cubic_window
+        tracemalloc.start()
+        try:
+            grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * grid.u_plus.nbytes
+
+    def test_connection_peak_memory(self, cubic_window):
+        """The Neumann terms reuse their buffers: no temporaries per apply_K."""
+        model, cat = cubic_window
+        grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
+        tracemalloc.start()
+        try:
+            connection_T_numeric(model, 0.05 * self.H ** 0.75, self.H, 0, -1.2, 1.2,
+                                 catalog=cat, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * grid.u_plus.nbytes

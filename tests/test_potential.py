@@ -23,6 +23,7 @@ from crossinglab.potential import (
     regularized_action,
 )
 from crossinglab.potential.catalog import area_adjacent
+from crossinglab.potential.families import _dilog_neg_exp
 
 
 def high_order_fd(model, t0, order, step=5e-3):
@@ -101,6 +102,36 @@ class TestDerivatives:
             approx = (phase_integral(tanh_cubed, 0.0, t + d)
                       - phase_integral(tanh_cubed, 0.0, t - d)) / (2 * d)
             assert approx == pytest.approx(float(tanh_cubed.eval(t)), rel=1e-8, abs=1e-10)
+
+
+class TestDilogarithm:
+    """The softplus antiderivative -Li2(-e^y)/beta^2 against scipy's spence,
+    spence(1 + u) = Li2(-u)."""
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0, 8.0])
+    def test_series_branch(self, beta):
+        """y <= 0; below u = 1e-12 scipy's own 1 + u rounds, so compare in
+        absolute terms throughout."""
+        from scipy.special import spence
+
+        for y in np.linspace(-40.0, 0.0, 401):
+            want = -spence(1.0 + math.exp(y)) / beta**2
+            assert abs(_dilog_neg_exp(y / beta, beta) - want) <= 4e-15 / beta**2, y
+
+    @pytest.mark.parametrize("beta", [1.0, 4.0, 8.0])
+    def test_inversion_branch(self, beta):
+        from scipy.special import spence
+
+        for y in np.linspace(1e-3, 40.0, 401):
+            want = (0.5 * y * y + math.pi**2 / 6.0 - spence(1.0 + math.exp(-y))) / beta**2
+            got = _dilog_neg_exp(y / beta, beta)
+            assert abs(got - want) <= 4e-16 * abs(want) + 4e-15 / beta**2, y
+
+    def test_small_argument_is_relatively_exact(self):
+        """Li2(-u) = -u + u^2/4 - ... where 1 + u would round."""
+        for y in (-60.0, -40.0, -30.0):
+            u = math.exp(y)
+            assert _dilog_neg_exp(y, 1.0) == pytest.approx(u - u * u / 4.0, rel=1e-15)
 
 
 class TestTailRate:

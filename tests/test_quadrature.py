@@ -35,3 +35,15 @@ class TestCumulativeUniform:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             cumulative_uniform(np.ones(5), 0.1)
+
+    @pytest.mark.parametrize("n", [6, 7, 12, 1001])
+    def test_out_buffer_is_bitwise(self, n):
+        """Filling a given buffer gives the allocating form's bits."""
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n),
+                       rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            want = cumulative_uniform(values, 0.37)
+            buf = np.full_like(want, np.nan)
+            got = cumulative_uniform(values, 0.37, out=buf)
+            assert got is buf
+            assert got.tobytes() == want.tobytes()
