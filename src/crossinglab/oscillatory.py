@@ -6,8 +6,9 @@ Handles integrals of the form
 
 where V may vanish at t0 to finite order m.  The quadrature subdivides I into
 panels short enough that the phase advances by a bounded fraction of a radian
-per panel (with a floor ~ h^(1/(m+1)) inside the stationary ball), models the
-phase spectrally on each panel, and integrates with Clenshaw-Curtis weights.
+per panel (with a floor ~ h^(1/(m+1)) inside the stationary ball), takes the
+phase on each panel from the exact antiderivative of V's interpolant at the
+Gauss-Legendre nodes, and integrates with the same Gauss-Legendre rule.
 
 The leading behaviour is f(t0) * omega_m * h^(1/(m+1)) with the universal
 constant omega_m depending on the order m and the leading derivative
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import QuadratureTolExceeded
-from .quadrature import DEFAULT_PANEL_ORDER, PanelPhaseModel, adaptive_mesh, panel_integrate_nodes
+from .quadrature import adaptive_mesh, gauss_legendre, gauss_legendre_antiderivative
 
 PANEL_PHASE_FRACTION = 0.125   # phase advance per panel, radians
 STATIONARY_FLOOR_FRACTION = 0.125  # panel floor as fraction of h^(1/(m+1))
@@ -51,17 +52,15 @@ def stationary_phase_leading(f_at_t0: complex, m: int, v: float, h: float) -> co
 
 
 def osc_integral(model, interval, t0: float, h: float, amplitude=None,
-                 sign: int = 1, stationary_order: int | None = None,
-                 tol: float = 1e-12, panel_order: int = DEFAULT_PANEL_ORDER,
-                 phase_scale: float = 2.0) -> complex:
+                 sign: int = 1, tol: float = 1e-12) -> complex:
     """Numerical value of the oscillatory integral over ``interval``.
 
     ``amplitude`` is a vectorized callable (default 1); ``sign`` flips the
-    exponent; ``phase_scale`` is the constant multiplying integral(V)/h in the
-    exponent (2 for the standard two-level phase, 1 for single-branch
-    phases).  ``stationary_order`` is the vanishing order of V at t0 used for
-    the panel floor; when omitted it is classified from the model's jets.
+    exponent.  The panel floor uses the largest vanishing order of V on the
+    interval, classified from the model's jets.
     """
+    if not 0 < h < math.inf:
+        raise ValueError("need 0 < h < inf")
     a, b = float(interval[0]), float(interval[1])
     if a == b:
         return 0.0 + 0.0j
@@ -70,59 +69,52 @@ def osc_integral(model, interval, t0: float, h: float, amplitude=None,
         a, b = b, a
         orientation = -1.0
 
-    if stationary_order is None:
-        stationary_order = _max_zero_order_inside(model, a, b)
-    m = max(1, stationary_order)
+    m = _max_zero_order_inside(model, a, b)
     floor = STATIONARY_FLOOR_FRACTION * h ** (1.0 / (m + 1))
-
-    scale = abs(phase_scale)
 
     def density(t):
         # panel width = min(phase-resolution rule, stationary-ball cap), so the
         # density is the max of the two reciprocal rules
         v_abs = np.abs(np.real(model.eval(t)))
-        rho_osc = scale * v_abs / (PANEL_PHASE_FRACTION * h)
+        rho_osc = 2.0 * v_abs / (PANEL_PHASE_FRACTION * h)
         rho_cap = 1.0 / floor
         return np.maximum(rho_osc, rho_cap)
 
     forced = [t0] if a < t0 < b else []
     mesh = adaptive_mesh(density, a, b, forced=forced)
-    phase = PanelPhaseModel(mesh, _nodes_eval(model, mesh, panel_order), panel_order)
+    x, w = gauss_legendre(16)
+    n = len(x)
+    half = 0.5 * np.diff(mesh)
+    pts = 0.5 * (mesh[:-1] + mesh[1:])[:, None] + half[:, None] * x
+    v = np.real(model.eval(pts.ravel())).reshape(pts.shape)
+    # integral of V from a: at the mesh points, and inside each panel
+    at_mesh = np.concatenate([[0.0], np.cumsum(half * (v @ w))])
+    inside = at_mesh[:-1, None] + half[:, None] * (v @ gauss_legendre_antiderivative(n).T)
 
     # phase offset so that the accumulated integral of V is zero at t0
-    if a < t0 < b or t0 == a or t0 == b:
-        idx = int(np.argmin(np.abs(mesh - t0)))
-        offset = phase.offsets[idx] if idx < len(phase.offsets) else \
-            phase.offsets[-1] + phase.panel_totals[-1]
+    if a <= t0 <= b:
+        offset = at_mesh[int(np.argmin(np.abs(mesh - t0)))]
     else:
         from .potential.catalog import phase_integral
         offset = phase_integral(model, a, t0)
 
-    pts = phase.node_points()
-    phi = (phase.phi_nodes - offset) * (phase_scale / h)
+    phi = (inside - offset) * (2.0 / h)
     f_vals = np.ones_like(pts) if amplitude is None else np.asarray(amplitude(pts))
     g = f_vals * np.exp(1j * sign * phi)
-    integrals, tail = panel_integrate_nodes(g, phase.half, return_tail=True)
-    est = float(np.sum(tail))
-    # spectral tails of well-resolved panels sit at the phase-rounding floor:
-    # the node phases carry |phi| * eps of irreducible noise
-    arc = float(np.sum(phase.half * 2.0 * np.max(np.abs(g), axis=-1)))
+    # the top two Legendre coefficients of g's interpolant on each panel,
+    # c_k = (k + 1/2) sum_i w_i P_k(x_i) g_i, as the error indicator
+    k = np.array([n - 2, n - 1])
+    top = g @ (np.polynomial.legendre.legvander(x, n - 1)[:, k] * w[:, None] * (k + 0.5))
+    est = float(np.sum(np.sum(np.abs(top), axis=-1) * half * 2.0))
+    # coefficient tails of well-resolved panels sit at the phase-rounding
+    # floor: the node phases carry |phi| * eps of irreducible noise
+    arc = float(np.sum(half * 2.0 * np.max(np.abs(g), axis=-1)))
     phi_max = float(np.max(np.abs(phi))) if phi.size else 0.0
     floor = 8.0 * np.finfo(float).eps * arc * (1.0 + phi_max)
     if est > max(tol, floor):
         raise QuadratureTolExceeded(
             f"oscillatory panel tail estimate {est:.3e} exceeds tol {tol:.3e}")
-    return orientation * complex(np.sum(integrals))
-
-
-def _nodes_eval(model, mesh: np.ndarray, order: int) -> np.ndarray:
-    from .quadrature import lobatto_nodes
-
-    x = lobatto_nodes(order)
-    mid = 0.5 * (mesh[:-1] + mesh[1:])
-    half = 0.5 * np.diff(mesh)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    return np.real(model.eval(pts.ravel())).reshape(pts.shape)
+    return orientation * complex(np.sum(half * (g @ w)))
 
 
 def _max_zero_order_inside(model, a: float, b: float) -> int:

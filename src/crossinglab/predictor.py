@@ -123,28 +123,23 @@ def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
         error_order=order)
 
 
-def quantization_ladder(catalog: CrossingCatalog, h_range,
-                        max_terms: int = 4096) -> list[float]:
+def quantization_ladder(catalog: CrossingCatalog, h_range) -> list[float]:
     """Values of h in [h_min, h_max] where the two-crossing interference
-    factor vanishes exactly (area quantization)."""
+    factor vanishes exactly (area quantization): h = A / (2 pi n - shift)."""
     if len(catalog.lambda_star) != 2:
         raise ValueError("closed ladder requires exactly two maximal crossings")
+    h_min, h_max = min(h_range), max(h_range)
+    if not 0 < h_min <= h_max < math.inf:
+        raise ValueError("need 0 < h_min <= h_max < inf")
     j, k = catalog.lambda_star
     area = 2.0 * abs(catalog.phase_between(j, k))
     m = catalog.m_star
     shift = m * math.pi / (m + 1.0) if m % 2 == 1 else math.pi
-    h_min, h_max = min(h_range), max(h_range)
-    out = []
-    for n in range(1, max_terms):
-        denom = 2.0 * math.pi * n - shift
-        if denom <= 0:
-            continue
-        h = area / denom
-        if h_min <= h <= h_max:
-            out.append(h)
-        if h < h_min:
-            break
-    return sorted(out)
+    # one rung of margin at each end; the filter below decides rounding ties
+    n_lo = max(1, math.floor((area / h_max + shift) / (2.0 * math.pi)))
+    n_hi = math.ceil((area / h_min + shift) / (2.0 * math.pi))
+    hs = area / (2.0 * math.pi * np.arange(n_hi, n_lo - 1, -1) - shift)
+    return hs[(h_min <= hs) & (hs <= h_max)].tolist()
 
 
 def interference_zeros(model, catalog: CrossingCatalog, h_range,

@@ -219,7 +219,7 @@ def propagate(model, eps: float, h: float, t0: float, t1: float, psi0,
               tol: float = 1e-10, method: str = "cf4",
               diagnostics: PropagationDiagnostics | None = None) -> np.ndarray:
     """Propagate a state vector from t0 to t1 with local error control."""
-    if h <= 0 or eps < 0 or tol <= 0:
+    if not (0 < h < math.inf and 0 <= eps < math.inf and 0 < tol < math.inf):
         raise ValueError("need h > 0, eps >= 0, tol > 0")
     psi0 = np.asarray(psi0, dtype=complex)
     mat = fundamental_matrix(model, eps, h, t0, t1, tol=tol, method=method,

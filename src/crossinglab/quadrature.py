@@ -1,16 +1,13 @@
 """Quadrature primitives shared across the package.
 
-Three families of tools live here:
+Two families of rules live here:
 
-* composite Gauss-Legendre rules for smooth (non-oscillatory) integrands,
-  used for action integrals;
+* composite Gauss-Legendre rules on panels, for smooth integrands (action
+  integrals) and, on panels short enough that the phase advances by only a
+  fraction of a radian, for oscillatory ones; the antiderivative matrix of
+  the same nodes gives the running integral inside each panel;
 * a sixth-order cumulative rule for samples on a uniform grid, used by the
-  successive-approximation operators and their grid phase;
-* Chebyshev-Lobatto panel machinery for highly oscillatory integrands, where
-  each panel is short enough that the phase advances by only a fraction of a
-  radian and the integrand is polynomial-like.  Panels carry a spectral
-  interpolation model of the local phase derivative so the phase itself is
-  known at every node to machine accuracy.
+  successive-approximation operators and their grid phase.
 """
 
 from __future__ import annotations
@@ -18,11 +15,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 
 from .errors import QuadratureTolExceeded
 
-DEFAULT_PANEL_ORDER = 16  # Chebyshev degree per oscillatory panel
+# samples of the density per anchor-to-anchor stretch of an adaptive mesh
+_MESH_SAMPLES = 4097
 
 
 @lru_cache(maxsize=16)
@@ -32,80 +29,16 @@ def gauss_legendre(n: int):
 
 
 @lru_cache(maxsize=8)
-def lobatto_nodes(order: int) -> np.ndarray:
-    """Chebyshev-Lobatto nodes on [-1, 1], ascending, order+1 points."""
-    j = np.arange(order + 1)
-    return -np.cos(np.pi * j / order)
-
-
-@lru_cache(maxsize=8)
-def _cheb_integral_coeffs(order: int) -> np.ndarray:
-    """c_k = integral of T_k over [-1, 1]: 2/(1-k^2) for even k, else 0."""
-    k = np.arange(order + 1)
-    c = np.zeros(order + 1)
-    even = k % 2 == 0
-    c[even] = 2.0 / (1.0 - k[even].astype(float) ** 2)
-    return c
-
-
-def cheb_coefficients(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at ascending Lobatto nodes.
-
-    ``values`` has shape (..., order+1); coefficients come back in the same
-    shape, index k along the last axis.
-    """
-    from scipy.fft import dct
-
-    order = values.shape[-1] - 1
-    # DCT-I expects samples at cos(pi*j/N); our nodes ascend, so flip.
-    flipped = values[..., ::-1]
-    if np.iscomplexobj(values):
-        raw = dct(flipped.real, type=1, axis=-1) + 1j * dct(flipped.imag, type=1, axis=-1)
-    else:
-        raw = dct(flipped, type=1, axis=-1)
-    coeff = raw / order
-    coeff[..., 0] *= 0.5
-    coeff[..., -1] *= 0.5
-    return coeff
-
-
-class PanelPhaseModel:
-    """Spectral model of phi(t) = integral of V from a reference point.
-
-    Given panel breakpoints and a vectorized V, builds per-panel Chebyshev
-    interpolants of V, integrates them exactly, and exposes the antiderivative
-    at every Lobatto node with the running cross-panel offset applied.
-    """
-
-    def __init__(self, breakpoints: np.ndarray, v_values: np.ndarray,
-                 order: int = DEFAULT_PANEL_ORDER):
-        self.breaks = np.asarray(breakpoints, dtype=float)
-        self.order = order
-        self.half = 0.5 * np.diff(self.breaks)            # (P,)
-        self.coeffs = cheb_coefficients(v_values)          # (P, order+1)
-        # Antiderivative coefficients in the local variable, scaled by half-width.
-        anti = npcheb.chebint(self.coeffs, m=1, axis=-1)   # (P, order+2)
-        self.anti = anti * self.half[:, None]
-        # Value of the antiderivative at local node positions, zero at x=-1.
-        x = lobatto_nodes(order)
-        vander = npcheb.chebvander(x, order + 1)           # (order+1, order+2)
-        left = npcheb.chebvander(np.array([-1.0]), order + 1)[0]
-        node_vals = (self.anti @ vander.T) - (self.anti @ left)[:, None]
-        panel_totals = node_vals[:, -1]
-        offsets = np.concatenate([[0.0], np.cumsum(panel_totals)])[:-1]
-        self.phi_nodes = node_vals + offsets[:, None]      # (P, order+1)
-        self.panel_totals = panel_totals
-        self.offsets = offsets
-
-    def node_points(self) -> np.ndarray:
-        """Physical coordinates of all panel nodes, shape (P, order+1)."""
-        x = lobatto_nodes(self.order)
-        mid = 0.5 * (self.breaks[:-1] + self.breaks[1:])
-        return mid[:, None] + self.half[:, None] * x[None, :]
+def gauss_legendre_antiderivative(n: int) -> np.ndarray:
+    """Matrix S with (S @ f)[j] = integral from -1 to x_j of the interpolant
+    of f at the n Gauss-Legendre nodes x."""
+    leg = np.polynomial.legendre
+    x, _ = gauss_legendre(n)
+    coeffs = np.linalg.inv(leg.legvander(x, n - 1))   # values -> Legendre coefficients
+    return leg.legvander(x, n) @ leg.legint(coeffs, lbnd=-1.0, axis=0)
 
 
 def adaptive_mesh(density, a: float, b: float, forced=(),
-                  sample_points: int = 4097,
                   max_points: int | None = None) -> np.ndarray:
     """Panel breakpoints on [a, b] with local size ~ 1/density(t).
 
@@ -120,7 +53,7 @@ def adaptive_mesh(density, a: float, b: float, forced=(),
     pieces = []
     total_count = 0
     for lo, hi in zip(anchors[:-1], anchors[1:]):
-        t = np.linspace(lo, hi, sample_points)
+        t = np.linspace(lo, hi, _MESH_SAMPLES)
         rho = np.maximum(np.asarray(density(t), dtype=float), 1.0 / (hi - lo))
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(t))])
         total = cum[-1]
@@ -135,24 +68,6 @@ def adaptive_mesh(density, a: float, b: float, forced=(),
         pieces.append(brk[:-1])
     pieces.append(np.array([anchors[-1]]))
     return np.concatenate(pieces)
-
-
-def panel_integrate_nodes(values: np.ndarray, half_widths: np.ndarray,
-                          return_tail: bool = False):
-    """Integrate per-panel node values via the Chebyshev coefficient route.
-
-    ``values`` has shape (P, order+1).  Returns per-panel integrals and,
-    optionally, a per-panel spectral tail estimate (size of the top two
-    coefficients) as an error indicator.
-    """
-    order = values.shape[-1] - 1
-    coeff = cheb_coefficients(values)
-    ic = _cheb_integral_coeffs(order)
-    integrals = (coeff @ ic) * half_widths
-    if not return_tail:
-        return integrals
-    tail = (np.abs(coeff[..., -1]) + np.abs(coeff[..., -2])) * half_widths * 2.0
-    return integrals, tail
 
 
 def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125,
@@ -246,24 +161,3 @@ def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = N
     np.cumsum(inc, out=inc)
     return out
 
-
-def linear_phase_integral(fn, a: float, b: float, omega: float,
-                          order: int = DEFAULT_PANEL_ORDER,
-                          phase_per_panel: float = 0.5) -> complex:
-    """Integral of fn(t) * exp(i omega t) over [a, b] by oscillation-aware panels."""
-    if a == b:
-        return 0.0 + 0.0j
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    width = (b - a)
-    n_panels = max(1, int(np.ceil(abs(omega) * width / phase_per_panel)), int(np.ceil(width / 0.5)))
-    edges = np.linspace(a, b, n_panels + 1)
-    halfs = 0.5 * np.diff(edges)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    x = lobatto_nodes(order)
-    pts = mids[:, None] + halfs[:, None] * x[None, :]
-    g = fn(pts.ravel()).reshape(pts.shape) * np.exp(1j * omega * pts)
-    integrals = panel_integrate_nodes(g, halfs)
-    return sign * complex(np.sum(integrals))

@@ -18,7 +18,8 @@ family's exact Taylor jet at T (Iserles & Norsett, Proc. R. Soc. A 461
 the remainder bound |f^(K)(T)| / (tail_rate omega^K), from the exponential
 decay of the tail, is at or below tol, so its cost does not depend on h.
 Only when omega is within a small factor of the tail rate does the series
-miss the bound; the tail then falls back to oscillation-aware panels out to
+miss the bound; the tail then falls back to composite Gauss-Legendre panels,
+each short enough that the phase advances by at most half a radian, out to
 where one integration by parts bounds the truncation below tol.
 
 The scattering matrix is the change of basis between the left and right Jost
@@ -47,7 +48,7 @@ from .errors import ConfigError, TailNotConverged
 from .potential.catalog import CrossingCatalog, find_crossings, regularized_action
 from .potential.families import _MAX_JET_ORDER
 from .propagator import PropagationDiagnostics, fundamental_matrix
-from .quadrature import linear_phase_integral
+from .quadrature import integrate_panels
 from .su2 import dense, su2_mul
 
 
@@ -157,10 +158,11 @@ def _series_tail(model, v_inf: float, t_eval: float, omega: float,
 
 def _panel_tail(model, side: str, v_inf: float, t_eval: float, omega: float,
                 tol: float) -> TailIntegral:
-    """The tail by oscillation-aware panels.
+    """The tail by composite Gauss-Legendre panels.
 
     Truncated where one integration by parts bounds the remainder by
-    2 * envelope / |omega| below tol.
+    2 * envelope / |omega| below tol.  Raises QuadratureTolExceeded when the
+    rule's orders 16 and 8 disagree.
     """
     level = max(tol * abs(omega) / 4.0, 1e-300)
     try:
@@ -171,8 +173,15 @@ def _panel_tail(model, side: str, v_inf: float, t_eval: float, omega: float,
         t_far = max(t_far, t_eval) + 5.0
     else:
         t_far = min(t_far, t_eval) - 5.0
-    value = linear_phase_integral(
-        lambda s: np.real(model.eval(s)) - v_inf, t_far, t_eval, omega)
+    # Gauss-Legendre panels over which the phase advances at most 0.5 rad,
+    # none wider than 0.5
+    lo, hi = sorted((t_far, t_eval))
+    n_panels = max(math.ceil(abs(omega) * (hi - lo) / 0.5), math.ceil((hi - lo) / 0.5))
+    value = integrate_panels(
+        lambda s: (np.real(model.eval(s)) - v_inf) * np.exp(1j * omega * s),
+        np.linspace(lo, hi, n_panels + 1))
+    if t_far > t_eval:
+        value = -value
     bound = 2.0 * model.tail_envelope(side, t_far) / abs(omega)
     return TailIntegral(value, "panels", bound)
 

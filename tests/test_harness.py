@@ -387,3 +387,20 @@ def test_library_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_oscillatory_paths_load_no_scipy():
+    """The stationary-phase quadrature and the Jost panel tail run on numpy alone."""
+    code = ("import sys\n"
+            "from crossinglab.oscillatory import osc_integral\n"
+            "from crossinglab.potential import LinearLZ, ScaledTanhProduct\n"
+            "from crossinglab.scattering import _panel_tail\n"
+            "osc_integral(LinearLZ(1.0), (-3.0, 3.0), 0.0, 0.05)\n"
+            "pair = ScaledTanhProduct(1.0, [{'power': 3, 'slope': 1.0, 'center': 2.0},\n"
+            "                               {'power': 3, 'slope': 1.0, 'center': -2.0}])\n"
+            "for side, v_inf in (('right', pair.v_right), ('left', pair.v_left)):\n"
+            "    _panel_tail(pair, side, v_inf, pair.tail_anchor(side, 1e-8), 2.0 * abs(v_inf), 1e-12)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"

@@ -89,6 +89,11 @@ class TestOscIntegral:
             osc_integral(tanh_cubed, (-1, 1), 0.0, 0.05,
                          amplitude=lambda t: np.cos(300.0 * t), tol=1e-12)
 
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_h(self, lz_pure, h):
+        with pytest.raises(ValueError, match="need 0 < h < inf"):
+            osc_integral(lz_pure, (-1.0, 1.0), 0.0, h)
+
     def test_reversed_interval_flips_sign(self, lz_pure):
         fwd = osc_integral(lz_pure, (-1.0, 2.0), 0.0, 0.05)
         rev = osc_integral(lz_pure, (2.0, -1.0), 0.0, 0.05)

@@ -197,6 +197,21 @@ class TestInterferenceZeros:
             val = interference_factor(tanh_pair_catalog, h)
             assert val < 1e-18
 
+    def test_quantization_ladder_reaches_h_min(self, tanh_pair_catalog):
+        """Every rung of a wide range is returned, down to the smallest h."""
+        h_min, h_max = 1e-5, 1e-3
+        zeros = quantization_ladder(tanh_pair_catalog, (h_min, h_max))
+        area = 2.0 * abs(tanh_pair_catalog.phase_between(*tanh_pair_catalog.lambda_star))
+        shift = 3.0 * math.pi / 4.0
+        count = (math.floor((area / h_min + shift) / (2.0 * math.pi))
+                 - math.ceil((area / h_max + shift) / (2.0 * math.pi)) + 1)
+        assert len(zeros) == count > 50000
+        assert zeros == sorted(zeros)
+        assert h_min <= zeros[0] <= h_min + 2.0 * math.pi * zeros[0] ** 2 / area
+        assert zeros[-1] <= h_max
+        with pytest.raises(ValueError):
+            quantization_ladder(tanh_pair_catalog, (0.0, h_max))
+
     def test_quantization_ladder_even(self):
         model = ScaledTanhProduct(1.0, [
             {"power": 2, "slope": 1.0, "center": 2.0},

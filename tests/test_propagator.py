@@ -114,6 +114,13 @@ class TestBackends:
             propagate(tanh_cubed, 0.1, -0.1, 0.0, 1.0, [1, 0])
         with pytest.raises(ValueError):
             propagate(tanh_cubed, -0.1, 0.1, 0.0, 1.0, [1, 0])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="need h > 0"):
+                propagate(tanh_cubed, 0.1, bad, 0.0, 1.0, [1, 0])
+            with pytest.raises(ValueError, match="need h > 0"):
+                propagate(tanh_cubed, bad, 0.1, 0.0, 1.0, [1, 0])
+            with pytest.raises(ValueError, match="need h > 0"):
+                propagate(tanh_cubed, 0.1, 0.1, 0.0, 1.0, [1, 0], tol=bad)
 
     def test_step_underflow(self, tanh_cubed):
         """Far below the desk-scale floor the step budget must trip."""

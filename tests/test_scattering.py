@@ -15,6 +15,7 @@ from crossinglab.potential import (
     regularized_action,
 )
 from crossinglab import scattering
+from crossinglab.quadrature import integrate_panels
 from crossinglab.scattering import (
     JostAngles,
     _oscillatory_tail,
@@ -47,8 +48,12 @@ def _flat_edge_tail(side, t_eval, omega):
         d = (np.log1p(np.exp(-beta * (x - 3.0))) - np.log1p(np.exp(-beta * (x + 3.0)))) / beta
         return (-d * d + d**3 / 9.0) * np.sign(s)
 
-    t_far = t_eval + 10.0 if side == "right" else t_eval - 10.0
-    return scattering.linear_phase_integral(f, t_far, t_eval, omega)
+    # from t_eval -/+ 10 to t_eval on the panel rule of _panel_tail: at most
+    # 0.5 rad of phase per panel, none wider than 0.5
+    lo = t_eval if side == "right" else t_eval - 10.0
+    edges = np.linspace(lo, lo + 10.0, max(math.ceil(abs(omega) * 10.0 / 0.5), 20) + 1)
+    value = integrate_panels(lambda s: f(s) * np.exp(1j * omega * s), edges)
+    return -value if side == "right" else value
 
 
 class TestJostAngles:
@@ -259,7 +264,7 @@ class TestOscillatoryTail:
             raise AssertionError("panel rule called")
 
         monkeypatch.setattr(tanh_pair, "eval", counting_eval)
-        monkeypatch.setattr(scattering, "linear_phase_integral", no_panels)
+        monkeypatch.setattr(scattering, "integrate_panels", no_panels)
         counts = []
         for h in (1e-2, 1e-4):
             points.clear()
