@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,6 +182,8 @@ def run_sweep(config: SweepConfig) -> list[dict]:
     catalog = find_crossings(model)
     args = [(config.__dict__, model, catalog, eps, h, i) for i, (eps, h) in enumerate(rows)]
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             out = list(pool.map(_compute_row, args))
     else:

@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import (
     AnchorInsideCrossings,
     BracketingFailed,
+    CrossingLabError,
     TailIntegralVanishes,
     ZeroOrderUndetermined,
 )
@@ -24,6 +25,8 @@ from .families import PotentialModel
 
 ORDER_TOL = 1e-9       # |V^(l)| below ORDER_TOL * scale counts as vanishing
 MAX_ZERO_ORDER = 12
+TAIL_LEVEL = 1e-10     # tail envelope at the default anchors of the actions R
+SIDES = ("right", "left")
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,9 @@ class CrossingCatalog:
     crossings: tuple[Crossing, ...]   # ordered by decreasing t
     sigma: tuple[int, ...]            # sigma[k] = m_0 + ... + m_k
     gaps: tuple[float, ...]           # gaps[k] = integral of V from t_{k+1} to t_k
+    # (anchor, integral of V - V_side from the anchor outward) on the right and
+    # the left, at tail_anchor(side, TAIL_LEVEL); None without tails
+    tails: tuple[tuple[float, float], ...] | None = None
 
     @property
     def n(self) -> int:
@@ -86,6 +92,9 @@ class CrossingCatalog:
             "crossings": [{"t": c.t, "m": c.m, "v": c.v} for c in self.crossings],
             "sigma": list(self.sigma),
             "gaps": list(self.gaps),
+            "tails": None if self.tails is None else {
+                side: {"anchor": t, "integral": tail}
+                for side, (t, tail) in zip(SIDES, self.tails)},
             "m_star": self.m_star if self.crossings else None,
             "lambda_star": list(self.lambda_star) if self.crossings else [],
         }
@@ -138,8 +147,8 @@ def find_crossings(model: PotentialModel,
     Builtin families expose their zero candidates exactly; a sign-change scan
     over the search interval guards against omissions (it can only add
     odd-order zeros, the even-order ones do not change sign).  The integrals
-    of V between consecutive zeros depend on neither h nor eps and are
-    computed here, once.
+    of V between consecutive zeros and the tail integrals at the default
+    anchors depend on neither h nor eps and are computed here, once.
     """
     if search_interval is None:
         search_interval = model.suggest_interval()
@@ -175,9 +184,25 @@ def find_crossings(model: PotentialModel,
 
     sigma = tuple(int(s) for s in np.cumsum([c.m for c in crossings]))
     gaps = tuple(phase_integral(model, lo_t, hi_t) for hi_t, lo_t in zip(zeros, zeros[1:]))
-    catalog = CrossingCatalog(tuple(crossings), sigma, gaps)
+    catalog = CrossingCatalog(tuple(crossings), sigma, gaps, _default_tails(model))
     _check_sign_pattern(model, catalog, lo, hi)
     return catalog
+
+
+def _default_tails(model: PotentialModel):
+    """(anchor, tail integral) on both sides at the default anchors, or None.
+
+    None also when an anchor or an integral fails, or the model lacks them:
+    the actions then take the explicit path, which raises the same error
+    where R is needed.
+    """
+    if not model.has_tails:
+        return None
+    try:
+        anchors = [model.tail_anchor(side, TAIL_LEVEL) for side in SIDES]
+        return tuple((t, model.tail_integral(side, t)) for side, t in zip(SIDES, anchors))
+    except (CrossingLabError, NotImplementedError):
+        return None
 
 
 def _check_sign_pattern(model, catalog, lo, hi):
@@ -237,14 +262,36 @@ def regularized_action(model: PotentialModel, side: str, t_anchor: float,
     """
     if catalog is None:
         catalog = find_crossings(model)
-    if side not in ("right", "left"):
+    if side not in SIDES:
         raise ValueError("side must be 'right' or 'left'")
+    return _action(model, side, t_anchor, None, catalog, vanish_tol)
+
+
+def regularized_actions(model: PotentialModel, catalog: CrossingCatalog,
+                        anchors: tuple[float, float] | None = None) -> tuple[float, float]:
+    """R on the right and the left.
+
+    Without anchors they sit at tail_anchor(side, TAIL_LEVEL) and R comes
+    from the catalog's tail integrals, with no new search or quadrature.
+    """
+    if anchors is None and catalog.tails is not None:
+        return tuple(_action(model, side, t, tail, catalog)
+                     for side, (t, tail) in zip(SIDES, catalog.tails))
+    if anchors is None:
+        anchors = tuple(model.tail_anchor(side, TAIL_LEVEL) for side in SIDES)
+    return tuple(regularized_action(model, side, t, catalog=catalog)
+                 for side, t in zip(SIDES, anchors))
+
+
+def _action(model, side, t_anchor, tail, catalog, vanish_tol=1e-13):
+    """R at t_anchor from its tail integral, computed here when ``tail`` is None."""
     if catalog.crossings:
         if side == "right" and t_anchor <= catalog.positions[0]:
             raise AnchorInsideCrossings(f"anchor {t_anchor} not beyond t_1")
         if side == "left" and t_anchor >= catalog.positions[-1]:
             raise AnchorInsideCrossings(f"anchor {t_anchor} not beyond t_n")
-    tail = model.tail_integral(side, t_anchor)
+    if tail is None:
+        tail = model.tail_integral(side, t_anchor)
     if abs(tail) < vanish_tol:
         raise TailIntegralVanishes(
             f"tail integral {tail:.3e} at anchor {t_anchor}; move the anchor")

@@ -10,6 +10,11 @@ the adiabatic regime through the imaginary part of the action
 taken along the straight segment with the square root branch equal to +eps at
 t_k.  Im A scales like a * eps**((m+1)/m); the coefficient a is extracted by
 Richardson extrapolation over two eps values.
+
+The roots depend on eps, so unlike the catalog's gaps and tail actions they
+are found on every call: the branches j = 1 and m at eps and at eps/2 in one
+vectorized damped Newton solve, and their actions from one evaluation of V on
+the stacked quadrature segments.
 """
 
 from __future__ import annotations
@@ -49,34 +54,6 @@ class TurningPointSet:
         return min(self.first.decay_coeff, self.last.decay_coeff)
 
 
-def _newton_root(model: PotentialModel, seed: complex, eps: float) -> complex:
-    z = complex(seed)
-    tol = NEWTON_TOL * max(eps * eps, 1e-300)
-    f = complex(model.eval(np.asarray(z))) ** 2 + eps * eps
-    for _ in range(NEWTON_MAX_ITER):
-        if abs(f) <= tol:
-            return z
-        v = complex(model.eval(np.asarray(z)))
-        dv = complex(model.deriv(np.asarray(z)))
-        df = 2.0 * v * dv
-        if df == 0:
-            raise NewtonDiverged(f"stationary Newton step at z={z}")
-        step = f / df
-        # damped update: halve the step while the residual grows
-        for _ in range(50):
-            z_new = z - step
-            f_new = complex(model.eval(np.asarray(z_new))) ** 2 + eps * eps
-            if abs(f_new) < abs(f) or abs(f_new) <= tol:
-                break
-            step *= 0.5
-        else:
-            raise NewtonDiverged(f"residual stalled at |F|={abs(f):.3e}")
-        z, f = z_new, f_new
-    if abs(f) <= tol * 10:
-        return z
-    raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations, |F|={abs(f):.3e}")
-
-
 def _seed(t_k: float, m: int, v: float, eps: float, j: int) -> complex:
     # V^2 + eps^2 depends on |v| only; seeding with |v| targets the pair of
     # roots nearest the real axis for either sign of the leading coefficient.
@@ -84,48 +61,80 @@ def _seed(t_k: float, m: int, v: float, eps: float, j: int) -> complex:
     return t_k + radius * np.exp(1j * math.pi * (2 * j - 1) / (2 * m))
 
 
-def _action_segment(model: PotentialModel, t_k: float, zeta: complex,
-                    eps: float, n_nodes: int = 48) -> complex:
-    """2 * integral along the straight segment, branch +eps at t_k.
+def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Damped Newton on V^2 + eps^2 from every seed at once.
+
+    Each root stops once |F| <= NEWTON_TOL eps^2; until then it takes the
+    Newton step, halved while its residual grows.  V at the accepted point
+    serves the next step.
+    """
+    z = seeds.copy()
+    e2 = eps * eps
+    tol = NEWTON_TOL * np.maximum(e2, 1e-300)
+    v = model.eval(z)
+    f = v * v + e2
+    for _ in range(NEWTON_MAX_ITER):
+        idx = np.flatnonzero(~(np.abs(f) <= tol))    # a NaN residual is not converged
+        if not idx.size:
+            return z
+        df = 2.0 * v[idx] * model.deriv(z[idx])
+        if np.any(df == 0):
+            raise NewtonDiverged(f"stationary Newton step at z={z[idx][df == 0][0]}")
+        step = f[idx] / df
+        for _ in range(50):
+            z_new = z[idx] - step
+            v_new = model.eval(z_new)
+            f_new = v_new * v_new + e2[idx]
+            ok = (np.abs(f_new) < np.abs(f[idx])) | (np.abs(f_new) <= tol[idx])
+            z[idx[ok]], v[idx[ok]], f[idx[ok]] = z_new[ok], v_new[ok], f_new[ok]
+            idx, step = idx[~ok], 0.5 * step[~ok]
+            if not idx.size:
+                break
+        else:
+            raise NewtonDiverged(f"residual stalled at |F|={np.abs(f[idx]).max():.3e}")
+    if np.any(~(np.abs(f) <= 10.0 * tol)):
+        raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations, "
+                             f"|F|={np.abs(f).max():.3e}")
+    return z
+
+
+def _actions(model: PotentialModel, t_k: float, zeta: np.ndarray, eps: np.ndarray,
+             n_nodes: int = 48):
+    """2 * integral along each straight segment, branch +eps at t_k.
 
     The substitution s = 1 - u^2 removes the square-root endpoint singularity
-    at the turning point; the branch is propagated by continuity from t_k.
+    at the turning point.  Walking from t_k, each node takes the square root
+    nearer to the value at the node before, starting from +eps.
     """
     x, w = gauss_legendre(n_nodes)
     u = 0.5 * (x + 1.0)          # nodes on (0,1)
     wu = 0.5 * w
-    s = 1.0 - u * u              # path parameter, ascending near 1 first
-    order = np.argsort(s)
-    s_sorted = s[order]
-    z = t_k + s_sorted * (zeta - t_k)
-    f_vals = model.eval(z) ** 2 + eps * eps
-    g = np.sqrt(f_vals.astype(complex))
-    # fix branch by continuity starting from +eps at s=0
-    prev = eps
-    for i in range(len(g)):
-        if abs(g[i] - prev) > abs(g[i] + prev):
-            g[i] = -g[i]
-        if abs(g[i]) < 1e-13 * eps:
-            raise BranchAmbiguity("integrand vanishes inside the action path")
-        prev = g[i]
-    # undo ordering, integrate in u
-    g_unsorted = np.empty_like(g)
-    g_unsorted[order] = g
-    integral = np.sum(wu * g_unsorted * 2.0 * u) * (zeta - t_k)
+    s = 1.0 - u[::-1] ** 2       # path parameter in walking order, from 0 to 1
+    z = t_k + s * (zeta - t_k)[:, None]
+    g = np.sqrt(model.eval(z) ** 2 + (eps * eps)[:, None])
+    prev = np.concatenate([eps[:, None], g[:, :-1]], axis=1)
+    flips = np.cumsum(np.abs(g - prev) > np.abs(g + prev), axis=1) % 2 == 1
+    g = np.where(flips, -g, g)
+    if np.any(np.abs(g) < 1e-13 * eps[:, None]):
+        raise BranchAmbiguity("integrand vanishes inside the action path")
+    # integrate in u, nodes back in ascending order
+    integral = np.sum(wu * g[:, ::-1] * 2.0 * u, axis=1) * (zeta - t_k)
     return 2.0 * integral
 
 
-def _root_and_action(model, t_k, m, v, eps, j):
-    zeta = _newton_root(model, _seed(t_k, m, v, eps, j), eps)
-    if zeta.imag < 0:
-        zeta = zeta.conjugate()
-    if abs(zeta - t_k) > 10.0 * abs(_seed(t_k, m, v, eps, j) - t_k) + 1e-12:
+def _roots_and_actions(model, t_k, seeds, eps):
+    """Turning points and their actions for all seeds in one batch."""
+    zeta = _newton_roots(model, seeds, eps)
+    zeta = np.where(zeta.imag < 0, zeta.conjugate(), zeta)
+    far = np.abs(zeta - t_k) > 10.0 * np.abs(seeds - t_k) + 1e-12
+    if far.any():
         raise TurningPointFailure(
-            f"Newton converged far from the crossing: zeta={zeta}, t_k={t_k}")
-    action = _action_segment(model, t_k, zeta, eps)
-    if action.imag <= 0:
-        raise TurningPointFailure(f"Im A = {action.imag:.3e} <= 0 at eps={eps}")
-    return zeta, action
+            f"Newton converged far from the crossing: zeta={zeta[far][0]}, t_k={t_k}")
+    actions = _actions(model, t_k, zeta, eps)
+    if np.any(actions.imag <= 0):
+        i = np.argmax(actions.imag <= 0)
+        raise TurningPointFailure(f"Im A = {actions[i].imag:.3e} <= 0 at eps={eps[i]}")
+    return zeta, actions
 
 
 def turning_points(model: PotentialModel, catalog: CrossingCatalog, k: int,
@@ -141,17 +150,20 @@ def turning_points(model: PotentialModel, catalog: CrossingCatalog, k: int,
     exponent = (m + 1.0) / m
     js = (1, m) if m > 1 else (1,)
 
+    # branch j at eps and at eps/2, for each j in turn
+    eps_all = np.array([eps, eps / 2.0] * len(js))
+    seeds = np.array([_seed(t_k, m, v, e, j) for j in js for e in (eps, eps / 2.0)])
+    zetas, actions = _roots_and_actions(model, t_k, seeds, eps_all)
     points = []
     im_ratio = []
-    for j in js:
-        zeta, action = _root_and_action(model, t_k, m, v, eps, j)
-        _, action_half = _root_and_action(model, t_k, m, v, eps / 2.0, j)
+    for i in range(0, len(seeds), 2):
+        action, action_half = complex(actions[i]), complex(actions[i + 1])
         a_eps = action.imag / eps ** exponent
         a_half = action_half.imag / (eps / 2.0) ** exponent
         q = 2.0 ** (-1.0 / m)
         a_extrap = (a_half - q * a_eps) / (1.0 - q)
         fitted = math.log(action.imag / action_half.imag) / math.log(2.0)
-        points.append((TurningPoint(zeta, action, a_extrap), fitted))
+        points.append((TurningPoint(complex(zetas[i]), action, a_extrap), fitted))
         im_ratio.append(fitted)
 
     first = points[0][0]

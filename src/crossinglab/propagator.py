@@ -137,10 +137,17 @@ def _cf4_mesh(density, t0: float, t1: float, h: float, tol: float,
     return mesh
 
 
+def check_parameters(eps: float, h: float, tol: float) -> None:
+    """ValueError unless 0 < h < inf, 0 <= eps < inf and 0 < tol < inf."""
+    if not (0 < h < math.inf and 0 <= eps < math.inf and 0 < tol < math.inf):
+        raise ValueError("need h > 0, eps >= 0, tol > 0, all finite")
+
+
 def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
                        tol: float = 1e-10, method: str = "cf4",
                        diagnostics: PropagationDiagnostics | None = None) -> np.ndarray:
     """Unitary 2x2 matrix M with psi(t1) = M @ psi(t0)."""
+    check_parameters(eps, h, tol)
     if t0 == t1:
         return np.eye(2, dtype=complex)
     if t1 < t0:
@@ -219,8 +226,6 @@ def propagate(model, eps: float, h: float, t0: float, t1: float, psi0,
               tol: float = 1e-10, method: str = "cf4",
               diagnostics: PropagationDiagnostics | None = None) -> np.ndarray:
     """Propagate a state vector from t0 to t1 with local error control."""
-    if not (0 < h < math.inf and 0 <= eps < math.inf and 0 < tol < math.inf):
-        raise ValueError("need h > 0, eps >= 0, tol > 0")
     psi0 = np.asarray(psi0, dtype=complex)
     mat = fundamental_matrix(model, eps, h, t0, t1, tol=tol, method=method,
                              diagnostics=diagnostics)

@@ -47,7 +47,7 @@ from .adiabatic import WindowPlan, plan_windows
 from .errors import ConfigError, TailNotConverged
 from .potential.catalog import CrossingCatalog, find_crossings, regularized_action
 from .potential.families import _MAX_JET_ORDER
-from .propagator import PropagationDiagnostics, fundamental_matrix
+from .propagator import PropagationDiagnostics, check_parameters, fundamental_matrix
 from .quadrature import integrate_panels
 from .su2 import dense, su2_mul
 
@@ -121,6 +121,12 @@ def free_basis(angles: JostAngles, h: float, t: float) -> np.ndarray:
 _ROUNDOFF_FLOOR = 4.0
 
 
+def _rounding_floor(v_inf: float, omega: float) -> float:
+    """Least tail bound: V - V_inf is only known to about eps |V_inf|, so
+    neither is the tail."""
+    return _ROUNDOFF_FLOOR * np.finfo(float).eps * abs(v_inf) / abs(omega)
+
+
 @dataclass(frozen=True)
 class TailIntegral:
     """An oscillatory tail integral, the route that gave it and its error bound."""
@@ -139,8 +145,7 @@ def _series_tail(model, v_inf: float, t_eval: float, omega: float,
     jet = np.real(model.taylor(t_eval, _MAX_JET_ORDER)).tolist()
     jet[0] -= v_inf
     rate = model.tail_rate
-    # V - V_inf is only known to about eps |V_inf|, so neither is the tail
-    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * abs(v_inf) / omega
+    floor = _rounding_floor(v_inf, omega)
     total, last = 0j, math.inf
     for k, c in enumerate(jet):
         deriv = math.factorial(k) * c   # f^(k)(t_eval)
@@ -161,8 +166,9 @@ def _panel_tail(model, side: str, v_inf: float, t_eval: float, omega: float,
     """The tail by composite Gauss-Legendre panels.
 
     Truncated where one integration by parts bounds the remainder by
-    2 * envelope / |omega| below tol.  Raises QuadratureTolExceeded when the
-    rule's orders 16 and 8 disagree.
+    2 * envelope / |omega| below tol; the reported bound has the series'
+    rounding floor.  Raises QuadratureTolExceeded when the rule's orders 16
+    and 8 disagree.
     """
     level = max(tol * abs(omega) / 4.0, 1e-300)
     try:
@@ -183,7 +189,7 @@ def _panel_tail(model, side: str, v_inf: float, t_eval: float, omega: float,
     if t_far > t_eval:
         value = -value
     bound = 2.0 * model.tail_envelope(side, t_far) / abs(omega)
-    return TailIntegral(value, "panels", bound)
+    return TailIntegral(value, "panels", max(bound, _rounding_floor(v_inf, omega)))
 
 
 def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
@@ -231,8 +237,7 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
                       truncation: float | None = None, method: str = "cf4",
                       catalog: CrossingCatalog | None = None) -> ScatteringReport:
     """Full scattering matrix S and transition probability P = |S_21|^2."""
-    if not (0 < h < math.inf and 0 <= eps < math.inf and 0 < tol < math.inf):
-        raise ValueError("need h > 0, eps >= 0, tol > 0")
+    check_parameters(eps, h, tol)
     if not model.has_tails:
         raise ValueError("scattering needs a potential with constant tails")
     if catalog is None:

@@ -292,9 +292,10 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     the dressed factors (with i*Q insertions and the left-connector structure
     matrix), and the pure SU(2) chain with flip-conjugated factors and
     sign-masked between phases.      Their (2,1) probabilities must agree to
-    roundoff; both are reported.
+    roundoff; both are reported.  Without ``anchors`` the connector actions
+    come from the catalog's tail integrals at the default anchors.
     """
-    from .potential.catalog import find_crossings, regularized_action
+    from .potential.catalog import find_crossings, regularized_actions
 
     if catalog is None:
         catalog = find_crossings(model)
@@ -302,13 +303,7 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     if len(split.assignment) != n:
         raise ValueError("regime split length mismatch")
 
-    if anchors is None:
-        t_r = model.tail_anchor("right", 1e-10)
-        t_l = model.tail_anchor("left", 1e-10)
-    else:
-        t_r, t_l = anchors
-    r_right = regularized_action(model, "right", t_r, catalog=catalog)
-    r_left = regularized_action(model, "left", t_l, catalog=catalog)
+    r_right, r_left = regularized_actions(model, catalog, anchors)
 
     # factors
     crossing_factors = []

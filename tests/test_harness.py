@@ -389,6 +389,16 @@ def test_library_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_sweep_import_loads_no_process_pool():
+    """The process pool is imported by run_sweep, and only when jobs > 1."""
+    code = ("import sys, crossinglab.harness.sweep; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing') "
+            "or m == 'concurrent.futures.process'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "[]"
+
+
 def test_oscillatory_paths_load_no_scipy():
     """The stationary-phase quadrature and the Jost panel tail run on numpy alone."""
     code = ("import sys\n"

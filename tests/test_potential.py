@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from crossinglab.potential import (
     phase_integral,
     regularized_action,
 )
-from crossinglab.potential.catalog import area_adjacent
+from crossinglab.potential.catalog import TAIL_LEVEL, area_adjacent, regularized_actions
 from crossinglab.potential.families import _dilog_neg_exp
 
 
@@ -299,6 +300,57 @@ class TestRegularizedAction:
         cat = find_crossings(lz_windowed, (-9, 9))
         with pytest.raises(TailIntegralVanishes):
             regularized_action(lz_windowed, "right", 30.0, catalog=cat)
+
+
+class TestCatalogTails:
+    @pytest.mark.parametrize("model", [
+        ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
+                                {"power": 3, "slope": 1.0, "center": -2.0}]),
+        ScaledTanhProduct(1.0, [{"power": 1, "slope": 6.0, "center": 2.0},
+                                {"power": 3, "slope": 1.0, "center": -2.0}]),
+        LinearLZ(1.0, window=8.0),
+        PolynomialWindowed([0, 0, 0, 1.0], window=3.0, sharpness=8.0),
+    ])
+    def test_default_anchors_bitwise(self, model):
+        """The catalog's tails give R bit for bit as regularized_action does."""
+        cat = find_crossings(model)
+        anchors = tuple(model.tail_anchor(side, TAIL_LEVEL) for side in ("right", "left"))
+        assert cat.tails == tuple((t, model.tail_integral(side, t))
+                                  for side, t in zip(("right", "left"), anchors))
+        assert regularized_actions(model, cat) == tuple(
+            regularized_action(model, side, t, catalog=cat)
+            for side, t in zip(("right", "left"), anchors))
+        assert regularized_actions(model, cat, anchors) == regularized_actions(model, cat)
+        doc = cat.to_dict()["tails"]
+        assert doc["right"] == {"anchor": anchors[0], "integral": cat.tails[0][1]}
+        assert doc["left"] == {"anchor": anchors[1], "integral": cat.tails[1][1]}
+
+    def test_no_tails_without_limits(self, lz_pure):
+        cat = find_crossings(lz_pure, (-1, 1))
+        assert cat.tails is None and cat.to_dict()["tails"] is None
+
+    def test_failed_anchor_is_no_catalog_failure(self, monkeypatch):
+        """find_crossings still succeeds; the actions raise where R is used."""
+        model = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}])
+
+        def no_anchor(side, level):
+            raise ConfigError("tail envelope never reached the requested level")
+
+        monkeypatch.setattr(model, "tail_anchor", no_anchor)
+        cat = find_crossings(model)
+        assert cat.tails is None
+        with pytest.raises(ConfigError):
+            regularized_actions(model, cat)
+
+    def test_checks_stay_with_the_actions(self, tanh_pair, tanh_pair_catalog):
+        """Catalog tails are checked when R is formed, as explicit anchors are."""
+        (t_r, tail_r), left = tanh_pair_catalog.tails
+        vanishing = dataclasses.replace(tanh_pair_catalog, tails=((t_r, 0.0), left))
+        with pytest.raises(TailIntegralVanishes):
+            regularized_actions(tanh_pair, vanishing)
+        inside = dataclasses.replace(tanh_pair_catalog, tails=((1.0, tail_r), left))
+        with pytest.raises(AnchorInsideCrossings):
+            regularized_actions(tanh_pair, inside)
 
 
 class TestEffectivePotential:

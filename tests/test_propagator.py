@@ -122,6 +122,17 @@ class TestBackends:
             with pytest.raises(ValueError, match="need h > 0"):
                 propagate(tanh_cubed, 0.1, 0.1, 0.0, 1.0, [1, 0], tol=bad)
 
+    @pytest.mark.parametrize("eps, h, tol", [
+        (0.1, math.inf, 1e-10), (0.1, math.nan, 1e-10), (0.1, -0.1, 1e-10),
+        (math.inf, 0.1, 1e-10), (math.nan, 0.1, 1e-10), (-0.1, 0.1, 1e-10),
+        (0.1, 0.1, math.inf), (0.1, 0.1, math.nan), (0.1, 0.1, -1e-10)])
+    @pytest.mark.parametrize("method", ["cf4", "dop853"])
+    def test_fundamental_matrix_bad_parameters(self, tanh_cubed, eps, h, tol, method):
+        """Checked before anything else, including an empty interval."""
+        for t1 in (1.0, -1.0):
+            with pytest.raises(ValueError, match="need h > 0"):
+                fundamental_matrix(tanh_cubed, eps, h, -1.0, t1, tol=tol, method=method)
+
     def test_step_underflow(self, tanh_cubed):
         """Far below the desk-scale floor the step budget must trip."""
         with pytest.raises(StepUnderflow):

@@ -241,6 +241,20 @@ class TestOscillatoryTail:
         oracle = _panel_tail(FLAT_EDGE, side, v_inf, t_eval, omega, 1e-15)
         assert tail.bound >= abs(tail.value - oracle.value)
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_panel_bound_has_the_rounding_floor(self, tanh_pair, side):
+        """At h = 1 the panel rule's rounding exceeds its truncation bound
+        (1.9e-17); a finer 24-node rule differs from it by 2.1e-17."""
+        v_inf, t_eval, omega = _tail_point(tanh_pair, side, 1.0)
+        tail = _panel_tail(tanh_pair, side, v_inf, t_eval, omega, 1e-12)
+        lo = t_eval if side == "right" else t_eval - 60.0
+        finer = integrate_panels(lambda s: (np.real(tanh_pair.eval(s)) - v_inf)
+                                 * np.exp(1j * omega * s),
+                                 np.linspace(lo, lo + 60.0, 1001), order=24)
+        finer = -finer if side == "right" else finer
+        assert abs(tail.value - finer) > 1e-17
+        assert abs(tail.value - finer) <= tail.bound <= 1e-15
+
     def test_fallback_at_small_omega(self, tanh_cubed):
         """At h = 1 omega equals the tail rate: the series diverges, panels answer."""
         v_inf, t_eval, omega = _tail_point(tanh_cubed, "right", 1.0)

@@ -298,6 +298,26 @@ class TestPredictedScattering:
                                   anchors=(11.0, -9.5)).p_pred
         assert p1 == pytest.approx(p2, abs=1e-13)
 
+    def test_default_anchors_reuse_the_catalog(self, tanh_pair, tanh_pair_catalog,
+                                               monkeypatch):
+        """No anchor search and no tail quadrature per call; same result as
+        passing the catalog's anchors explicitly."""
+        h = 0.05
+        eps = 0.04 * h**0.75
+        split = classify_regimes(tanh_pair_catalog.orders, eps, h)
+        anchors = tuple(t for t, _ in tanh_pair_catalog.tails)
+        explicit = predicted_scattering(tanh_pair, eps, h, split,
+                                        catalog=tanh_pair_catalog, anchors=anchors)
+
+        def no_call(*args):
+            raise AssertionError("tail recomputed")
+
+        monkeypatch.setattr(tanh_pair, "tail_anchor", no_call)
+        monkeypatch.setattr(tanh_pair, "tail_integral", no_call)
+        pred = predicted_scattering(tanh_pair, eps, h, split, catalog=tanh_pair_catalog)
+        assert pred.p_pred == explicit.p_pred
+        assert np.array_equal(pred.s_matrix, explicit.s_matrix)
+
     def test_chain_serialization(self, tanh_pair, tanh_pair_catalog):
         h = 0.05
         eps = 0.04 * h**0.75

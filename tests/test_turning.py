@@ -4,9 +4,60 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from crossinglab.errors import TurningPointFailure
-from crossinglab.potential import ScaledTanhProduct, find_crossings, turning_points
-from crossinglab.potential.turning import _seed
+from crossinglab.errors import NewtonDiverged, TurningPointFailure
+from crossinglab.harness.sweep import DEMO_POTENTIAL
+from crossinglab.potential import (
+    ScaledTanhProduct,
+    find_crossings,
+    model_from_config,
+    turning_points,
+)
+from crossinglab.potential.turning import _actions, _seed
+
+
+def _reference_action(model, t_k, zeta, eps):
+    """2 * integral of sqrt(V^2 + eps^2) from t_k to zeta, one node at a time.
+
+    48 Gauss-Legendre nodes in u with s = 1 - u^2; walking from t_k, each
+    node takes the square root nearer to the one before, starting from +eps.
+    """
+    x, w = np.polynomial.legendre.leggauss(48)
+    u = 0.5 * (x + 1.0)
+    g = np.sqrt(model.eval(t_k + (1.0 - u * u) * (zeta - t_k)) ** 2 + eps * eps)
+    prev = eps
+    for i in range(47, -1, -1):        # u = 1 is t_k, u = 0 is zeta
+        if abs(g[i] - prev) > abs(g[i] + prev):
+            g[i] = -g[i]
+        prev = g[i]
+    return 2.0 * np.sum(0.5 * w * g * 2.0 * u) * (zeta - t_k)
+
+
+def _reference_root(model, seed, eps):
+    """Scalar damped Newton on V^2 + eps^2, halving steps that raise |F|."""
+    z = complex(seed)
+    tol = 1e-12 * eps * eps
+
+    def residual(z):
+        return complex(model.eval(np.asarray(z))) ** 2 + eps * eps
+
+    f = residual(z)
+    for _ in range(60):
+        if abs(f) <= tol:
+            break
+        step = f / (2.0 * complex(model.eval(np.asarray(z)))
+                    * complex(model.deriv(np.asarray(z))))
+        for _ in range(50):
+            f_new = residual(z - step)
+            if abs(f_new) < abs(f) or abs(f_new) <= tol:
+                break
+            step *= 0.5
+        z, f = z - step, f_new
+    assert abs(f) <= 10.0 * tol
+    return z.conjugate() if z.imag < 0 else z
+
+
+DEMO = model_from_config(DEMO_POTENTIAL)
+DEMO_CATALOG = find_crossings(DEMO)
 
 
 class TestLinearExact:
@@ -93,3 +144,84 @@ class TestNegativeLeadingCoefficient:
 
         with pytest.raises((TurningPointFailure, NewtonDiverged, BranchAmbiguity)):
             turning_points(tanh_cubed, tanh_cubed_catalog, 0, 4.0)
+
+
+class TestBatchedSolve:
+    """All roots of a call in one batch, against a scalar reference."""
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.03, 0.01])
+    def test_demo_matches_scalar_reference(self, k, eps):
+        self._check(DEMO, DEMO_CATALOG, k, eps)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.1, 0.03, 0.01, 0.002])
+    def test_tanh_cubed_matches_scalar_reference(self, tanh_cubed, tanh_cubed_catalog, eps):
+        self._check(tanh_cubed, tanh_cubed_catalog, 0, eps)
+
+    @staticmethod
+    def _check(model, catalog, k, eps):
+        tp = turning_points(model, catalog, k, eps)
+        c = catalog.crossings[k]
+        exponent = (c.m + 1.0) / c.m
+        q = 2.0 ** (-1.0 / c.m)
+        for point, j in ((tp.first, 1), (tp.last, c.m)):
+            ims = []
+            for e in (eps, eps / 2.0):
+                zeta = _reference_root(model, _seed(c.t, c.m, c.v, e, j), e)
+                action = _reference_action(model, c.t, zeta, e)
+                ims.append(action.imag / e ** exponent)
+                if e == eps:
+                    assert abs(point.zeta - zeta) <= 1e-13 * abs(zeta)
+                    assert abs(point.action - action) <= 1e-13 * abs(action)
+            assert point.decay_coeff == pytest.approx((ims[1] - q * ims[0]) / (1.0 - q),
+                                                      rel=1e-13)
+
+    @pytest.mark.parametrize("k, scalar_calls", [(0, (16, 6)), (1, (44, 18))])
+    def test_fewer_model_calls(self, k, scalar_calls, monkeypatch):
+        """V is reused from the residual and the actions share one evaluation;
+        one root at a time took 16 + 6 (m = 1) and 44 + 18 (m = 3) calls."""
+        model = model_from_config(DEMO_POTENTIAL)
+        calls = {"eval": 0, "deriv": 0}
+        for name in calls:
+            real = getattr(model, name)
+
+            def counted(t, name=name, real=real):
+                calls[name] += 1
+                return real(t)
+
+            monkeypatch.setattr(model, name, counted)
+        turning_points(model, DEMO_CATALOG, k, 0.1)
+        assert 0 < calls["eval"] < scalar_calls[0]
+        assert 0 < calls["deriv"] < scalar_calls[1]
+
+    def test_branch_followed_across_the_cut(self):
+        """On [0, 1.2] V^2 + 1 with V = 3 t e^(i pi t / 2) crosses the negative
+        real axis at t = 1, where the principal square root jumps."""
+
+        class Twisting:
+            def eval(self, t):
+                return 3.0 * t * np.exp(0.5j * np.pi * t)
+
+        zeta = 1.2
+        action = _actions(Twisting(), 0.0, np.array([zeta + 0j]), np.array([1.0]))
+        s = np.linspace(0.0, 1.0, 200_001)
+        f = Twisting().eval(s * zeta) ** 2 + 1.0
+        continuous = np.sqrt(np.abs(f)) * np.exp(0.5j * np.unwrap(np.angle(f)))
+        expected = 2.0 * zeta * np.trapezoid(continuous, s)
+        principal = 2.0 * zeta * np.trapezoid(np.sqrt(f), s)
+        assert abs(principal - expected) > 0.1 * abs(expected)
+        assert abs(action[0] - expected) < 1e-8 * abs(expected)
+        assert action[0] == pytest.approx(_reference_action(Twisting(), 0.0, zeta, 1.0),
+                                          rel=1e-13)
+
+    def test_stationary_step_raises(self, monkeypatch):
+        model = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}])
+        monkeypatch.setattr(model, "deriv", lambda t: np.zeros_like(t))
+        with pytest.raises(NewtonDiverged, match="stationary Newton step"):
+            turning_points(model, find_crossings(model), 0, 0.1)
+
+    @pytest.mark.parametrize("eps, message", [(4.0, "scaling exponent"),
+                                              (8.0, "converged far from the crossing")])
+    def test_large_eps_raises(self, tanh_cubed, tanh_cubed_catalog, eps, message):
+        with pytest.raises(TurningPointFailure, match=message):
+            turning_points(tanh_cubed, tanh_cubed_catalog, 0, eps)
