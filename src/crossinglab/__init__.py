@@ -12,7 +12,7 @@ with V from a family of analytic coupling functions with constant tails.
 __version__ = "0.1.0"
 
 from . import errors
-from .params import RegimeParams, RegimeSplit, classify_regimes, mu, mu_tilde_1
+from .params import RegimeSplit, classify_regimes, mu, mu_tilde_1
 
-__all__ = ["errors", "RegimeParams", "RegimeSplit", "classify_regimes",
-           "mu", "mu_tilde_1", "__version__"]
+__all__ = ["errors", "RegimeSplit", "classify_regimes", "mu", "mu_tilde_1",
+           "__version__"]

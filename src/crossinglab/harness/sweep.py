@@ -21,8 +21,9 @@ from ..errors import (
     InsufficientData,
     NoMinimaFound,
     PathCrossesForbiddenBand,
+    RegimeViolation,
 )
-from ..params import MU_ADIABATIC_MIN, MU_NONADIABATIC_MAX, RegimeSplit, classify_regimes, mu
+from ..params import RegimeSplit, classify_regimes, mu
 from ..potential import find_crossings, model_from_config
 from ..potential.catalog import effective_potential
 from ..predictor import interference_zeros, predict_mixed, predict_nonadiabatic
@@ -344,7 +345,11 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
     for alpha, h in stations:
         eps = h ** alpha
         mus = [mu(m, eps, h) for m in orders]
-        strict_ok = all(v <= MU_NONADIABATIC_MAX or v >= MU_ADIABATIC_MIN for v in mus)
+        try:
+            classify_regimes(orders, eps, h)
+            strict_ok = True
+        except RegimeViolation:
+            strict_ok = False
         demo_ok = all(v <= lo or v >= hi for v in mus)
         assignment = ["N" if v < 1.0 else "A" for v in mus]
         split = RegimeSplit.build(list(orders), assignment)

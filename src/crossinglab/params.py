@@ -1,10 +1,22 @@
-"""Two-parameter regime bookkeeping.
+"""Two-parameter regime bookkeeping and the one regime rule.
 
 The behaviour at a crossing of order m is governed by mu_m = eps * h**(-m/(m+1)):
 small mu_m means the crossing is traversed diabatically (non-adiabatic regime),
 large mu_m means the transition is exponentially suppressed (adiabatic regime).
-The band in between is untreated and must be refused or flagged, never
-interpolated.
+
+The regime rule classes each crossing on its own:
+
+* "N" (non-adiabatic) when its threshold value is at most
+  MU_NONADIABATIC_MAX = 0.1.  The threshold value is the log-corrected
+  mu~_1 = sqrt(log(1/h)) * eps / sqrt(h) for order 1 and mu_m otherwise;
+* "A" (adiabatic) when plain mu_m is at least MU_ADIABATIC_MIN = 10;
+* otherwise the crossing sits in the untreated band, which is refused
+  (RegimeViolation), never interpolated.
+
+For order 1 the two sides are not symmetric: the non-adiabatic side gates on
+mu~_1, the adiabatic side on plain mu_1.  ``classify_regimes`` applies the rule
+and is the only place that reads the thresholds; the closed forms check a
+split against it once, on entry.
 """
 
 from __future__ import annotations
@@ -14,9 +26,6 @@ from dataclasses import dataclass, field
 
 from .errors import RegimeViolation
 
-# Regime thresholds for the asymptotic formulas.  Values of mu_m in the open
-# band (MU_NONADIABATIC_MAX, MU_ADIABATIC_MIN) are out of reach of either
-# expansion.
 MU_NONADIABATIC_MAX = 0.1
 MU_ADIABATIC_MIN = 10.0
 
@@ -29,38 +38,6 @@ def mu(m: int, eps: float, h: float) -> float:
 def mu_tilde_1(eps: float, h: float) -> float:
     """Log-corrected smallness parameter for transversal (order-1) crossings."""
     return math.sqrt(math.log(1.0 / h)) * eps * h ** (-0.5)
-
-
-@dataclass(frozen=True)
-class RegimeParams:
-    """A point (eps, h) of parameter space plus derived regime data."""
-
-    eps: float
-    h: float
-
-    def mu(self, m: int) -> float:
-        return mu(m, self.eps, self.h)
-
-    def mu_threshold_value(self, m: int) -> float:
-        """Value compared against regime thresholds for a crossing of order m.
-
-        Order-1 crossings use the log-corrected parameter; tangential ones use
-        plain mu_m.
-        """
-        if m == 1:
-            return mu_tilde_1(self.eps, self.h)
-        return self.mu(m)
-
-    def classify_order(self, m: int,
-                       lo: float = MU_NONADIABATIC_MAX,
-                       hi: float = MU_ADIABATIC_MIN) -> str:
-        """Classify a crossing order as "N", "A", or "forbidden"."""
-        value = self.mu_threshold_value(m)
-        if value <= lo:
-            return "N"
-        if value >= hi:
-            return "A"
-        return "forbidden"
 
 
 @dataclass(frozen=True)
@@ -77,8 +54,6 @@ class RegimeSplit:
     orders: tuple[int, ...]
     m_flat: int | None = field(default=None)
     m_sharp: int | None = field(default=None)
-    lambda_flat: tuple[int, ...] = field(default=())
-    lambda_sharp: tuple[int, ...] = field(default=())
     sharp_odd: tuple[int, ...] = field(default=())
 
     @staticmethod
@@ -92,11 +67,8 @@ class RegimeSplit:
         sharp = [k for k, a in enumerate(assignment) if a == "A"]
         m_flat = max((orders[k] for k in flat), default=None)
         m_sharp = min((orders[k] for k in sharp), default=None)
-        lambda_flat = tuple(k for k in flat if orders[k] == m_flat)
-        lambda_sharp = tuple(k for k in sharp if orders[k] == m_sharp)
         sharp_odd = tuple(k for k in sharp if orders[k] % 2 == 1)
-        return RegimeSplit(assignment, orders, m_flat, m_sharp,
-                           lambda_flat, lambda_sharp, sharp_odd)
+        return RegimeSplit(assignment, orders, m_flat, m_sharp, sharp_odd)
 
     @property
     def n_sharp_odd(self) -> int:
@@ -104,25 +76,31 @@ class RegimeSplit:
         return len(self.sharp_odd)
 
 
-def classify_regimes(orders, eps: float, h: float,
-                     lo: float = MU_NONADIABATIC_MAX,
-                     hi: float = MU_ADIABATIC_MIN,
-                     force: list[str] | None = None) -> RegimeSplit:
-    """Build a RegimeSplit for the given crossing orders at (eps, h).
+def classify_regimes(orders, eps: float, h: float) -> RegimeSplit:
+    """The regime rule's split of the given crossing orders at (eps, h).
 
-    Raises RegimeViolation when any crossing sits in the untreated band,
-    unless ``force`` supplies an explicit assignment (used by demo paths that
-    document their own desk-scale thresholds).
+    Raises RegimeViolation when any crossing sits in the untreated band.
     """
-    if force is not None:
-        return RegimeSplit.build(list(orders), force)
-    params = RegimeParams(eps, h)
     assignment = []
     for k, m in enumerate(orders):
-        cls = params.classify_order(m, lo=lo, hi=hi)
-        if cls == "forbidden":
+        mu_m = mu(m, eps, h)
+        threshold = mu_tilde_1(eps, h) if m == 1 else mu_m
+        if threshold <= MU_NONADIABATIC_MAX:
+            assignment.append("N")
+        elif mu_m >= MU_ADIABATIC_MIN:
+            assignment.append("A")
+        else:
+            value = f"mu={mu_m:.4g}" + (f" (log-corrected {threshold:.4g})" if m == 1 else "")
             raise RegimeViolation(
-                f"crossing {k} of order {m}: mu={params.mu_threshold_value(m):.4g} "
-                f"lies in the untreated band ({lo}, {hi})")
-        assignment.append(cls)
+                f"crossing {k} of order {m}: {value} lies in the untreated band "
+                f"(above {MU_NONADIABATIC_MAX}, below {MU_ADIABATIC_MIN})")
     return RegimeSplit.build(list(orders), assignment)
+
+
+def check_split(split: RegimeSplit, orders, eps: float, h: float) -> None:
+    """Raise RegimeViolation unless ``split`` is the regime rule's split at (eps, h)."""
+    expected = classify_regimes(orders, eps, h).assignment
+    if split.assignment != expected:
+        raise RegimeViolation(
+            f"split {split.assignment} disagrees with the regime rule's {expected} "
+            f"at eps={eps:.4g}, h={h:.4g}")

@@ -31,6 +31,8 @@ from .families import PotentialModel
 
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-12
+EPS_MACHINE = float(np.finfo(float).eps)
+ROUNDING_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,15 @@ def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> 
 
     Each root stops once |F| <= NEWTON_TOL eps^2; until then it takes the
     Newton step, halved while its residual grows.  V at the accepted point
-    serves the next step.
+    serves the next step.  Away from the origin that tolerance can lie below
+    the rounding level of F: moving z by one rounding unit changes F by about
+    |F'(z) z| eps_machine.  A root whose step stalls with |F| at most
+    ROUNDING_ULPS times that level is accepted where it stands.
     """
     z = seeds.copy()
     e2 = eps * eps
     tol = NEWTON_TOL * np.maximum(e2, 1e-300)
+    floor = np.zeros_like(tol)          # rounding level of F at the last step
     v = model.eval(z)
     f = v * v + e2
     for _ in range(NEWTON_MAX_ITER):
@@ -80,6 +86,7 @@ def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> 
         df = 2.0 * v[idx] * model.deriv(z[idx])
         if np.any(df == 0):
             raise NewtonDiverged(f"stationary Newton step at z={z[idx][df == 0][0]}")
+        floor[idx] = ROUNDING_ULPS * EPS_MACHINE * np.abs(df * z[idx])
         step = f[idx] / df
         for _ in range(50):
             z_new = z[idx] - step
@@ -91,8 +98,12 @@ def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> 
             if not idx.size:
                 break
         else:
-            raise NewtonDiverged(f"residual stalled at |F|={np.abs(f[idx]).max():.3e}")
-    if np.any(~(np.abs(f) <= 10.0 * tol)):
+            noise = np.abs(f[idx]) <= floor[idx]
+            if not noise.all():
+                raise NewtonDiverged(
+                    f"residual stalled at |F|={np.abs(f[idx[~noise]]).max():.3e}")
+            tol[idx] = floor[idx]
+    if np.any(~(np.abs(f) <= np.maximum(10.0 * tol, floor))):
         raise NewtonDiverged(f"no convergence after {NEWTON_MAX_ITER} iterations, "
                              f"|F|={np.abs(f).max():.3e}")
     return z

@@ -22,14 +22,13 @@ import numpy as np
 
 from .errors import MStarTooSmall, RegimeViolation
 from .oscillatory import omega_m
-from .params import MU_NONADIABATIC_MAX, RegimeSplit, mu
+from .params import RegimeSplit, check_split, classify_regimes, mu
 from .potential.catalog import CrossingCatalog, effective_potential
 from .transfer import (
     _tilde_flags,
     chain_pair_term,
     chain_prob_leading,
     crossing_transfer_adiabatic,
-    crossing_transfer_nonadiabatic,
 )
 
 
@@ -98,18 +97,22 @@ class NonadiabaticPrediction:
 
 
 def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
-                         allow_order_one: bool = False,
-                         enforce_regime: bool = True) -> NonadiabaticPrediction:
-    """Leading asymptotics of P when every crossing is crossed diabatically."""
+                         allow_order_one: bool = False) -> NonadiabaticPrediction:
+    """Leading asymptotics of P when every crossing is crossed diabatically.
+
+    Raises RegimeViolation unless the regime rule classes every crossing "N".
+    """
     m_star = catalog.m_star
     if m_star < 2 and not allow_order_one:
         raise MStarTooSmall(
             "leading coefficient requires a tangential crossing; transversal-only "
             "catalogs need the log-corrected treatment (enable allow_order_one "
             "for diagnostics)")
+    assignment = classify_regimes(catalog.orders, eps, h).assignment
+    if "A" in assignment:
+        raise RegimeViolation(f"crossings {assignment} at eps={eps:.4g}, h={h:.4g}: "
+                              "not every crossing is diabatic")
     mu_star = mu(m_star, eps, h)
-    if enforce_regime and mu_star > MU_NONADIABATIC_MAX:
-        raise RegimeViolation(f"mu_star={mu_star:.3g} outside the diabatic regime")
     gamma_val = gamma_factor(m_star)
     delta_val = interference_factor(catalog, h)
     c_star = gamma_val * delta_val
@@ -204,11 +207,14 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     Builds the flip-conjugated chain numbers (diabatic couplings for flat
     crossings, dressed adiabatic couplings for sharp ones, effective-coupling
     phases in between) and evaluates the second-order probability of the
-    chain, then applies the combined parity rule.
+    chain, then applies the combined parity rule.  With ``enforce_regime``
+    the split must be the regime rule's split at (eps, h).
     """
     n = catalog.n
     if len(split.assignment) != n:
         raise ValueError("regime split does not match catalog")
+    if enforce_regime:
+        check_split(split, catalog.orders, eps, h)
     tilde = _tilde_flags(split, n)
 
     alphas: list[complex] = []
@@ -220,14 +226,11 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
             # adjustment belongs to the error term, and the reduction to the
             # all-diabatic coefficient must be exact
             c = catalog.crossings[k]
-            if enforce_regime:
-                crossing_transfer_nonadiabatic(k, eps, h, catalog)
             a, b = 1.0 + 0.0j, -1j * np.conj(omega_m(c.m, c.v)) * mu(c.m, eps, h)
         else:
             tps = None if turning_sets is None else turning_sets.get(k)
             fac = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps,
-                                              model=model,
-                                              enforce_regime=enforce_regime)
+                                              model=model)
             a, b = fac.su2.a, fac.su2.b
             if turning_sets is not None and k in turning_sets:
                 decay[k] = turning_sets[k].a_min
@@ -245,18 +248,26 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     parity_odd = (catalog.sigma_n + n_sharp_odd) % 2 == 1
     p = 1.0 - leading if parity_odd else leading
 
-    blocks, coeffs = _mixed_blocks(catalog, split, alphas, betas, nus, eps, h, decay)
-    eps1, eps2 = _error_gauges(catalog, split, eps, h, decay)
+    mu_flat = mu(split.m_flat, eps, h) if split.m_flat else 0.0
+    mu_sharp = mu(split.m_sharp, eps, h) if split.m_sharp else 0.0
+    exponent = (split.m_sharp + 1.0) / split.m_sharp if split.m_sharp else 0.0
+    # exp(-a_k mu_sharp^((m+1)/m)) at each sharp crossing of the smallest order
+    sharp_exps = {k: math.exp(-a * mu_sharp ** exponent) for k, a in decay.items()
+                  if catalog.crossings[k].m == split.m_sharp}
+    blocks, coeffs = _mixed_blocks(catalog, split, alphas, betas, nus, mu_flat, sharp_exps)
+    eps1, eps2 = _error_gauges(split, h, mu_flat, mu_sharp, exponent, sharp_exps)
     return MixedPrediction(eps=eps, h=h, n_sharp_odd=n_sharp_odd,
                            parity_odd=parity_odd, leading=leading, p_pred=p,
                            eps1=eps1, eps2=eps2, blocks=blocks,
                            coefficients=coeffs)
 
 
-def _mixed_blocks(catalog, split, alphas, betas, nus, eps, h, decay):
-    """Named contributions: flat diagonal, sharp diagonal, cross terms."""
-    mu_flat = mu(split.m_flat, eps, h) if split.m_flat else 0.0
-    mu_sharp = mu(split.m_sharp, eps, h) if split.m_sharp else 0.0
+def _mixed_blocks(catalog, split, alphas, betas, nus, mu_flat, sharp_exps):
+    """Named contributions: flat diagonal, sharp diagonal, cross terms.
+
+    The coefficient q_k = beta_k / exp(-a_k mu_sharp^((m+1)/m)) is left out
+    where that exponential underflows to zero.
+    """
     flat = [k for k, a in enumerate(split.assignment) if a == "N"]
     sharp = [k for k, a in enumerate(split.assignment) if a == "A"]
     diag_flat = sum(abs(betas[k]) ** 2 for k in flat)
@@ -277,28 +288,16 @@ def _mixed_blocks(catalog, split, alphas, betas, nus, eps, h, decay):
     if mu_flat:
         coeffs["p"] = {k: betas[k] / mu_flat for k in flat
                        if catalog.crossings[k].m == split.m_flat}
-    if mu_sharp and decay:
-        exponent = (split.m_sharp + 1.0) / split.m_sharp
-        coeffs["q"] = {k: betas[k] / math.exp(-decay[k] * mu_sharp ** exponent)
-                       for k in sharp if k in decay
-                       and catalog.crossings[k].m == split.m_sharp}
+    if sharp_exps:
+        coeffs["q"] = {k: betas[k] / e for k, e in sharp_exps.items() if e > 0.0}
     return blocks, coeffs
 
 
-def _error_gauges(catalog, split, eps, h, decay):
-    mu_flat = mu(split.m_flat, eps, h) if split.m_flat else 0.0
-    if split.m_sharp and decay:
-        a_min = min(decay[k] for k in decay
-                    if catalog.crossings[k].m == split.m_sharp)
-        mu_sharp = mu(split.m_sharp, eps, h)
-        exponent = (split.m_sharp + 1.0) / split.m_sharp
-        sharp_exp = math.exp(-a_min * mu_sharp ** exponent)
-        sharp_pref = mu_sharp ** (-exponent) * sharp_exp
-    else:
-        sharp_exp = 0.0
-        sharp_pref = 0.0
+def _error_gauges(split, h, mu_flat, mu_sharp, exponent, sharp_exps):
+    # the slowest-decaying sharp exponential, exp(-a_min mu_sharp^((m+1)/m))
+    sharp_exp = max(sharp_exps.values(), default=0.0)
+    sharp_pref = mu_sharp ** (-exponent) * sharp_exp
     eps1 = mu_flat + sharp_exp
     flat_h = h ** (1.0 / (split.m_flat * (split.m_flat + 1))) if split.m_flat else 0.0
     eps2 = mu_flat * (mu_flat + flat_h) + sharp_pref
     return eps1, eps2
-

@@ -20,15 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegimeViolation
 from .oscillatory import omega_m
-from .params import (
-    MU_ADIABATIC_MIN,
-    MU_NONADIABATIC_MAX,
-    RegimeParams,
-    RegimeSplit,
-    mu,
-)
+from .params import RegimeSplit, check_split, mu
 from .potential.catalog import CrossingCatalog, effective_potential
 from .potential.turning import TurningPointSet, turning_points
 from .su2 import SU2Matrix, diagonal_su2, identity_su2
@@ -58,8 +51,7 @@ class ErrorOrder:
 
 
 def crossing_transfer_nonadiabatic(k: int, eps: float, h: float,
-                                   catalog: CrossingCatalog,
-                                   enforce_regime: bool = True):
+                                   catalog: CrossingCatalog):
     """Diabatic-crossing SU(2) factor and its error order.
 
     Leading form has unit diagonal and off-diagonal -i conj(omega) mu; the
@@ -68,11 +60,6 @@ def crossing_transfer_nonadiabatic(k: int, eps: float, h: float,
     """
     c = catalog.crossings[k]
     mu_k = mu(c.m, eps, h)
-    if enforce_regime:
-        value = RegimeParams(eps, h).mu_threshold_value(c.m)
-        if value > MU_NONADIABATIC_MAX:
-            raise RegimeViolation(
-                f"crossing {k}: mu={value:.3g} above non-adiabatic threshold")
     w = omega_m(c.m, c.v)
     factor = SU2Matrix.normalized(1.0, -1j * np.conj(w) * mu_k)
     order = ErrorOrder(({"mu": 2}, {"mu": 1, "h": 1.0 / (c.m + 1)}))
@@ -136,8 +123,7 @@ def wkb_alpha_beta(k: int, eps: float, h: float, catalog: CrossingCatalog,
 def crossing_transfer_adiabatic(k: int, eps: float, h: float,
                                 catalog: CrossingCatalog,
                                 tps: TurningPointSet | None = None,
-                                model=None,
-                                enforce_regime: bool = True) -> AdiabaticFactor:
+                                model=None) -> AdiabaticFactor:
     """Adiabatic-crossing factor with the parity case table applied.
 
     The dressing depends on (m_k parity, sigma_{k-1} parity); odd orders pull
@@ -145,9 +131,6 @@ def crossing_transfer_adiabatic(k: int, eps: float, h: float,
     to the rest.
     """
     c = catalog.crossings[k]
-    mu_k = mu(c.m, eps, h)
-    if enforce_regime and mu_k < MU_ADIABATIC_MIN:
-        raise RegimeViolation(f"crossing {k}: mu={mu_k:.3g} below adiabatic threshold")
     if tps is None:
         if model is None:
             raise ValueError("need either turning points or the model")
@@ -293,7 +276,8 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     matrix), and the pure SU(2) chain with flip-conjugated factors and
     sign-masked between phases.      Their (2,1) probabilities must agree to
     roundoff; both are reported.  Without ``anchors`` the connector actions
-    come from the catalog's tail integrals at the default anchors.
+    come from the catalog's tail integrals at the default anchors.  With
+    ``enforce_regime`` the split must be the regime rule's split at (eps, h).
     """
     from .potential.catalog import find_crossings, regularized_actions
 
@@ -302,6 +286,8 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     n = catalog.n
     if len(split.assignment) != n:
         raise ValueError("regime split length mismatch")
+    if enforce_regime:
+        check_split(split, catalog.orders, eps, h)
 
     r_right, r_left = regularized_actions(model, catalog, anchors)
 
@@ -309,13 +295,11 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     crossing_factors = []
     for k in range(n):
         if split.assignment[k] == "N":
-            f, _ = crossing_transfer_nonadiabatic(k, eps, h, catalog,
-                                                  enforce_regime=enforce_regime)
+            f, _ = crossing_transfer_nonadiabatic(k, eps, h, catalog)
         else:
             tps = None if turning_sets is None else turning_sets.get(k)
             f = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps,
-                                            model=model,
-                                            enforce_regime=enforce_regime)
+                                            model=model)
         crossing_factors.append(f)
     between = [between_transfer(k, eps, h, catalog)[0] for k in range(n - 1)]
 

@@ -10,6 +10,7 @@ import pytest
 from crossinglab.errors import ConfigError, InsufficientData, NoMinimaFound
 from crossinglab.harness.cli import main as cli_main
 from crossinglab.harness.sweep import (
+    DEMO_POTENTIAL,
     NUMERIC_COLUMNS,
     SweepConfig,
     build_rows,
@@ -264,6 +265,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["catalog"]["m_star"] == 3
         assert out["regimes"] == ["N"]
+
+    def test_describe_reports_the_band(self, tmp_path, capsys):
+        """Demo orders (1, 3) at mu_1 = 5, mu~_1 = 15.2: the order-1 crossing
+        sits in the band, since its adiabatic side gates on plain mu_1."""
+        cfg = self._write_cfg(tmp_path, DEMO_POTENTIAL)
+        rc = cli_main(["describe", "--config", cfg, "--eps", "0.05", "--h", "1e-4"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["regimes"].startswith("forbidden band: crossing 0 of order 1")
 
     def test_simulate_and_outdir(self, tmp_path, capsys):
         cfg = self._write_cfg(tmp_path, CUBIC_DOC)

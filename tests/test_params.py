@@ -1,0 +1,74 @@
+import math
+import warnings
+
+import pytest
+
+from crossinglab import classify_regimes, mu, mu_tilde_1
+from crossinglab.errors import CrossingLabError, RegimeViolation
+from crossinglab.harness.sweep import DEMO_POTENTIAL, ORACLES
+from crossinglab.potential import find_crossings, model_from_config
+from crossinglab.potential.turning import turning_points
+from crossinglab.predictor import predict_mixed
+
+DEMO = model_from_config(DEMO_POTENTIAL)
+DEMO_CATALOG = find_crossings(DEMO)
+
+
+@pytest.mark.parametrize("h, eps", [(1e-4, 0.05), (1e-4, 0.08), (1e-6, 3e-3)])
+def test_order_one_adiabatic_side_gates_on_plain_mu(h, eps):
+    """Demo orders (1, 3): mu~_1 >= 10 but mu_1 < 10 is the untreated band."""
+    assert mu_tilde_1(eps, h) >= 10.0 > mu(1, eps, h)
+    with pytest.raises(RegimeViolation, match="crossing 0 of order 1"):
+        classify_regimes(DEMO_CATALOG.orders, eps, h)
+
+
+def _regime_refused(oracle, model, catalog, eps, h) -> bool:
+    try:
+        ORACLES[oracle](model, catalog, eps, h, 1e-9)
+    except RegimeViolation:
+        return True
+    except CrossingLabError:
+        pass
+    return False
+
+
+@pytest.mark.parametrize("model, catalog", [
+    (DEMO, DEMO_CATALOG),
+    (model_from_config({"family": "scaled_tanh_product", "params": {"scale": 1.0, "factors": [
+        {"power": 3, "slope": 1.0, "center": 2.0},
+        {"power": 3, "slope": 1.0, "center": -2.0}]}}), None),
+], ids=["demo", "tanh_pair"])
+def test_rule_and_closed_forms_agree(model, catalog):
+    """classify_regimes accepts a row exactly when the chain and mixed
+    oracles raise no RegimeViolation, on a mu ladder across the band."""
+    catalog = catalog or find_crossings(model)
+    m = catalog.orders[0]
+    for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for mu_val in (0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 5.0, 8.0, 10.0, 15.0, 30.0):
+            eps = mu_val * h ** (m / (m + 1.0))
+            try:
+                classify_regimes(catalog.orders, eps, h)
+                accepted = True
+            except RegimeViolation:
+                accepted = False
+            for oracle in ("chain", "mixed"):
+                refused = _regime_refused(oracle, model, catalog, eps, h)
+                assert refused != accepted, (oracle, h, mu_val)
+
+
+def test_mixed_coefficients_without_underflow_warnings():
+    """Orders (1, 5) at h = 1e-8, both adiabatic: at the order-1 crossing
+    exp(-a mu_1^2) underflows to zero, so q has no entry and no NaN is formed."""
+    model = model_from_config({"family": "scaled_tanh_product", "params": {
+        "scale": 1.0, "factors": [{"power": 1, "slope": 6.0, "center": 2.0},
+                                  {"power": 5, "slope": 1.0, "center": -2.0}]}})
+    catalog = find_crossings(model)
+    eps, h = 1e-2, 1e-8
+    split = classify_regimes(catalog.orders, eps, h)
+    assert split.assignment == ("A", "A")
+    tps = {k: turning_points(model, catalog, k, eps) for k in range(catalog.n)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pred = predict_mixed(model, catalog, eps, h, split, turning_sets=tps)
+    assert pred.coefficients["q"] == {}
+    assert math.isfinite(pred.eps1) and math.isfinite(pred.eps2)

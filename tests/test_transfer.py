@@ -11,6 +11,7 @@ from crossinglab.oscillatory import omega_m
 from crossinglab.params import RegimeSplit
 from crossinglab.potential import ScaledTanhProduct, find_crossings, phase_integral
 from crossinglab.potential.turning import turning_points
+from crossinglab.predictor import predict_mixed
 from crossinglab.transfer import (
     J_STRUCTURE,
     Q_FLIP,
@@ -26,6 +27,15 @@ from crossinglab.transfer import (
     su2_chain_product,
     wkb_alpha_beta,
 )
+
+
+def assert_refused(model, catalog, eps, h, assignment):
+    """Both chain entry points refuse the split before evaluating a factor."""
+    split = RegimeSplit.build(catalog.orders, assignment)
+    with pytest.raises(RegimeViolation):
+        predicted_scattering(model, eps, h, split, catalog=catalog)
+    with pytest.raises(RegimeViolation):
+        predict_mixed(model, catalog, eps, h, split)
 
 
 class TestSU2:
@@ -77,13 +87,13 @@ class TestNonadiabaticFactor:
         assert f.b == pytest.approx(expect, rel=5e-4)
         assert "mu" in order.describe()
 
-    def test_regime_enforcement(self, tanh_cubed_catalog):
+    def test_regime_enforcement(self, tanh_cubed, tanh_cubed_catalog):
+        """The entry points refuse a diabatic split in the band; the factor
+        itself evaluates anywhere."""
         h = 1e-3
         eps = 0.5 * h**0.75
-        with pytest.raises(RegimeViolation):
-            crossing_transfer_nonadiabatic(0, eps, h, tanh_cubed_catalog)
-        f, _ = crossing_transfer_nonadiabatic(0, eps, h, tanh_cubed_catalog,
-                                              enforce_regime=False)
+        assert_refused(tanh_cubed, tanh_cubed_catalog, eps, h, ["N"])
+        f, _ = crossing_transfer_nonadiabatic(0, eps, h, tanh_cubed_catalog)
         assert abs(f.b) > 0
 
     def test_log_corrected_threshold_for_transversal(self):
@@ -92,8 +102,7 @@ class TestNonadiabaticFactor:
         cat = find_crossings(model)
         h = 1e-8
         eps = 0.09 * math.sqrt(h)  # mu_1 = 0.09 but mu-tilde ~ 0.39
-        with pytest.raises(RegimeViolation):
-            crossing_transfer_nonadiabatic(0, eps, h, cat)
+        assert_refused(model, cat, eps, h, ["N"])
 
     def test_matches_connection_oracle(self, tanh_cubed, tanh_cubed_catalog):
         h = 5e-3
@@ -174,16 +183,15 @@ class TestAdiabaticFactor:
         h = 1e-3
         for mu_val in (2.8, 3.4):
             eps = mu_val * h ** (2 / 3)
-            fac = crossing_transfer_adiabatic(0, eps, h, cat, model=model,
-                                              enforce_regime=False)
+            fac = crossing_transfer_adiabatic(0, eps, h, cat, model=model)
             rep = scattering_matrix(model, eps, h, tol=1e-10)
             assert rep.p_transition == pytest.approx(abs(fac.beta) ** 2, rel=0.15)
 
     def test_regime_enforcement(self, even_crossing):
+        """The entry points refuse an adiabatic split in the band."""
         model, cat = even_crossing
         h = 1e-3
-        with pytest.raises(RegimeViolation):
-            crossing_transfer_adiabatic(0, 2.0 * h ** (2 / 3), h, cat, model=model)
+        assert_refused(model, cat, 2.0 * h ** (2 / 3), h, ["A"])
 
 
 class TestChains:

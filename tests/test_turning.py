@@ -12,7 +12,8 @@ from crossinglab.potential import (
     model_from_config,
     turning_points,
 )
-from crossinglab.potential.turning import _actions, _seed
+from crossinglab.potential import turning as turning_module
+from crossinglab.potential.turning import _actions, _newton_roots, _seed
 
 
 def _reference_action(model, t_k, zeta, eps):
@@ -225,3 +226,52 @@ class TestBatchedSolve:
     def test_large_eps_raises(self, tanh_cubed, tanh_cubed_catalog, eps, message):
         with pytest.raises(TurningPointFailure, match=message):
             turning_points(tanh_cubed, tanh_cubed_catalog, 0, eps)
+
+
+class TestSmallEps:
+    """Newton stops at the rounding level of V^2 + eps^2 when that lies above
+    NEWTON_TOL eps^2, as it does at the demo's order-1 crossing (t = 2, slope
+    6) for eps <= 3e-3."""
+
+    LADDER = tuple(float(e) for e in np.geomspace(0.3, 1e-5, 23))
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_roots_converge_down_the_ladder(self, k, monkeypatch):
+        c = DEMO_CATALOG.crossings[k]
+        strict_failures = 0
+        for eps in self.LADDER:
+            js = (1, c.m) if c.m > 1 else (1,)
+            eps_all = np.array([eps, eps / 2.0] * len(js))
+            seeds = np.array([_seed(c.t, c.m, c.v, e, j) for j in js for e in (eps, eps / 2.0)])
+            roots = _newton_roots(DEMO, seeds, eps_all)
+            residual = np.abs(DEMO.eval(roots) ** 2 + eps_all ** 2)
+            assert np.all(residual <= np.maximum(1e-11 * eps_all ** 2, 1e-13 * eps_all))
+            # without the rounding floor: the same roots, bit for bit, or a stall
+            with monkeypatch.context() as patch:
+                patch.setattr(turning_module, "ROUNDING_ULPS", 0.0)
+                try:
+                    strict = _newton_roots(DEMO, seeds, eps_all)
+                except NewtonDiverged:
+                    strict_failures += 1
+                    continue
+            assert np.array_equal(roots, strict)
+        assert strict_failures == (11 if k == 0 else 0)
+
+    @pytest.mark.parametrize("k, eps_min", [(0, 1.5e-4), (1, 1e-5)])
+    def test_turning_points_down_the_ladder(self, k, eps_min):
+        """The Im A exponent tends to (m+1)/m down the ladder.
+
+        find_crossings places the order-1 zero 1.1e-4 right of t = 2; below
+        eps ~ 1e-4 that is farther than the roots lie from t = 2, and the
+        far-from-the-crossing check refuses them.
+        """
+        c = DEMO_CATALOG.crossings[k]
+        target = (c.m + 1.0) / c.m
+        sets = [turning_points(DEMO, DEMO_CATALOG, k, eps) for eps in self.LADDER
+                if eps >= eps_min]
+        gaps = [abs(tp.scaling_exponent - target) for tp in sets]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 2e-4
+        if c.m == 1:
+            # Landau-Zener: Im A = pi eps^2 / (2 |v|)
+            assert sets[-1].a_min == pytest.approx(math.pi / (2.0 * abs(c.v)), rel=1e-5)
