@@ -39,7 +39,7 @@ where Theta = TV(theta) and U = gamma + (E_0 + E_1) P_0 + (S_0^2 + E_0^2)/2
 [a, b] (one more integration by parts, then a Gronwall estimate).  K
 minimises the first line.
 
-``plan_windows`` places one cf4 window around each crossing, outside of
+``plan_windows`` places one magnus6 window around each crossing, outside of
 which these pairs carry the state.  Sups, total variations and integrals in
 the bound come from jets on a sample grid graded in the distance from the
 crossing, whose points are the candidate window edges.  Each stretch between
@@ -69,7 +69,7 @@ MAX_SPACING = 1.0
 
 @dataclass(frozen=True)
 class WindowPlan:
-    """cf4 windows around the crossings and the adiabatic pairs between them.
+    """magnus6 windows around the crossings and the adiabatic pairs between them.
 
     ``windows`` ascend in t; ``transfers[j]`` carries the state across the
     stretch that ends where window j starts, and the last one from the last

@@ -215,8 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--h", type=float, required=True)
-    sp.add_argument("--method", choices=["cf4", "dop853"], default="cf4",
-                    help="integrator backend (two independent steppers)")
+    sp.add_argument("--method", choices=["magnus6", "dop853"], default="magnus6",
+                    help="integrator backend: sixth-order Magnus on the crossing windows "
+                         "(whole line when they merge) or scipy's DOP853 on the whole line")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("predict", help="closed-form predictions")

@@ -31,13 +31,13 @@ from ..transfer import (
     su2_chain_product,
 )
 
-# largest accepted richardson_error / observed error of the cf4 propagator
+# largest accepted richardson_error / observed error of the magnus6 propagator
 CALIBRATION_MAX = 10.0
 # largest accepted error_estimate / observed error of the windowed scattering
 # route.  Wider than CALIBRATION_MAX: the estimate adds the windows' Richardson
 # estimates and the adiabatic bounds, while the errors they bound partly cancel
-# in S (observed 7.8-23.9 at tol 1e-9; the windows' Richardson sum alone reads
-# up to 12 times the observed error of S).
+# in S (observed 5.0-21.0 at tol 1e-9; the windows' Richardson sum alone reads
+# up to 6 times the observed error of S).
 WINDOW_CALIBRATION_MAX = 40.0
 
 
@@ -118,7 +118,7 @@ def scattering_suite(seed: int = 42, tol: float = 1e-9) -> list:
 
 
 def _window_bound_calibration(tol: float):
-    """error_estimate of the windowed route against whole-line cf4 at tol/100.
+    """error_estimate of the windowed route against whole-line magnus6 at tol/100.
 
     The estimate must cover the observed difference of S without
     overstating it by more than WINDOW_CALIBRATION_MAX.

@@ -23,7 +23,12 @@ import math
 import numpy as np
 
 from .errors import QuadratureTolExceeded
-from .quadrature import adaptive_mesh, gauss_legendre, gauss_legendre_antiderivative
+from .quadrature import (
+    adaptive_mesh,
+    gauss_legendre,
+    gauss_legendre_antiderivative,
+    sample_density,
+)
 
 PANEL_PHASE_FRACTION = 0.125   # phase advance per panel, radians
 STATIONARY_FLOOR_FRACTION = 0.125  # panel floor as fraction of h^(1/(m+1))
@@ -81,7 +86,7 @@ def osc_integral(model, interval, t0: float, h: float, amplitude=None,
         return np.maximum(rho_osc, rho_cap)
 
     forced = [t0] if a < t0 < b else []
-    mesh = adaptive_mesh(density, a, b, forced=forced)
+    mesh = adaptive_mesh(sample_density(density, a, b, forced=forced))
     x, w = gauss_legendre(16)
     n = len(x)
     half = 0.5 * np.diff(mesh)

@@ -36,7 +36,12 @@ def mu(m: int, eps: float, h: float) -> float:
 
 
 def mu_tilde_1(eps: float, h: float) -> float:
-    """Log-corrected smallness parameter for transversal (order-1) crossings."""
+    """Log-corrected smallness parameter for transversal (order-1) crossings.
+
+    Defined for h <= 1 only; RegimeViolation above, where log(1/h) < 0.
+    """
+    if h > 1.0:
+        raise RegimeViolation(f"the log-corrected mu~_1 needs h <= 1, got h={h:.4g}")
     return math.sqrt(math.log(1.0 / h)) * eps * h ** (-0.5)
 
 

@@ -71,7 +71,8 @@ def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> 
     serves the next step.  Away from the origin that tolerance can lie below
     the rounding level of F: moving z by one rounding unit changes F by about
     |F'(z) z| eps_machine.  A root whose step stalls with |F| at most
-    ROUNDING_ULPS times that level is accepted where it stands.
+    ROUNDING_ULPS times that level is accepted where it stands; the halving
+    stops as soon as the step no longer moves z.
     """
     z = seeds.copy()
     e2 = eps * eps
@@ -88,16 +89,24 @@ def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> 
             raise NewtonDiverged(f"stationary Newton step at z={z[idx][df == 0][0]}")
         floor[idx] = ROUNDING_ULPS * EPS_MACHINE * np.abs(df * z[idx])
         step = f[idx] / df
+        stalled = []
         for _ in range(50):
             z_new = z[idx] - step
             v_new = model.eval(z_new)
             f_new = v_new * v_new + e2[idx]
             ok = (np.abs(f_new) < np.abs(f[idx])) | (np.abs(f_new) <= tol[idx])
             z[idx[ok]], v[idx[ok]], f[idx[ok]] = z_new[ok], v_new[ok], f_new[ok]
-            idx, step = idx[~ok], 0.5 * step[~ok]
+            idx, step, z_new = idx[~ok], 0.5 * step[~ok], z_new[~ok]
+            # a step that leaves z bitwise unchanged does so at every further
+            # halving, with the same F: the root has stalled already
+            moved = z_new != z[idx]
+            if not moved.all():
+                stalled.append(idx[~moved])
+                idx, step = idx[moved], step[moved]
             if not idx.size:
                 break
-        else:
+        idx = np.concatenate([idx, *stalled])
+        if idx.size:
             noise = np.abs(f[idx]) <= floor[idx]
             if not noise.all():
                 raise NewtonDiverged(

@@ -1,32 +1,72 @@
-"""Ground-truth integrator for i h psi' = H(t) psi.
+"""Ground-truth integrator for i h psi' = H(t) psi,  H = V sigma_z + eps sigma_x.
 
 Two independent backends:
 
-* "cf4": a commutator-free fourth-order exponential stepper built from two
-  Gauss-node evaluations per step.  Each substep is an exact 2x2 unitary
-  exponential, so constant-Hamiltonian stretches (the tails) carry no error at
-  all and the step size is controlled by the *variation* of V rather than by
-  the oscillation frequency.  Steps are precomputed on a variation-adaptive
-  mesh and stored as SU(2) pairs (a, b) (see ``su2``); node evaluations and
-  exponentials are vectorized over cache-sized chunks, and the ordered
-  product of the pairs is taken by pairwise reduction.
+* "magnus6": the sixth-order Magnus integrator on three Gauss-Legendre
+  nodes (Blanes, Casas & Ros, BIT 40 (2000) 434; Blanes, Casas, Oteo & Ros,
+  Phys. Rep. 470 (2009) 151).  With A = -(i/h) H at the nodes A1, A2, A3 of
+  a step dt,
 
-  Step control scales one mesh shape by a boost.  A cheap pilot pair of
-  meshes at boosts 1/4 and 1/2 gives a Richardson estimate of the finer
-  mesh's error, |M_fine - M_coarse| / (r^q - 1) with r the boost ratio.  The
-  order q = 3 sits below cf4's nominal 4 because the observed convergence
-  order on these meshes ranges from about 3.2 to 4 (pre-asymptotic at
-  practical h), and only the lower order keeps the estimate at or above the
-  true error.  A mesh is accepted when its estimate meets tol; otherwise the
-  next boost is sized so that the estimate of the next pair is predicted to
-  meet tol, r = (1 + E / tol)^(1/q), never less than 1.25.  Acceptance always
-  rests on the estimate of two built meshes, never on an extrapolation.
+      a1 = dt A2,  a2 = (sqrt(15) dt / 3) (A3 - A1),  a3 = (10 dt / 3) (A3 - 2 A2 + A1),
+      C1 = [a1, a2],  C2 = -[a1, 2 a3 + C1] / 60,
+      Omega = a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240,
+
+  and the step is exp(Omega), one exact SU(2) exponential.  Writing
+  -i x.sigma for x, a commutator is a cross product of real 3-vectors,
+  [-i x.sigma, -i y.sigma] = -i (2 x cross y).sigma.  A constant
+  Hamiltonian (the tails) is integrated exactly, so the steps follow the
+  variation of V, not the oscillation.  Steps are stored as SU(2) pairs
+  (a, b) (see ``su2``); node evaluations and exponentials are vectorized
+  over cache-sized chunks, and the ordered product of the pairs is taken by
+  pairwise reduction.
+
+  The mesh density equidistributes the local error of a step.  Only
+  sigma_x (the eps term) fails to commute with the derivatives of A, which
+  all lie along sigma_z, so every commutator carries eps.  Expanded in the
+  Taylor coefficients of V at the step's midpoint, the local error is e dt^7
+  with
+
+      e = (eps / h) sum_terms K r^p w_j1 w_j2 ... + |V^(6)| / (2016000 h),
+
+  r = lam / h, lam = sqrt(V^2 + eps^2), w_j = |V^(j)| / h, and one term for
+  each product of weight p + sum (j + 1) = 6 (LOCAL_ERROR_TERMS).  The
+  leading term for small h, r^4 w_1, is [A, [A, [A, [A, [A, A']]]]] / 30240
+  of the Magnus series, which the three-node scheme omits: K = 2^5 / 30240
+  = 1/945.  The last term is the error of the three-point Gauss rule on the
+  diagonal phase.  The other K are the largest of single steps on
+  V = v0 + c t^j (and two-coefficient V for the mixed products) over a few
+  v0 / lam, fitted at dt -> 0; the error is a sum of vectors, so e bounds
+  it.  Away from crossings r^4 w_1 carries the error; in a crossing's core,
+  where lam ~ eps, the products w_1^3, w_1 w_3 and w_2^2 and the terms in
+  w_5 take over.  V'' ... V^(6) come from differences of V' on a grid of
+  DERIVATIVE_POINTS.  Meshes of density e^(1/7) (I / tol)^(1/6), I the
+  integral of e^(1/7), have the fewest steps whose local errors sum to tol.
+  The expansion holds while a step turns the state by at most ~1.5 rad,
+  lam dt / h; from ~4 rad on the error no longer falls as dt shrinks, so the
+  density is floored at lam / (MAX_PHASE h).  ``boost`` scales the density,
+  which is sampled once per propagation and serves every boost.
+
+  Step control: a pilot pair of meshes at boosts 0.35 and 0.7 gives a
+  Richardson estimate of the finer mesh's error, |M_fine - M_coarse| /
+  (r^q - 1) with r the boost ratio.  The observed order on these meshes is
+  6.0 (5.7 to 6.2 from boost 0.35 to 2 on the tanh pair, cubed tanh and
+  windowed LZ); q = 5 keeps the estimate above the true error, about twice
+  it at r = 2.  A mesh is accepted when its estimate meets tol; otherwise
+  the next boost is sized so that the estimate of the next pair is
+  predicted to meet tol, r = (1 + E / tol)^(1/q), never less than 1.25.
+  Acceptance always rests on the estimate of two built meshes, never on an
+  extrapolation.  Since e adds magnitudes that partly cancel, boost 1 errs
+  well below tol; the pilot boosts put the accepted window meshes of the
+  tanh pair at 0.15 to 0.5 of their tol from h = 1e-2 to 1e-8.  Where local
+  errors cancel along the line (away from crossings, whole-line runs) the
+  accepted mesh sits one or two decades below tol, and a pilot of a few
+  dozen steps (loose tol, order-1 crossings) is rejected once.
 
 * "dop853": scipy's adaptive Runge-Kutta, used as a cross-check oracle at
   moderate h.
 
-Both propagate the whole interval they are given.  Scattering calls cf4 on
-the windows around the crossings only (see ``scattering``), so these full
+Both propagate the whole interval they are given.  Scattering calls magnus6
+on the windows around the crossings only (see ``scattering``), so these full
 propagations are its independent oracles.
 
 Both preserve the norm to within the requested tolerance; the drift is
@@ -41,21 +81,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureTolExceeded, StepUnderflow
-from .quadrature import adaptive_mesh
+from .quadrature import adaptive_mesh, sample_density
 from .su2 import dense, ordered_product, su2_mul
 
-GAUSS_C1 = 0.5 - math.sqrt(3.0) / 6.0
-GAUSS_C2 = 0.5 + math.sqrt(3.0) / 6.0
-CF4_A1 = 0.25 + math.sqrt(3.0) / 6.0
-CF4_A2 = 0.25 - math.sqrt(3.0) / 6.0
+# the three Gauss-Legendre nodes of a step, as fractions of it
+GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+# local error of a step: e dt^7 with
+#     e = (eps/h) sum K r^p prod_j w_j + |V^(6)| / (2016000 h),
+# r = lam/h and w_j = |V^(j)|/h, each term of weight p + sum (j + 1) = 6;
+# (K, p, (j, ...)) per term
+LOCAL_ERROR_TERMS = (
+    (1.0 / 945.0, 4, (1,)), (5.3e-4, 3, (2,)), (7.7e-5, 2, (3,)), (3.1e-5, 1, (4,)),
+    (5.8e-6, 0, (5,)), (1.6e-3, 2, (1, 1)), (1.45e-3, 1, (1, 2)), (1.0 / 840.0, 0, (1, 1, 1)),
+    (3.0e-5, 0, (2, 2)), (3.9e-5, 0, (1, 3)),
+)
+GAUSS_ERROR = 1.0 / 2016000.0
+# samples of the step density on [t0, t1], and the grid of the differences
+# of V' that give V'' ... V^(6) there
+DENSITY_SAMPLES = 1025
+DERIVATIVE_POINTS = 65
+# largest phase lam dt / h of a boost-1 step: up to ~1.5 the local error is
+# e dt^7 within 20%; from ~4 on it no longer falls as dt shrinks
+MAX_PHASE = 1.0
 
 MAX_TOTAL_STEPS = 40_000_000
 # boosts of the pilot pair, the smallest ratio between the boosts of a pair,
 # the order of the Richardson estimate, and the sized meshes allowed after
 # the pilot pair
-PILOT_BOOSTS = (0.25, 0.5)
+PILOT_BOOSTS = (0.35, 0.7)
 MIN_BOOST_RATIO = 1.25
-RICHARDSON_ORDER = 3
+RICHARDSON_ORDER = 5
 MAX_REFINEMENTS = 3
 _CHUNK = 1 << 14
 
@@ -75,66 +130,95 @@ class PropagationDiagnostics:
     refinements: int = 0
     richardson_error: float = 0.0
     norm_drift: float = 0.0
-    method: str = "cf4"
+    method: str = "magnus6"
 
 
-def _exponential_pairs(v_eff: np.ndarray, eps_eff: float, dt_h: np.ndarray):
-    """Pairs of exp(-i * dt/h * (v sigma_z + eps sigma_x)) for arrays of v."""
-    theta = dt_h * np.sqrt(v_eff * v_eff + eps_eff * eps_eff)
-    sin_over_lam = dt_h * np.sinc(theta / np.pi)
-    return np.cos(theta) - 1j * sin_over_lam * v_eff, -1j * sin_over_lam * eps_eff
+def _magnus6_pairs(v1, v2, v3, eps: float, dt_h):
+    """SU(2) pairs of the sixth-order Magnus steps from V at the three Gauss nodes.
+
+    ``dt_h`` holds dt / h per step.  A = -(i/h)(V sigma_z + eps sigma_x) is
+    the triple (eps, 0, V) / h, so a1 = (x, 0, z1) and a2 = (0, 0, z2),
+    a3 = (0, 0, z3) lie along sigma_z.  The commutators, 2 u cross v, then
+    have closed components: C1 = (0, -2 x z2, 0), C2 = (-x z1 z2, x z3,
+    x^2 z2) / 15, and with X = -20 a1 - a3 + C1 and Y = a2 + C2,
+    Omega = a1 + a3 / 12 + (X cross Y) / 120.
+    """
+    x = dt_h * eps
+    z1 = dt_h * v2
+    z2 = (math.sqrt(15.0) / 3.0) * dt_h * (v3 - v1)
+    z3 = (10.0 / 3.0) * dt_h * (v3 - 2.0 * v2 + v1)
+    xz2 = x * z2
+    x_x, x_y, x_z = -20.0 * x, -2.0 * xz2, -20.0 * z1 - z3
+    y_x, y_y, y_z = -xz2 * z1 / 15.0, x * z3 / 15.0, z2 + x * xz2 / 15.0
+    wx = x + (x_y * y_z - x_z * y_y) / 120.0
+    wy = (x_z * y_x - x_x * y_z) / 120.0
+    wz = z1 + z3 / 12.0 + (x_x * y_y - x_y * y_x) / 120.0
+    # exp(-i w.sigma) = cos|w| - i sin|w| (w/|w|).sigma, with sin|w|/|w| -> 1 at w = 0
+    norm = np.sqrt(wx * wx + wy * wy + wz * wz)
+    s = np.sinc(norm / np.pi)
+    return np.cos(norm) - 1j * s * wz, s * wy - 1j * s * wx
 
 
-def _cf4_matrix_on_mesh(model, eps: float, h: float, mesh: np.ndarray):
-    """SU(2) pair of the cf4 propagator over the mesh, one chunk of steps at a time."""
+def _magnus6_matrix_on_mesh(model, eps: float, h: float, mesh: np.ndarray):
+    """SU(2) pair of the magnus6 propagator over the mesh, one chunk of steps at a time."""
     total = (1.0 + 0.0j, 0.0j)
     for start in range(0, len(mesh) - 1, _CHUNK):
         nodes = mesh[start:start + _CHUNK + 1]
         dt = np.diff(nodes)
-        v1 = np.real(model.eval(nodes[:-1] + GAUSS_C1 * dt))
-        v2 = np.real(model.eval(nodes[:-1] + GAUSS_C2 * dt))
-        dt_h = dt / h
-        # first exponential applied to the state, then the mirrored one
-        first = _exponential_pairs(CF4_A1 * v1 + CF4_A2 * v2, 0.5 * eps, dt_h)
-        second = _exponential_pairs(CF4_A2 * v1 + CF4_A1 * v2, 0.5 * eps, dt_h)
-        steps = su2_mul(*second, *first)
+        v = np.real(model.eval((nodes[:-1, None] + dt[:, None] * GAUSS_NODES).ravel()))
+        v = v.reshape(-1, 3)
+        steps = _magnus6_pairs(v[:, 0], v[:, 1], v[:, 2], eps, dt / h)
         total = su2_mul(*ordered_product(*steps), *total)
     return total
 
 
-def _cf4_density(model, eps: float, h: float, t0: float, t1: float, tol: float):
-    """Steps per unit length of the cf4 meshes over [t0, t1], at boost 1.
+def _derivatives(model, t0: float, t1: float, t: np.ndarray) -> list:
+    """|V''| ... |V^(6)| at t, from differences of V' on a grid of DERIVATIVE_POINTS."""
+    grid = np.linspace(t0, t1, DERIVATIVE_POINTS)
+    dv = np.real(model.deriv(grid))
+    step = grid[1] - grid[0]
+    out = []
+    for k in range(1, 6):
+        diff = np.abs(np.diff(dv, k)) / step**k
+        out.append(np.interp(t, 0.5 * (grid[k:] + grid[:-k]), diff))
+    return out
 
-    Every mesh of one propagation samples it at the same points, so the
-    samples of the first are kept for the others.
+
+def _magnus6_density(model, eps: float, h: float, t0: float, t1: float, tol: float):
+    """The boost-1 step density on [t0, t1], sampled once for every boost.
+
+    e^(1/7) (I / tol)^(1/6), floored where a step would turn the state by
+    more than MAX_PHASE, lam dt / h, so that the local error stays e dt^7.
     """
-    span = abs(t1 - t0)
-    tol_local = max(tol, 1e-14) / max(span, 1.0)
-    samples = {}
-
     def density(t):
-        key = (t[0], t[-1], t.size)
-        if key not in samples:
-            lam2 = np.real(model.eval(t)) ** 2 + eps * eps
-            dv = np.abs(np.real(model.deriv(t)))
-            # local truncation ~ dt^5 * lam^2 * |V'| / h^3  (commutator-type term)
-            rho = (lam2 * (dv + 1e-12) / (tol_local * h**3)) ** 0.2
-            samples[key] = np.maximum(rho, 1.0 / max(span, 1.0))
-        return samples[key]
+        # one stretch: t samples all of [t0, t1]
+        v = np.real(model.eval(t))
+        lam2 = v * v + eps * eps
+        lam = np.sqrt(lam2)
+        # w_j = |V^(j)| / h, j = 1 ... 6
+        w = [None] + [d / h for d in [np.abs(np.real(model.deriv(t)))]
+                      + _derivatives(model, t0, t1, t)]
+        rate = lam / h
+        e = GAUSS_ERROR * w[6]
+        for k, power, orders in LOCAL_ERROR_TERMS:
+            term = (eps / h * k) * rate**power
+            for j in orders:
+                term = term * w[j]
+            e += term
+        root = e ** (1.0 / 7.0)
+        total = float(np.sum(0.5 * (root[1:] + root[:-1]) * np.diff(t)))
+        return np.maximum((total / tol) ** (1.0 / 6.0) * root, lam / (MAX_PHASE * h))
 
-    return density
+    return sample_density(density, t0, t1, samples=DENSITY_SAMPLES)
 
 
-def _cf4_mesh(density, t0: float, t1: float, h: float, tol: float,
-              boost: float) -> np.ndarray:
+def _magnus6_mesh(density, h: float, tol: float, boost: float) -> np.ndarray:
     try:
-        mesh = adaptive_mesh(lambda t: boost * density(t), min(t0, t1), max(t0, t1),
-                             max_points=MAX_TOTAL_STEPS)
+        return adaptive_mesh(density, boost, max_points=MAX_TOTAL_STEPS)
     except QuadratureTolExceeded as exc:
         raise StepUnderflow(
             f"h={h}, tol={tol} needs more than {MAX_TOTAL_STEPS} steps; "
             "below the feasible floor") from exc
-    return mesh
 
 
 def check_parameters(eps: float, h: float, tol: float) -> None:
@@ -144,7 +228,7 @@ def check_parameters(eps: float, h: float, tol: float) -> None:
 
 
 def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
-                       tol: float = 1e-10, method: str = "cf4",
+                       tol: float = 1e-10, method: str = "magnus6",
                        diagnostics: PropagationDiagnostics | None = None) -> np.ndarray:
     """Unitary 2x2 matrix M with psi(t1) = M @ psi(t0)."""
     check_parameters(eps, h, tol)
@@ -155,21 +239,21 @@ def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
                                   diagnostics=diagnostics).conj().T
     if method == "dop853":
         return _dop853_matrix(model, eps, h, t0, t1, tol, diagnostics)
-    if method != "cf4":
+    if method != "magnus6":
         raise ValueError(f"unknown method {method!r}")
 
     if diagnostics is None:
         diagnostics = PropagationDiagnostics()
-    diagnostics.method = "cf4"
+    diagnostics.method = "magnus6"
     diagnostics.steps_built = 0
 
-    density = _cf4_density(model, eps, h, t0, t1, tol)
+    density = _magnus6_density(model, eps, h, t0, t1, tol)
 
     def solve(boost):
-        mesh = _cf4_mesh(density, t0, t1, h, tol, boost)
+        mesh = _magnus6_mesh(density, h, tol, boost)
         diagnostics.steps = len(mesh) - 1
         diagnostics.steps_built += diagnostics.steps
-        return _cf4_matrix_on_mesh(model, eps, h, mesh)
+        return _magnus6_matrix_on_mesh(model, eps, h, mesh)
 
     coarse_boost, boost = PILOT_BOOSTS
     coarse = solve(coarse_boost)
@@ -188,10 +272,10 @@ def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
             return dense(a, b)
         if drift > tol:
             raise StepUnderflow(f"tol={tol} is below the rounding level {drift:.1e} "
-                                f"of {diagnostics.steps} cf4 steps")
+                                f"of {diagnostics.steps} magnus6 steps")
         coarse, coarse_boost = fine, boost
         boost *= max(MIN_BOOST_RATIO, (1.0 + err / tol) ** (1.0 / RICHARDSON_ORDER))
-    raise StepUnderflow(f"cf4 failed to reach tol={tol}; last error {err:.3e}")
+    raise StepUnderflow(f"magnus6 failed to reach tol={tol}; last error {err:.3e}")
 
 
 def _dop853_matrix(model, eps, h, t0, t1, tol, diagnostics):
@@ -223,7 +307,7 @@ def _dop853_matrix(model, eps, h, t0, t1, tol, diagnostics):
 
 
 def propagate(model, eps: float, h: float, t0: float, t1: float, psi0,
-              tol: float = 1e-10, method: str = "cf4",
+              tol: float = 1e-10, method: str = "magnus6",
               diagnostics: PropagationDiagnostics | None = None) -> np.ndarray:
     """Propagate a state vector from t0 to t1 with local error control."""
     psi0 = np.asarray(psi0, dtype=complex)

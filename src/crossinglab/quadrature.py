@@ -38,35 +38,43 @@ def gauss_legendre_antiderivative(n: int) -> np.ndarray:
     return leg.legvander(x, n) @ leg.legint(coeffs, lbnd=-1.0, axis=0)
 
 
-def adaptive_mesh(density, a: float, b: float, forced=(),
-                  max_points: int | None = None) -> np.ndarray:
-    """Panel breakpoints on [a, b] with local size ~ 1/density(t).
+def sample_density(density, a: float, b: float, forced=(),
+                   samples: int = _MESH_SAMPLES) -> tuple:
+    """Sample a vectorized density (panels per unit length) on a < b.
 
-    ``density`` is a vectorized callable returning panels-per-unit-length.
-    ``forced`` points are inserted exactly.  Breakpoints are placed by
-    inverting the cumulative density, so the mesh adapts smoothly.
-    ``max_points`` raises before any large allocation happens.
+    Returns, per anchor-to-anchor stretch, the sample points and the running
+    integral of the density at them (trapezoid rule from the stretch's
+    start).  ``forced`` points inside (a, b) become stretch ends, so meshes
+    built from the samples hold them exactly; each stretch takes ``samples``
+    points.  The density is floored at one panel per stretch.
     """
-    if b <= a:
-        return np.array([a, b])
     anchors = sorted({float(a), float(b), *[float(t) for t in forced if a < t < b]})
-    pieces = []
-    total_count = 0
+    stretches = []
     for lo, hi in zip(anchors[:-1], anchors[1:]):
-        t = np.linspace(lo, hi, _MESH_SAMPLES)
+        t = np.linspace(lo, hi, samples)
         rho = np.maximum(np.asarray(density(t), dtype=float), 1.0 / (hi - lo))
         cum = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(t))])
-        total = cum[-1]
-        count = max(1, int(np.ceil(total)))
-        total_count += count
-        if max_points is not None and total_count > max_points:
-            raise QuadratureTolExceeded(
-                f"adaptive mesh needs more than {max_points} panels")
-        targets = np.linspace(0.0, total, count + 1)
-        brk = np.interp(targets, cum, t)
-        brk[0], brk[-1] = lo, hi
+        stretches.append((t, cum))
+    return tuple(stretches)
+
+
+def adaptive_mesh(stretches, boost: float = 1.0, max_points: int | None = None) -> np.ndarray:
+    """Panel breakpoints with local size ~ 1 / (boost * density(t)).
+
+    ``stretches`` comes from ``sample_density``.  Breakpoints are placed by
+    inverting the sampled cumulative density, so the mesh adapts smoothly,
+    and one sampling serves meshes at any boost.  ``max_points`` raises
+    before any large allocation happens.
+    """
+    counts = [max(1, int(np.ceil(boost * cum[-1]))) for _, cum in stretches]
+    if max_points is not None and sum(counts) > max_points:
+        raise QuadratureTolExceeded(f"adaptive mesh needs more than {max_points} panels")
+    pieces = []
+    for (t, cum), count in zip(stretches, counts):
+        brk = np.interp(np.linspace(0.0, cum[-1], count + 1), cum, t)
+        brk[0], brk[-1] = t[0], t[-1]
         pieces.append(brk[:-1])
-    pieces.append(np.array([anchors[-1]]))
+    pieces.append(stretches[-1][0][-1:])
     return np.concatenate(pieces)
 
 

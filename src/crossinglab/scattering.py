@@ -26,13 +26,14 @@ The scattering matrix is the change of basis between the left and right Jost
 pairs across the numerically propagated middle region, and the transition
 probability is the squared modulus of its (2,1) entry.
 
-With method "cf4" the middle region is propagated by cf4 only on one window
-per crossing; ``adiabatic`` pairs carry the state between the windows and
-out to the anchors.  The windows share half of tol and the adiabatic bounds
-the other half, so the report's error_estimate, their sum, meets tol.  The
-bound picks the route: when the windows would merge or reach the anchors,
-or there is no crossing, cf4 propagates the whole region as the other
-methods do.
+With method "magnus6" the middle region is propagated by the sixth-order
+Magnus integrator only on one window per crossing; ``adiabatic`` pairs carry
+the state between the windows and out to the anchors.  The windows share
+half of tol and the adiabatic bounds the other half, so the report's
+error_estimate, their sum, meets tol.  The bound picks the route: when the
+windows would merge or reach the anchors, or there is no crossing, magnus6
+propagates the whole region as the other methods do.  The report's
+window_steps gives the steps of each window's returned mesh.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
 
 
 def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
-                      truncation: float | None = None, method: str = "cf4",
+                      truncation: float | None = None, method: str = "magnus6",
                       catalog: CrossingCatalog | None = None) -> ScatteringReport:
     """Full scattering matrix S and transition probability P = |S_21|^2."""
     check_parameters(eps, h, tol)
@@ -252,17 +253,17 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
                              abs(catalog.positions[-1]) + 2.0)
 
     plan = None
-    if method == "cf4":
+    if method == "magnus6":
         plan = plan_windows(model, eps, h, catalog, truncation, 0.5 * tol)
     if plan is None:
         diags = [PropagationDiagnostics()]
         m_prop = fundamental_matrix(model, eps, h, -truncation, truncation,
                                     tol=tol, method=method, diagnostics=diags[0])
-        route = {"route": "whole_line", "windows": [], "series_bound": 0.0}
+        route = {"route": "whole_line", "windows": [], "window_steps": [], "series_bound": 0.0}
     else:
         m_prop, diags = _windowed_matrix(model, eps, h, tol, plan)
         route = {"route": "windowed", "windows": [list(w) for w in plan.windows],
-                 "series_bound": plan.bound}
+                 "window_steps": [d.steps for d in diags], "series_bound": plan.bound}
     route.update({key: sum(getattr(d, key) for d in diags) for key in _SUMMED})
     route["method"] = diags[0].method
     route["error_estimate"] = route["richardson_error"] + route["series_bound"]
@@ -292,7 +293,7 @@ _SUMMED = ("steps", "steps_built", "refinements", "richardson_error", "norm_drif
 
 
 def _windowed_matrix(model, eps: float, h: float, tol: float, plan: WindowPlan):
-    """Propagator over [-T, T]: cf4 on each window, adiabatic pairs between them.
+    """Propagator over [-T, T]: magnus6 on each window, adiabatic pairs between them.
 
     The windows share the half of tol that the plan's bound leaves; returns
     the matrix and the windows' diagnostics.

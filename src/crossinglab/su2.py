@@ -2,7 +2,7 @@
 
 The pair stands for [[a, -conj(b)], [b, conj(a)]], so a product needs two
 entries instead of four and stays special-unitary in form.  The same algebra
-serves arrays of cf4 steps (``ordered_product``) and the scalar factors of
+serves arrays of magnus6 steps (``ordered_product``) and the scalar factors of
 the transfer chains (``SU2Matrix``).
 """
 

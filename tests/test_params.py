@@ -5,7 +5,7 @@ import pytest
 
 from crossinglab import classify_regimes, mu, mu_tilde_1
 from crossinglab.errors import CrossingLabError, RegimeViolation
-from crossinglab.harness.sweep import DEMO_POTENTIAL, ORACLES
+from crossinglab.harness.sweep import DEMO_POTENTIAL, ORACLES, SweepConfig, run_sweep
 from crossinglab.potential import find_crossings, model_from_config
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import predict_mixed
@@ -20,6 +20,17 @@ def test_order_one_adiabatic_side_gates_on_plain_mu(h, eps):
     assert mu_tilde_1(eps, h) >= 10.0 > mu(1, eps, h)
     with pytest.raises(RegimeViolation, match="crossing 0 of order 1"):
         classify_regimes(DEMO_CATALOG.orders, eps, h)
+
+
+def test_order_one_above_h_one_is_refused_typed():
+    """mu~_1 needs log(1/h) >= 0: at h = 2 the rule refuses with RegimeViolation,
+    and a demo sweep row records the chain oracle as failed."""
+    with pytest.raises(RegimeViolation, match="h <= 1"):
+        classify_regimes((1, 3), 0.1, 2.0)
+    rows = run_sweep(SweepConfig(potential=DEMO_POTENTIAL, oracles=("chain",),
+                                 grid={"type": "list", "rows": [{"eps": 0.1, "h": 2.0}]}))
+    assert rows[0]["status"] == "failed"
+    assert rows[0]["error"].startswith("chain: RegimeViolation")
 
 
 def _regime_refused(oracle, model, catalog, eps, h) -> bool:

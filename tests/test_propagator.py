@@ -13,9 +13,11 @@ from crossinglab.propagator import (
     MIN_BOOST_RATIO,
     PILOT_BOOSTS,
     PropagationDiagnostics,
+    _magnus6_matrix_on_mesh,
     fundamental_matrix,
     propagate,
 )
+from crossinglab.scattering import scattering_matrix
 
 
 def hamiltonian(model, eps: float, t):
@@ -106,8 +108,10 @@ class TestBackends:
         assert np.max(np.abs(m1 - m2)) < 1e-8
 
     def test_unknown_method(self, tanh_cubed):
-        with pytest.raises(ValueError):
-            fundamental_matrix(tanh_cubed, 0.1, 0.05, -1.0, 1.0, method="euler")
+        """The retired fourth-order cf4 has no fallback either."""
+        for method in ("euler", "cf4"):
+            with pytest.raises(ValueError, match="unknown method"):
+                fundamental_matrix(tanh_cubed, 0.1, 0.05, -1.0, 1.0, method=method)
 
     def test_bad_parameters(self, tanh_cubed):
         with pytest.raises(ValueError):
@@ -126,9 +130,10 @@ class TestBackends:
         (0.1, math.inf, 1e-10), (0.1, math.nan, 1e-10), (0.1, -0.1, 1e-10),
         (math.inf, 0.1, 1e-10), (math.nan, 0.1, 1e-10), (-0.1, 0.1, 1e-10),
         (0.1, 0.1, math.inf), (0.1, 0.1, math.nan), (0.1, 0.1, -1e-10)])
-    @pytest.mark.parametrize("method", ["cf4", "dop853"])
+    @pytest.mark.parametrize("method", ["magnus6", "dop853", "cf4"])
     def test_fundamental_matrix_bad_parameters(self, tanh_cubed, eps, h, tol, method):
-        """Checked before anything else, including an empty interval."""
+        """Checked before anything else, including an empty interval and an
+        unknown method such as the retired cf4."""
         for t1 in (1.0, -1.0):
             with pytest.raises(ValueError, match="need h > 0"):
                 fundamental_matrix(tanh_cubed, eps, h, -1.0, t1, tol=tol, method=method)
@@ -151,14 +156,14 @@ class TestStepControl:
     def _record_meshes(monkeypatch):
         """(boost, steps) of every mesh the propagator builds."""
         meshes = []
-        build = propagator._cf4_mesh
+        build = propagator._magnus6_mesh
 
         def recording(*args):
             mesh = build(*args)
             meshes.append((args[-1], len(mesh) - 1))
             return mesh
 
-        monkeypatch.setattr(propagator, "_cf4_mesh", recording)
+        monkeypatch.setattr(propagator, "_magnus6_mesh", recording)
         return meshes
 
     def test_pilot_pair_accepted_on_windowed_lz(self, lz_windowed, monkeypatch):
@@ -170,15 +175,15 @@ class TestStepControl:
         assert diag.richardson_error <= 1e-9
         assert diag.steps_built == sum(steps for _, steps in meshes)
 
-    def test_rejected_pilot_is_followed_by_a_sized_mesh(self, tanh_pair, monkeypatch):
+    def test_rejected_pilot_is_followed_by_a_sized_mesh(self, lz_windowed, monkeypatch):
+        """Windowed LZ at h = 1e-3, mu = 0.1: the coarse pilot mesh over the one
+        window, 74 steps, is not yet in the asymptotic regime."""
         meshes = self._record_meshes(monkeypatch)
-        h = 1e-2
-        diag = PropagationDiagnostics()
-        fundamental_matrix(tanh_pair, 0.05 * h**0.75, h, -6.0, 6.0, tol=1e-9,
-                           diagnostics=diag)
+        h = 1e-3
+        diag = scattering_matrix(lz_windowed, 0.1 * h**0.75, h, tol=1e-9).diagnostics
         boosts = [boost for boost, _ in meshes]
         assert boosts[:2] == list(PILOT_BOOSTS)
-        assert len(boosts) == 3 and diag.refinements == 1
+        assert len(boosts) == 3 and diag["refinements"] == 1
         ratio = boosts[2] / boosts[1]
         assert ratio >= MIN_BOOST_RATIO
         assert abs(ratio - 2.0) > 0.1
@@ -197,13 +202,13 @@ class TestStepControl:
     def test_exhausted_refinement_raises(self, tanh_cubed, monkeypatch):
         """Estimates that never shrink stop after MAX_REFINEMENTS sized meshes."""
         calls = itertools.count()
-        monkeypatch.setattr(propagator, "_cf4_mesh", lambda *args: np.linspace(-1.0, 1.0, 9))
+        monkeypatch.setattr(propagator, "_magnus6_mesh", lambda *args: np.linspace(-1.0, 1.0, 9))
 
         def drifting(*args):
             angle = 1e-3 * next(calls)
             return complex(math.cos(angle)), complex(math.sin(angle))
 
-        monkeypatch.setattr(propagator, "_cf4_matrix_on_mesh", drifting)
+        monkeypatch.setattr(propagator, "_magnus6_matrix_on_mesh", drifting)
         diag = PropagationDiagnostics()
         with pytest.raises(StepUnderflow, match="failed to reach"):
             fundamental_matrix(tanh_cubed, 0.1, 0.1, -1.0, 1.0, tol=1e-9, diagnostics=diag)
@@ -217,3 +222,31 @@ class TestStepControl:
             fundamental_matrix(tanh_cubed, 0.1, 0.5, -0.5, 0.5, tol=1e-17, diagnostics=diag)
         assert diag.norm_drift > 1e-17
         assert diag.refinements == 0
+
+
+class TestOrder:
+    def test_sixth_order_on_uniform_meshes(self, tanh_pair):
+        """Tanh pair, eps = 0.05, h = 0.02: the error falls as N^-6."""
+        eps, h = 0.05, 0.02
+
+        def pair(n):
+            return np.array(_magnus6_matrix_on_mesh(tanh_pair, eps, h, np.linspace(-6.0, 6.0, n + 1)))
+
+        ref = pair(32000)
+        errors = [np.max(np.abs(pair(n) - ref)) for n in (250, 500, 1000, 2000)]
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 5.8), orders
+
+    def test_estimate_covers_the_error_where_cf4_understated_it(self):
+        """Whole line, h = 0.03, eps = 1.931, tol 1e-8: the estimate covers the
+        difference from the same method at tol/1000 (cf4's order-3 estimate
+        read 0.72 of it)."""
+        model = ScaledTanhProduct(1.0, [
+            {"power": 2, "slope": 0.8282, "center": 0.6109},
+            {"power": 1, "slope": 1.19, "center": 2.4448}])
+        eps, h, tol = 1.931, 0.03, 1e-8
+        rep = scattering_matrix(model, eps, h, tol=tol)
+        ref = scattering_matrix(model, eps, h, tol=tol / 1000, truncation=rep.truncation)
+        assert rep.diagnostics["route"] == "whole_line"
+        observed = float(np.max(np.abs(rep.s_matrix - ref.s_matrix)))
+        assert observed <= rep.diagnostics["error_estimate"] <= tol

@@ -296,7 +296,7 @@ class TestOscillatoryTail:
         assert 0.0 <= diag["norm_drift"] < 1e-10
         assert diag["tail_route"] == "series"
         assert 0.0 < diag["tail_bound"] <= tol * 1e-3
-        assert diag["steps"] > 0 and diag["method"] == "cf4"
+        assert diag["steps"] > 0 and diag["method"] == "magnus6"
 
     def test_report_counts_every_mesh_built(self, tanh_pair, tanh_pair_catalog):
         """The pilot pair and the sized mesh cost less than 1.6 final meshes."""
@@ -316,7 +316,7 @@ THREE_CROSSINGS = ScaledTanhProduct(1.0, [
 
 
 def _whole_line(model, eps, h, tol, catalog, truncation):
-    """The scattering matrix by whole-line cf4, with the window planner switched off."""
+    """The scattering matrix by whole-line magnus6, with the window planner switched off."""
     saved = scattering.plan_windows
     scattering.plan_windows = lambda *args, **kwargs: None
     try:
@@ -349,16 +349,16 @@ class TestWindowedRoute:
         assert abs(rep.p_transition - landau_zener_probability(eps, h)) <= 1e-9
 
     def test_merged_windows_fall_back(self, tanh_pair, tanh_pair_catalog):
-        """At h = 0.1 the windows around +-2 would meet: whole-line cf4."""
+        """At h = 0.1 the windows around +-2 would meet: whole-line magnus6."""
         rep = scattering_matrix(tanh_pair, 0.05 * 0.1**0.75, 0.1, tol=1e-9,
                                 catalog=tanh_pair_catalog)
         diag = rep.diagnostics
         assert diag["route"] == "whole_line"
-        assert diag["windows"] == [] and diag["series_bound"] == 0.0
+        assert diag["windows"] == diag["window_steps"] == [] and diag["series_bound"] == 0.0
         assert diag["error_estimate"] == diag["richardson_error"] <= 1e-9
 
     def test_cost_flat_in_h(self, tanh_pair, tanh_pair_catalog):
-        """The windows shrink as fast as cf4's density grows."""
+        """The windows shrink as fast as the step density grows."""
         steps = []
         for h in (1e-3, 1e-5):
             rep = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, tol=1e-9,
@@ -388,6 +388,7 @@ class TestWindowedRoute:
         for lo, hi, window_tol, _ in calls:
             assert lo < hi and window_tol == tol / 4
         assert diag["steps"] == sum(d.steps for *_, d in calls)
+        assert diag["window_steps"] == [d.steps for *_, d in calls]
         assert diag["steps_built"] == sum(d.steps_built for *_, d in calls)
         assert diag["richardson_error"] == sum(d.richardson_error for *_, d in calls)
         assert 0.0 < diag["series_bound"] <= tol / 2

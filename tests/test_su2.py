@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossinglab.propagator import _exponential_pairs, fundamental_matrix
+from crossinglab.propagator import _magnus6_pairs, fundamental_matrix
 from crossinglab.su2 import dense, ordered_product, su2_mul
 
 
@@ -31,12 +31,12 @@ class TestPairAlgebra:
             assert abs(pa[k] - sa) < 1e-15 and abs(pb[k] - sb) < 1e-15
 
 
-class TestCf4Pairs:
+class TestMagnus6Steps:
     def test_zero_hamiltonian_step_is_identity(self):
-        """lam = 0 takes the sinc limit: the step is exactly the identity."""
+        """Omega = 0 takes the sinc limit: the step is exactly the identity."""
         dt_h = np.array([0.0, 1e-3, 0.5, 7.0])
-        first = _exponential_pairs(np.zeros(4), 0.0, dt_h)
-        a, b = su2_mul(*first, *first)
+        zero = np.zeros(4)
+        a, b = _magnus6_pairs(zero, zero, zero, 0.0, dt_h)
         assert np.all(a == 1.0) and np.all(b == 0.0)
 
     @pytest.mark.parametrize("t0, t1", [(-3.0, 2.5), (2.5, -3.0)])
