@@ -107,13 +107,14 @@ class SweepConfig:
 
 
 def build_rows(config: SweepConfig) -> list[tuple[float, float]]:
-    """(eps, h) pairs from the grid spec, in deterministic order."""
+    """(eps, h) pairs from the grid spec, in deterministic order; ConfigError
+    naming the field when one is missing or malformed."""
     g = config.grid
     kind = g.get("type", "list")
     if kind == "list":
-        rows = [(float(r["eps"]), float(r["h"])) for r in g["rows"]]
+        rows = [(_field(r, "eps"), _field(r, "h")) for r in _field(g, "rows", list)]
     elif kind == "h_ladder":
-        hs = [float(x) for x in g["h_values"]]
+        hs = _field(g, "h_values", lambda xs: [float(x) for x in xs])
         increasing = all(b > a for a, b in zip(hs, hs[1:]))
         decreasing = all(b < a for a, b in zip(hs, hs[1:]))
         if not (increasing or decreasing):
@@ -128,17 +129,28 @@ def build_rows(config: SweepConfig) -> list[tuple[float, float]]:
     return rows
 
 
+def _field(doc, key: str, cast=float):
+    """cast(doc[key]); ConfigError naming the field when it is missing or
+    cast refuses it."""
+    try:
+        return cast(doc[key])
+    except KeyError:
+        raise ConfigError(f"sweep grid: missing field {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep grid: bad field {key!r}: {exc}") from None
+
+
 def _eps_from_rule(rule: dict, h: float) -> float:
     kind = rule.get("type", "fixed")
     if kind == "fixed":
-        return float(rule["value"])
+        return _field(rule, "value")
     if kind == "power":
         # eps = coeff * h^exponent (the mu-constrained path)
-        return float(rule["coeff"]) * h ** float(rule["exponent"])
+        return _field(rule, "coeff") * h ** _field(rule, "exponent")
     if kind == "log_path":
         # eps = (h log(1/h^rho))^(m/(m+1))
-        rho = float(rule["rho"])
-        m = int(rule["m"])
+        rho = _field(rule, "rho")
+        m = _field(rule, "m", int)
         return (h * math.log(1.0 / h**rho)) ** (m / (m + 1.0))
     raise ConfigError(f"unknown eps rule {kind!r}")
 
@@ -150,7 +162,7 @@ def _compute_row(args):
     row["index"] = index
     row["eps"] = eps
     row["h"] = h
-    row["mu_star"] = mu(catalog.m_star, eps, h)
+    row["mu_star"] = mu(catalog.m_star, eps, h) if catalog.crossings else ""
     row["status"] = "ok"
     errors = []
 
@@ -258,12 +270,11 @@ def fit_rate(xs, ys, expected: float | None = None,
 def scan_interference(config: SweepConfig, mu_fixed: float = 0.05) -> dict:
     """Locate minima of P/mu^2 over an h ladder and pair them with the
     predicted interference zeros."""
+    hs = np.sort(np.asarray([h for _, h in build_rows(config)], dtype=float))
     model = model_from_config(config.potential)
     catalog = find_crossings(model)
-    if len(catalog.lambda_star) < 2:
-        raise NoMinimaFound("a single maximal crossing carries no interference")
-    hs = np.asarray([h for _, h in build_rows(config)], dtype=float)
-    hs = np.sort(hs)
+    if catalog.n < 2 or len(catalog.lambda_star) < 2:
+        raise NoMinimaFound("interference needs two maximal crossings")
     m_star = catalog.m_star
     normalized = []
     for h in hs:
@@ -325,7 +336,7 @@ DEMO_STATIONS = (
 
 
 def regime_switch_demo(potential: dict | None = None, stations=None,
-                       tol: float = 1e-7, jobs: int = 1) -> dict:
+                       tol: float = 1e-7) -> dict:
     """Walk a path across regime boundaries and report the parity switch.
 
     Each row records the per-crossing smallness parameters, the strict and

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..msa import MsaGrid, apply_K, msa_solution, residual_norm, sampled_norm
 from ..oscillatory import osc_integral, stationary_phase_leading
 from ..potential import LinearLZ, PolynomialWindowed, ScaledTanhProduct, find_crossings
@@ -352,6 +353,11 @@ ALL_SUITES = {
 
 
 def run_verify(seed: int = 42, suites=None) -> list:
+    """Checks of the named suites (every suite when none are named);
+    ConfigError for a name that is not a suite."""
+    unknown = sorted(set(suites or ()) - set(ALL_SUITES))
+    if unknown:
+        raise ConfigError(f"unknown suites {unknown}; choose from {list(ALL_SUITES)}")
     results = []
     for name, fn in ALL_SUITES.items():
         if suites and name not in suites:

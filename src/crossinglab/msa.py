@@ -38,6 +38,20 @@ _LAGRANGE_DENOM = np.array([np.prod([j - k for k in range(6) if k != j]) for j i
                            dtype=float)
 
 
+def grid_size(model, h: float, a: float, b: float) -> int:
+    """Points of the default grid on [a, b]: at least GRID_MIN_POINTS, and
+    enough that the fastest phase, rate 2 max|V| / h, advances by at most
+    GRID_PHASE_STEP per interval.  Raises QuadratureTolExceeded past
+    GRID_MAX_POINTS."""
+    vmax = float(np.max(np.abs(np.real(model.eval(np.linspace(a, b, 512))))))
+    needed = int(np.ceil(abs(b - a) * 2.0 * vmax / (GRID_PHASE_STEP * h))) + 1
+    n = max(GRID_MIN_POINTS, needed)
+    if n > GRID_MAX_POINTS:
+        raise QuadratureTolExceeded(
+            f"grid of {n} points needed to resolve oscillations; h too small")
+    return n
+
+
 @dataclass
 class MsaGrid:
     """Uniform sample grid over an interval around one crossing."""
@@ -53,14 +67,13 @@ class MsaGrid:
     @staticmethod
     def build(model, h: float, interval: tuple[float, float], t_ref: float,
               n: int | None = None) -> "MsaGrid":
+        """Grid of ``n`` points (default ``grid_size``) from interval[0] to
+        interval[1].  A reversed interval gives descending points and dx < 0,
+        which the cumulative rule handles; ``index`` and ``interp`` need
+        ascending points."""
         a, b = float(interval[0]), float(interval[1])
         if n is None:
-            vmax = float(np.max(np.abs(np.real(model.eval(np.linspace(a, b, 512))))))
-            needed = int(np.ceil((b - a) * 2.0 * vmax / (GRID_PHASE_STEP * h))) + 1
-            n = max(GRID_MIN_POINTS, needed)
-            if n > GRID_MAX_POINTS:
-                raise QuadratureTolExceeded(
-                    f"grid of {n} points needed to resolve oscillations; h too small")
+            n = grid_size(model, h, a, b)
         pts = np.linspace(a, b, n)
         phase = cumulative_uniform(np.real(model.eval(pts)), (b - a) / (n - 1))
         phase -= phase_integral(model, a, t_ref)

@@ -102,6 +102,8 @@ def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
 
     Raises RegimeViolation unless the regime rule classes every crossing "N".
     """
+    if not catalog.crossings:
+        raise MStarTooSmall("no crossing: the leading coefficient needs one")
     m_star = catalog.m_star
     if m_star < 2 and not allow_order_one:
         raise MStarTooSmall(

@@ -191,7 +191,7 @@ def _magnus6_density(model, eps: float, h: float, t0: float, t1: float, tol: flo
     more than MAX_PHASE, lam dt / h, so that the local error stays e dt^7.
     """
     def density(t):
-        # one stretch: t samples all of [t0, t1]
+        # t is sample_density's grid over all of [t0, t1]
         v = np.real(model.eval(t))
         lam2 = v * v + eps * eps
         lam = np.sqrt(lam2)
@@ -209,12 +209,12 @@ def _magnus6_density(model, eps: float, h: float, t0: float, t1: float, tol: flo
         total = float(np.sum(0.5 * (root[1:] + root[:-1]) * np.diff(t)))
         return np.maximum((total / tol) ** (1.0 / 6.0) * root, lam / (MAX_PHASE * h))
 
-    return sample_density(density, t0, t1, samples=DENSITY_SAMPLES)
+    return sample_density(density, t0, t1, DENSITY_SAMPLES)
 
 
 def _magnus6_mesh(density, h: float, tol: float, boost: float) -> np.ndarray:
     try:
-        return adaptive_mesh(density, boost, max_points=MAX_TOTAL_STEPS)
+        return adaptive_mesh(density, boost, MAX_TOTAL_STEPS)
     except QuadratureTolExceeded as exc:
         raise StepUnderflow(
             f"h={h}, tol={tol} needs more than {MAX_TOTAL_STEPS} steps; "

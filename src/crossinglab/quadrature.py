@@ -1,13 +1,17 @@
 """Quadrature primitives shared across the package.
 
-Two families of rules live here:
+Each job has one rule:
 
-* composite Gauss-Legendre rules on panels, for smooth integrands (action
-  integrals) and, on panels short enough that the phase advances by only a
-  fraction of a radian, for oscillatory ones; the antiderivative matrix of
-  the same nodes gives the running integral inside each panel;
-* a sixth-order cumulative rule for samples on a uniform grid, used by the
-  successive-approximation operators and their grid phase.
+* composite Gauss-Legendre rules on panels for integrands without a fast
+  phase (action integrals, the adiabatic phases) and for the Jost tails'
+  reference panels, whose linear phase a fixed panel width resolves;
+* a sixth-order cumulative rule for samples on a uniform grid: the
+  successive-approximation operators, their grid phase, and every
+  oscillatory integral on a grid (``oscillatory.osc_integral`` runs on the
+  same grids);
+* an adaptive mesh for the propagator: ``sample_density`` samples a step
+  density and its running integral once, and ``adaptive_mesh`` inverts it
+  at any boost.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ import numpy as np
 
 from .errors import QuadratureTolExceeded
 
-# samples of the density per anchor-to-anchor stretch of an adaptive mesh
-_MESH_SAMPLES = 4097
-
 
 @lru_cache(maxsize=16)
 def gauss_legendre(n: int):
@@ -28,54 +29,34 @@ def gauss_legendre(n: int):
     return x, w
 
 
-@lru_cache(maxsize=8)
-def gauss_legendre_antiderivative(n: int) -> np.ndarray:
-    """Matrix S with (S @ f)[j] = integral from -1 to x_j of the interpolant
-    of f at the n Gauss-Legendre nodes x."""
-    leg = np.polynomial.legendre
-    x, _ = gauss_legendre(n)
-    coeffs = np.linalg.inv(leg.legvander(x, n - 1))   # values -> Legendre coefficients
-    return leg.legvander(x, n) @ leg.legint(coeffs, lbnd=-1.0, axis=0)
+def sample_density(density, a: float, b: float, samples: int) -> tuple:
+    """Sample a vectorized density (steps per unit length) on a < b.
 
-
-def sample_density(density, a: float, b: float, forced=(),
-                   samples: int = _MESH_SAMPLES) -> tuple:
-    """Sample a vectorized density (panels per unit length) on a < b.
-
-    Returns, per anchor-to-anchor stretch, the sample points and the running
-    integral of the density at them (trapezoid rule from the stretch's
-    start).  ``forced`` points inside (a, b) become stretch ends, so meshes
-    built from the samples hold them exactly; each stretch takes ``samples``
-    points.  The density is floored at one panel per stretch.
+    Returns the ``samples`` points and the running integral of the density
+    at them (trapezoid rule from a).  The density is floored at one step over
+    [a, b].
     """
-    anchors = sorted({float(a), float(b), *[float(t) for t in forced if a < t < b]})
-    stretches = []
-    for lo, hi in zip(anchors[:-1], anchors[1:]):
-        t = np.linspace(lo, hi, samples)
-        rho = np.maximum(np.asarray(density(t), dtype=float), 1.0 / (hi - lo))
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(t))])
-        stretches.append((t, cum))
-    return tuple(stretches)
+    t = np.linspace(a, b, samples)
+    rho = np.maximum(np.asarray(density(t), dtype=float), 1.0 / (b - a))
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(t))])
+    return t, cum
 
 
-def adaptive_mesh(stretches, boost: float = 1.0, max_points: int | None = None) -> np.ndarray:
-    """Panel breakpoints with local size ~ 1 / (boost * density(t)).
+def adaptive_mesh(sampled, boost: float, max_points: int) -> np.ndarray:
+    """Mesh with local step ~ 1 / (boost * density(t)).
 
-    ``stretches`` comes from ``sample_density``.  Breakpoints are placed by
+    ``sampled`` comes from ``sample_density``.  Breakpoints are placed by
     inverting the sampled cumulative density, so the mesh adapts smoothly,
-    and one sampling serves meshes at any boost.  ``max_points`` raises
-    before any large allocation happens.
+    and one sampling serves meshes at any boost.  More than ``max_points``
+    steps raise before any large allocation happens.
     """
-    counts = [max(1, int(np.ceil(boost * cum[-1]))) for _, cum in stretches]
-    if max_points is not None and sum(counts) > max_points:
+    t, cum = sampled
+    count = max(1, int(np.ceil(boost * cum[-1])))
+    if count > max_points:
         raise QuadratureTolExceeded(f"adaptive mesh needs more than {max_points} panels")
-    pieces = []
-    for (t, cum), count in zip(stretches, counts):
-        brk = np.interp(np.linspace(0.0, cum[-1], count + 1), cum, t)
-        brk[0], brk[-1] = t[0], t[-1]
-        pieces.append(brk[:-1])
-    pieces.append(stretches[-1][0][-1:])
-    return np.concatenate(pieces)
+    mesh = np.interp(np.linspace(0.0, cum[-1], count + 1), cum, t)
+    mesh[0], mesh[-1] = t[0], t[-1]
+    return mesh
 
 
 def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125,

@@ -19,6 +19,7 @@ from crossinglab.harness.sweep import (
     scan_interference,
     write_csv,
 )
+from crossinglab.harness.verify import run_verify
 
 TANH_PAIR_DOC = {
     "family": "scaled_tanh_product",
@@ -32,6 +33,10 @@ CUBIC_DOC = {
     "family": "scaled_tanh_product",
     "params": {"scale": 1.0, "factors": [{"power": 3, "slope": 1.0, "center": 0.0}]},
 }
+
+# V = 1 + t^2 inside the window: never zero
+NO_CROSSING_DOC = {"family": "polynomial_windowed",
+                   "params": {"coefficients": [1.0, 0.0, 1.0], "window": 3.0}}
 
 
 class TestFitRate:
@@ -92,14 +97,27 @@ class TestConfigAndRows:
         assert config.label == "t"
         assert config.oracles == ("numeric",)
 
-    @pytest.mark.parametrize("row", [
-        {"eps": 0.01, "h": 0.0}, {"eps": 0.01, "h": -0.1}, {"eps": -0.01, "h": 0.1},
-        {"eps": float("nan"), "h": 0.1}, {"eps": 0.01, "h": float("inf")}],
-        ids=["h_zero", "h_negative", "eps_negative", "eps_nan", "h_inf"])
-    def test_bad_rows_rejected(self, row):
-        config = SweepConfig(potential=CUBIC_DOC, grid={"type": "list", "rows": [row]})
-        with pytest.raises(ConfigError, match="need h > 0"):
+    @pytest.mark.parametrize("grid,match", [
+        *[({"type": "list", "rows": [row]}, "need h > 0") for row in (
+            {"eps": 0.01, "h": 0.0}, {"eps": 0.01, "h": -0.1}, {"eps": -0.01, "h": 0.1},
+            {"eps": float("nan"), "h": 0.1}, {"eps": 0.01, "h": float("inf")})],
+        ({"type": "list"}, "missing field 'rows'"),
+        ({"type": "list", "rows": [{"eps": 0.01}]}, "missing field 'h'"),
+        ({"type": "h_ladder", "h_values": [0.1, 0.05],
+          "eps_rule": {"type": "power", "coeff": "abc", "exponent": 0.75}}, "bad field 'coeff'")],
+        ids=["h_zero", "h_negative", "eps_negative", "eps_nan", "h_inf",
+             "rows_missing", "h_missing", "coeff_not_a_number"])
+    def test_bad_rows_rejected(self, grid, match, tmp_path, capsys):
+        """Refused with the field named, and the CLI commands that read the
+        grid exit with the configuration code."""
+        config = SweepConfig(potential=CUBIC_DOC, grid=grid)
+        with pytest.raises(ConfigError, match=match):
             build_rows(config)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"potential": CUBIC_DOC, "grid": grid}))
+        for command in ("sweep", "interfere"):
+            assert cli_main([command, "--config", str(path)]) == 2
+        assert match in capsys.readouterr().err
 
     def test_bad_ladder_rows_rejected(self):
         config = SweepConfig(
@@ -165,6 +183,19 @@ class TestRunSweep:
         rows = run_sweep(config)
         assert rows[0]["status"] == "failed"
         assert rows[0]["error"].startswith("nonadiabatic: RegimeViolation: ")
+
+    def test_potential_without_crossing(self):
+        """mu_star is left empty and the nonadiabatic closed form refuses the
+        row typed, so the numeric P still makes it partial."""
+        config = SweepConfig(
+            potential=NO_CROSSING_DOC,
+            grid={"type": "list", "rows": [{"eps": 0.1, "h": 0.05}]},
+            oracles=("numeric", "nonadiabatic"))
+        (row,) = run_sweep(config)
+        assert row["status"] == "partial"
+        assert row["mu_star"] == ""
+        assert 0.0 <= row["P_numeric"] < 1e-12
+        assert row["error"].startswith("nonadiabatic: MStarTooSmall: ")
 
     def test_programming_errors_propagate(self, monkeypatch):
         """Only CrossingLabError becomes a failed row; the table looks its
@@ -306,6 +337,21 @@ class TestCli:
         rc = cli_main(["verify", "--seed", "7", "--suites", "su2"])
         assert rc == 0
         assert "su2.product_unitarity" in capsys.readouterr().out
+
+    def test_verify_unknown_suite(self, capsys):
+        """A misspelled suite is refused, not passed with nothing run."""
+        with pytest.raises(ConfigError, match="stationry"):
+            run_verify(suites=["stationary", "stationry"])
+        assert cli_main(["verify", "--suites", "stationry"]) == 2
+        assert "unknown suites ['stationry']" in capsys.readouterr().err
+
+    def test_predict_without_crossing(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, NO_CROSSING_DOC)
+        rc = cli_main(["predict", "--config", cfg, "--eps", "0.1", "--h", "0.05"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "no crossing" in doc["nonadiabatic"]["error"]
+        assert doc["chain"]["P_pred"] == doc["mixed"]["P_pred"] == 0.0
 
     def test_sweep_cli(self, tmp_path, capsys):
         doc = {"potential": CUBIC_DOC,

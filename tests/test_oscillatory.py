@@ -41,14 +41,32 @@ class TestOmega:
 
 class TestOscIntegral:
     def test_fresnel_closed_form(self, lz_pure):
-        """V = t gives the Fresnel integral; exact truncated value from C/S."""
+        """V = t gives the Fresnel integral; exact truncated value from C/S.
+        Every tol passed is met."""
         L = 3.0
         for h in (0.2, 0.05, 0.0125):
-            val = osc_integral(lz_pure, (-L, L), 0.0, h)
             xi = L * math.sqrt(2.0 / (math.pi * h))
             s, c = fresnel(xi)
             exact = 2.0 * math.sqrt(math.pi * h / 2.0) * (c + 1j * s)
-            assert val == pytest.approx(exact, abs=1e-12)
+            for tol in (1e-6, 1e-9, 1e-12):
+                val = osc_integral(lz_pure, (-L, L), 0.0, h, tol=tol)
+                assert abs(val - exact) <= tol
+
+    def test_fast_amplitude_matches_shifted_fresnel(self, lz_pure):
+        """cos(k t) exp(i t^2 / h) = (1/2) e^{-i k^2 h / 4} sum_+- exp(i (t +- k h / 2)^2 / h),
+        so the integral is a sum of Fresnel integrals over shifted ends."""
+        L, h, k = 3.0, 0.05, 300.0
+
+        def fresnel_from_zero(x):  # integral from 0 to x of exp(i s^2 / h)
+            s, c = fresnel(x * math.sqrt(2.0 / (math.pi * h)))
+            return math.sqrt(math.pi * h / 2.0) * (c + 1j * s)
+
+        shift = 0.5 * k * h
+        exact = 0.5 * cmath.exp(-0.25j * k * k * h) * sum(
+            fresnel_from_zero(L + d) - fresnel_from_zero(-L + d) for d in (shift, -shift))
+        val = osc_integral(lz_pure, (-L, L), 0.0, h,
+                           amplitude=lambda t: np.cos(k * t), tol=1e-12)
+        assert abs(val - exact) <= 1e-12
 
     def test_wide_window_matches_infinite_fresnel(self, lz_pure):
         """Truncation error of the full-line value falls like h/(2L)."""
@@ -83,11 +101,11 @@ class TestOscIntegral:
         assert two == pytest.approx(2.0 * one, rel=1e-13)
 
     def test_tolerance_raise(self, tanh_cubed):
-        """An amplitude oscillating faster than the mesh resolves must be
-        reported, not silently mis-integrated."""
+        """An amplitude oscillating faster than the largest grid resolves must
+        be reported, not silently mis-integrated."""
         with pytest.raises(QuadratureTolExceeded):
             osc_integral(tanh_cubed, (-1, 1), 0.0, 0.05,
-                         amplitude=lambda t: np.cos(300.0 * t), tol=1e-12)
+                         amplitude=lambda t: np.cos(2e6 * t), tol=1e-12)
 
     @pytest.mark.parametrize("h", [0.0, -0.1, math.inf, math.nan])
     def test_bad_h(self, lz_pure, h):
