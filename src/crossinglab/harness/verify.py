@@ -19,6 +19,7 @@ from ..propagator import PropagationDiagnostics, fundamental_matrix, propagate
 from ..scattering import (
     _oscillatory_tail,
     _panel_tail,
+    _scattering_matrix,
     herm_phase_exp,
     jost_basis,
     scattering_matrix,
@@ -121,8 +122,9 @@ def scattering_suite(seed: int = 42, tol: float = 1e-9) -> list:
 def _window_bound_calibration(tol: float):
     """error_estimate of the windowed route against whole-line magnus6 at tol/100.
 
-    The estimate must cover the observed difference of S without
-    overstating it by more than WINDOW_CALIBRATION_MAX.
+    The windows are always planned here, also where the whole line is the
+    cheaper route.  The estimate must cover the observed difference of S
+    without overstating it by more than WINDOW_CALIBRATION_MAX.
     """
     pair = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
                                    {"power": 3, "slope": 1.0, "center": -2.0}])
@@ -134,7 +136,7 @@ def _window_bound_calibration(tol: float):
         catalog = find_crossings(model)
         for h in (1e-2, 1e-3, 1e-4):
             eps = 0.05 * h ** 0.75
-            rep = scattering_matrix(model, eps, h, tol=tol, catalog=catalog)
+            rep = _scattering_matrix(model, eps, h, tol, None, "magnus6", catalog, 0.0)
             mat = fundamental_matrix(model, eps, h, -rep.truncation, rep.truncation,
                                      tol=tol / 100)
             ref = (jost_basis(model, eps, h, "right", rep.truncation, tol=tol * 1e-3).conj().T

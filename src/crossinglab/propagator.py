@@ -66,8 +66,9 @@ Two independent backends:
   moderate h.
 
 Both propagate the whole interval they are given.  Scattering calls magnus6
-on the windows around the crossings only (see ``scattering``), so these full
-propagations are its independent oracles.
+on the whole line where that is predicted cheaper and otherwise on the
+windows around the crossings only (see ``scattering``); full propagations of
+the windowed rows are their independent oracles.
 
 Both preserve the norm to within the requested tolerance; the drift is
 reported, never silently corrected.
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureTolExceeded, StepUnderflow
-from .quadrature import adaptive_mesh, sample_density
+from .quadrature import adaptive_mesh, mesh_steps, sample_density
 from .su2 import dense, ordered_product, su2_mul
 
 # the three Gauss-Legendre nodes of a step, as fractions of it
@@ -212,6 +213,14 @@ def _magnus6_density(model, eps: float, h: float, t0: float, t1: float, tol: flo
     return sample_density(density, t0, t1, DENSITY_SAMPLES)
 
 
+def pilot_steps(density) -> int:
+    """Steps of the pilot pair on a density from ``_magnus6_density``.
+
+    A propagation whose pilot pair is accepted builds exactly these steps.
+    """
+    return sum(mesh_steps(density, boost) for boost in PILOT_BOOSTS)
+
+
 def _magnus6_mesh(density, h: float, tol: float, boost: float) -> np.ndarray:
     try:
         return adaptive_mesh(density, boost, MAX_TOTAL_STEPS)
@@ -229,14 +238,19 @@ def check_parameters(eps: float, h: float, tol: float) -> None:
 
 def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
                        tol: float = 1e-10, method: str = "magnus6",
-                       diagnostics: PropagationDiagnostics | None = None) -> np.ndarray:
-    """Unitary 2x2 matrix M with psi(t1) = M @ psi(t0)."""
+                       diagnostics: PropagationDiagnostics | None = None,
+                       density=None) -> np.ndarray:
+    """Unitary 2x2 matrix M with psi(t1) = M @ psi(t0).
+
+    ``density`` is the magnus6 step density that ``_magnus6_density``
+    returns for these arguments, when the caller has sampled it already.
+    """
     check_parameters(eps, h, tol)
     if t0 == t1:
         return np.eye(2, dtype=complex)
     if t1 < t0:
         return fundamental_matrix(model, eps, h, t1, t0, tol=tol, method=method,
-                                  diagnostics=diagnostics).conj().T
+                                  diagnostics=diagnostics, density=density).conj().T
     if method == "dop853":
         return _dop853_matrix(model, eps, h, t0, t1, tol, diagnostics)
     if method != "magnus6":
@@ -247,7 +261,8 @@ def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
     diagnostics.method = "magnus6"
     diagnostics.steps_built = 0
 
-    density = _magnus6_density(model, eps, h, t0, t1, tol)
+    if density is None:
+        density = _magnus6_density(model, eps, h, t0, t1, tol)
 
     def solve(boost):
         mesh = _magnus6_mesh(density, h, tol, boost)

@@ -10,8 +10,8 @@ Each job has one rule:
   oscillatory integral on a grid (``oscillatory.osc_integral`` runs on the
   same grids);
 * an adaptive mesh for the propagator: ``sample_density`` samples a step
-  density and its running integral once, and ``adaptive_mesh`` inverts it
-  at any boost.
+  density and its running integral once, ``adaptive_mesh`` inverts it at
+  any boost, and ``mesh_steps`` gives that mesh's size without building it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ def sample_density(density, a: float, b: float, samples: int) -> tuple:
     return t, cum
 
 
+def mesh_steps(sampled, boost: float) -> int:
+    """Steps of the mesh that ``adaptive_mesh`` builds at this boost."""
+    return max(1, int(np.ceil(boost * sampled[1][-1])))
+
+
 def adaptive_mesh(sampled, boost: float, max_points: int) -> np.ndarray:
     """Mesh with local step ~ 1 / (boost * density(t)).
 
@@ -51,7 +56,7 @@ def adaptive_mesh(sampled, boost: float, max_points: int) -> np.ndarray:
     steps raise before any large allocation happens.
     """
     t, cum = sampled
-    count = max(1, int(np.ceil(boost * cum[-1])))
+    count = mesh_steps(sampled, boost)
     if count > max_points:
         raise QuadratureTolExceeded(f"adaptive mesh needs more than {max_points} panels")
     mesh = np.interp(np.linspace(0.0, cum[-1], count + 1), cum, t)

@@ -104,9 +104,11 @@ class TestConfigAndRows:
         ({"type": "list"}, "missing field 'rows'"),
         ({"type": "list", "rows": [{"eps": 0.01}]}, "missing field 'h'"),
         ({"type": "h_ladder", "h_values": [0.1, 0.05],
-          "eps_rule": {"type": "power", "coeff": "abc", "exponent": 0.75}}, "bad field 'coeff'")],
+          "eps_rule": {"type": "power", "coeff": "abc", "exponent": 0.75}}, "bad field 'coeff'"),
+        ({"type": "h_ladder", "h_values": [2.0, 1.5],
+          "eps_rule": {"type": "log_path", "rho": 1, "m": 3}}, "eps rule 'log_path'")],
         ids=["h_zero", "h_negative", "eps_negative", "eps_nan", "h_inf",
-             "rows_missing", "h_missing", "coeff_not_a_number"])
+             "rows_missing", "h_missing", "coeff_not_a_number", "log_path_above_h_1"])
     def test_bad_rows_rejected(self, grid, match, tmp_path, capsys):
         """Refused with the field named, and the CLI commands that read the
         grid exit with the configuration code."""
@@ -255,7 +257,7 @@ class TestRunSweep:
         """Schema 2 says how P_numeric was obtained, identically for any jobs."""
         config = SweepConfig(
             potential=TANH_PAIR_DOC,
-            grid={"type": "h_ladder", "h_values": [0.1, 0.01],
+            grid={"type": "h_ladder", "h_values": [0.1, 1e-3],
                   "eps_rule": {"type": "power", "coeff": 0.05, "exponent": 0.75}},
             oracles=("numeric",), tol=1e-9)
         rows = run_sweep(config)

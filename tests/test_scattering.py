@@ -14,7 +14,7 @@ from crossinglab.potential import (
     find_crossings,
     regularized_action,
 )
-from crossinglab import scattering
+from crossinglab import propagator, scattering
 from crossinglab.quadrature import integrate_panels
 from crossinglab.scattering import (
     JostAngles,
@@ -315,14 +315,66 @@ THREE_CROSSINGS = ScaledTanhProduct(1.0, [
 ])
 
 
-def _whole_line(model, eps, h, tol, catalog, truncation):
-    """The scattering matrix by whole-line magnus6, with the window planner switched off."""
-    saved = scattering.plan_windows
-    scattering.plan_windows = lambda *args, **kwargs: None
-    try:
-        return scattering_matrix(model, eps, h, tol=tol, catalog=catalog, truncation=truncation)
-    finally:
-        scattering.plan_windows = saved
+def _whole_line(model, eps, h, tol, catalog, truncation=None):
+    """The scattering matrix by whole-line magnus6: the windows priced out."""
+    return scattering._scattering_matrix(model, eps, h, tol, truncation, "magnus6", catalog,
+                                         math.inf)
+
+
+def _windowed(model, eps, h, tol, catalog, truncation=None):
+    """The scattering matrix with the windows always planned: the whole line
+    is taken only when the plan fails."""
+    return scattering._scattering_matrix(model, eps, h, tol, truncation, "magnus6", catalog,
+                                         0.0)
+
+
+class TestRouteRule:
+    @pytest.mark.parametrize("h", [0.1, 1e-2])
+    def test_whole_line_where_its_steps_are_cheaper(self, tanh_pair, tanh_pair_catalog,
+                                                     monkeypatch, h):
+        """No plan, one density sample, and the predicted steps are the steps built."""
+        def no_plan(*args, **kwargs):
+            raise AssertionError("plan_windows was called")
+
+        samples = []
+        real = scattering._magnus6_density
+
+        def counted(*args, **kwargs):
+            samples.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, "plan_windows", no_plan)
+        monkeypatch.setattr(scattering, "_magnus6_density", counted)
+        monkeypatch.setattr(propagator, "_magnus6_density", counted)
+        rep = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, tol=1e-9,
+                                catalog=tanh_pair_catalog)
+        diag = rep.diagnostics
+        assert diag["route"] == "whole_line" and len(samples) == 1
+        assert diag["predicted_steps"] == diag["steps_built"]
+        assert diag["predicted_steps"] <= scattering.WINDOW_COST_STEPS * tanh_pair_catalog.n
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    def test_windows_where_the_whole_line_costs_more(self, tanh_pair, tanh_pair_catalog, h):
+        rep = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, tol=1e-9,
+                                catalog=tanh_pair_catalog)
+        diag = rep.diagnostics
+        assert diag["route"] == "windowed"
+        assert diag["predicted_steps"] > scattering.WINDOW_COST_STEPS * tanh_pair_catalog.n
+
+    @pytest.mark.parametrize("family, h, eps", [
+        *(("pair", h, 0.05 * h**0.75) for h in (0.05, 0.03, 1e-2, 5e-3, 3e-3)),
+        *(("lz", h, eps) for h in (0.1, 0.2) for eps in (0.05, 0.1, 0.2))])
+    def test_whole_line_estimate_calibrated(self, tanh_pair, lz_windowed, family, h, eps):
+        """On the rows the rule sends whole-line, error_estimate covers the
+        difference of S from the same route at tol/1000, within a factor 10."""
+        model = tanh_pair if family == "pair" else lz_windowed
+        cat = find_crossings(model)
+        tol = 1e-9
+        rep = scattering_matrix(model, eps, h, tol=tol, catalog=cat)
+        ref = _whole_line(model, eps, h, tol / 1000, cat, rep.truncation)
+        assert rep.diagnostics["route"] == "whole_line"
+        observed = float(np.max(np.abs(rep.s_matrix - ref.s_matrix)))
+        assert observed <= rep.diagnostics["error_estimate"] <= 10.0 * observed
 
 
 class TestWindowedRoute:
@@ -333,7 +385,7 @@ class TestWindowedRoute:
         model = tanh_pair if family == "pair" else THREE_CROSSINGS
         cat = find_crossings(model)
         eps, tol = 0.05 * h**0.75, 1e-7
-        rep = scattering_matrix(model, eps, h, tol=tol, catalog=cat)
+        rep = _windowed(model, eps, h, tol, cat)
         ref = _whole_line(model, eps, h, tol / 100, cat, rep.truncation)
         diag = rep.diagnostics
         assert diag["route"] == "windowed" and ref.diagnostics["route"] == "whole_line"
@@ -344,14 +396,16 @@ class TestWindowedRoute:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     @pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
     def test_landau_zener(self, lz_windowed, eps, h):
-        rep = scattering_matrix(lz_windowed, eps, h, tol=1e-9)
-        assert rep.diagnostics["route"] == "windowed"
-        assert abs(rep.p_transition - landau_zener_probability(eps, h)) <= 1e-9
+        """Exact on the route the rule picks and on the windows."""
+        cat = find_crossings(lz_windowed)
+        windowed = _windowed(lz_windowed, eps, h, 1e-9, cat)
+        assert windowed.diagnostics["route"] == "windowed"
+        for rep in (scattering_matrix(lz_windowed, eps, h, tol=1e-9, catalog=cat), windowed):
+            assert abs(rep.p_transition - landau_zener_probability(eps, h)) <= 1e-9
 
     def test_merged_windows_fall_back(self, tanh_pair, tanh_pair_catalog):
         """At h = 0.1 the windows around +-2 would meet: whole-line magnus6."""
-        rep = scattering_matrix(tanh_pair, 0.05 * 0.1**0.75, 0.1, tol=1e-9,
-                                catalog=tanh_pair_catalog)
+        rep = _windowed(tanh_pair, 0.05 * 0.1**0.75, 0.1, 1e-9, tanh_pair_catalog)
         diag = rep.diagnostics
         assert diag["route"] == "whole_line"
         assert diag["windows"] == diag["window_steps"] == [] and diag["series_bound"] == 0.0
