@@ -148,10 +148,11 @@ def _eps_from_rule(rule: dict, h: float) -> float:
         # eps = coeff * h^exponent (the mu-constrained path)
         return _field(rule, "coeff") * h ** _field(rule, "exponent")
     if kind == "log_path":
-        # eps = (h log(1/h^rho))^(m/(m+1)), real only while h^rho < 1
+        # eps = (h log(1/h^rho))^(m/(m+1)), real only while h^rho < 1; the
+        # log is taken as -rho log(h) because h^rho leaves the float range
         rho = _field(rule, "rho")
         m = _field(rule, "m", int)
-        base = h * math.log(1.0 / h**rho)
+        base = h * (-rho * math.log(h))
         if not base > 0:
             raise ConfigError(f"eps rule 'log_path' needs h log(1/h^rho) > 0; "
                               f"h={h}, rho={rho} give {base}")

@@ -24,14 +24,8 @@ from ..scattering import (
     jost_basis,
     scattering_matrix,
 )
-from ..transfer import (
-    Q_FLIP,
-    SU2Matrix,
-    chain_offdiag_leading,
-    chain_prob_leading,
-    diagonal_su2,
-    su2_chain_product,
-)
+from ..su2 import SU2Matrix, diagonal_su2
+from ..transfer import chain_offdiag_leading, chain_prob_leading, su2_chain_product
 
 # largest accepted richardson_error / observed error of the magnus6 propagator
 CALIBRATION_MAX = 10.0
@@ -237,10 +231,11 @@ def su2_suite(seed: int = 42, tol: float = 1e-12) -> list:
     rng = np.random.default_rng(seed + 2)
     out = []
     # flip-matrix properties on random 2x2s
+    q = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    lhs = Q_FLIP @ a
-    rhs = np.array([[a[1, 1], a[1, 0]], [a[0, 1], a[0, 0]]]) @ Q_FLIP
-    ok_q = np.allclose(lhs, rhs, atol=1e-14) and np.allclose(Q_FLIP @ Q_FLIP, np.eye(2))
+    lhs = q @ a
+    rhs = np.array([[a[1, 1], a[1, 0]], [a[0, 1], a[0, 0]]]) @ q
+    ok_q = np.allclose(lhs, rhs, atol=1e-14) and np.allclose(q @ q, np.eye(2))
     out.append(("su2.flip_identities", bool(ok_q), "QMQ swap and Q^2 = 1"))
 
     worst_unit = 0.0
@@ -261,11 +256,11 @@ def su2_suite(seed: int = 42, tol: float = 1e-12) -> list:
             worst_unit = max(worst_unit, float(np.max(np.abs(mat.conj().T @ mat - np.eye(2)))))
             pert = chain_offdiag_leading(alphas, betas, nus)
             worst_ratio = max(worst_ratio, abs(prod.b - pert) / mu_small**2)
-            # general second-order probability vs unit-alpha reduction
+            # unit alphas: the second-order probability is |first-order entry|^2
             ones = np.ones(n, dtype=complex)
-            full = chain_prob_leading(ones, betas, nus)
-            reduced = chain_prob_leading(ones, betas, nus, assume_unit_alpha=True)
-            reduction = max(reduction, abs(full - reduced))
+            prob = chain_prob_leading(ones, betas, nus)
+            entry = chain_offdiag_leading(ones, betas, nus)
+            reduction = max(reduction, abs(prob - abs(entry) ** 2))
     out.append(("su2.product_unitarity", worst_unit < tol, f"defect {worst_unit:.2e}"))
     out.append(("su2.offdiag_first_order", worst_ratio < 40.0,
                 f"max |err|/mu^2 = {worst_ratio:.3f}"))

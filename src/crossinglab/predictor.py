@@ -9,27 +9,22 @@ phase-space areas over h.
 Mixed regime: the leading term combines the diabatic couplings of the
 "flat" crossings with the exponentially small adiabatic couplings of the
 "sharp" ones, with between-crossing phases taken along the effective
-(sign-masked) coupling.
+(sign-masked) coupling.  It is the second-order expansion of the transfer
+chain that ``transfer.chain_factors`` builds, the same factors that
+``predicted_scattering`` multiplies as SU(2) pairs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MStarTooSmall, RegimeViolation
-from .oscillatory import omega_m
 from .params import RegimeSplit, check_split, classify_regimes, mu
-from .potential.catalog import CrossingCatalog, effective_potential
-from .transfer import (
-    _tilde_flags,
-    chain_pair_term,
-    chain_prob_leading,
-    crossing_transfer_adiabatic,
-)
+from .potential.catalog import CrossingCatalog
+from .transfer import chain_factors, chain_pair_term, chain_prob_leading
 
 
 def gamma_factor(m: int) -> float:
@@ -202,48 +197,32 @@ class MixedPrediction:
 
 def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
                   split: RegimeSplit,
-                  turning_sets: dict | None = None,
-                  enforce_regime: bool = True) -> MixedPrediction:
+                  turning_sets: dict | None = None) -> MixedPrediction:
     """Leading term of P in the coexistence regime.
 
-    Builds the flip-conjugated chain numbers (diabatic couplings for flat
-    crossings, dressed adiabatic couplings for sharp ones, effective-coupling
-    phases in between) and evaluates the second-order probability of the
-    chain, then applies the combined parity rule.  With ``enforce_regime``
-    the split must be the regime rule's split at (eps, h).
+    Takes the transfer chain's factors flip-conjugated (raw diabatic pairs
+    for flat crossings, dressed adiabatic pairs for sharp ones, phases of the
+    effective coupling in between) and evaluates the second-order
+    probability of the chain, then applies the combined parity rule.  The
+    diabatic pairs stay unnormalized: the mu^2 adjustment belongs to the
+    error term, and the reduction to the all-diabatic coefficient must be
+    exact.  Raises RegimeViolation unless ``split`` is the regime rule's
+    split at (eps, h).
     """
-    n = catalog.n
-    if len(split.assignment) != n:
+    if len(split.assignment) != catalog.n:
         raise ValueError("regime split does not match catalog")
-    if enforce_regime:
-        check_split(split, catalog.orders, eps, h)
-    tilde = _tilde_flags(split, n)
+    check_split(split, catalog.orders, eps, h)
+    return _predict_mixed(model, catalog, eps, h, split, turning_sets)
 
-    alphas: list[complex] = []
-    betas: list[complex] = []
-    decay = {}
-    for k in range(n):
-        if split.assignment[k] == "N":
-            # raw leading coupling (no SU(2) renormalization): the mu^2
-            # adjustment belongs to the error term, and the reduction to the
-            # all-diabatic coefficient must be exact
-            c = catalog.crossings[k]
-            a, b = 1.0 + 0.0j, -1j * np.conj(omega_m(c.m, c.v)) * mu(c.m, eps, h)
-        else:
-            tps = None if turning_sets is None else turning_sets.get(k)
-            fac = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps,
-                                              model=model)
-            a, b = fac.su2.a, fac.su2.b
-            if turning_sets is not None and k in turning_sets:
-                decay[k] = turning_sets[k].a_min
-        if tilde[k]:
-            a, b = np.conj(a), -np.conj(b)  # Q-conjugation by the flip matrix
-        alphas.append(a)
-        betas.append(b)
 
-    mask = effective_potential(catalog, split.sharp_odd)
-    nus = [cmath.exp(-1j * g / h) for g in catalog.masked_gaps(mask)]
-    nus.append(1.0 + 0.0j)  # trailing connector phase, modulus irrelevant
+def _predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
+                   split: RegimeSplit, turning_sets: dict | None = None) -> MixedPrediction:
+    """``predict_mixed`` without the regime check, for any split."""
+    chain = chain_factors(model, eps, h, split, catalog, turning_sets)
+    pairs, phases = chain.flip_conjugated(chain.pairs)
+    alphas = [a for a, _ in pairs]
+    betas = [b for _, b in pairs]
+    nus = [*phases, 1.0 + 0.0j]  # trailing connector phase, modulus irrelevant
 
     leading = chain_prob_leading(alphas, betas, nus)
     n_sharp_odd = split.n_sharp_odd
@@ -254,8 +233,10 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     mu_sharp = mu(split.m_sharp, eps, h) if split.m_sharp else 0.0
     exponent = (split.m_sharp + 1.0) / split.m_sharp if split.m_sharp else 0.0
     # exp(-a_k mu_sharp^((m+1)/m)) at each sharp crossing of the smallest order
-    sharp_exps = {k: math.exp(-a * mu_sharp ** exponent) for k, a in decay.items()
-                  if catalog.crossings[k].m == split.m_sharp}
+    sharp_exps = {k: math.exp(-turning_sets[k].a_min * mu_sharp ** exponent)
+                  for k, tag in enumerate(split.assignment)
+                  if tag == "A" and turning_sets and k in turning_sets
+                  and catalog.crossings[k].m == split.m_sharp}
     blocks, coeffs = _mixed_blocks(catalog, split, alphas, betas, nus, mu_flat, sharp_exps)
     eps1, eps2 = _error_gauges(split, h, mu_flat, mu_sharp, exponent, sharp_exps)
     return MixedPrediction(eps=eps, h=h, n_sharp_odd=n_sharp_odd,

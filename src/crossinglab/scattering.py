@@ -49,7 +49,7 @@ import numpy as np
 
 from .adiabatic import WindowPlan, plan_windows
 from .errors import ConfigError, TailNotConverged
-from .potential.catalog import CrossingCatalog, find_crossings, regularized_action
+from .potential.catalog import CrossingCatalog, find_crossings
 from .potential.families import _MAX_JET_ORDER
 from .propagator import (
     PropagationDiagnostics,
@@ -357,28 +357,6 @@ def _anchor_level(eps: float, h: float, tol: float) -> float:
     """
     level = h * math.sqrt(tol / (10.0 * max(eps, 1e-9)))
     return float(min(1e-8, max(1e-13, level)))
-
-
-def connector(model, eps: float, h: float, side: str, anchor: float,
-              catalog: CrossingCatalog | None = None):
-    """Leading closed form of the Jost-to-local connector on one side.
-
-    Returns (matrix, error_orders) where the matrix is the diagonal phase
-    exp(-+ i R/h) for a positive tail limit and the antidiagonal variant when
-    the left limit is negative; error_orders tags the neglected entries.
-    """
-    if catalog is None:
-        catalog = find_crossings(model)
-    r_val = regularized_action(model, side, anchor, catalog=catalog)
-    phase = np.exp(-1j * r_val / h)
-    v_inf = model.v_right if side == "right" else model.v_left
-    if v_inf > 0:
-        mat = np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=complex)
-        orders = {"diagonal": "eps^2/h", "offdiagonal": "eps^2"}
-    else:
-        mat = np.array([[0.0, -phase], [np.conj(phase), 0.0]], dtype=complex)
-        orders = {"antidiagonal": "eps^2/h", "diagonal": "eps"}
-    return mat, orders
 
 
 def landau_zener_probability(eps: float, h: float, slope: float = 1.0) -> float:

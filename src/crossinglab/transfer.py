@@ -1,12 +1,15 @@
-"""Closed-form transfer matrices and their SU(2) chain products.
+"""Closed-form transfer matrices and the leading-order transfer chain.
 
-A crossing traversed diabatically contributes a near-identity SU(2) factor
-with off-diagonal -i * conj(omega_m) * mu_m; a crossing in the adiabatic
-regime contributes a WKB factor built from the two turning-point actions,
-dressed by a case table in (order parity, accumulated-order parity) that may
-inject a factor i*Q with Q the flip matrix.  Between crossings the factor is
-a diagonal phase exp(-+ (i/h) integral V).  The scattering matrix is the
-ordered product; its (2,1) entry squared is the transition probability.
+A crossing traversed diabatically contributes the pair
+(1, -i conj(omega_m) mu_m); a crossing in the adiabatic regime contributes a
+WKB factor built from the two turning-point actions, dressed by a case table
+in (order parity, accumulated-order parity) that may inject a factor i*Q
+with Q the flip matrix.  Between crossings the factor is a diagonal phase
+exp(-+ (i/h) gap), and a connector at each end carries the state out to the
+tails.  ``chain_factors`` builds each crossing's factor and the phases once;
+the scattering matrix is the ordered product, and its (2,1) entry squared is
+the transition probability.  Every factor is an ``su2`` pair, i*Q and the
+connectors' J included, so the chain is a product of SU(2) pairs only.
 
 The first-order expansion of the product (off-diagonal linear in the small
 couplings) and the interference form of its squared modulus are implemented
@@ -22,60 +25,29 @@ import numpy as np
 
 from .oscillatory import omega_m
 from .params import RegimeSplit, check_split, mu
-from .potential.catalog import CrossingCatalog, effective_potential
+from .potential.catalog import SIDES, CrossingCatalog, find_crossings, regularized_actions
 from .potential.turning import TurningPointSet, turning_points
-from .su2 import SU2Matrix, diagonal_su2, identity_su2
+from .su2 import SU2Matrix, dense, su2_mul
 
-Q_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-J_STRUCTURE = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+IQ = (0j, 1j)          # i Q, with Q = [[0, 1], [1, 0]] the flip matrix
+J = (0j, 1.0 + 0j)     # the structure matrix [[0, -1], [1, 0]]
 
 
 # ----------------------------------------------------------------------------
 # individual factors
 
 
-@dataclass(frozen=True)
-class ErrorOrder:
-    """Symbolic error-order tag: sum of monomials mu^p * h^q * exp terms."""
-
-    terms: tuple[dict, ...]
-
-    def describe(self) -> str:
-        parts = []
-        for t in self.terms:
-            bits = []
-            for key, power in t.items():
-                bits.append(f"{key}^{power:g}" if power != 1 else key)
-            parts.append("*".join(bits) if bits else "1")
-        return " + ".join(f"O({p})" for p in parts)
-
-
 def crossing_transfer_nonadiabatic(k: int, eps: float, h: float,
-                                   catalog: CrossingCatalog):
-    """Diabatic-crossing SU(2) factor and its error order.
+                                   catalog: CrossingCatalog) -> tuple[complex, complex]:
+    """Raw diabatic pair (1, -i conj(omega_m) mu_m) at crossing k.
 
-    Leading form has unit diagonal and off-diagonal -i conj(omega) mu; the
-    determinant deviates from 1 at O(mu^2), removed by normalization and
-    absorbed into the error tag.
+    Its determinant exceeds 1 by |omega_m mu_m|^2, an O(mu^2) effect the
+    leading order neglects: the scattering chain normalizes the pair, while
+    the second-order probability of ``predict_mixed`` takes it as it is, so
+    that its reduction to the all-diabatic coefficient is exact.
     """
     c = catalog.crossings[k]
-    mu_k = mu(c.m, eps, h)
-    w = omega_m(c.m, c.v)
-    factor = SU2Matrix.normalized(1.0, -1j * np.conj(w) * mu_k)
-    order = ErrorOrder(({"mu": 2}, {"mu": 1, "h": 1.0 / (c.m + 1)}))
-    return factor, order
-
-
-def between_transfer(k: int, eps: float, h: float, catalog: CrossingCatalog,
-                     mask=None):
-    """Diagonal phase factor between crossings k and k+1.
-
-    With a sign mask the phase integrand is the effective coupling instead of
-    V itself (mixed-regime bookkeeping).
-    """
-    gaps = catalog.gaps if mask is None else catalog.masked_gaps(mask)
-    nu = cmath.exp(-1j * gaps[k] / h)
-    return diagonal_su2(nu), ErrorOrder(({"eps": 2, "h": -1},))
+    return 1.0 + 0.0j, -1j * np.conj(omega_m(c.m, c.v)) * mu(c.m, eps, h)
 
 
 @dataclass(frozen=True)
@@ -83,19 +55,14 @@ class AdiabaticFactor:
     """Dressed WKB factor at an adiabatic crossing.
 
     ``su2`` is the special-unitary part; ``has_iq`` records the extracted
-    i*Q left factor (present exactly when the order is odd).
+    i*Q left factor (present exactly when the order is odd).  The error is
+    O(mu^(-(m+1)/m) exp(-a mu^((m+1)/m))).
     """
 
     su2: SU2Matrix
     has_iq: bool
     alpha: complex
     beta: complex
-    order: ErrorOrder
-
-    @property
-    def full_matrix(self) -> np.ndarray:
-        m = self.su2.matrix
-        return (1j * Q_FLIP @ m) if self.has_iq else m
 
 
 def wkb_alpha_beta(k: int, eps: float, h: float, catalog: CrossingCatalog,
@@ -149,52 +116,104 @@ def crossing_transfer_adiabatic(k: int, eps: float, h: float,
         dressed = SU2Matrix(-1j, 0.0) @ base                  # diag(-i, i) @ T
     else:
         dressed = SU2Matrix(1j, 0.0) @ base.conjugated()      # diag(i, -i) @ conj(T)
+    return AdiabaticFactor(su2=dressed, has_iq=m_odd, alpha=alpha, beta=beta)
 
-    exponent = (c.m + 1.0) / c.m
-    order = ErrorOrder((
-        {"mu": -exponent, "exp(-a mu^((m+1)/m))": 1},
-    ))
-    return AdiabaticFactor(su2=dressed, has_iq=m_odd, alpha=alpha, beta=beta,
-                           order=order)
+
+def end_connectors(model, catalog: CrossingCatalog, h: float,
+                   anchors: tuple[float, float] | None = None):
+    """Pairs of the leading Jost-to-local connectors on the right and the left.
+
+    With R a side's regularized action, the connector is diag(e^{-iR/h},
+    e^{+iR/h}) where that side's limit of V is positive, with errors
+    O(eps^2/h) on the diagonal and O(eps^2) off it; where the limit is
+    negative (the left one when sigma_n is odd) it is that diagonal times J,
+    with errors O(eps^2/h) off the diagonal and O(eps) on it.  Without
+    ``anchors`` R comes from the catalog's tail integrals.
+    """
+    out = []
+    for side, r in zip(SIDES, regularized_actions(model, catalog, anchors)):
+        phase = cmath.exp(-1j * r / h)
+        v_inf = model.v_right if side == "right" else model.v_left
+        out.append((phase, 0j) if v_inf > 0 else su2_mul(phase, 0j, *J))
+    return tuple(out)
 
 
 # ----------------------------------------------------------------------------
 # chains
 
 
-@dataclass
-class TransferChain:
-    """Ordered alternating factors T_0, T_{0,1}, T_1, ..., with regime tags."""
+@dataclass(frozen=True)
+class ChainFactors:
+    """The factors of the leading-order transfer chain, each built once.
 
-    crossing_factors: list          # SU2Matrix or AdiabaticFactor per crossing
-    between_factors: list[SU2Matrix]
-    tags: list[str]                 # "N" or "A" per crossing
+    ``pairs[k]`` is crossing k's pair: the raw diabatic pair at an "N"
+    crossing, the dressed adiabatic pair at an "A" crossing, with ``iq[k]``
+    set when i*Q stands to its left.  ``phases[k]`` is e^{-i gap_k/h}, the
+    diagonal factor between crossings k and k+1.  ``flipped[k]`` marks the
+    crossings from an odd-order adiabatic crossing up to the next one, whose
+    factors the flip-conjugated chain replaces by Q M Q.
+    """
 
-    def to_dict(self) -> dict:
-        def enc(z):
-            return {"re": float(np.real(z)), "im": float(np.imag(z))}
+    split: RegimeSplit
+    pairs: tuple[tuple[complex, complex], ...]
+    iq: tuple[bool, ...]
+    phases: tuple[complex, ...]
+    flipped: tuple[bool, ...]
 
-        rows = []
-        for k, f in enumerate(self.crossing_factors):
-            if isinstance(f, AdiabaticFactor):
-                rows.append({"kind": "crossing", "tag": self.tags[k],
-                             "a": enc(f.su2.a), "b": enc(f.su2.b),
-                             "has_iq": f.has_iq, "error": f.order.describe()})
-            else:
-                rows.append({"kind": "crossing", "tag": self.tags[k],
-                             "a": enc(f.a), "b": enc(f.b)})
-            if k < len(self.between_factors):
-                g = self.between_factors[k]
-                rows.append({"kind": "between", "a": enc(g.a), "b": enc(g.b)})
-        return {"factors": rows}
+    def flip_conjugated(self, pairs):
+        """``pairs`` and the phases with every flagged factor replaced by Q M Q.
+
+        Q diag(nu) Q = diag(conj(nu)) is the phase of the sign-masked gap, so
+        the phases become those of the effective coupling.
+        """
+        pairs = [(np.conj(a), -np.conj(b)) if f else (a, b)
+                 for (a, b), f in zip(pairs, self.flipped)]
+        phases = [p.conjugate() if f else p for p, f in zip(self.phases, self.flipped)]
+        return pairs, phases
+
+
+def chain_factors(model, eps: float, h: float, split: RegimeSplit,
+                  catalog: CrossingCatalog,
+                  turning_sets: dict[int, TurningPointSet] | None = None) -> ChainFactors:
+    """Each crossing's factor, the phases between crossings and the flip flags.
+
+    Adiabatic factors use ``turning_sets[k]`` where given and solve for the
+    turning points otherwise.  The split is taken as it is.
+    """
+    pairs, iq = [], []
+    for k, tag in enumerate(split.assignment):
+        if tag == "N":
+            pairs.append(crossing_transfer_nonadiabatic(k, eps, h, catalog))
+            iq.append(False)
+        else:
+            tps = None if turning_sets is None else turning_sets.get(k)
+            f = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps, model=model)
+            pairs.append((f.su2.a, f.su2.b))
+            iq.append(f.has_iq)
+    phases = tuple(cmath.exp(-1j * g / h) for g in catalog.gaps)
+    return ChainFactors(split, tuple(pairs), tuple(iq), phases,
+                        tuple(_tilde_flags(split, catalog.n)))
+
+
+def _product(pairs) -> tuple[complex, complex]:
+    """Pair of pairs[0] @ pairs[1] @ ... @ pairs[-1]."""
+    a, b = 1.0 + 0.0j, 0.0j
+    for pair in pairs:
+        a, b = su2_mul(a, b, *pair)
+    return a, b
+
+
+def _interleaved(pairs, phases):
+    """pairs[0], diag(phases[0]), pairs[1], ..., pairs[-1]."""
+    for k, pair in enumerate(pairs):
+        yield pair
+        if k < len(phases):
+            yield phases[k], 0.0j
 
 
 def su2_chain_product(factors) -> SU2Matrix:
     """Ordered product of SU(2) factors (first factor applied last)."""
-    out = identity_su2()
-    for f in factors:
-        out = out @ f
-    return out
+    return SU2Matrix(*_product((f.a, f.b) for f in factors))
 
 
 def chain_offdiag_leading(alphas, betas, nus) -> complex:
@@ -217,20 +236,18 @@ def chain_offdiag_leading(alphas, betas, nus) -> complex:
     return total
 
 
-def chain_pair_term(alphas, betas, nus, j: int, k: int,
-                    assume_unit_alpha: bool = False) -> float:
+def chain_pair_term(alphas, betas, nus, j: int, k: int) -> float:
     """Twice the real part of the ordered cross term of couplings j < k."""
     cross = betas[j] * np.conj(betas[k])
-    if not assume_unit_alpha:
-        cross *= alphas[j] * alphas[k]
-        for kappa in range(j + 1, k):
-            cross *= alphas[kappa] ** 2
+    cross *= alphas[j] * alphas[k]
+    for kappa in range(j + 1, k):
+        cross *= alphas[kappa] ** 2
     for kappa in range(j, k):
         cross *= nus[kappa] ** 2
     return 2.0 * float(np.real(cross))
 
 
-def chain_prob_leading(alphas, betas, nus, assume_unit_alpha: bool = False) -> float:
+def chain_prob_leading(alphas, betas, nus) -> float:
     """|tau_21|^2 to second order in the off-diagonal couplings.
 
     The diagonal sum of |beta_j|^2 plus twice the real part of the ordered
@@ -241,7 +258,7 @@ def chain_prob_leading(alphas, betas, nus, assume_unit_alpha: bool = False) -> f
     total = float(sum(abs(b) ** 2 for b in betas))
     for j in range(n):
         for k in range(j + 1, n):
-            total += chain_pair_term(alphas, betas, nus, j, k, assume_unit_alpha)
+            total += chain_pair_term(alphas, betas, nus, j, k)
     return total
 
 
@@ -249,99 +266,90 @@ def chain_prob_leading(alphas, betas, nus, assume_unit_alpha: bool = False) -> f
 # assembled prediction
 
 
+def _normalized(pair) -> tuple[complex, complex]:
+    u = SU2Matrix.normalized(*pair)
+    return u.a, u.b
+
+
+def _enc(z) -> dict:
+    return {"re": float(np.real(z)), "im": float(np.imag(z))}
+
+
 @dataclass
 class PredictedScattering:
     s_matrix: np.ndarray
     p_pred: float
-    chain: TransferChain
+    chain: ChainFactors
+    factors: list           # the normalized crossing pairs the products use
     parity_odd: bool
     n_sharp_odd: int
-    tau21_sq: float
     p_chain_paths: dict
 
     def to_dict(self) -> dict:
+        rows = []
+        for k, (tag, (a, b)) in enumerate(zip(self.chain.split.assignment, self.factors)):
+            row = {"kind": "crossing", "tag": tag, "a": _enc(a), "b": _enc(b)}
+            if tag == "A":
+                m = self.chain.split.orders[k]
+                row["has_iq"] = self.chain.iq[k]
+                row["error"] = f"O(mu^{-(m + 1) / m:g}*exp(-a mu^((m+1)/m)))"
+            rows.append(row)
+            if k < len(self.chain.phases):
+                rows.append({"kind": "between", "a": _enc(self.chain.phases[k]),
+                             "b": _enc(0.0j)})
         return {"P_pred": self.p_pred, "paths": self.p_chain_paths,
-                "chain": self.chain.to_dict()}
+                "chain": {"factors": rows}}
 
 
 def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
                          catalog: CrossingCatalog | None = None,
                          anchors: tuple[float, float] | None = None,
                          turning_sets: dict[int, TurningPointSet] | None = None,
-                         enforce_regime: bool = True) -> PredictedScattering:
-    """Leading-order scattering matrix from the transfer-matrix product.
+                         ) -> PredictedScattering:
+    """Leading-order scattering matrix from the transfer-chain product.
 
-    Two equivalent evaluations are performed: the direct ordered product of
-    the dressed factors (with i*Q insertions and the left-connector structure
-    matrix), and the pure SU(2) chain with flip-conjugated factors and
-    sign-masked between phases.      Their (2,1) probabilities must agree to
+    Two equivalent products of the same factors are evaluated.  The direct
+    one takes the dressed factors with their i*Q insertions, the plain gap
+    phases and both end connectors.  The other is the pure SU(2) chain of
+    flip-conjugated factors and effective phases, whose (2,1) entry gives P
+    through the combined parity rule.  Their probabilities must agree to
     roundoff; both are reported.  Without ``anchors`` the connector actions
-    come from the catalog's tail integrals at the default anchors.  With
-    ``enforce_regime`` the split must be the regime rule's split at (eps, h).
+    come from the catalog's tail integrals at the default anchors.  Raises
+    RegimeViolation unless ``split`` is the regime rule's split at (eps, h).
     """
-    from .potential.catalog import find_crossings, regularized_actions
-
     if catalog is None:
         catalog = find_crossings(model)
-    n = catalog.n
-    if len(split.assignment) != n:
+    if len(split.assignment) != catalog.n:
         raise ValueError("regime split length mismatch")
-    if enforce_regime:
-        check_split(split, catalog.orders, eps, h)
+    check_split(split, catalog.orders, eps, h)
+    return _predicted_scattering(model, eps, h, split, catalog, anchors, turning_sets)
 
-    r_right, r_left = regularized_actions(model, catalog, anchors)
 
-    # factors
-    crossing_factors = []
-    for k in range(n):
-        if split.assignment[k] == "N":
-            f, _ = crossing_transfer_nonadiabatic(k, eps, h, catalog)
-        else:
-            tps = None if turning_sets is None else turning_sets.get(k)
-            f = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps,
-                                            model=model)
-        crossing_factors.append(f)
-    between = [between_transfer(k, eps, h, catalog)[0] for k in range(n - 1)]
+def _predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
+                          catalog: CrossingCatalog, anchors=None,
+                          turning_sets=None) -> PredictedScattering:
+    """``predicted_scattering`` without the regime check, for any split."""
+    chain = chain_factors(model, eps, h, split, catalog, turning_sets)
+    factors = [_normalized(p) if tag == "N" else p
+               for tag, p in zip(split.assignment, chain.pairs)]
 
-    chain = TransferChain(crossing_factors, between,
-                          tags=list(split.assignment))
+    # direct product: S = right^-1 (iQ) T_0 nu_0 (iQ) T_1 ... T_(n-1) left
+    right, left = end_connectors(model, catalog, h, anchors)
+    dressed = [su2_mul(*IQ, *f) if iq else f for f, iq in zip(factors, chain.iq)]
+    s = _product([(np.conj(right[0]), -right[1]),
+                  *_interleaved(dressed, chain.phases), left])
+    p_direct = float(abs(s[1]) ** 2)
 
-    # ---- path 1: direct matrix product ------------------------------------
-    sigma_odd = catalog.sigma_n % 2 == 1
-    t_left = diagonal_su2(cmath.exp(-1j * r_left / h)).matrix
-    if sigma_odd:
-        t_left = t_left @ J_STRUCTURE
-    prod = t_left
-    for k in range(n - 1, -1, -1):
-        if k < n - 1:
-            prod = between[k].matrix @ prod
-        f = chain.crossing_factors[k]
-        mat = f.full_matrix if isinstance(f, AdiabaticFactor) else f.matrix
-        prod = mat @ prod
-    t_right_inv = diagonal_su2(cmath.exp(+1j * r_right / h)).matrix
-    s_pred = t_right_inv @ prod
-    p_direct = float(abs(s_pred[1, 0]) ** 2)
-
-    # ---- path 2: flip-conjugated SU(2) chain with effective phases --------
-    tilde = _tilde_flags(split, n)
-    mask = effective_potential(catalog, split.sharp_odd)
-    su2_factors = []
-    for k in range(n):
-        f = chain.crossing_factors[k]
-        base = f.su2 if isinstance(f, AdiabaticFactor) else f
-        su2_factors.append(base.q_conjugated() if tilde[k] else base)
-        if k < n - 1:
-            bt, _ = between_transfer(k, eps, h, catalog, mask=mask)
-            su2_factors.append(bt)
-    tau = su2_chain_product(su2_factors)
-    tau21_sq = float(abs(tau.b) ** 2)
+    # flip-conjugated SU(2) chain with effective phases
+    tau = _product(_interleaved(*chain.flip_conjugated(factors)))
+    tau21_sq = float(abs(tau[1]) ** 2)
     n_sharp_odd = split.n_sharp_odd
     parity_odd = (catalog.sigma_n + n_sharp_odd) % 2 == 1
     p_chain = 1.0 - tau21_sq if parity_odd else tau21_sq
 
     return PredictedScattering(
-        s_matrix=s_pred, p_pred=p_direct, chain=chain, parity_odd=parity_odd,
-        n_sharp_odd=n_sharp_odd, tau21_sq=tau21_sq,
+        s_matrix=dense(*s), p_pred=p_direct, chain=chain, factors=factors,
+        parity_odd=parity_odd, n_sharp_odd=n_sharp_odd,
         p_chain_paths={"direct": p_direct, "su2_chain": p_chain},
     )
 

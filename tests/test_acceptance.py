@@ -26,7 +26,8 @@ from crossinglab.potential import (
 from crossinglab.potential.catalog import area_adjacent
 from crossinglab.predictor import gamma_factor, quantization_ladder
 from crossinglab.scattering import landau_zener_probability, scattering_matrix
-from crossinglab.transfer import SU2Matrix, chain_offdiag_leading, diagonal_su2, su2_chain_product
+from crossinglab.su2 import SU2Matrix, diagonal_su2
+from crossinglab.transfer import chain_offdiag_leading, su2_chain_product
 
 
 def _report(name: str, ok: bool, detail: str, t0: float) -> None:

@@ -79,6 +79,16 @@ class TestConfigAndRows:
         (eps1, h1), _ = build_rows(config)
         assert eps1 == pytest.approx((h1 * math.log(1 / h1**0.5)) ** 0.75)
 
+    def test_log_path_rule_with_h_rho_underflowing(self):
+        """h^rho below the float range still gives the finite eps."""
+        config = SweepConfig(
+            potential=CUBIC_DOC,
+            grid={"type": "h_ladder", "h_values": [1e-2],
+                  "eps_rule": {"type": "log_path", "rho": 200, "m": 3}},
+        )
+        [(eps, h)] = build_rows(config)
+        assert eps == pytest.approx((h * 200 * math.log(1 / h)) ** 0.75, rel=1e-14)
+
     def test_non_monotone_rejected(self):
         config = SweepConfig(
             potential=CUBIC_DOC,
@@ -106,9 +116,12 @@ class TestConfigAndRows:
         ({"type": "h_ladder", "h_values": [0.1, 0.05],
           "eps_rule": {"type": "power", "coeff": "abc", "exponent": 0.75}}, "bad field 'coeff'"),
         ({"type": "h_ladder", "h_values": [2.0, 1.5],
-          "eps_rule": {"type": "log_path", "rho": 1, "m": 3}}, "eps rule 'log_path'")],
+          "eps_rule": {"type": "log_path", "rho": 1, "m": 3}}, "eps rule 'log_path'"),
+        ({"type": "h_ladder", "h_values": [2.0, 1.5],
+          "eps_rule": {"type": "log_path", "rho": 1100, "m": 3}}, "eps rule 'log_path'")],
         ids=["h_zero", "h_negative", "eps_negative", "eps_nan", "h_inf",
-             "rows_missing", "h_missing", "coeff_not_a_number", "log_path_above_h_1"])
+             "rows_missing", "h_missing", "coeff_not_a_number", "log_path_above_h_1",
+             "log_path_h_rho_overflows"])
     def test_bad_rows_rejected(self, grid, match, tmp_path, capsys):
         """Refused with the field named, and the CLI commands that read the
         grid exit with the configuration code."""

@@ -13,6 +13,7 @@ import crossinglab.potential.catalog as catalog_module
 from crossinglab.potential.catalog import area_adjacent
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import (
+    _predict_mixed,
     gamma_factor,
     interference_factor,
     interference_zeros,
@@ -20,7 +21,7 @@ from crossinglab.predictor import (
     predict_nonadiabatic,
     quantization_ladder,
 )
-from crossinglab.transfer import chain_prob_leading, predicted_scattering
+from crossinglab.transfer import _predicted_scattering, chain_prob_leading
 
 
 def landau_zener_consistency(eps: float, h: float, slope: float) -> tuple[float, float]:
@@ -174,8 +175,7 @@ class TestNonadiabaticPrediction:
                                           tanh_pair_catalog.positions[k])
                 nus.append(np.exp(-1j * integral / h))
         nus.append(1.0)
-        chain_val = chain_prob_leading([1.0, 1.0], betas, nus,
-                                       assume_unit_alpha=True)
+        chain_val = chain_prob_leading([1.0, 1.0], betas, nus)
         assert pred.c_star * pred.mu_star**2 == pytest.approx(chain_val, rel=1e-12)
 
     def test_landau_zener_consistency(self):
@@ -306,8 +306,7 @@ class TestMixedPrediction:
         eps = 0.3 * math.sqrt(h)
         split = RegimeSplit.build(cat.orders, ["N", "A"])
         tps = {1: turning_points(model, cat, 1, eps)}
-        mixed = predict_mixed(model, cat, eps, h, split, turning_sets=tps,
-                              enforce_regime=False)
+        mixed = _predict_mixed(model, cat, eps, h, split, turning_sets=tps)
         total = sum(mixed.blocks.values())
         assert total == pytest.approx(mixed.leading, rel=1e-12)
         assert mixed.parity_odd
@@ -325,8 +324,7 @@ class TestMixedPrediction:
         eps = 0.2 * math.sqrt(h)  # mu_1 = 0.2, mu_3 = 2.0 -> sharp but mild
         split = RegimeSplit.build(cat.orders, ["N", "A"])
         tps = {1: turning_points(model, cat, 1, eps)}
-        mixed = predict_mixed(model, cat, eps, h, split, turning_sets=tps,
-                              enforce_regime=False)
+        mixed = _predict_mixed(model, cat, eps, h, split, turning_sets=tps)
         assert mixed.blocks["sharp_diag"] < mixed.blocks["flat_flat_diag"]
         assert mixed.leading <= 4.0 * mixed.eps1**2
         assert "q" in mixed.coefficients and "p" in mixed.coefficients
@@ -377,8 +375,6 @@ class TestGeometryCache:
         eps = 0.3 * math.sqrt(h)
         split = RegimeSplit.build(demo_cat.orders, ["N", "A"])
         tps = {1: turning_points(demo, demo_cat, 1, eps)}
-        predicted_scattering(demo, eps, h, split, catalog=demo_cat, turning_sets=tps,
-                             enforce_regime=False)
-        predict_mixed(demo, demo_cat, eps, h, split, turning_sets=tps,
-                      enforce_regime=False)
+        _predicted_scattering(demo, eps, h, split, demo_cat, turning_sets=tps)
+        _predict_mixed(demo, demo_cat, eps, h, split, turning_sets=tps)
         assert calls == []

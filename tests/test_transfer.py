@@ -12,21 +12,23 @@ from crossinglab.params import RegimeSplit
 from crossinglab.potential import ScaledTanhProduct, find_crossings, phase_integral
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import predict_mixed
+from crossinglab.su2 import SU2Matrix, dense, diagonal_su2, identity_su2, su2_mul
 from crossinglab.transfer import (
-    J_STRUCTURE,
-    Q_FLIP,
-    SU2Matrix,
-    between_transfer,
+    IQ,
+    J,
+    _predicted_scattering,
+    chain_factors,
     chain_offdiag_leading,
     chain_prob_leading,
     crossing_transfer_adiabatic,
     crossing_transfer_nonadiabatic,
-    diagonal_su2,
-    identity_su2,
+    end_connectors,
     predicted_scattering,
     su2_chain_product,
     wkb_alpha_beta,
 )
+
+Q_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def assert_refused(model, catalog, eps, h, assignment):
@@ -63,8 +65,11 @@ class TestSU2:
         assert np.max(np.abs(x.q_conjugated().matrix - direct)) < 1e-14
 
     def test_flip_and_structure_matrices(self):
+        """The chain's pairs (0, i) and (0, 1) are i Q and J = [[0, -1], [1, 0]]."""
+        assert np.array_equal(dense(*IQ), 1j * Q_FLIP)
+        assert np.array_equal(dense(*J), np.array([[0.0, -1.0], [1.0, 0.0]]))
         assert np.array_equal(Q_FLIP @ Q_FLIP, np.eye(2))
-        assert np.array_equal(J_STRUCTURE @ J_STRUCTURE, -np.eye(2))
+        assert np.array_equal(dense(*J) @ dense(*J), -np.eye(2))
         a = np.arange(4.0).reshape(2, 2) + 1j
         swapped = np.array([[a[1, 1], a[1, 0]], [a[0, 1], a[0, 0]]])
         assert np.array_equal(Q_FLIP @ a, swapped @ Q_FLIP)
@@ -72,20 +77,18 @@ class TestSU2:
 
 class TestNonadiabaticFactor:
     def test_eps_zero_identity(self, tanh_cubed_catalog):
-        f, _ = crossing_transfer_nonadiabatic(0, 0.0, 1e-3, tanh_cubed_catalog)
-        assert f.a == 1.0 and f.b == 0.0
+        a, b = crossing_transfer_nonadiabatic(0, 0.0, 1e-3, tanh_cubed_catalog)
+        assert a == 1.0 and b == 0.0
 
     def test_transversal_entry(self):
         model = ScaledTanhProduct(1.0, [{"power": 1, "slope": 1.0, "center": 0.0}])
         cat = find_crossings(model)
         h = 1e-4
         eps = 0.01 * math.sqrt(h)
-        f, order = crossing_transfer_nonadiabatic(0, eps, h, cat)
+        a, b = crossing_transfer_nonadiabatic(0, eps, h, cat)
         mu1 = mu(1, eps, h)
-        expect = -1j * np.conj(omega_m(1, 1.0)) * mu1
-        # the SU(2) renormalization shifts the entry at relative |omega mu|^2/2
-        assert f.b == pytest.approx(expect, rel=5e-4)
-        assert "mu" in order.describe()
+        assert a == 1.0
+        assert b == pytest.approx(-1j * np.conj(omega_m(1, 1.0)) * mu1, rel=1e-15)
 
     def test_regime_enforcement(self, tanh_cubed, tanh_cubed_catalog):
         """The entry points refuse a diabatic split in the band; the factor
@@ -93,8 +96,8 @@ class TestNonadiabaticFactor:
         h = 1e-3
         eps = 0.5 * h**0.75
         assert_refused(tanh_cubed, tanh_cubed_catalog, eps, h, ["N"])
-        f, _ = crossing_transfer_nonadiabatic(0, eps, h, tanh_cubed_catalog)
-        assert abs(f.b) > 0
+        _, b = crossing_transfer_nonadiabatic(0, eps, h, tanh_cubed_catalog)
+        assert abs(b) > 0
 
     def test_log_corrected_threshold_for_transversal(self):
         """Order-1 crossings gate on sqrt(log(1/h)) eps/sqrt(h)."""
@@ -108,29 +111,34 @@ class TestNonadiabaticFactor:
         h = 5e-3
         mu_val = 0.04
         eps = mu_val * h**0.75
-        f, _ = crossing_transfer_nonadiabatic(0, eps, h, tanh_cubed_catalog)
+        _, b = crossing_transfer_nonadiabatic(0, eps, h, tanh_cubed_catalog)
         grid = MsaGrid.build(tanh_cubed, h, (-0.7, 0.7), 0.0)
         t_num = connection_T_numeric(tanh_cubed, eps, h, 0, -0.7, 0.7,
                                      catalog=tanh_cubed_catalog, grid=grid)
-        assert abs(t_num[1, 0] - f.b) < mu_val**2 + mu_val * h**0.25
+        assert abs(t_num[1, 0] - b) < mu_val**2 + mu_val * h**0.25
+
+
+def between_phase(model, catalog, eps, h):
+    """The chain's phase between crossings 0 and 1 on an all-diabatic split."""
+    split = RegimeSplit.build(catalog.orders, ["N"] * catalog.n)
+    return chain_factors(model, eps, h, split, catalog).phases[0]
 
 
 class TestBetweenFactor:
     def test_diagonal_phase(self, tanh_pair, tanh_pair_catalog):
         h = 0.05
-        f, order = between_transfer(0, 0.01, h, tanh_pair_catalog)
+        phase = between_phase(tanh_pair, tanh_pair_catalog, 0.01, h)
         integral = phase_integral(tanh_pair, tanh_pair_catalog.positions[1],
                                   tanh_pair_catalog.positions[0])
-        assert f.a == pytest.approx(cmath.exp(-1j * integral / h), rel=1e-12)
-        assert f.b == 0.0
+        assert phase == pytest.approx(cmath.exp(-1j * integral / h), rel=1e-12)
 
     def test_pi_phase_gives_minus_identity(self, tanh_pair, tanh_pair_catalog):
         """Choosing h = |integral V| / pi makes the factor diag(-1, -1)."""
         integral = phase_integral(tanh_pair, tanh_pair_catalog.positions[1],
                                   tanh_pair_catalog.positions[0])
         h = abs(integral) / math.pi
-        f, _ = between_transfer(0, 0.01, h, tanh_pair_catalog)
-        assert f.a == pytest.approx(-1.0, rel=1e-12)
+        phase = between_phase(tanh_pair, tanh_pair_catalog, 0.01, h)
+        assert phase == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_integral_identity(self):
         assert diagonal_su2(cmath.exp(0j)).matrix == pytest.approx(np.eye(2))
@@ -171,7 +179,7 @@ class TestAdiabaticFactor:
         fac = crossing_transfer_adiabatic(0, eps, h, tanh_cubed_catalog,
                                           model=tanh_cubed)
         assert fac.has_iq
-        full = fac.full_matrix
+        full = dense(*su2_mul(*IQ, fac.su2.a, fac.su2.b))
         assert np.max(np.abs(full - 1j * Q_FLIP @ fac.su2.matrix)) < 1e-14
 
     def test_exact_probability_tracks_beta(self, even_crossing):
@@ -285,8 +293,7 @@ class TestPredictedScattering:
         eps = 0.3 * math.sqrt(h)
         split = RegimeSplit.build(cat.orders, ["N", "A"])
         tps = {1: turning_points(model, cat, 1, eps)}
-        pred = predicted_scattering(model, eps, h, split, catalog=cat,
-                                    turning_sets=tps, enforce_regime=False)
+        pred = _predicted_scattering(model, eps, h, split, cat, turning_sets=tps)
         assert pred.p_chain_paths["direct"] == pytest.approx(
             pred.p_chain_paths["su2_chain"], abs=1e-12)
         assert pred.n_sharp_odd == 1
@@ -332,6 +339,52 @@ class TestPredictedScattering:
         split = classify_regimes(tanh_pair_catalog.orders, eps, h)
         pred = predicted_scattering(tanh_pair, eps, h, split,
                                     catalog=tanh_pair_catalog)
-        doc = pred.chain.to_dict()
+        doc = pred.to_dict()["chain"]
         kinds = [row["kind"] for row in doc["factors"]]
         assert kinds == ["crossing", "between", "crossing"]
+
+
+THREE_TANH = ScaledTanhProduct(1.0, [
+    {"power": 3, "slope": 1.0, "center": 4.2},
+    {"power": 3, "slope": 1.0, "center": 0.0},
+    {"power": 3, "slope": 1.0, "center": -3.1},
+])
+DEMO = ScaledTanhProduct(1.0, [
+    {"power": 1, "slope": 6.0, "center": 2.0},
+    {"power": 3, "slope": 1.0, "center": -2.0},
+])
+
+
+def chain_and_mixed(model, catalog, eps, h, tag):
+    """P of the flip-conjugated SU(2) chain and of predict_mixed at the rule's
+    split, which classes every crossing ``tag``."""
+    split = classify_regimes(catalog.orders, eps, h)
+    assert set(split.assignment) == {tag}
+    tps = {k: turning_points(model, catalog, k, eps)
+           for k, a in enumerate(split.assignment) if a == "A"}
+    pred = predicted_scattering(model, eps, h, split, catalog=catalog, turning_sets=tps)
+    mixed = predict_mixed(model, catalog, eps, h, split, turning_sets=tps)
+    return pred.p_chain_paths["su2_chain"], mixed.p_pred
+
+
+class TestOneChain:
+    """The chain oracle's SU(2) product and the mixed oracle's second-order
+    expansion are evaluated on the same factors."""
+
+    @pytest.mark.parametrize("model", ["pair", "three"])
+    def test_all_diabatic_rows_differ_at_fourth_order(self, model, tanh_pair):
+        model = tanh_pair if model == "pair" else THREE_TANH
+        cat = find_crossings(model)
+        mus = (0.02, 0.05, 0.08)
+        for h in (1e-2, 1e-3, 1e-4, 1e-5):
+            diffs = [abs(np.subtract(*chain_and_mixed(model, cat, m * h**0.75, h, "N")))
+                     for m in mus]
+            slope = np.polyfit(np.log(mus), np.log(diffs), 1)[0]
+            assert 3.8 <= slope <= 4.2, (h, slope)
+
+    def test_all_adiabatic_rows_agree(self):
+        cat = find_crossings(DEMO)
+        for h in (1e-4, 2e-4, 4e-4, 1e-3):
+            for mu_1 in (11.0, 14.0, 18.0):
+                chain, mixed = chain_and_mixed(DEMO, cat, mu_1 * h**0.5, h, "A")
+                assert chain == pytest.approx(mixed, rel=1e-14, abs=0.0)
