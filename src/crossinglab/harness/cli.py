@@ -16,7 +16,7 @@ import time
 from ..errors import ConfigError, CrossingLabError
 from ..params import classify_regimes, mu
 from ..potential import find_crossings, model_from_config
-from .sweep import ORACLES
+from .sweep import ORACLES, check_inputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,7 +50,14 @@ def _model_from(doc: dict):
     return model_from_config(spec)
 
 
+def _check_point(args) -> None:
+    """ConfigError for a given --eps or --h out of range."""
+    check_inputs(**{name: getattr(args, name) for name in ("eps", "h")
+                    if getattr(args, name) is not None})
+
+
 def cmd_describe(args) -> int:
+    _check_point(args)
     doc = _load_config(args.config)
     model = _model_from(doc)
     catalog = find_crossings(model)
@@ -74,13 +81,17 @@ def cmd_describe(args) -> int:
 
 
 def _tol(args, config_tol: float = DEFAULT_TOL) -> float:
-    """--tol, else CROSSINGLAB_TOL (the flag's default), else the config's tol."""
-    return config_tol if args.tol is None else args.tol
+    """--tol, else CROSSINGLAB_TOL (the flag's default), else the config's
+    tol; ConfigError unless 0 < tol < inf."""
+    tol = config_tol if args.tol is None else args.tol
+    check_inputs(tol=tol)
+    return tol
 
 
 def cmd_simulate(args) -> int:
     from ..scattering import scattering_matrix
 
+    _check_point(args)
     doc = _load_config(args.config)
     model = _model_from(doc)
     rep = scattering_matrix(model, args.eps, args.h, tol=_tol(args),
@@ -90,6 +101,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_point(args)
+    tol = _tol(args)
     doc = _load_config(args.config)
     model = _model_from(doc)
     catalog = find_crossings(model)
@@ -98,7 +111,7 @@ def cmd_predict(args) -> int:
     names = closed_forms if args.which == "all" else [args.which]
     for name in names:
         try:
-            _, result = ORACLES[name](model, catalog, args.eps, args.h, _tol(args))
+            _, result = ORACLES[name](model, catalog, args.eps, args.h, tol)
             out[name] = result.to_dict()
         except CrossingLabError as exc:
             out[name] = {"error": str(exc)}

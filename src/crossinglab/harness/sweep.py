@@ -25,7 +25,6 @@ from ..errors import (
 )
 from ..params import RegimeSplit, classify_regimes, mu
 from ..potential import find_crossings, model_from_config
-from ..potential.catalog import effective_potential
 from ..predictor import interference_zeros, predict_mixed, predict_nonadiabatic
 from ..scattering import scattering_matrix
 from ..transfer import predicted_scattering, wkb_alpha_beta
@@ -87,6 +86,7 @@ class SweepConfig:
         unknown = [name for name in self.oracles if name not in ORACLES]
         if unknown:
             raise ConfigError(f"unknown oracles {unknown}; choose from {list(ORACLES)}")
+        check_inputs(tol=self.tol)
 
     @staticmethod
     def from_json(doc) -> "SweepConfig":
@@ -124,9 +124,17 @@ def build_rows(config: SweepConfig) -> list[tuple[float, float]]:
     else:
         raise ConfigError(f"unknown grid type {kind!r}")
     for eps, h in rows:
-        if not (0 < h < math.inf and 0 <= eps < math.inf):
-            raise ConfigError(f"sweep row eps={eps}, h={h}: need h > 0, eps >= 0, both finite")
+        check_inputs(eps=eps, h=h)
     return rows
+
+
+def check_inputs(**values: float) -> None:
+    """ConfigError unless each given value is in range: 0 <= eps < inf,
+    0 < h < inf and 0 < tol < inf (NaN is in no range)."""
+    for name, x in values.items():
+        if not ((x >= 0 if name == "eps" else x > 0) and x < math.inf):
+            given = ", ".join(f"{k}={v}" for k, v in values.items())
+            raise ConfigError(f"{given}: need h > 0, eps >= 0, tol > 0, all finite")
 
 
 def _field(doc, key: str, cast=float):
@@ -377,7 +385,6 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
         status = "ok" if strict_ok else ("demo" if demo_ok else "SKIPPED_REGIME")
         if not demo_ok:
             n_forbidden += 1
-        mask = effective_potential(catalog, split.sharp_odd)
         rows.append({
             "alpha": alpha, "h": h, "eps": eps,
             "mu": mus, "assignment": assignment,
@@ -386,7 +393,8 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
             "predicted_class": "near1" if parity_odd else "near0",
             "P_numeric": p, "observed_class": observed,
             "status": status,
-            "mask_flips": list(mask.flip_points),
+            # where the effective coupling changes sign
+            "mask_flips": [catalog.positions[k] for k in split.sharp_odd],
         })
     if n_forbidden == len(rows):
         raise PathCrossesForbiddenBand("every station sits in the untreated band")

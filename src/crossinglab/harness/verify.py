@@ -24,7 +24,7 @@ from ..scattering import (
     jost_basis,
     scattering_matrix,
 )
-from ..su2 import SU2Matrix, diagonal_su2
+from ..su2 import dense
 from ..transfer import chain_offdiag_leading, chain_prob_leading, su2_chain_product
 
 # largest accepted richardson_error / observed error of the magnus6 propagator
@@ -133,8 +133,9 @@ def _window_bound_calibration(tol: float):
             rep = _scattering_matrix(model, eps, h, tol, None, "magnus6", catalog, 0.0)
             mat = fundamental_matrix(model, eps, h, -rep.truncation, rep.truncation,
                                      tol=tol / 100)
-            ref = (jost_basis(model, eps, h, "right", rep.truncation, tol=tol * 1e-3).conj().T
-                   @ mat @ jost_basis(model, eps, h, "left", rep.truncation, tol=tol * 1e-3))
+            j_right = dense(*jost_basis(model, eps, h, "right", rep.truncation, tol=tol * 1e-3))
+            j_left = dense(*jost_basis(model, eps, h, "left", rep.truncation, tol=tol * 1e-3))
+            ref = j_right.conj().T @ mat @ j_left
             routes.add(rep.diagnostics["route"])
             ratios.append(rep.diagnostics["error_estimate"]
                           / float(np.max(np.abs(rep.s_matrix - ref))))
@@ -249,13 +250,12 @@ def su2_suite(seed: int = 42, tol: float = 1e-12) -> list:
             nus = np.exp(2j * np.pi * rng.random(n))
             factors = []
             for k in range(n):
-                factors.append(SU2Matrix(alphas[k], betas[k]))
-                factors.append(diagonal_su2(nus[k]))
+                factors += [(alphas[k], betas[k]), (nus[k], 0j)]
             prod = su2_chain_product(factors)
-            mat = prod.matrix
+            mat = dense(*prod)
             worst_unit = max(worst_unit, float(np.max(np.abs(mat.conj().T @ mat - np.eye(2)))))
             pert = chain_offdiag_leading(alphas, betas, nus)
-            worst_ratio = max(worst_ratio, abs(prod.b - pert) / mu_small**2)
+            worst_ratio = max(worst_ratio, abs(prod[1] - pert) / mu_small**2)
             # unit alphas: the second-order probability is |first-order entry|^2
             ones = np.ones(n, dtype=complex)
             prob = chain_prob_leading(ones, betas, nus)
@@ -280,7 +280,7 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
         x = float(rng.standard_normal())
         b = complex(rng.standard_normal(), rng.standard_normal())
         h = float(rng.uniform(0.05, 1.0))
-        lhs = herm_phase_exp(x, b, h)
+        lhs = dense(*herm_phase_exp(x, b, h))
         m = np.array([[x, b], [np.conj(b), -x]])
         rhs = expm(-1j * m / h)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -295,7 +295,7 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
     out.append(("jost.unitarity", rep1.unitarity_defect < 1e-8,
                 f"defect {rep1.unitarity_defect:.2e}"))
 
-    basis = jost_basis(model, eps, h, "right", rep1.truncation)
+    basis = dense(*jost_basis(model, eps, h, "right", rep1.truncation))
     ortho = float(np.max(np.abs(basis.conj().T @ basis - np.eye(2))))
     out.append(("jost.orthonormal", ortho < 1e-10, f"defect {ortho:.2e}"))
 
@@ -323,7 +323,7 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
     for e in eps_vals:
         rep = scattering_matrix(model, e, h_fix, tol=1e-10)
         t_far = rep.truncation
-        jb = jost_basis(model, e, h_fix, "right", t_far)
+        jb = dense(*jost_basis(model, e, h_fix, "right", t_far))
         anchor = model.tail_anchor("right", 1e-6)
         mat = fundamental_matrix(model, e, h_fix, t_far, anchor, tol=1e-11)
         near = mat @ jb

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import QuadratureTolExceeded, SeriesNotContracting
 from .potential.catalog import CrossingCatalog, find_crossings, phase_integral
 from .quadrature import cumulative_uniform
+from .su2 import dense
 
 GRID_MIN_POINTS = 4097
 GRID_PHASE_STEP = 0.2     # max radians of the fastest phase per grid interval
@@ -245,7 +246,6 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
         raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
     w1l = msa_solution(model, eps, h, "w1", ell, ell, depth=depth, grid=grid)
     # H is real and J H J^-1 = -H with J = [[0, -1], [1, 0]], so the second
-    # solution is w2 = J conj(w1): its columns need no second solve
-    a, b = w1l.comp1[-1], w1l.comp2[-1]
-    left_cols = np.array([[a, -np.conj(b)], [b, np.conj(a)]])
-    return np.diag([grid.u_minus[-1], grid.u_plus[-1]]) @ left_cols
+    # solution is w2 = J conj(w1): its columns need no second solve, and the
+    # change of basis is the pair diag(u^-, u^+) (w1_1, w1_2) at t = r
+    return dense(grid.u_minus[-1] * w1l.comp1[-1], grid.u_plus[-1] * w1l.comp2[-1])

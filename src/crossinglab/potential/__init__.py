@@ -10,7 +10,6 @@ from .catalog import (
     CrossingCatalog,
     area_adjacent,
     area_between,
-    effective_potential,
     find_crossings,
     phase_integral,
     regularized_action,
@@ -20,6 +19,6 @@ from .turning import TurningPoint, TurningPointSet, turning_points
 __all__ = [
     "PotentialModel", "LinearLZ", "ScaledTanhProduct", "PolynomialWindowed",
     "model_from_config", "Crossing", "CrossingCatalog", "find_crossings",
-    "area_between", "regularized_action", "effective_potential",
+    "area_between", "regularized_action",
     "phase_integral", "TurningPoint", "TurningPointSet", "turning_points",
 ]

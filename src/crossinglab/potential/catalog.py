@@ -78,15 +78,6 @@ class CrossingCatalog:
         """integral of V from crossing k up to crossing j (j <= k), a sum of gaps."""
         return sum(self.gaps[j:k], 0.0)
 
-    def masked_gaps(self, mask: "SignMask") -> tuple[float, ...]:
-        """Gap integrals of the sign-masked coupling.
-
-        Mask flips sit only at crossings, so the sign is constant on each gap.
-        """
-        pts = self.positions
-        return tuple(float(mask.sign(0.5 * (pts[k] + pts[k + 1]))) * g
-                     for k, g in enumerate(self.gaps))
-
     def to_dict(self) -> dict:
         return {
             "crossings": [{"t": c.t, "m": c.m, "v": c.v} for c in self.crossings],
@@ -299,40 +290,3 @@ def _action(model, side, t_anchor, tail, catalog, vanish_tol=1e-13):
     if side == "right":
         return v_inf * t_anchor - tail  # integral from +inf to t_r flips sign
     return v_inf * t_anchor + tail
-
-
-def effective_potential(catalog: CrossingCatalog, sharp_odd_indices) -> "SignMask":
-    """Sign mask implementing the effective coupling in mixed regimes.
-
-    Walking from t = +inf toward -inf, the sign of the effective coupling
-    flips at every odd-order adiabatic crossing; if their count is odd the
-    flip extends to -inf.
-    """
-    flip_points = sorted((catalog.positions[k] for k in sharp_odd_indices),
-                         reverse=True)
-    return SignMask(tuple(flip_points))
-
-
-@dataclass(frozen=True)
-class SignMask:
-    """Piecewise sign flips at the given descending positions."""
-
-    flip_points: tuple[float, ...]
-
-    def sign(self, t):
-        t = np.asarray(t, dtype=float)
-        count = np.zeros(t.shape, dtype=int)
-        for p in self.flip_points:
-            count += (t < p).astype(int)
-        out = np.where(count % 2 == 0, 1.0, -1.0)
-        return out[()] if out.ndim == 0 else out
-
-    def intervals(self) -> list[tuple[float, float]]:
-        """Flipped intervals as (lower, upper) pairs, -inf allowed."""
-        pts = list(self.flip_points)
-        out = []
-        for i in range(0, len(pts), 2):
-            upper = pts[i]
-            lower = pts[i + 1] if i + 1 < len(pts) else -math.inf
-            out.append((lower, upper))
-        return out

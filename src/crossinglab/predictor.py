@@ -9,8 +9,8 @@ phase-space areas over h.
 Mixed regime: the leading term combines the diabatic couplings of the
 "flat" crossings with the exponentially small adiabatic couplings of the
 "sharp" ones, with between-crossing phases taken along the effective
-(sign-masked) coupling.  It is the second-order expansion of the transfer
-chain that ``transfer.chain_factors`` builds, the same factors that
+coupling (``ChainFactors.flipped``).  It is the second-order expansion of the
+transfer chain that ``transfer.chain_factors`` builds, the same factors that
 ``predicted_scattering`` multiplies as SU(2) pairs.
 """
 

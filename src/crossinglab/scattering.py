@@ -23,8 +23,10 @@ each short enough that the phase advances by at most half a radian, out to
 where one integration by parts bounds the truncation below tol.
 
 The scattering matrix is the change of basis between the left and right Jost
-pairs across the numerically propagated middle region, and the transition
-probability is the squared modulus of its (2,1) entry.
+pairs across the numerically propagated middle region, S = J_r^-1 M J_l, and
+the transition probability is the squared modulus of its (2,1) entry.  Jost
+bases, propagator and S are ``su2`` pairs, so S is a product of SU(2) pairs
+and its unitarity defect is | |a|^2 + |b|^2 - 1 |.
 
 With method "magnus6" the route is picked by predicted cost.  The whole
 region's step density, sampled first, predicts the steps that propagating it
@@ -73,10 +75,8 @@ class JostAngles:
     @staticmethod
     def for_side(v_inf: float, eps: float) -> "JostAngles":
         lam = math.hypot(v_inf, eps)
-        if eps == 0.0:
-            angle = 0.0
-        else:
-            angle = math.atan((lam - abs(v_inf)) / eps)
+        # atan((lam - |V_inf|) / eps) without the cancellation at small eps
+        angle = math.atan(eps / (lam + abs(v_inf))) if eps else 0.0
         return JostAngles(angle=angle, lam=lam, v_inf=v_inf)
 
 
@@ -105,26 +105,24 @@ class ScatteringReport:
         }
 
 
-def herm_phase_exp(x: float, b: complex, h: float) -> np.ndarray:
-    """exp(-(i/h) * [[x, b], [conj(b), -x]]), exact for the 2x2 Hermitian form."""
+def herm_phase_exp(x: float, b: complex, h: float) -> tuple[complex, complex]:
+    """Pair of exp(-(i/h) * [[x, b], [conj(b), -x]]), exact for the 2x2
+    Hermitian form."""
     z = math.sqrt(x * x + abs(b) ** 2)
     if z == 0.0:
-        return np.eye(2, dtype=complex)
+        return 1.0 + 0.0j, 0.0j
     c, s = math.cos(z / h), math.sin(z / h)
-    m = np.array([[x, b], [np.conj(b), -x]], dtype=complex)
-    return c * np.eye(2, dtype=complex) - 1j * (s / z) * m
+    return c - 1j * (s / z) * x, -1j * (s / z) * np.conj(b)
 
 
-def free_basis(angles: JostAngles, h: float, t: float) -> np.ndarray:
-    """Free Jost basis (phi^+, phi^-) of the limiting Hamiltonian at time t."""
+def free_basis(angles: JostAngles, h: float, t: float) -> tuple[complex, complex]:
+    """Pair of the free Jost basis (phi^+, phi^-) of the limiting Hamiltonian
+    at time t; phi^+ is its first column."""
     ph_minus = np.exp(-1j * angles.lam * t / h)
-    ph_plus = np.exp(+1j * angles.lam * t / h)
-    a = angles.angle
+    cos, sin = math.cos(angles.angle), math.sin(angles.angle)
     if angles.v_inf > 0:
-        return np.array([[math.cos(a) * ph_minus, -math.sin(a) * ph_plus],
-                         [math.sin(a) * ph_minus, math.cos(a) * ph_plus]])
-    return np.array([[math.sin(a) * ph_minus, -math.cos(a) * ph_plus],
-                     [math.cos(a) * ph_minus, math.sin(a) * ph_plus]])
+        return cos * ph_minus, sin * ph_minus
+    return sin * ph_minus, cos * ph_minus
 
 
 # multiple of eps_machine |V_inf| / omega below which a tail bound is not reported
@@ -213,11 +211,11 @@ def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
 
 
 def jost_basis(model, eps: float, h: float, side: str, T: float,
-               tol: float = 1e-12, diagnostics: dict | None = None) -> np.ndarray:
-    """Jost pair (J^+, J^-) evaluated at t = +T (right) or t = -T (left).
+               tol: float = 1e-12, diagnostics: dict | None = None) -> tuple[complex, complex]:
+    """Pair of the Jost basis (J^+, J^-) at t = +T (right) or t = -T (left).
 
     The free basis of the limiting Hamiltonian is corrected by the
-    tail-exponential; columns are orthonormal to floating precision.  A
+    tail-exponential; J^+ is the pair's first column.  A
     given ``diagnostics`` dict receives the oscillatory tail's route and
     remainder bound.
     """
@@ -239,8 +237,7 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
     sign_diag = 1.0 if v_inf > 0 else -1.0
     x = sign_diag * cos2 * i_diag
     b = -sin2 * osc.value
-    u_corr = herm_phase_exp(x, b, h)
-    return phi @ u_corr
+    return su2_mul(*phi, *herm_phase_exp(x, b, h))
 
 
 # whole-line magnus6 steps built that planning and propagating one crossing's
@@ -297,8 +294,9 @@ def _scattering_matrix(model, eps: float, h: float, tol: float, truncation: floa
             plan = plan_windows(model, eps, h, catalog, truncation, 0.5 * tol)
     if plan is None:
         diags = [PropagationDiagnostics()]
-        m_prop = fundamental_matrix(model, eps, h, -truncation, truncation, tol=tol,
-                                    method=method, diagnostics=diags[0], density=density)
+        mat = fundamental_matrix(model, eps, h, -truncation, truncation, tol=tol,
+                                 method=method, diagnostics=diags[0], density=density)
+        m_prop = mat[0, 0], mat[1, 0]
         route = {"route": "whole_line", "windows": [], "window_steps": [], "series_bound": 0.0}
     else:
         m_prop, diags = _windowed_matrix(model, eps, h, tol, plan)
@@ -314,11 +312,11 @@ def _scattering_matrix(model, eps: float, h: float, tol: float, truncation: floa
                          diagnostics=tail_r)
     j_left = jost_basis(model, eps, h, "left", truncation, tol=tol * 1e-3,
                         diagnostics=tail_l)
-    s = j_right.conj().T @ m_prop @ j_left
-    defect = float(np.max(np.abs(s.conj().T @ s - np.eye(2))))
-    p = float(abs(s[1, 0]) ** 2)
+    a, b = su2_mul(np.conj(j_right[0]), -j_right[1], *su2_mul(*m_prop, *j_left))
+    defect = float(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0))
+    p = float(abs(b) ** 2)
     return ScatteringReport(
-        s_matrix=s, p_transition=p, eps=eps, h=h, truncation=truncation,
+        s_matrix=dense(a, b), p_transition=p, eps=eps, h=h, truncation=truncation,
         anchors=(truncation, -truncation), unitarity_defect=defect,
         diagnostics={
             **route,
@@ -334,10 +332,11 @@ _SUMMED = ("steps", "steps_built", "refinements", "richardson_error", "norm_drif
 
 
 def _windowed_matrix(model, eps: float, h: float, tol: float, plan: WindowPlan):
-    """Propagator over [-T, T]: magnus6 on each window, adiabatic pairs between them.
+    """Pair of the propagator over [-T, T]: magnus6 on each window, adiabatic
+    pairs between them.
 
     The windows share the half of tol that the plan's bound leaves; returns
-    the matrix and the windows' diagnostics.
+    the pair and the windows' diagnostics.
     """
     total = plan.transfers[0]
     diags = []
@@ -346,7 +345,7 @@ def _windowed_matrix(model, eps: float, h: float, tol: float, plan: WindowPlan):
         diags.append(PropagationDiagnostics())
         mat = fundamental_matrix(model, eps, h, lo, hi, tol=window_tol, diagnostics=diags[-1])
         total = su2_mul(*after, *su2_mul(mat[0, 0], mat[1, 0], *total))
-    return dense(*total), diags
+    return total, diags
 
 
 def _anchor_level(eps: float, h: float, tol: float) -> float:

@@ -1,15 +1,16 @@
 """SU(2) matrices stored as pairs (a, b).
 
 The pair stands for [[a, -conj(b)], [b, conj(a)]], so a product needs two
-entries instead of four and stays special-unitary in form.  The same algebra
-serves arrays of magnus6 steps (``ordered_product``) and the scalar factors of
-the transfer chains (``SU2Matrix``).
+entries instead of four and stays special-unitary in form.  It is the only
+SU(2) representation in the library: the magnus6 steps (``ordered_product``),
+the transfer chains, the adiabatic transfers, the Jost bases and the
+scattering matrix are all pairs, and ``dense`` gives the 2x2 matrix where a
+public result is one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,50 +34,12 @@ def ordered_product(a: np.ndarray, b: np.ndarray):
     return a[0], b[0]
 
 
+def normalized(a: complex, b: complex) -> tuple[complex, complex]:
+    """The pair (a, b) scaled to |a|^2 + |b|^2 = 1."""
+    norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    return a / norm, b / norm
+
+
 def dense(a, b) -> np.ndarray:
     """The 2x2 complex matrix of the pair (a, b)."""
     return np.array([[a, -np.conj(b)], [b, np.conj(a)]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class SU2Matrix:
-    """Matrix [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1."""
-
-    a: complex
-    b: complex
-
-    TOL = 1e-12
-
-    def __post_init__(self):
-        det = abs(self.a) ** 2 + abs(self.b) ** 2
-        if abs(det - 1.0) > 100 * self.TOL:
-            raise ValueError(f"not special-unitary: |a|^2+|b|^2 = {det}")
-
-    @staticmethod
-    def normalized(a: complex, b: complex) -> "SU2Matrix":
-        norm = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        return SU2Matrix(a / norm, b / norm)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return dense(self.a, self.b)
-
-    def __matmul__(self, other: "SU2Matrix") -> "SU2Matrix":
-        return SU2Matrix(*su2_mul(self.a, self.b, other.a, other.b))
-
-    def conjugated(self) -> "SU2Matrix":
-        """Entrywise complex conjugation (stays in SU(2))."""
-        return SU2Matrix(np.conj(self.a), np.conj(self.b))
-
-    def q_conjugated(self) -> "SU2Matrix":
-        """Q M Q with the flip matrix (swaps a <-> conj(a), b <-> -conj(b))."""
-        return SU2Matrix(np.conj(self.a), -np.conj(self.b))
-
-
-def identity_su2() -> SU2Matrix:
-    return SU2Matrix(1.0 + 0.0j, 0.0j)
-
-
-def diagonal_su2(phase: complex) -> SU2Matrix:
-    """diag(phase, conj(phase)) for |phase| = 1."""
-    return SU2Matrix(phase, 0.0j)

@@ -9,7 +9,9 @@ exp(-+ (i/h) gap), and a connector at each end carries the state out to the
 tails.  ``chain_factors`` builds each crossing's factor and the phases once;
 the scattering matrix is the ordered product, and its (2,1) entry squared is
 the transition probability.  Every factor is an ``su2`` pair, i*Q and the
-connectors' J included, so the chain is a product of SU(2) pairs only.
+connectors' J included, so the chain is a product of SU(2) pairs only, and
+``ChainFactors.flipped`` is the one encoding of the effective coupling: the
+crossings whose factors, and the gaps whose phases, it flip-conjugates.
 
 The first-order expansion of the product (off-diagonal linear in the small
 couplings) and the interference form of its squared modulus are implemented
@@ -27,7 +29,7 @@ from .oscillatory import omega_m
 from .params import RegimeSplit, check_split, mu
 from .potential.catalog import SIDES, CrossingCatalog, find_crossings, regularized_actions
 from .potential.turning import TurningPointSet, turning_points
-from .su2 import SU2Matrix, dense, su2_mul
+from .su2 import dense, normalized, su2_mul
 
 IQ = (0j, 1j)          # i Q, with Q = [[0, 1], [1, 0]] the flip matrix
 J = (0j, 1.0 + 0j)     # the structure matrix [[0, -1], [1, 0]]
@@ -54,12 +56,12 @@ def crossing_transfer_nonadiabatic(k: int, eps: float, h: float,
 class AdiabaticFactor:
     """Dressed WKB factor at an adiabatic crossing.
 
-    ``su2`` is the special-unitary part; ``has_iq`` records the extracted
+    ``pair`` is the special-unitary part; ``has_iq`` records the extracted
     i*Q left factor (present exactly when the order is odd).  The error is
     O(mu^(-(m+1)/m) exp(-a mu^((m+1)/m))).
     """
 
-    su2: SU2Matrix
+    pair: tuple[complex, complex]
     has_iq: bool
     alpha: complex
     beta: complex
@@ -103,20 +105,15 @@ def crossing_transfer_adiabatic(k: int, eps: float, h: float,
             raise ValueError("need either turning points or the model")
         tps = turning_points(model, catalog, k, eps)
     alpha, beta = wkb_alpha_beta(k, eps, h, catalog, tps)
-    base = SU2Matrix.normalized(alpha, beta)
-    sigma_prev = catalog.sigma_before(k)
+    a, b = normalized(alpha, beta)
+    s_odd = catalog.sigma_before(k) % 2 == 1
+    if s_odd:
+        a, b = np.conj(a), np.conj(b)                        # conj(T)
     m_odd = c.m % 2 == 1
-    s_odd = sigma_prev % 2 == 1
-
-    if not m_odd and not s_odd:
-        dressed = base
-    elif not m_odd and s_odd:
-        dressed = base.conjugated()
-    elif m_odd and not s_odd:
-        dressed = SU2Matrix(-1j, 0.0) @ base                  # diag(-i, i) @ T
-    else:
-        dressed = SU2Matrix(1j, 0.0) @ base.conjugated()      # diag(i, -i) @ conj(T)
-    return AdiabaticFactor(su2=dressed, has_iq=m_odd, alpha=alpha, beta=beta)
+    if m_odd:
+        # diag(-i, i) @ T, or diag(i, -i) @ conj(T) when sigma is odd
+        a, b = su2_mul(1j if s_odd else -1j, 0.0, a, b)
+    return AdiabaticFactor(pair=(a, b), has_iq=m_odd, alpha=alpha, beta=beta)
 
 
 def end_connectors(model, catalog: CrossingCatalog, h: float,
@@ -163,8 +160,8 @@ class ChainFactors:
     def flip_conjugated(self, pairs):
         """``pairs`` and the phases with every flagged factor replaced by Q M Q.
 
-        Q diag(nu) Q = diag(conj(nu)) is the phase of the sign-masked gap, so
-        the phases become those of the effective coupling.
+        Q diag(nu) Q = diag(conj(nu)) reverses the sign of the gap integral
+        in the phase, so the phases become those of the effective coupling.
         """
         pairs = [(np.conj(a), -np.conj(b)) if f else (a, b)
                  for (a, b), f in zip(pairs, self.flipped)]
@@ -188,15 +185,19 @@ def chain_factors(model, eps: float, h: float, split: RegimeSplit,
         else:
             tps = None if turning_sets is None else turning_sets.get(k)
             f = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps, model=model)
-            pairs.append((f.su2.a, f.su2.b))
+            pairs.append(f.pair)
             iq.append(f.has_iq)
     phases = tuple(cmath.exp(-1j * g / h) for g in catalog.gaps)
     return ChainFactors(split, tuple(pairs), tuple(iq), phases,
                         tuple(_tilde_flags(split, catalog.n)))
 
 
-def _product(pairs) -> tuple[complex, complex]:
-    """Pair of pairs[0] @ pairs[1] @ ... @ pairs[-1]."""
+def su2_chain_product(pairs) -> tuple[complex, complex]:
+    """Pair of pairs[0] @ pairs[1] @ ... @ pairs[-1] (first factor applied last).
+
+    A scalar loop: on the few factors of a chain it is faster than the
+    vectorized ``su2.ordered_product``.
+    """
     a, b = 1.0 + 0.0j, 0.0j
     for pair in pairs:
         a, b = su2_mul(a, b, *pair)
@@ -209,11 +210,6 @@ def _interleaved(pairs, phases):
         yield pair
         if k < len(phases):
             yield phases[k], 0.0j
-
-
-def su2_chain_product(factors) -> SU2Matrix:
-    """Ordered product of SU(2) factors (first factor applied last)."""
-    return SU2Matrix(*_product((f.a, f.b) for f in factors))
 
 
 def chain_offdiag_leading(alphas, betas, nus) -> complex:
@@ -264,11 +260,6 @@ def chain_prob_leading(alphas, betas, nus) -> float:
 
 # ----------------------------------------------------------------------------
 # assembled prediction
-
-
-def _normalized(pair) -> tuple[complex, complex]:
-    u = SU2Matrix.normalized(*pair)
-    return u.a, u.b
 
 
 def _enc(z) -> dict:
@@ -330,18 +321,18 @@ def _predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
                           turning_sets=None) -> PredictedScattering:
     """``predicted_scattering`` without the regime check, for any split."""
     chain = chain_factors(model, eps, h, split, catalog, turning_sets)
-    factors = [_normalized(p) if tag == "N" else p
+    factors = [normalized(*p) if tag == "N" else p
                for tag, p in zip(split.assignment, chain.pairs)]
 
     # direct product: S = right^-1 (iQ) T_0 nu_0 (iQ) T_1 ... T_(n-1) left
     right, left = end_connectors(model, catalog, h, anchors)
     dressed = [su2_mul(*IQ, *f) if iq else f for f, iq in zip(factors, chain.iq)]
-    s = _product([(np.conj(right[0]), -right[1]),
-                  *_interleaved(dressed, chain.phases), left])
+    s = su2_chain_product([(np.conj(right[0]), -right[1]),
+                           *_interleaved(dressed, chain.phases), left])
     p_direct = float(abs(s[1]) ** 2)
 
     # flip-conjugated SU(2) chain with effective phases
-    tau = _product(_interleaved(*chain.flip_conjugated(factors)))
+    tau = su2_chain_product(_interleaved(*chain.flip_conjugated(factors)))
     tau21_sq = float(abs(tau[1]) ** 2)
     n_sharp_odd = split.n_sharp_odd
     parity_odd = (catalog.sigma_n + n_sharp_odd) % 2 == 1

@@ -26,7 +26,7 @@ from crossinglab.potential import (
 from crossinglab.potential.catalog import area_adjacent
 from crossinglab.predictor import gamma_factor, quantization_ladder
 from crossinglab.scattering import landau_zener_probability, scattering_matrix
-from crossinglab.su2 import SU2Matrix, diagonal_su2
+from crossinglab.su2 import dense
 from crossinglab.transfer import chain_offdiag_leading, su2_chain_product
 
 
@@ -194,15 +194,14 @@ def test_criterion_6_su2_chain_algebra():
             nus = np.exp(2j * np.pi * rng.random(n))
             factors = []
             for k in range(n):
-                factors.append(SU2Matrix(alphas[k], betas[k]))
-                factors.append(diagonal_su2(nus[k]))
+                factors += [(alphas[k], betas[k]), (nus[k], 0j)]
             prod = su2_chain_product(factors)
-            mat = prod.matrix
+            mat = dense(*prod)
             worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
                 mat.conj().T @ mat - np.eye(2)))))
             pert = chain_offdiag_leading(alphas, betas, nus)
             worst_ratio[mu_small] = max(worst_ratio[mu_small],
-                                        abs(prod.b - pert) / mu_small**2)
+                                        abs(prod[1] - pert) / mu_small**2)
     stable = worst_ratio[1e-3] < max(2.0 * worst_ratio[1e-2], k_bound)
     ok = (max(worst_ratio.values()) <= k_bound and stable
           and worst_unitarity < 1e-12)

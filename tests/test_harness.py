@@ -380,6 +380,37 @@ class TestCli:
         assert (tmp_path / "res" / "mini.csv").exists()
         assert (tmp_path / "res" / "mini.report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--eps", "0.01", "--h", "0"],
+        ["predict", "--eps", "0.01", "--h", "-0.01"],
+        ["predict", "--eps", "nan", "--h", "0.01"],
+        ["predict", "--eps", "-0.1", "--h", "0.01"],
+        ["simulate", "--eps", "0.01", "--h", "0"],
+        ["simulate", "--eps", "0.01", "--h", "0.1", "--tol", "0"],
+        ["describe", "--eps", "0.01", "--h", "0"]],
+        ids=["predict_h_zero", "predict_h_negative", "predict_eps_nan",
+             "predict_eps_negative", "simulate_h_zero", "simulate_tol_zero",
+             "describe_h_zero"])
+    def test_bad_point_is_config_error(self, tmp_path, capsys, argv):
+        """0 < h < inf, 0 <= eps < inf, 0 < tol < inf, or exit code 2."""
+        cfg = self._write_cfg(tmp_path, CUBIC_DOC)
+        assert cli_main([*argv, "--config", cfg]) == 2
+        assert "need h > 0, eps >= 0, tol > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_tol, flag", [(0, None), (1e-9, "nan")],
+                             ids=["config_tol_zero", "flag_tol_nan"])
+    def test_bad_sweep_tol_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                           config_tol, flag):
+        monkeypatch.delenv("CROSSINGLAB_TOL", raising=False)
+        doc = {"potential": CUBIC_DOC,
+               "grid": {"type": "list", "rows": [{"eps": 0.01, "h": 0.1}]},
+               "oracles": ["numeric"], "tol": config_tol}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "res")]
+        assert cli_main(argv + (["--tol", flag] if flag else [])) == 2
+        assert "need h > 0, eps >= 0, tol > 0" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -207,8 +207,10 @@ class TestConnection:
         assert np.array_equal(w2.comp1, -np.conj(w1.comp2))
         assert np.array_equal(w2.comp2, np.conj(w1.comp1))
         assert w2.truncation_estimate == w1.truncation_estimate
-        explicit = np.diag([grid.u_minus[-1], grid.u_plus[-1]]) @ np.array(
-            [[w1.comp1[-1], w2.comp1[-1]], [w1.comp2[-1], w2.comp2[-1]]])
+        # diag(u^-, u^+) @ [w1 w2], entry by entry
+        u_m, u_p = grid.u_minus[-1], grid.u_plus[-1]
+        explicit = np.array([[u_m * w1.comp1[-1], u_m * w2.comp1[-1]],
+                             [u_p * w1.comp2[-1], u_p * w2.comp2[-1]]])
         t_mat = connection_T_numeric(model, eps, h, 0, -0.7, 0.7, catalog=cat, grid=grid)
         assert np.array_equal(t_mat, explicit)
 

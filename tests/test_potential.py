@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -17,14 +18,15 @@ from crossinglab.potential import (
     PolynomialWindowed,
     ScaledTanhProduct,
     area_between,
-    effective_potential,
     find_crossings,
     model_from_config,
     phase_integral,
     regularized_action,
 )
 from crossinglab.potential.catalog import TAIL_LEVEL, area_adjacent, regularized_actions
+from crossinglab.params import RegimeSplit
 from crossinglab.potential.families import _dilog_neg_exp
+from crossinglab.transfer import ChainFactors, _tilde_flags
 
 
 def high_order_fd(model, t0, order, step=5e-3):
@@ -354,46 +356,52 @@ class TestCatalogTails:
 
 
 class TestEffectivePotential:
+    """``ChainFactors.flipped`` encodes the effective coupling: its sign flips
+    at every odd-order adiabatic crossing, walking from t = +inf, and the
+    factors and gap phases where it is reversed are flip-conjugated."""
+
+    @staticmethod
+    def flags(catalog, sharp):
+        split = RegimeSplit.build(catalog.orders,
+                                  ["A" if k in sharp else "N" for k in range(catalog.n)])
+        assert split.sharp_odd == sharp
+        return split, _tilde_flags(split, catalog.n)
+
     def test_no_flips(self, tanh_pair_catalog):
-        mask = effective_potential(tanh_pair_catalog, ())
-        assert mask.sign(0.0) == 1.0
-        assert mask.intervals() == []
+        assert self.flags(tanh_pair_catalog, ())[1] == [False, False]
 
     def test_single_flip_extends_left(self, tanh_pair_catalog):
-        mask = effective_potential(tanh_pair_catalog, (1,))
-        t2 = tanh_pair_catalog.positions[1]
-        assert mask.sign(t2 + 0.5) == 1.0
-        assert mask.sign(t2 - 0.5) == -1.0
-        assert mask.intervals() == [(-math.inf, t2)]
+        """Crossing 1 (the left one) and everything left of it is reversed."""
+        assert self.flags(tanh_pair_catalog, (1,))[1] == [False, True]
 
     def test_ascending_orders_pattern(self):
-        """Orders (1, 3, 5): masks for each number of adiabatic odd crossings."""
+        """Orders (1, 3, 5): flags for each number of adiabatic odd crossings."""
         model = ScaledTanhProduct(1.0, [
             {"power": 1, "slope": 1.0, "center": 3.0},
             {"power": 3, "slope": 1.0, "center": 0.0},
             {"power": 5, "slope": 1.0, "center": -3.0},
         ])
         cat = find_crossings(model)
-        t1, t2, t3 = cat.positions
         # higher orders turn adiabatic first: the split grows from the sharp end
-        mask1 = effective_potential(cat, (2,))
-        assert mask1.intervals() == [(-math.inf, t3)]
-        mask2 = effective_potential(cat, (1, 2))
-        assert mask2.intervals() == [(t3, t2)]
-        mask3 = effective_potential(cat, (0, 1, 2))
-        assert mask3.intervals() == [(t2, t1), (-math.inf, t3)]
+        assert self.flags(cat, (2,))[1] == [False, False, True]
+        assert self.flags(cat, (1, 2))[1] == [False, True, False]
+        assert self.flags(cat, (0, 1, 2))[1] == [True, False, True]
 
-    def test_masked_gaps_are_signed_gaps(self):
-        """Each masked gap is the mask's sign on that gap times the plain gap."""
+    def test_flipped_phases_are_signed_gaps(self):
+        """The flip-conjugated phase of gap k is e^{-i s_k gap_k / h} with s_k
+        the effective coupling's sign on that gap."""
         cat = find_crossings(ScaledTanhProduct(1.0, THREE_ODD))
-        gaps = cat.gaps
-        # flipped on (t2, t1) and beyond t3: the first gap flips, the second not
-        mask = effective_potential(cat, (0, 1, 2))
-        assert cat.masked_gaps(mask) == (-gaps[0], gaps[1])
-        # flipped below t2 only: the second gap flips
-        mask = effective_potential(cat, (1,))
-        assert cat.masked_gaps(mask) == (gaps[0], -gaps[1])
-        assert cat.masked_gaps(effective_potential(cat, ())) == gaps
+        h = 0.05
+        # flipped on (t2, t1) and beyond t3: the first gap flips, the second
+        # not; flipped below t2 only: the second gap flips
+        for sharp, signs in [((0, 1, 2), (-1, 1)), ((1,), (1, -1)), ((), (1, 1))]:
+            split, flipped = self.flags(cat, sharp)
+            chain = ChainFactors(split, pairs=((1.0 + 0j, 0j),) * cat.n, iq=(False,) * cat.n,
+                                 phases=tuple(cmath.exp(-1j * g / h) for g in cat.gaps),
+                                 flipped=tuple(flipped))
+            _, phases = chain.flip_conjugated(chain.pairs)
+            assert phases == pytest.approx(
+                [cmath.exp(-1j * s * g / h) for s, g in zip(signs, cat.gaps)], rel=1e-15)
 
 
 class TestConfig:

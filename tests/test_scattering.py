@@ -72,6 +72,14 @@ class TestJostAngles:
         th = JostAngles.for_side(-2.0, 0.1).angle
         assert math.tan(2 * th) == pytest.approx(0.1 / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize("v_inf", [1.0, -0.3])
+    @pytest.mark.parametrize("eps", [3e-9, 1e-8, 1e-6, 0.1, 3.0])
+    def test_small_eps_without_cancellation(self, v_inf, eps):
+        """The angle is half of atan2(eps, |V_inf|) to rounding, also where
+        lam - |V_inf| cancels to nothing."""
+        th = JostAngles.for_side(v_inf, eps).angle
+        assert th == pytest.approx(0.5 * math.atan2(eps, abs(v_inf)), rel=1e-13)
+
 
 class TestHermExp:
     def test_against_expm(self, rng):
@@ -79,33 +87,33 @@ class TestHermExp:
             x = float(rng.standard_normal())
             b = complex(rng.standard_normal(), rng.standard_normal())
             h = float(rng.uniform(0.05, 1.0))
-            lhs = herm_phase_exp(x, b, h)
+            lhs = dense(*herm_phase_exp(x, b, h))
             rhs = expm(-1j * np.array([[x, b], [np.conj(b), -x]]) / h)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_zero_matrix(self):
-        assert np.array_equal(herm_phase_exp(0.0, 0.0, 0.3), np.eye(2))
+        assert np.array_equal(dense(*herm_phase_exp(0.0, 0.0, 0.3)), np.eye(2))
 
 
 class TestJostBasis:
     def test_constant_potential_is_free(self):
         """V identically V_r beyond the window: the correction is identity."""
         model = PolynomialWindowed([1.0, 0.5], window=1.0)
-        basis = jost_basis(model, 0.2, 0.1, "right", 25.0)
+        basis = dense(*jost_basis(model, 0.2, 0.1, "right", 25.0))
         angles = JostAngles.for_side(model.v_right, 0.2)
         from crossinglab.scattering import free_basis
 
-        free = free_basis(angles, 0.1, 25.0)
+        free = dense(*free_basis(angles, 0.1, 25.0))
         assert np.max(np.abs(basis - free)) < 1e-10
 
     def test_orthonormal_columns(self, tanh_cubed):
-        basis = jost_basis(tanh_cubed, 0.1, 0.05, "right", 14.0)
+        basis = dense(*jost_basis(tanh_cubed, 0.1, 0.05, "right", 14.0))
         assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < 1e-10
-        basis_l = jost_basis(tanh_cubed, 0.1, 0.05, "left", 14.0)
+        basis_l = dense(*jost_basis(tanh_cubed, 0.1, 0.05, "left", 14.0))
         assert np.max(np.abs(basis_l.conj().T @ basis_l - np.eye(2))) < 1e-10
 
     def test_eps_zero_diagonal(self, lz_windowed):
-        basis = jost_basis(lz_windowed, 0.0, 0.1, "right", 14.0)
+        basis = dense(*jost_basis(lz_windowed, 0.0, 0.1, "right", 14.0))
         assert abs(basis[1, 0]) == 0.0
         assert abs(basis[0, 1]) == 0.0
         assert abs(abs(basis[0, 0]) - 1.0) < 1e-12
@@ -187,7 +195,7 @@ class TestConnectors:
         eps_values = [0.2, 0.1, 0.05]
         for eps in eps_values:
             rep = scattering_matrix(tanh_cubed, eps, h, tol=1e-10)
-            basis = jost_basis(tanh_cubed, eps, h, "right", rep.truncation)
+            basis = dense(*jost_basis(tanh_cubed, eps, h, "right", rep.truncation))
             back = fundamental_matrix(tanh_cubed, eps, h, rep.truncation, anchor,
                                       tol=1e-11) @ basis
             phase = cmath.exp(-1j * r_r / h)

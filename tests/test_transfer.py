@@ -12,10 +12,11 @@ from crossinglab.params import RegimeSplit
 from crossinglab.potential import ScaledTanhProduct, find_crossings, phase_integral
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import predict_mixed
-from crossinglab.su2 import SU2Matrix, dense, diagonal_su2, identity_su2, su2_mul
+from crossinglab.su2 import dense, normalized, su2_mul
 from crossinglab.transfer import (
     IQ,
     J,
+    ChainFactors,
     _predicted_scattering,
     chain_factors,
     chain_offdiag_leading,
@@ -41,28 +42,33 @@ def assert_refused(model, catalog, eps, h, assignment):
 
 
 class TestSU2:
-    def test_constructor_validates(self):
-        with pytest.raises(ValueError):
-            SU2Matrix(1.0, 1.0)
-
     def test_matrix_pattern(self, rng):
         b = 0.3 + 0.4j
         a = cmath.sqrt(1 - abs(b) ** 2) * cmath.exp(0.7j)
-        m = SU2Matrix(a, b).matrix
+        m = dense(a, b)
         assert m[0, 1] == -np.conj(m[1, 0])
         assert m[1, 1] == np.conj(m[0, 0])
         assert abs(np.linalg.det(m) - 1.0) < 1e-14
 
     def test_product_closure(self, rng):
-        x = SU2Matrix.normalized(1.0 + 0.2j, 0.1 - 0.3j)
-        y = SU2Matrix.normalized(0.5, 0.8j)
-        z = x @ y
-        assert np.max(np.abs(z.matrix - x.matrix @ y.matrix)) < 1e-14
+        x = normalized(1.0 + 0.2j, 0.1 - 0.3j)
+        y = normalized(0.5, 0.8j)
+        assert abs(abs(x[0]) ** 2 + abs(x[1]) ** 2 - 1.0) < 1e-15
+        z = su2_mul(*x, *y)
+        assert np.max(np.abs(dense(*z) - dense(*x) @ dense(*y))) < 1e-14
 
     def test_q_conjugation(self):
-        x = SU2Matrix.normalized(0.6 + 0.1j, 0.2 - 0.77j)
-        direct = Q_FLIP @ x.matrix @ Q_FLIP
-        assert np.max(np.abs(x.q_conjugated().matrix - direct)) < 1e-14
+        """A flagged factor of the flip-conjugated chain is Q M Q, its phase
+        the conjugate; an unflagged one is left as it is."""
+        x = normalized(0.6 + 0.1j, 0.2 - 0.77j)
+        y = normalized(0.1 - 0.5j, 0.3j)
+        nu = cmath.exp(0.4j)
+        chain = ChainFactors(split=None, pairs=(), iq=(), phases=(nu, nu),
+                             flipped=(True, False))
+        (fx, fy), phases = chain.flip_conjugated([x, y])
+        assert np.max(np.abs(dense(*fx) - Q_FLIP @ dense(*x) @ Q_FLIP)) < 1e-14
+        assert fy == y
+        assert phases == [nu.conjugate(), nu]
 
     def test_flip_and_structure_matrices(self):
         """The chain's pairs (0, i) and (0, 1) are i Q and J = [[0, -1], [1, 0]]."""
@@ -141,7 +147,7 @@ class TestBetweenFactor:
         assert phase == pytest.approx(-1.0, rel=1e-12)
 
     def test_zero_integral_identity(self):
-        assert diagonal_su2(cmath.exp(0j)).matrix == pytest.approx(np.eye(2))
+        assert dense(cmath.exp(0j), 0j) == pytest.approx(np.eye(2))
 
 
 @pytest.fixture(scope="module")
@@ -169,8 +175,8 @@ class TestAdiabaticFactor:
         fac = crossing_transfer_adiabatic(0, eps, h, cat, tps=tps)
         alpha, beta = wkb_alpha_beta(0, eps, h, cat, tps)
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        assert fac.su2.a == pytest.approx(alpha / norm, rel=1e-12)
-        assert fac.su2.b == pytest.approx(beta / norm, rel=1e-12)
+        assert fac.pair[0] == pytest.approx(alpha / norm, rel=1e-12)
+        assert fac.pair[1] == pytest.approx(beta / norm, rel=1e-12)
         assert not fac.has_iq
 
     def test_odd_order_pulls_iq(self, tanh_cubed, tanh_cubed_catalog):
@@ -179,8 +185,8 @@ class TestAdiabaticFactor:
         fac = crossing_transfer_adiabatic(0, eps, h, tanh_cubed_catalog,
                                           model=tanh_cubed)
         assert fac.has_iq
-        full = dense(*su2_mul(*IQ, fac.su2.a, fac.su2.b))
-        assert np.max(np.abs(full - 1j * Q_FLIP @ fac.su2.matrix)) < 1e-14
+        full = dense(*su2_mul(*IQ, *fac.pair))
+        assert np.max(np.abs(full - 1j * Q_FLIP @ dense(*fac.pair))) < 1e-14
 
     def test_exact_probability_tracks_beta(self, even_crossing):
         """|beta|^2 from the dressed factor matches the exact P through the
@@ -204,13 +210,11 @@ class TestAdiabaticFactor:
 
 class TestChains:
     def test_identity_product(self):
-        assert su2_chain_product([identity_su2()] * 5).a == 1.0
+        assert su2_chain_product([(1.0 + 0j, 0j)] * 5) == (1.0, 0.0)
 
     def test_zero_couplings_stay_diagonal(self, rng):
-        factors = [diagonal_su2(cmath.exp(1j * float(p)))
-                   for p in rng.uniform(0, 6.28, 6)]
-        prod = su2_chain_product(factors)
-        assert prod.b == 0.0
+        factors = [(cmath.exp(1j * float(p)), 0j) for p in rng.uniform(0, 6.28, 6)]
+        assert su2_chain_product(factors)[1] == 0.0
 
     def test_random_products_stay_su2(self, rng):
         for _ in range(50):
@@ -218,8 +222,8 @@ class TestChains:
             for _ in range(int(rng.integers(1, 8))):
                 b = float(rng.uniform(0, 0.95)) * cmath.exp(1j * float(rng.uniform(0, 6)))
                 a = math.sqrt(1 - abs(b) ** 2) * cmath.exp(1j * float(rng.uniform(0, 6)))
-                factors.append(SU2Matrix(a, b))
-            m = su2_chain_product(factors).matrix
+                factors.append((a, b))
+            m = dense(*su2_chain_product(factors))
             assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-12
 
     def test_single_hop(self):
@@ -245,11 +249,10 @@ class TestChains:
             nus = np.exp(2j * np.pi * rng.random(n))
             factors = []
             for k in range(n):
-                factors.append(SU2Matrix(alphas[k], betas[k]))
-                factors.append(diagonal_su2(nus[k]))
+                factors += [(alphas[k], betas[k]), (nus[k], 0j)]
             prod = su2_chain_product(factors)
             pert = chain_offdiag_leading(alphas, betas, nus)
-            worst = max(worst, abs(prod.b - pert))
+            worst = max(worst, abs(prod[1] - pert))
         assert worst < 40 * mu_small**2
 
 
