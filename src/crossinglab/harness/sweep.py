@@ -168,9 +168,8 @@ def _eps_from_rule(rule: dict, h: float) -> float:
     raise ConfigError(f"unknown eps rule {kind!r}")
 
 
-def _compute_row(args):
-    config_doc, model, catalog, eps, h, index = args
-    config = SweepConfig(**config_doc)
+def _compute_row(config: SweepConfig, model, catalog, eps: float, h: float,
+                 index: int) -> dict:
     row = {c: "" for c in CSV_COLUMNS}
     row["index"] = index
     row["eps"] = eps
@@ -200,20 +199,52 @@ def _compute_row(args):
     return row
 
 
+# a pool worker's config, model and catalog, set once per worker process by
+# the pool's initializer _start_worker; the calling process never sets it
+_WORKER: tuple = ()
+
+
+def _start_worker(config: SweepConfig, model, catalog) -> None:
+    global _WORKER
+    _WORKER = (config, model, catalog)
+
+
+def _worker_row(eps: float, h: float, index: int) -> dict:
+    return _compute_row(*_WORKER, eps, h, index)
+
+
 def run_sweep(config: SweepConfig) -> list[dict]:
-    """Evaluate every row; failures are recorded inline and never raised."""
+    """Evaluate every row; failures are recorded inline and never raised.
+
+    One model and catalog serve every row, and the catalog keeps the line
+    data that scattering reuses across rows.  With jobs > 1 the caller is
+    one of the jobs processes: it starts jobs - 1 pool workers, which get
+    the config, model and catalog once and take rows from the front, and it
+    computes rows from the back itself, each one that no worker has started.
+    The first jobs - 1 rows are always the workers'.  Every row is computed
+    once, and the rows come back in index order.
+    """
     rows = build_rows(config)
-    # one model and catalog serve every row; pool workers get them pickled
     model = model_from_config(config.potential)
     catalog = find_crossings(model)
-    args = [(config.__dict__, model, catalog, eps, h, i) for i, (eps, h) in enumerate(rows)]
-    if config.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if config.jobs <= 1:
+        return [_compute_row(config, model, catalog, eps, h, i)
+                for i, (eps, h) in enumerate(rows)]
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            out = list(pool.map(_compute_row, args))
-    else:
-        out = [_compute_row(a) for a in args]
+    out = [None] * len(rows)
+    with ProcessPoolExecutor(max_workers=config.jobs - 1, initializer=_start_worker,
+                             initargs=(config, model, catalog)) as pool:
+        try:
+            futures = [pool.submit(_worker_row, eps, h, i) for i, (eps, h) in enumerate(rows)]
+            last = len(rows)
+            while last > config.jobs - 1 and futures[last - 1].cancel():
+                last -= 1
+                out[last] = _compute_row(config, model, catalog, *rows[last], last)
+            out[:last] = [future.result() for future in futures[:last]]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return out
 
 

@@ -13,8 +13,9 @@ a uniform grid fine enough that the fastest phase advances by a fraction of a
 radian per interval.  Cumulative integrals, the grid phase among them (from
 one evaluation of V per node), use the sixth-order fixed-weight rule
 ``quadrature.cumulative_uniform``, and values between nodes come from the
-degree-5 Lagrange interpolant on the same six-node stencil.  Base points must
-be grid nodes.
+degree-5 Lagrange interpolant on the same six-node stencil.  The grid phase
+is accumulated outward from the node nearest t_ref, so that it is exactly 0
+at a t_ref that is a node.  Base points must be grid nodes.
 """
 
 from __future__ import annotations
@@ -76,8 +77,12 @@ class MsaGrid:
         if n is None:
             n = grid_size(model, h, a, b)
         pts = np.linspace(a, b, n)
-        phase = cumulative_uniform(np.real(model.eval(pts)), (b - a) / (n - 1))
-        phase -= phase_integral(model, a, t_ref)
+        # accumulated outward from the node nearest t_ref, so that the phase
+        # there is exact rather than a difference of two sums of size Phi(a)
+        dx = (b - a) / (n - 1)
+        origin = min(max(int(round((t_ref - a) / dx)), 0), n - 1)
+        phase = cumulative_uniform(np.real(model.eval(pts)), dx, origin=origin)
+        phase += phase_integral(model, t_ref, pts[origin])
         u_plus = np.multiply(phase / h, -1j)
         np.exp(u_plus, out=u_plus)    # in place: no temporary larger than the result
         return MsaGrid(model=model, h=h, t_ref=t_ref, points=pts, phase=phase,

@@ -4,12 +4,17 @@ Conventions follow the two-level crossing problem: zeros are ordered by
 DECREASING position (t_1 > t_2 > ... > t_n, index 0 is the rightmost), the
 partial order sums sigma_k fix the sign of V on each gap, and V -> V_r > 0 on
 the right.
+
+The catalog is the one cache of what depends on neither h nor eps: the
+crossings, the gap integrals, the tail integrals at the default anchors and,
+per truncation T, the line data that scattering reads (the Jost tails' data
+at +-T and the samples of the magnus6 step density on [-T, T]).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +49,10 @@ class CrossingCatalog:
     # (anchor, integral of V - V_side from the anchor outward) on the right and
     # the left, at tail_anchor(side, TAIL_LEVEL); None without tails
     tails: tuple[tuple[float, float], ...] | None = None
+    # data of the line [-T, T] that depend on neither eps nor h, per
+    # truncation T: filled by ``scattering`` on first use, pickled with the
+    # catalog, and neither compared, hashed nor in to_dict
+    line_data: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:

@@ -44,7 +44,10 @@ Two independent backends:
   The expansion holds while a step turns the state by at most ~1.5 rad,
   lam dt / h; from ~4 rad on the error no longer falls as dt shrinks, so the
   density is floored at lam / (MAX_PHASE h).  ``boost`` scales the density,
-  which is sampled once per propagation and serves every boost.
+  which is sampled once per propagation and serves every boost.  Its samples
+  of V and |V'| ... |V^(6)| (``_density_samples``) depend on neither eps nor
+  h, so scattering keeps those of the whole line on the catalog and pays
+  only the eps and h arithmetic per row.
 
   Step control: a pilot pair of meshes at boosts 0.35 and 0.7 gives a
   Richardson estimate of the finer mesh's error, |M_fine - M_coarse| /
@@ -82,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureTolExceeded, StepUnderflow
-from .quadrature import adaptive_mesh, mesh_steps, sample_density
+from .quadrature import adaptive_mesh, cumulative_density, mesh_steps
 from .su2 import dense, ordered_product, su2_mul
 
 # the three Gauss-Legendre nodes of a step, as fractions of it
@@ -185,32 +188,39 @@ def _derivatives(model, t0: float, t1: float, t: np.ndarray) -> list:
     return out
 
 
-def _magnus6_density(model, eps: float, h: float, t0: float, t1: float, tol: float):
+def _density_samples(model, t0: float, t1: float) -> tuple:
+    """The part of the step density on [t0, t1] that depends on neither eps
+    nor h: the DENSITY_SAMPLES points t, V and |V'| ... |V^(6)| at t."""
+    t = np.linspace(t0, t1, DENSITY_SAMPLES)
+    v = np.real(model.eval(t))
+    return t, v, [np.abs(np.real(model.deriv(t)))] + _derivatives(model, t0, t1, t)
+
+
+def _magnus6_density(model, eps: float, h: float, t0: float, t1: float, tol: float,
+                     samples: tuple | None = None):
     """The boost-1 step density on [t0, t1], sampled once for every boost.
 
     e^(1/7) (I / tol)^(1/6), floored where a step would turn the state by
     more than MAX_PHASE, lam dt / h, so that the local error stays e dt^7.
+    ``samples`` are ``_density_samples(model, t0, t1)`` when the caller has
+    them already; only the eps and h arithmetic is then left.
     """
-    def density(t):
-        # t is sample_density's grid over all of [t0, t1]
-        v = np.real(model.eval(t))
-        lam2 = v * v + eps * eps
-        lam = np.sqrt(lam2)
-        # w_j = |V^(j)| / h, j = 1 ... 6
-        w = [None] + [d / h for d in [np.abs(np.real(model.deriv(t)))]
-                      + _derivatives(model, t0, t1, t)]
-        rate = lam / h
-        e = GAUSS_ERROR * w[6]
-        for k, power, orders in LOCAL_ERROR_TERMS:
-            term = (eps / h * k) * rate**power
-            for j in orders:
-                term = term * w[j]
-            e += term
-        root = e ** (1.0 / 7.0)
-        total = float(np.sum(0.5 * (root[1:] + root[:-1]) * np.diff(t)))
-        return np.maximum((total / tol) ** (1.0 / 6.0) * root, lam / (MAX_PHASE * h))
-
-    return sample_density(density, t0, t1, DENSITY_SAMPLES)
+    t, v, derivs = _density_samples(model, t0, t1) if samples is None else samples
+    lam2 = v * v + eps * eps
+    lam = np.sqrt(lam2)
+    # w_j = |V^(j)| / h, j = 1 ... 6
+    w = [None] + [d / h for d in derivs]
+    rate = lam / h
+    e = GAUSS_ERROR * w[6]
+    for k, power, orders in LOCAL_ERROR_TERMS:
+        term = (eps / h * k) * rate**power
+        for j in orders:
+            term = term * w[j]
+        e += term
+    root = e ** (1.0 / 7.0)
+    total = float(np.sum(0.5 * (root[1:] + root[:-1]) * np.diff(t)))
+    return cumulative_density(
+        t, np.maximum((total / tol) ** (1.0 / 6.0) * root, lam / (MAX_PHASE * h)))
 
 
 def pilot_steps(density) -> int:

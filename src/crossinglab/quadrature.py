@@ -9,9 +9,9 @@ Each job has one rule:
   successive-approximation operators, their grid phase, and every
   oscillatory integral on a grid (``oscillatory.osc_integral`` runs on the
   same grids);
-* an adaptive mesh for the propagator: ``sample_density`` samples a step
-  density and its running integral once, ``adaptive_mesh`` inverts it at
-  any boost, and ``mesh_steps`` gives that mesh's size without building it.
+* an adaptive mesh for the propagator: ``cumulative_density`` integrates a
+  sampled step density once, ``adaptive_mesh`` inverts it at any boost, and
+  ``mesh_steps`` gives that mesh's size without building it.
 """
 
 from __future__ import annotations
@@ -29,15 +29,13 @@ def gauss_legendre(n: int):
     return x, w
 
 
-def sample_density(density, a: float, b: float, samples: int) -> tuple:
-    """Sample a vectorized density (steps per unit length) on a < b.
+def cumulative_density(t: np.ndarray, rho: np.ndarray) -> tuple:
+    """A step density (steps per unit length) sampled at ascending points t.
 
-    Returns the ``samples`` points and the running integral of the density
-    at them (trapezoid rule from a).  The density is floored at one step over
-    [a, b].
+    Returns t and the running integral of the density at them (trapezoid
+    rule from t[0]).  The density is floored at one step over [t[0], t[-1]].
     """
-    t = np.linspace(a, b, samples)
-    rho = np.maximum(np.asarray(density(t), dtype=float), 1.0 / (b - a))
+    rho = np.maximum(np.asarray(rho, dtype=float), 1.0 / (t[-1] - t[0]))
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(t))])
     return t, cum
 
@@ -50,9 +48,9 @@ def mesh_steps(sampled, boost: float) -> int:
 def adaptive_mesh(sampled, boost: float, max_points: int) -> np.ndarray:
     """Mesh with local step ~ 1 / (boost * density(t)).
 
-    ``sampled`` comes from ``sample_density``.  Breakpoints are placed by
+    ``sampled`` comes from ``cumulative_density``.  Breakpoints are placed by
     inverting the sampled cumulative density, so the mesh adapts smoothly,
-    and one sampling serves meshes at any boost.  More than ``max_points``
+    and one sampled density serves meshes at any boost.  More than ``max_points``
     steps raise before any large allocation happens.
     """
     t, cum = sampled
@@ -120,15 +118,17 @@ _CUMULATIVE_WEIGHTS = np.array([
 ]) / 1440.0
 
 
-def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = None) -> np.ndarray:
+def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = None,
+                       origin: int = 0) -> np.ndarray:
     """Cumulative integral of samples on a uniform grid with step ``dx``.
 
-    Returns F with F[0] = 0 and F[j] = integral from the first node to node j
-    of the degree-5 interpolant through the six nodes nearest each interval
-    (the first or last six at the ends): exact on polynomials of degree <= 5,
-    sixth order on smooth data.  ``out``, when given, receives F in place; it
-    must not overlap ``values``.  Either way the result is the same, bit for
-    bit.
+    Returns F with F[origin] = 0 and F[j] = integral from node ``origin`` to
+    node j of the degree-5 interpolant through the six nodes nearest each
+    interval (the first or last six at the ends): exact on polynomials of
+    degree <= 5, sixth order on smooth data.  The sums run outward from
+    ``origin``, so their rounding grows with the distance from it.  ``out``,
+    when given, receives F in place; it must not overlap ``values``.  Either
+    way the result is the same, bit for bit.
     """
     g = np.asarray(values)
     n = g.shape[0]
@@ -151,7 +151,9 @@ def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = N
     inc[:2] = w[:2] @ g[:6]
     inc[n - 3:] = w[3:] @ g[n - 6:]
     inc *= dx
-    out[0] = 0.0
-    np.cumsum(inc, out=inc)
+    # the intervals below the origin, summed from it down to node 0
+    below = np.cumsum(inc[origin - 1::-1]) if origin > 0 else inc[:0]
+    out[origin] = 0.0
+    np.cumsum(inc[origin:], out=inc[origin:])
+    np.negative(below[::-1], out=out[:origin])
     return out
-

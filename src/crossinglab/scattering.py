@@ -39,6 +39,13 @@ the other half, so the report's error_estimate, their sum, meets tol.  When
 the windows would merge or reach the anchors, or there is no crossing, the
 whole region is propagated after all.  The report's predicted_steps gives
 the prediction and window_steps the steps of each window's returned mesh.
+
+The Jost tails' smooth integrals and jets at +/-T, and the samples of V and
+its derivatives under the whole region's step density, depend on neither
+eps nor h.  The catalog keeps them per truncation T
+(``CrossingCatalog.line_data``), so the rows of an h or eps ladder that
+share a catalog and a T compute them once, and each row pays only its own
+eps and h arithmetic.  The panel tail depends on omega and is never kept.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from .potential.catalog import CrossingCatalog, find_crossings
 from .potential.families import _MAX_JET_ORDER
 from .propagator import (
     PropagationDiagnostics,
+    _density_samples,
     _magnus6_density,
     check_parameters,
     fundamental_matrix,
@@ -144,19 +152,27 @@ class TailIntegral:
     bound: float      # bound on |value - exact|
 
 
-def _series_tail(model, v_inf: float, t_eval: float, omega: float,
-                 tol: float) -> TailIntegral | None:
-    """Integration-by-parts series of the tail from the exact jet at t_eval.
-
-    None when the terms stop decreasing before the remainder bound reaches tol.
-    """
+def _tail_derivatives(model, v_inf: float, t_eval: float) -> list[float]:
+    """f^(k)(t_eval), k = 0 ... _MAX_JET_ORDER, of f = V - V_inf, from the exact jet."""
     jet = np.real(model.taylor(t_eval, _MAX_JET_ORDER)).tolist()
     jet[0] -= v_inf
+    return [math.factorial(k) * c for k, c in enumerate(jet)]
+
+
+def _series_tail(model, v_inf: float, t_eval: float, omega: float,
+                 tol: float, derivs: list[float] | None = None) -> TailIntegral | None:
+    """Integration-by-parts series of the tail from the exact jet at t_eval.
+
+    ``derivs`` are ``_tail_derivatives(model, v_inf, t_eval)`` when the
+    caller has them.  None when the terms stop decreasing before the
+    remainder bound reaches tol.
+    """
+    if derivs is None:
+        derivs = _tail_derivatives(model, v_inf, t_eval)
     rate = model.tail_rate
     floor = _rounding_floor(v_inf, omega)
     total, last = 0j, math.inf
-    for k, c in enumerate(jet):
-        deriv = math.factorial(k) * c   # f^(k)(t_eval)
+    for k, deriv in enumerate(derivs):
         bound = abs(deriv) / (rate * omega**k)
         if bound <= tol:
             return TailIntegral(cmath.exp(1j * omega * t_eval) * total, "series",
@@ -201,23 +217,39 @@ def _panel_tail(model, side: str, v_inf: float, t_eval: float, omega: float,
 
 
 def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
-                      omega: float, tol: float) -> TailIntegral:
+                      omega: float, tol: float,
+                      derivs: list[float] | None = None) -> TailIntegral:
     """integral_{+/-inf}^{t_eval} (V - V_inf) exp(i omega s) ds.
 
     The jet series when its remainder bound meets tol, else the panel rule.
     """
-    return (_series_tail(model, v_inf, t_eval, omega, tol)
+    return (_series_tail(model, v_inf, t_eval, omega, tol, derivs)
             or _panel_tail(model, side, v_inf, t_eval, omega, tol))
 
 
+def _kept(catalog: CrossingCatalog | None, truncation: float, key: str, compute):
+    """compute(), kept under ``key`` in the catalog's line data at this
+    truncation: computed on the first use only.  Without a catalog it is
+    computed every time."""
+    if catalog is None:
+        return compute()
+    entry = catalog.line_data.setdefault(truncation, {})
+    if key not in entry:
+        entry[key] = compute()
+    return entry[key]
+
+
 def jost_basis(model, eps: float, h: float, side: str, T: float,
-               tol: float = 1e-12, diagnostics: dict | None = None) -> tuple[complex, complex]:
+               tol: float = 1e-12, diagnostics: dict | None = None,
+               catalog: CrossingCatalog | None = None) -> tuple[complex, complex]:
     """Pair of the Jost basis (J^+, J^-) at t = +T (right) or t = -T (left).
 
     The free basis of the limiting Hamiltonian is corrected by the
     tail-exponential; J^+ is the pair's first column.  A
     given ``diagnostics`` dict receives the oscillatory tail's route and
-    remainder bound.
+    remainder bound.  The smooth tail integral and the jet of V - V_inf at
+    the anchor depend on neither eps nor h: a given ``catalog`` keeps them
+    per T, so that only the first call at a T computes them.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
@@ -229,9 +261,11 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
     # exponent X = integral_{+/-inf}^{t_eval} A(s) ds
     two_a = 2.0 * angles.angle
     cos2, sin2 = math.cos(two_a), math.sin(two_a)
-    smooth_tail = model.tail_integral(side, t_eval)   # integral to +/-inf from t_eval
+    # the integral to +/-inf from t_eval, and the derivatives of V - V_inf there
+    smooth_tail, derivs = _kept(catalog, T, side, lambda: (
+        model.tail_integral(side, t_eval), _tail_derivatives(model, v_inf, t_eval)))
     i_diag = -smooth_tail if side == "right" else smooth_tail
-    osc = _oscillatory_tail(model, side, v_inf, t_eval, 2.0 * angles.lam / h, tol)
+    osc = _oscillatory_tail(model, side, v_inf, t_eval, 2.0 * angles.lam / h, tol, derivs)
     if diagnostics is not None:
         diagnostics.update(tail_route=osc.route, tail_bound=osc.bound)
     sign_diag = 1.0 if v_inf > 0 else -1.0
@@ -288,7 +322,9 @@ def _scattering_matrix(model, eps: float, h: float, tol: float, truncation: floa
 
     plan = density = predicted = None
     if method == "magnus6":
-        density = _magnus6_density(model, eps, h, -truncation, truncation, tol)
+        samples = _kept(catalog, truncation, "density",
+                        lambda: _density_samples(model, -truncation, truncation))
+        density = _magnus6_density(model, eps, h, -truncation, truncation, tol, samples)
         predicted = pilot_steps(density)
         if predicted > window_cost * catalog.n:
             plan = plan_windows(model, eps, h, catalog, truncation, 0.5 * tol)
@@ -309,9 +345,9 @@ def _scattering_matrix(model, eps: float, h: float, tol: float, truncation: floa
     tail_r: dict = {}
     tail_l: dict = {}
     j_right = jost_basis(model, eps, h, "right", truncation, tol=tol * 1e-3,
-                         diagnostics=tail_r)
+                         diagnostics=tail_r, catalog=catalog)
     j_left = jost_basis(model, eps, h, "left", truncation, tol=tol * 1e-3,
-                        diagnostics=tail_l)
+                        diagnostics=tail_l, catalog=catalog)
     a, b = su2_mul(np.conj(j_right[0]), -j_right[1], *su2_mul(*m_prop, *j_left))
     defect = float(abs(abs(a) ** 2 + abs(b) ** 2 - 1.0))
     p = float(abs(b) ** 2)

@@ -1,8 +1,11 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,6 +232,50 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="bug"):
             run_sweep(config)
 
+    @staticmethod
+    def _pid_rows(monkeypatch, fail_in=None):
+        """A jobs=2 sweep whose nonadiabatic P is the pid of the process that
+        computed the row; ``fail_in`` ("caller" or "worker") raises a
+        programming error there.  Worker rows take 5 ms, so the caller
+        cancels the back rows long before the worker could reach them."""
+        import crossinglab.harness.sweep as sweep_module
+
+        caller = os.getpid()
+
+        def whose(*args, **kwargs):
+            in_caller = os.getpid() == caller
+            if not in_caller:
+                time.sleep(0.005)
+            if fail_in is not None and in_caller == (fail_in == "caller"):
+                raise ValueError("bug")
+            return SimpleNamespace(p_pred=float(os.getpid()))
+
+        monkeypatch.setattr(sweep_module, "predict_nonadiabatic", whose)
+        return run_sweep(SweepConfig(
+            potential=CUBIC_DOC,
+            grid={"type": "list", "rows": [{"eps": 0.0005, "h": 0.002}] * 8},
+            oracles=("nonadiabatic",), jobs=2))
+
+    def test_caller_and_worker_share_the_rows(self, monkeypatch):
+        """At jobs=2 the pool worker takes rows from the front and the caller
+        from the back; each row once, in index order, and no child is left."""
+        rows = self._pid_rows(monkeypatch)
+        assert [row["index"] for row in rows] == list(range(8))
+        pids = [row["P_nonadiabatic"] for row in rows]
+        caller = float(os.getpid())
+        assert pids[0] != caller and pids[-1] == caller
+        first = pids.index(caller)
+        assert set(pids[:first]) == {pids[0]} and set(pids[first:]) == {caller}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_programming_errors_propagate_at_two_jobs(self, monkeypatch, where):
+        """A programming error in a worker's row or in the caller's propagates,
+        and the pool is gone when it does."""
+        with pytest.raises(ValueError, match="bug"):
+            self._pid_rows(monkeypatch, fail_in=where)
+        assert multiprocessing.active_children() == []
+
     def test_model_and_catalog_built_once(self, monkeypatch):
         """Rows share one model and catalog, looked up by module name."""
         import crossinglab.harness.sweep as sweep_module
@@ -270,17 +317,19 @@ class TestRunSweep:
         """Schema 2 says how P_numeric was obtained, identically for any jobs."""
         config = SweepConfig(
             potential=TANH_PAIR_DOC,
-            grid={"type": "h_ladder", "h_values": [0.1, 1e-3],
+            grid={"type": "h_ladder", "h_values": [0.1, 1e-2, 1e-3, 1e-4],
                   "eps_rule": {"type": "power", "coeff": 0.05, "exponent": 0.75}},
             oracles=("numeric",), tol=1e-9)
-        rows = run_sweep(config)
-        par = run_sweep(SweepConfig(**{**config.__dict__, "jobs": 2}))
-        write_csv(rows, str(tmp_path / "a.csv"))
-        write_csv(par, str(tmp_path / "b.csv"))
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        header = (tmp_path / "a.csv").read_text().splitlines()[0].split(",")
+        tables = {jobs: run_sweep(SweepConfig(**{**config.__dict__, "jobs": jobs}))
+                  for jobs in (1, 2, 3)}
+        for jobs, table in tables.items():
+            write_csv(table, str(tmp_path / f"jobs{jobs}.csv"))
+        rows = tables[1]
+        assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes() \
+            == (tmp_path / "jobs3.csv").read_bytes()
+        header = (tmp_path / "jobs1.csv").read_text().splitlines()[0].split(",")
         assert set(NUMERIC_COLUMNS) <= set(header)
-        assert [row["route"] for row in rows] == ["whole_line", "windowed"]
+        assert [row["route"] for row in rows] == ["whole_line"] * 2 + ["windowed"] * 2
         for row in rows:
             assert row["steps"] <= row["steps_built"]
             assert 0.0 < row["error_estimate"] <= 1e-9

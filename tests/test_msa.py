@@ -14,8 +14,9 @@ from crossinglab.msa import (
     sampled_norm,
 )
 from crossinglab.oscillatory import omega_m
-from crossinglab.potential import PolynomialWindowed, find_crossings
+from crossinglab.potential import PolynomialWindowed, find_crossings, phase_integral
 from crossinglab.propagator import propagate
+from crossinglab.quadrature import cumulative_uniform
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,50 @@ def cubic_setup(tanh_cubed, tanh_cubed_catalog):
     h = 5e-3
     grid = MsaGrid.build(tanh_cubed, h, (-0.7, 0.7), 0.0)
     return tanh_cubed, tanh_cubed_catalog, h, grid
+
+
+class TestGridPhase:
+    """The grid phase runs outward from the node nearest t_ref."""
+
+    H = 2e-4
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_zero_at_t_ref_node(self, m):
+        """Criterion 5's grids: exactly 0 at t_ref, where accumulating from
+        the grid's start left ~1e-15 and ~1e-14."""
+        model = PolynomialWindowed([0.0] * m + [1.0], window=3.0, sharpness=8.0)
+        grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
+        assert grid.phase[grid.index(0.0)] == 0.0
+        for t in (-1.2, -0.3, 0.6, 1.2):
+            assert abs(grid.phase[grid.index(t)] - phase_integral(model, 0.0, t)) < 1e-13
+
+    @pytest.mark.parametrize("t_ref", [0.0, 1.3e-4])
+    def test_t_ref_inside(self, tanh_cubed, t_ref):
+        grid = MsaGrid.build(tanh_cubed, 5e-3, (-0.7, 0.7), t_ref, n=4201)
+        i = int(np.argmin(np.abs(grid.points - t_ref)))
+        assert grid.phase[i] == phase_integral(tanh_cubed, t_ref, grid.points[i])
+        for t in (-0.7, 0.7):
+            assert abs(grid.phase[grid.index(t)] - phase_integral(tanh_cubed, t_ref, t)) < 1e-13
+
+    @pytest.mark.parametrize("interval, t_ref", [
+        ((-0.7, 0.7), -0.7), ((0.7, -0.7), 0.7),       # at the start
+        ((-0.7, 0.7), 0.7),                             # at the end
+        ((-0.7, 0.7), -1.0), ((-0.7, 0.7), 1.0)])       # outside
+    def test_t_ref_at_an_end_or_outside(self, tanh_cubed, interval, t_ref):
+        """From the nearer end; from the start it is the grid's cumulative
+        integral plus the phase up to the start, bit for bit (osc_integral's
+        grids)."""
+        grid = MsaGrid.build(tanh_cubed, 5e-3, interval, t_ref, n=4201)
+        values = np.real(tanh_cubed.eval(grid.points))
+        end = int(np.argmin(np.abs(grid.points[[0, -1]] - t_ref))) * (len(grid.points) - 1)
+        assert grid.phase[end] == phase_integral(tanh_cubed, t_ref, grid.points[end])
+        if end == 0:
+            want = cumulative_uniform(values, grid.dx) + phase_integral(
+                tanh_cubed, t_ref, grid.points[0])
+            assert grid.phase.tobytes() == want.tobytes()
+        for i in (0, len(grid.points) // 3, len(grid.points) - 1):
+            want = phase_integral(tanh_cubed, t_ref, grid.points[i])
+            assert abs(grid.phase[i] - want) < 1e-13
 
 
 class TestApplyK:
@@ -299,10 +344,9 @@ class TestCosts:
 
     def test_one_evaluation_per_node(self, cubic_window, monkeypatch):
         """Outside phase_integral the build evaluates V on the grid and the
-        512-point probe that sizes it, nothing more."""
+        512-point probe that sizes it, nothing more; phase_integral, from
+        t_ref to the nearest node, evaluates nothing when t_ref is a node."""
         model, _ = cubic_window
-        counts = {"build": 0, "phase_integral": 0}
-        where = ["build"]
         phase_integral = msa.phase_integral
 
         class Spy:
@@ -318,9 +362,12 @@ class TestCosts:
                 where.pop()
 
         monkeypatch.setattr(msa, "phase_integral", spied_phase_integral)
-        grid = MsaGrid.build(Spy(), self.H, (-1.2, 1.2), 0.0)
-        assert counts["phase_integral"] > 0
-        assert counts["build"] <= len(grid.points) + 512
+        for t_ref, integrated in ((0.0, False), (0.3e-5, True)):
+            counts = {"build": 0, "phase_integral": 0}
+            where = ["build"]
+            grid = MsaGrid.build(Spy(), self.H, (-1.2, 1.2), t_ref)
+            assert (counts["phase_integral"] > 0) == integrated
+            assert counts["build"] <= len(grid.points) + 512
 
     def test_build_peak_memory(self, cubic_window):
         model, _ = cubic_window

@@ -32,6 +32,19 @@ class TestCumulativeUniform:
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all((orders > 5.5) & (orders < 6.5)), orders
 
+    @pytest.mark.parametrize("origin", [0, 1, 4, 10, 20])
+    def test_origin(self, origin):
+        """F[origin] is exactly 0, every interval stays exact to degree 5,
+        and origin 0 is the default, bit for bit."""
+        x = np.linspace(-1.0, 2.0, 21)
+        anti = np.polynomial.Polynomial([1.0, -2.0, 3.0, -4.0, 5.0, -6.0]).integ()
+        values = anti.deriv()(x)
+        got = cumulative_uniform(values, x[1] - x[0], origin=origin)
+        assert got[origin] == 0.0
+        assert np.max(np.abs(got - (anti(x) - anti(x[origin])))) < 1e-12
+        if origin == 0:
+            assert got.tobytes() == cumulative_uniform(values, x[1] - x[0]).tobytes()
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             cumulative_uniform(np.ones(5), 0.1)
@@ -42,8 +55,9 @@ class TestCumulativeUniform:
         rng = np.random.default_rng(n)
         for values in (rng.standard_normal(n),
                        rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-            want = cumulative_uniform(values, 0.37)
-            buf = np.full_like(want, np.nan)
-            got = cumulative_uniform(values, 0.37, out=buf)
-            assert got is buf
-            assert got.tobytes() == want.tobytes()
+            for origin in (0, n // 2, n - 1):
+                want = cumulative_uniform(values, 0.37, origin=origin)
+                buf = np.full_like(want, np.nan)
+                got = cumulative_uniform(values, 0.37, out=buf, origin=origin)
+                assert got is buf
+                assert got.tobytes() == want.tobytes()

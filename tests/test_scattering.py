@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -336,6 +337,91 @@ def _windowed(model, eps, h, tol, catalog, truncation=None):
     is taken only when the plan fails."""
     return scattering._scattering_matrix(model, eps, h, tol, truncation, "magnus6", catalog,
                                          0.0)
+
+
+class TestLineData:
+    """The catalog keeps the Jost tails' data at +-T and the whole-line
+    density samples per truncation T; later rows at that T read them."""
+
+    @pytest.mark.parametrize("h, route, tail_route", [
+        (1.0, "whole_line", "panels"), (0.1, "whole_line", "series"),
+        (1e-3, "windowed", "series")])
+    def test_warm_catalog_is_bitwise(self, tanh_pair, h, route, tail_route):
+        """A catalog warmed by another row at the same T gives a fresh
+        catalog's S, P and diagnostics, bit for bit."""
+        eps = 0.05 * h**0.75
+        warm = find_crossings(tanh_pair)
+        other = scattering_matrix(tanh_pair, 0.01, 0.05, catalog=warm)
+        reps = [scattering_matrix(tanh_pair, eps, h, catalog=warm) for _ in range(2)]
+        fresh = scattering_matrix(tanh_pair, eps, h, catalog=find_crossings(tanh_pair))
+        assert fresh.diagnostics["route"] == route
+        assert fresh.diagnostics["tail_route"] == tail_route
+        assert list(warm.line_data) == [other.truncation] == [fresh.truncation]
+        for rep in reps:
+            assert rep.s_matrix.tobytes() == fresh.s_matrix.tobytes()
+            assert rep.p_transition.hex() == fresh.p_transition.hex()
+            assert rep.diagnostics == fresh.diagnostics
+
+    @pytest.mark.parametrize("h", [0.1, 1e-3])
+    def test_later_rows_sample_no_line_data(self, tanh_pair, monkeypatch, h):
+        """No tail integral, no jet at +-T and no V or V' on the whole line's
+        density grids once the catalog holds the truncation."""
+        catalog = find_crossings(tanh_pair)
+        calls = []
+        for name in ("tail_integral", "taylor", "eval", "deriv"):
+            def spy(*args, name=name, real=getattr(tanh_pair, name)):
+                calls.append((name, args))
+                return real(*args)
+            monkeypatch.setattr(tanh_pair, name, spy)
+
+        def line_calls(T):
+            out = []
+            for name, args in calls:
+                t = np.asarray(args[-1] if name == "tail_integral" else args[0])
+                whole_line = (t.ndim == 1 and t[0] == -T and t[-1] == T and len(t) in
+                              (propagator.DENSITY_SAMPLES, propagator.DERIVATIVE_POINTS))
+                if (name == "tail_integral" or (name == "taylor" and t.ndim == 0 and abs(t) == T)
+                        or (name in ("eval", "deriv") and whole_line)):
+                    out.append(name)
+            return sorted(out)
+
+        first = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, catalog=catalog)
+        assert line_calls(first.truncation) == ["deriv", "deriv", "eval", "tail_integral",
+                                                "tail_integral", "taylor", "taylor"]
+        calls.clear()
+        second = scattering_matrix(tanh_pair, 0.04 * h**0.75, 0.8 * h, catalog=catalog)
+        assert second.truncation == first.truncation
+        assert calls and line_calls(second.truncation) == []
+
+    def test_one_entry_per_truncation(self, tanh_pair):
+        """A tol that moves the truncation adds one entry; the same T adds none."""
+        catalog = find_crossings(tanh_pair)
+        eps = 0.05 * 1e-4**0.75
+        truncations = [scattering_matrix(tanh_pair, eps, 1e-4, tol=tol, catalog=catalog).truncation
+                       for tol in (1e-9, 1e-11, 1e-12)]
+        assert truncations[0] == truncations[1] != truncations[2]
+        assert list(catalog.line_data) == [truncations[0], truncations[2]]
+        assert all(set(entry) == {"density", "right", "left"}
+                   for entry in catalog.line_data.values())
+
+    def test_catalog_identity_unaffected(self, tanh_pair):
+        """==, hash and to_dict ignore the line data; pickling carries it."""
+        warm, fresh = find_crossings(tanh_pair), find_crossings(tanh_pair)
+        scattering_matrix(tanh_pair, 0.01, 0.05, catalog=warm)
+        assert warm.line_data and not fresh.line_data
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert warm.to_dict() == fresh.to_dict()
+        assert "line_data" not in repr(warm)
+        copy = pickle.loads(pickle.dumps(warm))
+        assert copy == warm and list(copy.line_data) == list(warm.line_data)
+        (entry,) = copy.line_data.values()
+        assert entry["right"] == next(iter(warm.line_data.values()))["right"]
+
+    def test_jost_basis_with_and_without_catalog(self, tanh_pair, tanh_pair_catalog):
+        """Without a catalog the tails are computed as they are kept."""
+        for side in ("right", "left"):
+            kept = jost_basis(tanh_pair, 0.02, 0.05, side, 12.5, catalog=tanh_pair_catalog)
+            assert kept == jost_basis(tanh_pair, 0.02, 0.05, side, 12.5)
 
 
 class TestRouteRule:
