@@ -8,6 +8,7 @@ failure, 4 verification/acceptance failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -138,7 +139,7 @@ def cmd_sweep(args) -> int:
 
     config = SweepConfig.from_json(args.config)
     if args.jobs:
-        config.jobs = args.jobs
+        config = dataclasses.replace(config, jobs=args.jobs)
     config.tol = _tol(args, config.tol)
     t0 = time.time()
     rows = run_sweep(config)
@@ -265,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # a bad CROSSINGLAB_* default is refused while the parser is built
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -87,6 +87,9 @@ class SweepConfig:
         if unknown:
             raise ConfigError(f"unknown oracles {unknown}; choose from {list(ORACLES)}")
         check_inputs(tol=self.tol)
+        if not (isinstance(self.jobs, int) and not isinstance(self.jobs, bool)
+                and self.jobs >= 1):
+            raise ConfigError(f"jobs={self.jobs!r}: need an integer >= 1")
 
     @staticmethod
     def from_json(doc) -> "SweepConfig":
@@ -99,7 +102,7 @@ class SweepConfig:
                 grid=doc["grid"],
                 oracles=tuple(doc.get("oracles", ("numeric", "nonadiabatic"))),
                 tol=float(doc.get("tol", 1e-9)),
-                jobs=int(doc.get("jobs", 1)),
+                jobs=doc.get("jobs", 1),
                 label=doc.get("label", "sweep"),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -199,18 +202,52 @@ def _compute_row(config: SweepConfig, model, catalog, eps: float, h: float,
     return row
 
 
-# a pool worker's config, model and catalog, set once per worker process by
-# the pool's initializer _start_worker; the calling process never sets it
-_WORKER: tuple = ()
+class _RowCounter:
+    """The rows of a parallel sweep that no process has claimed yet, the
+    range [front, end) in memory shared by every process of the sweep.
+    Workers claim rows from the front, the caller from the back; one lock
+    guards both ends, so each row is claimed once."""
+
+    def __init__(self, ctx, front: int, end: int):
+        self._lock = ctx.Lock()
+        self._bounds = ctx.RawArray("q", [front, end])
+
+    def claim(self, from_front: bool) -> int | None:
+        """The next unclaimed row from one end, or None when none is left."""
+        bounds = self._bounds
+        with self._lock:
+            if bounds[0] >= bounds[1]:
+                return None
+            if from_front:
+                bounds[0] += 1
+                return bounds[0] - 1
+            bounds[1] -= 1
+            return bounds[1]
+
+    def close(self) -> None:
+        """Leave no row to claim, so that every process stops after its
+        current row."""
+        with self._lock:
+            self._bounds[0] = self._bounds[1]
 
 
-def _start_worker(config: SweepConfig, model, catalog) -> None:
-    global _WORKER
-    _WORKER = (config, model, catalog)
-
-
-def _worker_row(eps: float, h: float, index: int) -> dict:
-    return _compute_row(*_WORKER, eps, h, index)
+def _sweep_worker(config, model, catalog, rows, counter: _RowCounter,
+                  first: int, writer) -> None:
+    """Compute row ``first``, then rows from the front while any is left, and
+    send them as one {index: row} message; on an error, close the counter
+    and send the exception instead.  An exception that cannot be pickled
+    escapes send and ends the worker with a non-zero exit code."""
+    try:
+        done = {}
+        index = first
+        while index is not None:
+            done[index] = _compute_row(config, model, catalog, *rows[index], index)
+            index = counter.claim(from_front=True)
+    except BaseException as exc:
+        counter.close()
+        writer.send(exc)
+    else:
+        writer.send(done)
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
@@ -218,33 +255,63 @@ def run_sweep(config: SweepConfig) -> list[dict]:
 
     One model and catalog serve every row, and the catalog keeps the line
     data that scattering reuses across rows.  With jobs > 1 the caller is
-    one of the jobs processes: it starts jobs - 1 pool workers, which get
-    the config, model and catalog once and take rows from the front, and it
-    computes rows from the back itself, each one that no worker has started.
-    The first jobs - 1 rows are always the workers'.  Every row is computed
-    once, and the rows come back in index order.
+    one of min(jobs, rows) processes: it forks one fewer workers, which
+    share its model and catalog.  Worker k computes row k first, then each
+    process claims one row at a time from a shared counter, the workers
+    from the front and the caller from the back (where an h ladder keeps
+    its costliest rows), so no process idles while a row is left.  Each
+    worker sends its rows in one message once none is left.  A programming
+    error in any process closes the counter and propagates; a worker that
+    dies before sending its rows raises RuntimeError.  No worker outlives
+    the call.  Every row is computed once, and the rows come back in index
+    order.
     """
     rows = build_rows(config)
     model = model_from_config(config.potential)
     catalog = find_crossings(model)
-    if config.jobs <= 1:
+    jobs = min(config.jobs, len(rows))
+    if jobs <= 1:
         return [_compute_row(config, model, catalog, eps, h, i)
                 for i, (eps, h) in enumerate(rows)]
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
+    ctx = multiprocessing.get_context("fork")
+    counter = _RowCounter(ctx, jobs - 1, len(rows))
     out = [None] * len(rows)
-    with ProcessPoolExecutor(max_workers=config.jobs - 1, initializer=_start_worker,
-                             initargs=(config, model, catalog)) as pool:
+    workers = []
+    try:
+        for first in range(jobs - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_sweep_worker, daemon=True, args=(
+                config, model, catalog, rows, counter, first, writer))
+            proc.start()
+            workers.append((proc, reader))
+            # the worker now holds the only write end, so recv sees EOF if it dies
+            writer.close()
         try:
-            futures = [pool.submit(_worker_row, eps, h, i) for i, (eps, h) in enumerate(rows)]
-            last = len(rows)
-            while last > config.jobs - 1 and futures[last - 1].cancel():
-                last -= 1
-                out[last] = _compute_row(config, model, catalog, *rows[last], last)
-            out[:last] = [future.result() for future in futures[:last]]
+            while (index := counter.claim(from_front=False)) is not None:
+                out[index] = _compute_row(config, model, catalog, *rows[index], index)
         except BaseException:
-            pool.shutdown(cancel_futures=True)
+            counter.close()
             raise
+        for proc, reader in workers:
+            try:
+                done = reader.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"sweep worker exited with code {proc.exitcode} "
+                                   "before sending its rows") from None
+            if isinstance(done, BaseException):
+                raise done
+            for index, row in done.items():
+                out[index] = row
+            proc.join()
+    finally:
+        for proc, reader in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            reader.close()
     return out
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -150,6 +151,17 @@ class TestConfigAndRows:
         with pytest.raises(ConfigError):
             SweepConfig.from_json({"grid": {}})
 
+    @pytest.mark.parametrize("jobs", [0, -3, 1.7, 2.0, True, "2", None],
+                             ids=["zero", "negative", "fraction", "float", "bool",
+                                  "string", "null"])
+    def test_bad_jobs_rejected(self, jobs):
+        """jobs must be an integer >= 1; nothing is rounded or replaced."""
+        doc = {"potential": CUBIC_DOC,
+               "grid": {"type": "list", "rows": [{"eps": 0.01, "h": 0.05}]},
+               "jobs": jobs}
+        with pytest.raises(ConfigError, match="jobs"):
+            SweepConfig.from_json(doc)
+
     def test_unknown_oracle_rejected(self):
         doc = {"potential": CUBIC_DOC,
                "grid": {"type": "list", "rows": [{"eps": 0.01, "h": 0.05}]},
@@ -233,31 +245,50 @@ class TestRunSweep:
             run_sweep(config)
 
     @staticmethod
-    def _pid_rows(monkeypatch, fail_in=None):
-        """A jobs=2 sweep whose nonadiabatic P is the pid of the process that
-        computed the row; ``fail_in`` ("caller" or "worker") raises a
-        programming error there.  Worker rows take 5 ms, so the caller
-        cancels the back rows long before the worker could reach them."""
+    def _pid_rows(monkeypatch, fail_in=None, jobs=2, n_rows=8, in_worker=None, log=None):
+        """A sweep of ``n_rows`` rows (row i at eps = 5e-4 + 1e-6 i) whose
+        nonadiabatic P is the pid of the process that computed the row;
+        ``fail_in`` ("caller" or "worker") raises a programming error there,
+        ``in_worker`` runs before each worker row, and each computed eps is
+        appended to the file ``log``.  Worker rows take 5 ms, so the caller
+        claims the back rows long before the workers could reach them.  A
+        sweep that takes over 60 s raises TimeoutError."""
         import crossinglab.harness.sweep as sweep_module
 
         caller = os.getpid()
 
-        def whose(*args, **kwargs):
+        def whose(model, catalog, eps, h):
             in_caller = os.getpid() == caller
+            if log is not None:
+                fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                os.write(fd, f"{eps!r}\n".encode())
+                os.close(fd)
             if not in_caller:
+                if in_worker is not None:
+                    in_worker()
                 time.sleep(0.005)
             if fail_in is not None and in_caller == (fail_in == "caller"):
                 raise ValueError("bug")
             return SimpleNamespace(p_pred=float(os.getpid()))
 
+        def late(signum, frame):
+            raise TimeoutError("the sweep took over 60 s")
+
         monkeypatch.setattr(sweep_module, "predict_nonadiabatic", whose)
-        return run_sweep(SweepConfig(
-            potential=CUBIC_DOC,
-            grid={"type": "list", "rows": [{"eps": 0.0005, "h": 0.002}] * 8},
-            oracles=("nonadiabatic",), jobs=2))
+        previous = signal.signal(signal.SIGALRM, late)
+        signal.alarm(60)
+        try:
+            return run_sweep(SweepConfig(
+                potential=CUBIC_DOC,
+                grid={"type": "list",
+                      "rows": [{"eps": 5e-4 + 1e-6 * i, "h": 0.002} for i in range(n_rows)]},
+                oracles=("nonadiabatic",), jobs=jobs))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_caller_and_worker_share_the_rows(self, monkeypatch):
-        """At jobs=2 the pool worker takes rows from the front and the caller
+        """At jobs=2 the worker takes rows from the front and the caller
         from the back; each row once, in index order, and no child is left."""
         rows = self._pid_rows(monkeypatch)
         assert [row["index"] for row in rows] == list(range(8))
@@ -268,12 +299,54 @@ class TestRunSweep:
         assert set(pids[:first]) == {pids[0]} and set(pids[first:]) == {caller}
         assert multiprocessing.active_children() == []
 
+    def test_caller_and_two_workers_share_the_rows(self, monkeypatch, tmp_path):
+        """At jobs=3 rows 0 and 1 go to two distinct workers, the caller's
+        rows form a block at the back, and each row is computed once and
+        comes back once, in index order."""
+        log = tmp_path / "computed"
+        rows = self._pid_rows(monkeypatch, jobs=3, n_rows=12, log=str(log))
+        assert [row["index"] for row in rows] == list(range(12))
+        assert sorted(float(x) for x in log.read_text().split()) == \
+            [row["eps"] for row in rows]
+        pids = [row["P_nonadiabatic"] for row in rows]
+        caller = float(os.getpid())
+        assert caller not in pids[:2] and pids[0] != pids[1]
+        first = pids.index(caller)
+        assert set(pids[:first]) == {pids[0], pids[1]}
+        assert set(pids[first:]) == {caller}
+        assert multiprocessing.active_children() == []
+
+    def test_no_more_processes_than_rows(self, monkeypatch):
+        """jobs=4 on two rows forks one worker: it takes row 0, the caller
+        row 1."""
+        rows = self._pid_rows(monkeypatch, jobs=4, n_rows=2)
+        pids = [row["P_nonadiabatic"] for row in rows]
+        assert pids[0] != float(os.getpid()) and pids[1] == float(os.getpid())
+
     @pytest.mark.parametrize("where", ["worker", "caller"])
     def test_programming_errors_propagate_at_two_jobs(self, monkeypatch, where):
         """A programming error in a worker's row or in the caller's propagates,
-        and the pool is gone when it does."""
+        and no worker is left when it does."""
         with pytest.raises(ValueError, match="bug"):
             self._pid_rows(monkeypatch, fail_in=where)
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, monkeypatch):
+        """A worker that exits without sending its rows is named by its exit
+        code; the sweep neither hangs nor leaves a child."""
+        with pytest.raises(RuntimeError, match="^sweep worker exited with code 3 "
+                                               "before sending its rows$"):
+            self._pid_rows(monkeypatch, in_worker=lambda: os._exit(3))
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_worker_error_raises(self, monkeypatch):
+        """An error that cannot be sent back ends the worker with code 1,
+        and the caller says so."""
+        def unpicklable():
+            raise ValueError(lambda: None)
+
+        with pytest.raises(RuntimeError, match="^sweep worker exited with code 1 "):
+            self._pid_rows(monkeypatch, in_worker=unpicklable)
         assert multiprocessing.active_children() == []
 
     def test_model_and_catalog_built_once(self, monkeypatch):
@@ -321,12 +394,17 @@ class TestRunSweep:
                   "eps_rule": {"type": "power", "coeff": 0.05, "exponent": 0.75}},
             oracles=("numeric",), tol=1e-9)
         tables = {jobs: run_sweep(SweepConfig(**{**config.__dict__, "jobs": jobs}))
-                  for jobs in (1, 2, 3)}
+                  for jobs in (1, 2, 3, 4)}
         for jobs, table in tables.items():
             write_csv(table, str(tmp_path / f"jobs{jobs}.csv"))
         rows = tables[1]
-        assert (tmp_path / "jobs1.csv").read_bytes() == (tmp_path / "jobs2.csv").read_bytes() \
-            == (tmp_path / "jobs3.csv").read_bytes()
+        csv = (tmp_path / "jobs1.csv").read_bytes()
+        assert all((tmp_path / f"jobs{jobs}.csv").read_bytes() == csv for jobs in (2, 3, 4))
+        # fewer rows than jobs: the first two rows at jobs 3
+        short = SweepConfig(**{**config.__dict__, "jobs": 3,
+                               "grid": {**config.grid, "h_values": [0.1, 1e-2]}})
+        write_csv(run_sweep(short), str(tmp_path / "short.csv"))
+        assert (tmp_path / "short.csv").read_bytes().splitlines() == csv.splitlines()[:3]
         header = (tmp_path / "jobs1.csv").read_text().splitlines()[0].split(",")
         assert set(NUMERIC_COLUMNS) <= set(header)
         assert [row["route"] for row in rows] == ["whole_line"] * 2 + ["windowed"] * 2
@@ -460,6 +538,42 @@ class TestCli:
         assert cli_main(argv + (["--tol", flag] if flag else [])) == 2
         assert "need h > 0, eps >= 0, tol > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, env", [("-3", None), (None, "-3"), (None, "1.7")],
+                             ids=["flag_negative", "env_negative", "env_fraction"])
+    def test_bad_jobs_is_config_error(self, tmp_path, monkeypatch, capsys, flag, env):
+        """--jobs and CROSSINGLAB_JOBS go through the config's rule; 0 means
+        not given."""
+        if env is None:
+            monkeypatch.delenv("CROSSINGLAB_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("CROSSINGLAB_JOBS", env)
+        doc = {"potential": CUBIC_DOC,
+               "grid": {"type": "list", "rows": [{"eps": 0.01, "h": 0.1}]},
+               "oracles": ["nonadiabatic"]}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "res")]
+        assert cli_main(argv + (["--jobs", flag] if flag else [])) == 2
+        assert "jobs" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("flag, used", [("0", 2), ("3", 3)])
+    def test_jobs_flag_over_config(self, tmp_path, monkeypatch, flag, used):
+        """--jobs 0 leaves the config's jobs; any other value replaces it."""
+        import crossinglab.harness.sweep as sweep_module
+
+        monkeypatch.delenv("CROSSINGLAB_JOBS", raising=False)
+        seen = []
+        monkeypatch.setattr(sweep_module, "run_sweep",
+                            lambda config: seen.append(config.jobs) or [])
+        doc = {"potential": CUBIC_DOC,
+               "grid": {"type": "list", "rows": [{"eps": 0.01, "h": 0.1}]},
+               "oracles": ["nonadiabatic"], "jobs": 2}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                         "--jobs", flag]) == 0
+        assert seen == [used]
+
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -540,8 +654,9 @@ def test_library_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_sweep_import_loads_no_process_pool():
-    """The process pool is imported by run_sweep, and only when jobs > 1."""
+def test_sweep_import_loads_no_multiprocessing():
+    """Importing the sweep module loads neither multiprocessing nor a process
+    pool; run_sweep imports multiprocessing, and only when it forks."""
     code = ("import sys, crossinglab.harness.sweep; "
             "print(sorted(m for m in sys.modules if m.startswith('multiprocessing') "
             "or m == 'concurrent.futures.process'))")
