@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import QuadratureTolExceeded
 from .potential.catalog import CrossingCatalog
-from .potential.families import _jet_mul
+from .potential.families import _jet_deriv, _jet_mul, _jet_power
 from .quadrature import integrate_panels
 from .su2 import su2_mul
 
@@ -79,21 +79,6 @@ class WindowPlan:
     windows: tuple[tuple[float, float], ...]
     transfers: tuple[tuple[complex, complex], ...]
     bound: float
-
-
-def _jet_deriv(c: np.ndarray) -> np.ndarray:
-    k = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
-    return c[1:] * k
-
-
-def _jet_power(a: np.ndarray, p: float, n: int) -> np.ndarray:
-    """Jet of a**p for a real exponent, a[0] > 0: k a0 b_k = sum (p j - k + j) a_j b_(k-j)."""
-    b = np.zeros((n + 1,) + a.shape[1:])
-    b[0] = a[0] ** p
-    for k in range(1, n + 1):
-        j = np.arange(1, k + 1).reshape((-1,) + (1,) * (a.ndim - 1))
-        b[k] = np.sum((p * j - (k - j)) * a[1:k + 1] * b[k - 1::-1], axis=0) / (k * a[0])
-    return b
 
 
 class _Side:
@@ -246,8 +231,7 @@ def plan_windows(model, eps: float, h: float, catalog: CrossingCatalog,
             return None
         sides.append(_Side(pos[k], -1, scale, far_left, max_step))
         sides.append(_Side(pos[k], +1, scale, far_right, max_step))
-    sampled = _sample(np.real(model.taylor(np.concatenate([s.t for s in sides]), JET_ORDER)),
-                      eps, h)
+    sampled = _sample(model.taylor(np.concatenate([s.t for s in sides]), JET_ORDER), eps, h)
     share = tol / len(sides)
     start = 0
     for side in sides:

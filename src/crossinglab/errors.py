@@ -65,10 +65,6 @@ class TurningPointFailure(CrossingLabError):
     """Turning-point location or action evaluation failed."""
 
 
-class InsufficientData(CrossingLabError):
-    """Not enough usable rows for a rate fit."""
-
-
 class NoMinimaFound(CrossingLabError):
     """An interference scan located no local minima."""
 

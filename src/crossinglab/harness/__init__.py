@@ -1,12 +1,10 @@
 from .sweep import (
-    RateFit,
     SweepConfig,
-    fit_rate,
     regime_switch_demo,
     run_sweep,
     scan_interference,
     write_csv,
 )
 
-__all__ = ["SweepConfig", "run_sweep", "fit_rate", "RateFit",
-           "scan_interference", "regime_switch_demo", "write_csv"]
+__all__ = ["SweepConfig", "run_sweep", "scan_interference", "regime_switch_demo",
+           "write_csv"]

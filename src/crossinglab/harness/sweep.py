@@ -18,7 +18,6 @@ import numpy as np
 from ..errors import (
     ConfigError,
     CrossingLabError,
-    InsufficientData,
     NoMinimaFound,
     PathCrossesForbiddenBand,
     RegimeViolation,
@@ -333,46 +332,6 @@ def write_report(meta: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class RateFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    n_used: int
-    window: tuple[float, float]
-    expected: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope, "intercept": self.intercept,
-            "r_squared": self.r_squared, "n_used": self.n_used,
-            "window": list(self.window), "expected": self.expected,
-        }
-
-
-def fit_rate(xs, ys, expected: float | None = None,
-             noise_floor: float = 1e-13) -> RateFit:
-    """Least-squares log-log slope, excluding points near the noise floor."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    keep = (ys > 100.0 * noise_floor) & (xs > 0)
-    if int(np.sum(keep)) < 5:
-        raise InsufficientData(f"only {int(np.sum(keep))} usable rows (need 5)")
-    lx, ly = np.log(xs[keep]), np.log(ys[keep])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=r2,
-                   n_used=int(np.sum(keep)),
-                   window=(float(np.min(xs[keep])), float(np.max(xs[keep]))),
-                   expected=expected)
 
 
 # ----------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _zero_order(model: PotentialModel, t0: float) -> tuple[int, float]:
     for order in range(1, MAX_ZERO_ORDER + 1):
         coeff = jet[order]
         if abs(coeff) > ORDER_TOL * scale:
-            return order, float(np.real(coeff)) * math.factorial(order)
+            return order, float(coeff) * math.factorial(order)
     raise ZeroOrderUndetermined(
         f"all derivatives at t={t0} up to order {MAX_ZERO_ORDER} below tolerance")
 
@@ -131,8 +131,7 @@ def _polish_zero(model: PotentialModel, t0: float) -> float:
                 break
         if m_hat is None:
             raise ZeroOrderUndetermined(f"no dominant derivative near t={t0}")
-        step = -np.real(jet[m_hat - 1] / (m_hat * jet[m_hat])) if m_hat > 1 else \
-            -np.real(jet[0] / jet[1])
+        step = -jet[m_hat - 1] / (m_hat * jet[m_hat])
         t0 = float(t0 + step)
         if abs(step) < 1e-14 * (1.0 + abs(t0)):
             return t0

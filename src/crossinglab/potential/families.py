@@ -2,9 +2,14 @@
 
 Each family is an analytic function V(t) with nonzero limits V_r, V_l at
 t -> +/-inf, exponentially integrable tails, and exact derivatives of any
-order obtained by propagating Taylor jets through the closed-form building
-blocks (tanh, sigmoid, softplus, polynomials).  Jets eliminate finite
-difference noise when classifying zero orders and leading coefficients.
+order from its Taylor jet (``taylor``), the one source of derivatives past
+V' in the package: the zero orders, the propagator's step density, the
+adiabatic series and the Jost tails all read it.  One jet engine propagates
+the jets through the closed-form building blocks: tanh and the logistic
+function by the Riccati recurrence they obey, softplus as the integral of
+the logistic function, and products and powers.  Its arithmetic follows
+the base points: real jets at real points, complex jets at complex ones.
+``eval`` and ``deriv`` stay the closed-form point evaluators of V and V'.
 
 Families:
 
@@ -30,13 +35,15 @@ _MAX_JET_ORDER = 24
 
 
 # ----------------------------------------------------------------------------
-# Jet (truncated Taylor series) arithmetic.  A jet is a numpy array of
-# coefficients c[k] of tau**k around some base point, the order k along the
-# first axis; further axes run over an array of base points.  Complex base
-# points are allowed everywhere.
+# Jet (truncated Taylor series) arithmetic, the one engine behind every exact
+# derivative of V.  A jet is a numpy array of coefficients c[k] of tau**k
+# around some base point, the order k along the first axis; further axes run
+# over an array of base points.  The dtype follows the base points: real
+# jets at real points, complex jets at complex ones.
 
 
 def _jet_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The jet of a * b to order n."""
     if a.ndim == b.ndim == 1:
         out = np.convolve(a, b)[: n + 1]
         if len(out) < n + 1:
@@ -50,39 +57,49 @@ def _jet_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _jet_dot(a: np.ndarray, b: np.ndarray):
-    """sum_j a[j] * b[j] over the order axis."""
-    return np.dot(a, b) if a.ndim == 1 else np.einsum("i...,i...->...", a, b)
+def _jet_deriv(c: np.ndarray) -> np.ndarray:
+    """The jet of f' from the jet c of f, one order shorter."""
+    k = np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c[1:] * k
 
 
-def _jet_scale(c: np.ndarray, s: float) -> np.ndarray:
-    """The jet of f(s * tau) from the jet c of f(tau): c[k] * s**k."""
-    k = np.arange(len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
-    return c * s**k
-
-
-def _jet_pow(a: np.ndarray, p: int, n: int) -> np.ndarray:
-    out = np.zeros((n + 1,) + a.shape[1:], dtype=a.dtype)
-    out[0] = 1.0
-    base = a
-    while p:
+def _jet_ipow(a: np.ndarray, p: int, n: int) -> np.ndarray:
+    """The jet of a**p for an integer p >= 1, by repeated squaring."""
+    out = None
+    while True:
         if p & 1:
-            out = _jet_mul(out, base, n)
+            out = a if out is None else _jet_mul(out, a, n)
         p >>= 1
-        if p:
-            base = _jet_mul(base, base, n)
-    return out
+        if not p:
+            return out
+        a = _jet_mul(a, a, n)
 
 
-def _tanh_jet(x0, n: int) -> np.ndarray:
-    """Taylor coefficients of tanh around x0, via u' = 1 - u**2."""
-    x0 = np.asarray(x0, dtype=complex)
-    c = np.zeros((n + 1,) + x0.shape, dtype=complex)
-    c[0] = np.tanh(x0)
+def _jet_power(a: np.ndarray, p: float, n: int) -> np.ndarray:
+    """The jet of a**p for a real exponent, a[0] != 0: k a0 b_k = sum (p j - k + j) a_j b_(k-j)."""
+    b = np.zeros((n + 1,) + a.shape[1:], dtype=np.result_type(a, float))
+    b[0] = a[0] ** p
+    for k in range(1, n + 1):
+        j = np.arange(1, k + 1).reshape((-1,) + (1,) * (a.ndim - 1))
+        b[k] = np.sum((p * j - (k - j)) * a[1:k + 1] * b[k - 1::-1], axis=0) / (k * a[0])
+    return b
+
+
+def _riccati_jet(u0, rate, a: float, b: float, n: int) -> np.ndarray:
+    """The jet in tau of the solution of u' = rate (a + b u - u**2), u(0) = u0.
+
+    tanh(x0 + rate tau) is a = 1, b = 0 and the logistic function of
+    x0 + rate tau is a = 0, b = 1.  ``u0`` and ``rate`` broadcast, so one
+    recurrence serves a stack of factors.
+    """
+    u0 = np.asarray(u0)
+    c = np.empty((n + 1,) + u0.shape, dtype=np.result_type(u0, float))
+    c[0] = u0
     for k in range(n):
-        sq = _jet_dot(c[: k + 1], c[k::-1])
-        rhs = (1.0 if k == 0 else 0.0) - sq
-        c[k + 1] = rhs / (k + 1)
+        rhs = b * c[k] - np.einsum("i...,i...->...", c[: k + 1], c[k::-1])
+        if k == 0:
+            rhs = rhs + a
+        c[k + 1] = (rate / (k + 1)) * rhs
     return c
 
 
@@ -91,17 +108,6 @@ def _sigmoid(x0):
     right = np.real(x0) >= 0
     e = np.exp(np.where(right, -x0, x0))   # never overflows
     return np.where(right, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _sigmoid_jet(x0, n: int) -> np.ndarray:
-    """Taylor coefficients of the logistic function, via s' = s - s**2."""
-    x0 = np.asarray(x0, dtype=complex)
-    c = np.zeros((n + 1,) + x0.shape, dtype=complex)
-    c[0] = _sigmoid(x0)
-    for k in range(n):
-        sq = _jet_dot(c[: k + 1], c[k::-1])
-        c[k + 1] = (c[k] - sq) / (k + 1)
-    return c
 
 
 def _softplus(x):
@@ -118,14 +124,15 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _softplus_jet(x0, n: int) -> np.ndarray:
-    x0 = np.asarray(x0, dtype=complex)
-    c = np.zeros((n + 1,) + x0.shape, dtype=complex)
+def _softplus_jet(x0, rate, n: int) -> np.ndarray:
+    """The jet in tau of softplus(x0 + rate tau), whose derivative is rate
+    times the logistic function."""
+    x0 = np.asarray(x0)
+    c = np.empty((n + 1,) + x0.shape, dtype=np.result_type(x0, float))
     c[0] = _softplus(x0)
     if n >= 1:
-        sig = _sigmoid_jet(x0, n - 1)
-        for k in range(1, n + 1):
-            c[k] = sig[k - 1] / k
+        k = np.arange(1, n + 1).reshape((-1,) + (1,) * x0.ndim)
+        c[1:] = rate * _riccati_jet(_sigmoid(x0), rate, 0.0, 1.0, n - 1) / k
     return c
 
 
@@ -180,14 +187,13 @@ class _SmoothClamp:
 
     def jet(self, t0, n: int) -> np.ndarray:
         b = self.beta
-        t0 = np.asarray(t0, dtype=complex)
-        lin = np.zeros((n + 1,) + t0.shape, dtype=complex)
-        lin[0] = t0
+        t0 = np.asarray(t0)
+        out = (_softplus_jet(b * (-t0 - self.w), -b, n)
+               - _softplus_jet(b * (t0 - self.w), b, n)) / b
+        out[0] += t0
         if n >= 1:
-            lin[1] = 1.0
-        sp1 = _jet_scale(_softplus_jet(b * (t0 - self.w), n), b) / b
-        sp2 = _jet_scale(_softplus_jet(b * (-t0 - self.w), n), -b) / b
-        return lin - sp1 + sp2
+            out[1] += 1.0
+        return out
 
 
 def _ipow(x, p: int):
@@ -217,7 +223,8 @@ class PotentialModel:
         raise NotImplementedError
 
     def taylor(self, t0, n: int) -> np.ndarray:
-        """Taylor coefficients c[0..n] of V around t0 (complex allowed).
+        """Taylor coefficients c[0..n] of V around t0, real at real t0 and
+        complex at complex t0.
 
         For an array of base points the result has shape (n + 1,) + shape(t0).
         """
@@ -229,9 +236,7 @@ class PotentialModel:
             raise ConfigError(f"derivative order {order} beyond jet cap {_MAX_JET_ORDER}")
         c = self.taylor(t0, order)
         val = c[order] * math.factorial(order)
-        if np.iscomplexobj(np.asarray(t0)):
-            return complex(val)
-        return float(np.real(val))
+        return complex(val) if np.iscomplexobj(val) else float(val)
 
     # -- structure -----------------------------------------------------------
     @property
@@ -352,13 +357,22 @@ class ScaledTanhProduct(PotentialModel):
         return total
 
     def taylor(self, t0, n: int) -> np.ndarray:
-        t0 = np.asarray(t0, dtype=complex)
-        out = np.zeros((n + 1,) + t0.shape, dtype=complex)
-        out[0] = self.scale
-        for f in self.factors:
-            base = _jet_scale(_tanh_jet(f.slope * (t0 - f.center), n), f.slope)
-            out = _jet_mul(out, _jet_pow(base, f.power, n), n)
-        return out
+        t0 = np.asarray(t0)
+        stack = (-1,) + (1,) * t0.ndim
+        slope = np.array([f.slope for f in self.factors]).reshape(stack)
+        center = np.array([f.center for f in self.factors]).reshape(stack)
+        # one recurrence for every factor, the factor along axis 1
+        th = _riccati_jet(np.tanh(slope * (t0 - center)), slope, 1.0, 0.0, n)
+        # the factors of one power are multiplied before the power is taken
+        out = None
+        for power in sorted({f.power for f in self.factors}):
+            group = None
+            for i, f in enumerate(self.factors):
+                if f.power == power:
+                    group = th[:, i] if group is None else _jet_mul(group, th[:, i], n)
+            term = _jet_ipow(group, power, n)
+            out = term if out is None else _jet_mul(out, term, n)
+        return self.scale * out
 
     @property
     def v_right(self) -> float:
@@ -432,9 +446,9 @@ class LinearLZ(PotentialModel):
         return self.slope * self.clamp.deriv(t)
 
     def taylor(self, t0, n: int) -> np.ndarray:
-        t0 = np.asarray(t0, dtype=complex)
+        t0 = np.asarray(t0)
         if self.clamp is None:
-            out = np.zeros((n + 1,) + t0.shape, dtype=complex)
+            out = np.zeros((n + 1,) + t0.shape, dtype=np.result_type(t0, float))
             out[0] = self.slope * t0
             if n >= 1:
                 out[1] = self.slope
@@ -521,7 +535,7 @@ class PolynomialWindowed(PotentialModel):
 
     def taylor(self, t0, n: int) -> np.ndarray:
         q = self.clamp.jet(t0, n)
-        out = np.zeros(q.shape, dtype=complex)
+        out = np.zeros_like(q)
         for a in self.coefficients[::-1]:
             out = _jet_mul(out, q, n)
             out[0] += a

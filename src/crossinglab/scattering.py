@@ -154,7 +154,7 @@ class TailIntegral:
 
 def _tail_derivatives(model, v_inf: float, t_eval: float) -> list[float]:
     """f^(k)(t_eval), k = 0 ... _MAX_JET_ORDER, of f = V - V_inf, from the exact jet."""
-    jet = np.real(model.taylor(t_eval, _MAX_JET_ORDER)).tolist()
+    jet = model.taylor(t_eval, _MAX_JET_ORDER).tolist()
     jet[0] -= v_inf
     return [math.factorial(k) * c for k, c in enumerate(jet)]
 

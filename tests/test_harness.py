@@ -11,14 +11,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crossinglab.errors import ConfigError, InsufficientData, NoMinimaFound
+from crossinglab.errors import ConfigError, NoMinimaFound
 from crossinglab.harness.cli import main as cli_main
 from crossinglab.harness.sweep import (
     DEMO_POTENTIAL,
     NUMERIC_COLUMNS,
     SweepConfig,
     build_rows,
-    fit_rate,
     run_sweep,
     scan_interference,
     write_csv,
@@ -41,26 +40,6 @@ CUBIC_DOC = {
 # V = 1 + t^2 inside the window: never zero
 NO_CROSSING_DOC = {"family": "polynomial_windowed",
                    "params": {"coefficients": [1.0, 0.0, 1.0], "window": 3.0}}
-
-
-class TestFitRate:
-    def test_synthetic_square(self):
-        xs = np.linspace(0.1, 2.0, 12)
-        fit = fit_rate(xs, 3.0 * xs**2, expected=2.0)
-        assert fit.slope == pytest.approx(2.0, abs=1e-6)
-        assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-6)
-        assert fit.r_squared > 1.0 - 1e-12
-
-    def test_noise_floor_exclusion(self):
-        xs = np.array([1e-9, 1e-8, 0.1, 0.2, 0.4, 0.8, 1.6])
-        ys = xs.copy()
-        ys[0] = ys[1] = 1e-15  # below the floor: excluded
-        fit = fit_rate(xs, ys, noise_floor=1e-13)
-        assert fit.n_used == 5
-
-    def test_insufficient(self):
-        with pytest.raises(InsufficientData):
-            fit_rate([1, 2, 3], [1, 4, 9])
 
 
 class TestConfigAndRows:

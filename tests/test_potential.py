@@ -107,6 +107,67 @@ class TestDerivatives:
             assert approx == pytest.approx(float(tanh_cubed.eval(t)), rel=1e-8, abs=1e-10)
 
 
+def _mp_clamp(clamp, mp):
+    b, w = mp.mpf(clamp.beta), mp.mpf(clamp.w)
+
+    def softplus(x):
+        return mp.log(1 + mp.exp(x))
+    return lambda t: t - softplus(b * (t - w)) / b + softplus(b * (-t - w)) / b
+
+
+def _mp_model(model, mp):
+    """The family's closed form in mpmath."""
+    if isinstance(model, ScaledTanhProduct):
+        return lambda t: model.scale * mp.fprod(mp.tanh(f.slope * (t - f.center)) ** f.power
+                                                for f in model.factors)
+    clamp = _mp_clamp(model.clamp, mp)
+    if isinstance(model, LinearLZ):
+        return lambda t: model.slope * clamp(t)
+    return lambda t: mp.polyval([mp.mpf(a) for a in model.coefficients[::-1]], clamp(t))
+
+
+JET_MODELS = {
+    "tanh": ScaledTanhProduct(1.5, [{"power": 3, "slope": 1.0, "center": 2.0},
+                                    {"power": 1, "slope": 0.8, "center": -1.0},
+                                    {"power": 2, "slope": 1.3, "center": -2.5}]),
+    "lz": LinearLZ(slope=1.0, window=8.0, sharpness=4.0),
+    "poly": PolynomialWindowed([0.5, -1.0, 0.0, 1.0], window=3.0, sharpness=8.0),
+}
+
+
+class TestJets:
+    """The Taylor jets of every family against mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("order", [6, 8, 24])
+    @pytest.mark.parametrize("family", sorted(JET_MODELS))
+    def test_against_mpmath(self, family, order):
+        """Real points, the tails at |t| = 13 among them, and complex points:
+        every coefficient within a few ulps of the largest."""
+        mp = pytest.importorskip("mpmath")
+        model = JET_MODELS[family]
+        fn = _mp_model(model, mp)
+        with mp.workdps(40):
+            for t0 in (-13.0, -2.3, 0.0, 1.7, 2.9, 13.0, 0.3 + 0.4j, -1.1 + 0.2j):
+                ref = np.array([complex(c) for c in mp.taylor(fn, mp.mpmathify(t0), order)])
+                jet = model.taylor(t0, order)
+                assert np.max(np.abs(jet - ref)) <= 3e-15 * np.max(np.abs(ref)), t0
+
+    @pytest.mark.parametrize("family", sorted(JET_MODELS))
+    def test_real_points_real_jets(self, family):
+        """Real base points give real jets, which the complex jets at the same
+        points reproduce to rounding; an array of points gives each point's jet."""
+        model = JET_MODELS[family]
+        ts = np.array([-13.0, -2.3, 0.0, 1.7, 13.0])
+        jets = model.taylor(ts, 8)
+        assert jets.dtype == np.float64 and model.taylor(1.7, 8).dtype == np.float64
+        assert jets.shape == (9, 5)
+        # rounding: a few ulps of each point's largest coefficient
+        ulps = 3e-15 * np.max(np.abs(jets), axis=0)
+        assert np.all(np.abs(model.taylor(ts + 0j, 8) - jets) <= ulps)
+        for i, t in enumerate(ts):
+            assert np.all(np.abs(model.taylor(t, 8) - jets[:, i]) <= ulps[i])
+
+
 class TestDilogarithm:
     """The softplus antiderivative -Li2(-e^y)/beta^2 against scipy's spence,
     spence(1 + u) = Li2(-u)."""

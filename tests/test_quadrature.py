@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossinglab.quadrature import cumulative_uniform
+from crossinglab.quadrature import adaptive_mesh, cumulative_density, cumulative_uniform
 
 
 class TestCumulativeUniform:
@@ -61,3 +61,25 @@ class TestCumulativeUniform:
                 got = cumulative_uniform(values, 0.37, out=buf, origin=origin)
                 assert got is buf
                 assert got.tobytes() == want.tobytes()
+
+
+class TestAdaptiveMesh:
+    def test_inverts_the_piecewise_linear_density(self):
+        """Mesh points sit where the running integral of the density, linear
+        between its samples, reaches equally spaced levels, so the step size
+        varies continuously across the samples."""
+        t = np.linspace(0.0, 4.0, 9)
+        rho = 200.0 + 100.0 * np.sin(t)
+        sampled = cumulative_density(t, rho)
+        mesh = adaptive_mesh(sampled, 1.0, 10**6)
+        j = np.clip(np.searchsorted(t, mesh, side="right") - 1, 0, len(t) - 2)
+        s = mesh - t[j]
+        slope = (rho[j + 1] - rho[j]) / (t[j + 1] - t[j])
+        running = sampled[1][j] + rho[j] * s + 0.5 * slope * s * s
+        levels = np.linspace(0.0, sampled[1][-1], len(mesh))
+        assert np.max(np.abs(running - levels)) < 1e-12 * levels[-1]
+        # a step differs from the last by the density's change over a step
+        # (|rho'| dt / rho <= 0.005 here); at a sample the step of a linear
+        # interpolation of the running integral jumps by ~0.25
+        steps = np.diff(mesh)
+        assert np.max(np.abs(steps[1:] / steps[:-1] - 1.0)) < 0.01

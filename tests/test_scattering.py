@@ -364,8 +364,8 @@ class TestLineData:
 
     @pytest.mark.parametrize("h", [0.1, 1e-3])
     def test_later_rows_sample_no_line_data(self, tanh_pair, monkeypatch, h):
-        """No tail integral, no jet at +-T and no V or V' on the whole line's
-        density grids once the catalog holds the truncation."""
+        """No tail integral, no jet at +-T and no call on the whole line's
+        density grid once the catalog holds the truncation."""
         catalog = find_crossings(tanh_pair)
         calls = []
         for name in ("tail_integral", "taylor", "eval", "deriv"):
@@ -378,16 +378,17 @@ class TestLineData:
             out = []
             for name, args in calls:
                 t = np.asarray(args[-1] if name == "tail_integral" else args[0])
-                whole_line = (t.ndim == 1 and t[0] == -T and t[-1] == T and len(t) in
-                              (propagator.DENSITY_SAMPLES, propagator.DERIVATIVE_POINTS))
+                density_grid = (t.ndim == 1 and t[0] == -T and t[-1] == T
+                                and len(t) == propagator.DENSITY_SAMPLES)
                 if (name == "tail_integral" or (name == "taylor" and t.ndim == 0 and abs(t) == T)
-                        or (name in ("eval", "deriv") and whole_line)):
+                        or density_grid):
                     out.append(name)
             return sorted(out)
 
+        # the tails' integrals and jets at +-T, and the density's one jet
         first = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, catalog=catalog)
-        assert line_calls(first.truncation) == ["deriv", "deriv", "eval", "tail_integral",
-                                                "tail_integral", "taylor", "taylor"]
+        assert line_calls(first.truncation) == ["tail_integral", "tail_integral",
+                                                "taylor", "taylor", "taylor"]
         calls.clear()
         second = scattering_matrix(tanh_pair, 0.04 * h**0.75, 0.8 * h, catalog=catalog)
         assert second.truncation == first.truncation
@@ -459,6 +460,7 @@ class TestRouteRule:
 
     @pytest.mark.parametrize("family, h, eps", [
         *(("pair", h, 0.05 * h**0.75) for h in (0.05, 0.03, 1e-2, 5e-3, 3e-3)),
+        ("pair", 2.5e-3, 0.06 * 2.5e-3**0.75), ("pair", 3.5e-3, 0.05 * 3.5e-3**0.75),
         *(("lz", h, eps) for h in (0.1, 0.2) for eps in (0.05, 0.1, 0.2))])
     def test_whole_line_estimate_calibrated(self, tanh_pair, lz_windowed, family, h, eps):
         """On the rows the rule sends whole-line, error_estimate covers the
