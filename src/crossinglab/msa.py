@@ -16,6 +16,15 @@ one evaluation of V per node), use the sixth-order fixed-weight rule
 degree-5 Lagrange interpolant on the same six-node stencil.  The grid phase
 is accumulated outward from the node nearest t_ref, so that it is exactly 0
 at a t_ref that is a node.  Base points must be grid nodes.
+
+The series runs in the interaction frame: with s the sign of the leading
+component, its terms f, g are carried as F = f u^{-s} and G = g u^{s}, and
+E = (u^s)^2 is formed once per solve.  A term then costs one product with E
+or conj(E) and one cumulative sum, whose ``origin`` is the base node, so it
+is exactly 0 there; ``apply_K`` is the same operator in the lab frame.  The
+components u^s sum F and -eps u^{-s} sum G are formed once at the end, and
+``connection_T_numeric``, which needs only their values at t = r, sums the
+terms at that node alone.
 """
 
 from __future__ import annotations
@@ -128,8 +137,7 @@ def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray,
     """
     i = grid.index(a)
     g = np.multiply(f, grid.u(-sign), out=work)    # f / u^{sign} = f * u^{-sign}
-    cumulative = cumulative_uniform(g, grid.dx, out=out)
-    cumulative -= cumulative[i]
+    cumulative = cumulative_uniform(g, grid.dx, out=out, origin=i)
     cumulative *= np.multiply(grid.u(sign), 1j / grid.h, out=g)
     return cumulative
 
@@ -151,6 +159,45 @@ class MsaSolution:
                          self.grid.interp(self.comp2, t)])
 
 
+def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
+                 a_other: float, depth: int, at: slice):
+    """The Neumann series in the interaction frame, summed at the nodes ``at``.
+
+    With s = lead_sign the terms are F = f u^{-s} and G = g u^{s}, and with
+    E = (u^s)^2 they follow G = (i/h) C_{a_other}[F E] and
+    F' = eps^2 (i/h) C_{a_lead}[G conj(E)] from F_0 = 1, C being
+    ``cumulative_uniform`` with its origin at the base node.  Returns sum F and
+    sum G at ``at`` and the sups of the F terms (|F| = |f|, since |u| = 1);
+    raises SeriesNotContracting when a sup does not fall.
+    """
+    i_lead, i_other = grid.index(a_lead), grid.index(a_other)
+    dx, scale = grid.dx, 1j / grid.h
+    e = np.square(grid.u(lead_sign))
+    # F E and G conj(E) are formed in place in the term buffers; G conj(E) is
+    # conj(conj(G) E), and C commutes with conj, so E is the only factor kept
+    f, g = np.empty_like(e), np.empty_like(e)
+    sum_f, sum_g = np.ones_like(e[at]), np.zeros_like(e[at])
+    sups = [1.0]
+    for n in range(depth):
+        if n:
+            f *= e
+        cumulative_uniform(f if n else e, dx, out=g, origin=i_other)   # F_0 E = E
+        g *= scale
+        sum_g += g[at]
+        np.conjugate(g, out=g)
+        g *= e
+        cumulative_uniform(g, dx, out=f, origin=i_lead)
+        f *= np.conj(eps * eps * scale)
+        np.conjugate(f, out=f)
+        sum_f += f[at]
+        # g is spent: its real parts take |F|
+        sups.append(float(np.max(np.abs(f, out=g.real))))
+        if sups[-1] >= sups[-2] and sups[-1] > 1e-14:
+            raise SeriesNotContracting(
+                f"term sups {sups}: series not contracting (mu too large)")
+    return sum_f, sum_g, sups
+
+
 def msa_solution(model, eps: float, h: float, which: str,
                  a_plus: float, a_minus: float, depth: int = 3,
                  interval: tuple[float, float] | None = None,
@@ -163,41 +210,27 @@ def msa_solution(model, eps: float, h: float, which: str,
     counts the eps^2 double applications; the recorded truncation estimate is
     the geometric tail of the term sups.
     """
-    if grid is None:
-        if interval is None or t_ref is None:
-            raise ValueError("need either a grid or (interval, t_ref)")
-        grid = MsaGrid.build(model, h, interval, t_ref)
     if which not in ("w1", "w2"):
         raise ValueError("which must be 'w1' or 'w2'")
     if depth < 1:
         raise ValueError("depth >= 1 required")
+    if grid is None:
+        if interval is None or t_ref is None:
+            raise ValueError("need either a grid or (interval, t_ref)")
+        grid = MsaGrid.build(model, h, interval, t_ref)
 
     lead_sign = +1 if which == "w1" else -1
     a_lead = a_plus if which == "w1" else a_minus
     a_other = a_minus if which == "w1" else a_plus
-
-    # the terms f, g and apply_K's scratch reuse three buffers
-    f = grid.u(lead_sign).copy()
-    g = np.empty_like(f)
-    work = np.empty_like(f)
-    sum_lead = f.copy()
-    sum_other = np.zeros_like(f)
-    sups = [float(np.max(np.abs(f)))]
-    for _ in range(depth):
-        apply_K(grid, -lead_sign, a_other, f, out=g, work=work)
-        sum_other += g
-        apply_K(grid, lead_sign, a_lead, g, out=f, work=work)
-        f *= eps * eps
-        sum_lead += f
-        sups.append(float(np.max(np.abs(f))))
-        if sups[-1] >= sups[-2] and sups[-1] > 1e-14:
-            raise SeriesNotContracting(
-                f"term sups {sups}: series not contracting (mu too large)")
+    comp_lead, comp_other, sups = _series_sums(grid, eps, lead_sign, a_lead, a_other,
+                                               depth, slice(None))
     ratio = sups[-1] / sups[-2] if sups[-2] > 0 else 0.0
     tail = sups[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
 
-    comp_lead = sum_lead
-    comp_other = -eps * sum_other
+    # back from the interaction frame: f = u^s F, -eps g = -eps u^{-s} G
+    comp_lead *= grid.u(lead_sign)
+    comp_other *= grid.u(-lead_sign)
+    comp_other *= -eps
     if which == "w1":
         comp1, comp2 = comp_lead, comp_other
     else:
@@ -237,6 +270,8 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
     w1 is solved; w2 follows from it by symmetry.  A
     given grid must span exactly [ell, r] and take its phase from t_k.
     """
+    if depth < 1:
+        raise ValueError("depth >= 1 required")
     if catalog is None:
         catalog = find_crossings(model)
     t_k = catalog.positions[k]
@@ -249,8 +284,11 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
                          f"not [ell, r] = [{ell}, {r}]")
     elif abs(grid.t_ref - t_k) > NODE_TOL * grid.dx:
         raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
-    w1l = msa_solution(model, eps, h, "w1", ell, ell, depth=depth, grid=grid)
+    # only w1's end values: the series summed at the last node, rounded as
+    # msa_solution's arrays are there
+    sum_f, sum_g, _ = _series_sums(grid, eps, +1, ell, ell, depth, slice(-1, None))
+    u_p, u_m = grid.u_plus[-1], grid.u_minus[-1]
     # H is real and J H J^-1 = -H with J = [[0, -1], [1, 0]], so the second
     # solution is w2 = J conj(w1): its columns need no second solve, and the
     # change of basis is the pair diag(u^-, u^+) (w1_1, w1_2) at t = r
-    return dense(grid.u_minus[-1] * w1l.comp1[-1], grid.u_plus[-1] * w1l.comp2[-1])
+    return dense(u_m * (sum_f[0] * u_p), u_p * ((sum_g[0] * u_m) * -eps))

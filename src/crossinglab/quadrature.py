@@ -143,6 +143,8 @@ _CUMULATIVE_WEIGHTS = np.array([
     [27, -173, 482, -798, 1427, 475],
 ]) / 1440.0
 
+_CUMULATIVE_BLOCK = 1 << 13   # samples per pass of the interior rule
+
 
 def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = None,
                        origin: int = 0) -> np.ndarray:
@@ -154,7 +156,8 @@ def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = N
     degree <= 5, sixth order on smooth data.  The sums run outward from
     ``origin``, so their rounding grows with the distance from it.  ``out``,
     when given, receives F in place; it must not overlap ``values``.  Either
-    way the result is the same, bit for bit.
+    way the result is the same, bit for bit, and no other array larger than
+    ``_CUMULATIVE_BLOCK`` samples is made.
     """
     g = np.asarray(values)
     n = g.shape[0]
@@ -165,21 +168,28 @@ def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = N
     w = _CUMULATIVE_WEIGHTS
     inc = out[1:]
     # interval i = 2..n-4 uses nodes i-2..i+3 with the symmetric interior row,
-    # accumulated as w0 (g0 + g5) + w1 (g1 + g4) + w2 (g2 + g3)
+    # accumulated as w0 (g0 + g5) + w1 (g1 + g4) + w2 (g2 + g3), block by block
     interior = inc[2:n - 3]
-    pair = np.empty_like(interior)
-    np.add(g[0:n - 5], g[5:n], out=interior)
-    interior *= w[2, 0]
-    for k in (1, 2):
-        np.add(g[k:n - 5 + k], g[5 - k:n - k], out=pair)
-        pair *= w[2, k]
-        interior += pair
+    pair = np.empty(min(n - 5, _CUMULATIVE_BLOCK), dtype=out.dtype)
+    for lo in range(0, n - 5, _CUMULATIVE_BLOCK):
+        hi = min(lo + _CUMULATIVE_BLOCK, n - 5)
+        block, scratch = interior[lo:hi], pair[:hi - lo]
+        np.add(g[lo:hi], g[lo + 5:hi + 5], out=block)
+        block *= w[2, 0]
+        for k in (1, 2):
+            np.add(g[lo + k:hi + k], g[lo + 5 - k:hi + 5 - k], out=scratch)
+            scratch *= w[2, k]
+            block += scratch
     inc[:2] = w[:2] @ g[:6]
     inc[n - 3:] = w[3:] @ g[n - 6:]
     inc *= dx
-    # the intervals below the origin, summed from it down to node 0
-    below = np.cumsum(inc[origin - 1::-1]) if origin > 0 else inc[:0]
+    if origin > 0:
+        # the intervals below the origin move down one node (a forward copy,
+        # which needs no temporary) and are summed from it down to node 0
+        out[:origin] = out[1:origin + 1]
+        below = out[origin - 1::-1]
+        np.cumsum(below, out=below)
+        np.negative(out[:origin], out=out[:origin])
     out[origin] = 0.0
     np.cumsum(inc[origin:], out=inc[origin:])
-    np.negative(below[::-1], out=out[:origin])
     return out

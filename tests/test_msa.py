@@ -176,6 +176,43 @@ class TestMsaSolution:
         assert np.max(np.abs(sol.comp1 - comp1)) < 1e-12
         assert np.max(np.abs(sol.comp2 - comp2)) < 1e-12
 
+    @pytest.mark.parametrize("bases", ["left", "right", "interior"])
+    @pytest.mark.parametrize("which", ["w1", "w2"])
+    def test_full_depth_matches_apply_K(self, cubic_setup, which, bases):
+        """depth=3 reproduces the explicit apply_K composition; interior
+        bases are two different nodes, so both sums start inside the grid."""
+        model, _, h, grid = cubic_setup
+        eps = 0.05 * h**0.75
+        n = len(grid.points)
+        a_plus, a_minus = {"left": (-0.7, -0.7), "right": (0.7, 0.7),
+                           "interior": (grid.points[n // 3], grid.points[2 * n // 3])}[bases]
+        sol = msa_solution(model, eps, h, which, a_plus, a_minus, depth=3, grid=grid)
+        s = +1 if which == "w1" else -1
+        a_lead, a_other = (a_plus, a_minus) if which == "w1" else (a_minus, a_plus)
+        f = grid.u(s)
+        lead, other = f.copy(), np.zeros_like(f)
+        for _ in range(3):
+            g = apply_K(grid, -s, a_other, f)
+            other += g
+            f = eps**2 * apply_K(grid, s, a_lead, g)
+            lead += f
+        comp1, comp2 = (lead, -eps * other) if which == "w1" else (-eps * other, lead)
+        assert np.max(np.abs(sol.comp1 - comp1)) < 1e-12
+        assert np.max(np.abs(sol.comp2 - comp2)) < 1e-12
+
+    @pytest.mark.parametrize("which, depth", [("w3", 3), ("w1", 0)])
+    def test_arguments_checked_before_the_grid(self, cubic_setup, monkeypatch,
+                                               which, depth):
+        """A bad ``which`` or ``depth`` raises before any grid is built."""
+        model, _, h, _ = cubic_setup
+        builds = []
+        monkeypatch.setattr(MsaGrid, "build",
+                            staticmethod(lambda *args, **kwargs: builds.append(args)))
+        with pytest.raises(ValueError, match="which|depth"):
+            msa_solution(model, 0.01, h, which, -0.7, -0.7, depth=depth,
+                         interval=(-0.7, 0.7), t_ref=0.0)
+        assert builds == []
+
     def test_base_point_normalization(self, cubic_setup):
         model, _, h, grid = cubic_setup
         eps = 0.03 * h**0.75
@@ -258,6 +295,12 @@ class TestConnection:
                              [u_p * w1.comp2[-1], u_p * w2.comp2[-1]]])
         t_mat = connection_T_numeric(model, eps, h, 0, -0.7, 0.7, catalog=cat, grid=grid)
         assert np.array_equal(t_mat, explicit)
+
+    def test_depth_zero_raises(self, cubic_setup):
+        model, cat, h, grid = cubic_setup
+        with pytest.raises(ValueError, match="depth"):
+            connection_T_numeric(model, 0.01, h, 0, -0.7, 0.7, depth=0, catalog=cat,
+                                 grid=grid)
 
     def test_su2_structure(self, cubic_setup):
         model, cat, h, grid = cubic_setup
@@ -380,7 +423,7 @@ class TestCosts:
         assert peak <= 4 * grid.u_plus.nbytes
 
     def test_connection_peak_memory(self, cubic_window):
-        """The Neumann terms reuse their buffers: no temporaries per apply_K."""
+        """E and the two term buffers, updated in place; the sums are end values."""
         model, cat = cubic_window
         grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
         tracemalloc.start()
@@ -390,4 +433,17 @@ class TestCosts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7.5 * grid.u_plus.nbytes
+        assert peak <= 3.1 * grid.u_plus.nbytes
+
+    @pytest.mark.parametrize("bases", [(-1.2, -1.2), (0.0, 0.6)], ids=["left", "interior"])
+    def test_solution_peak_memory(self, cubic_window, bases):
+        """The connection's arrays plus the two sums, which become the components."""
+        model, _ = cubic_window
+        grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
+        tracemalloc.start()
+        try:
+            msa_solution(model, 0.05 * self.H ** 0.75, self.H, "w1", *bases, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.1 * grid.u_plus.nbytes

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,20 @@ class TestCumulativeUniform:
                 got = cumulative_uniform(values, 0.37, out=buf, origin=origin)
                 assert got is buf
                 assert got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("origin", [0, 60000, 99999])
+    def test_no_temporary_with_out(self, origin):
+        """With ``out`` given, nothing larger than one block is allocated."""
+        values = np.exp(1j * np.linspace(0.0, 50.0, 100000))
+        buf = np.empty_like(values)
+        tracemalloc.start()
+        try:
+            cumulative_uniform(values, 0.01, out=buf, origin=origin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * values.nbytes
 
 
 class TestAdaptiveMesh:
