@@ -17,6 +17,7 @@ import time
 from ..errors import ConfigError, CrossingLabError
 from ..params import classify_regimes, mu
 from ..potential import find_crossings, model_from_config
+from ..potential.catalog import SIDES, default_anchors, tail_integral
 from .sweep import ORACLES, check_inputs
 
 EXIT_OK = 0
@@ -57,6 +58,15 @@ def _check_point(args) -> None:
                     if getattr(args, name) is not None})
 
 
+def _tails(model, catalog):
+    """Default anchor and tail integral per side, or the message when they fail."""
+    try:
+        return {side: {"anchor": t, "integral": tail_integral(model, catalog, side, t)}
+                for side, t in zip(SIDES, default_anchors(model, catalog))}
+    except CrossingLabError as exc:
+        return f"failed: {exc}"
+
+
 def cmd_describe(args) -> int:
     _check_point(args)
     doc = _load_config(args.config)
@@ -66,7 +76,7 @@ def cmd_describe(args) -> int:
         "potential": model.to_config(),
         "v_right": model.v_right,
         "v_left": model.v_left,
-        "catalog": catalog.to_dict(),
+        "catalog": {**catalog.to_dict(), "tails": _tails(model, catalog)},
     }
     if args.eps is not None and args.h is not None:
         mus = {f"mu_{c.m}(crossing {k})": mu(c.m, args.eps, args.h)

@@ -8,6 +8,7 @@ abort a sweep; any other exception is a programming error and propagates.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -315,17 +316,13 @@ def run_sweep(config: SweepConfig) -> list[dict]:
 
 
 def write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+    """One line per row; a cell that holds a comma or a quote is quoted."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for row in rows:
-            cells = []
-            for col in CSV_COLUMNS:
-                val = row.get(col, "")
-                if isinstance(val, float):
-                    cells.append(repr(val))
-                else:
-                    cells.append(str(val))
-            fh.write(",".join(cells) + "\n")
+            writer.writerow([repr(val) if isinstance(val, float) else str(val)
+                             for val in (row.get(col, "") for col in CSV_COLUMNS)])
 
 
 def write_report(meta: dict, path: str) -> None:
@@ -434,8 +431,6 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
         demo_ok = all(v <= lo or v >= hi for v in mus)
         assignment = ["N" if v < 1.0 else "A" for v in mus]
         split = RegimeSplit.build(list(orders), assignment)
-        n_odd = split.n_sharp_odd
-        parity_odd = (catalog.sigma_n + n_odd) % 2 == 1
         rep = scattering_matrix(model, eps, h, tol=tol, catalog=catalog)
         p = rep.p_transition
         observed = "near1" if p > 0.8 else ("near0" if p < 0.2 else "transitional")
@@ -445,9 +440,9 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
         rows.append({
             "alpha": alpha, "h": h, "eps": eps,
             "mu": mus, "assignment": assignment,
-            "n_sharp_odd": n_odd,
-            "parity": "odd" if parity_odd else "even",
-            "predicted_class": "near1" if parity_odd else "near0",
+            "n_sharp_odd": split.n_sharp_odd,
+            "parity": "odd" if split.parity_odd else "even",
+            "predicted_class": "near1" if split.parity_odd else "near0",
             "P_numeric": p, "observed_class": observed,
             "status": status,
             # where the effective coupling changes sign

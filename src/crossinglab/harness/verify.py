@@ -14,7 +14,13 @@ import numpy as np
 from ..errors import ConfigError
 from ..msa import MsaGrid, apply_K, msa_solution, residual_norm, sampled_norm
 from ..oscillatory import osc_integral, stationary_phase_leading
-from ..potential import LinearLZ, PolynomialWindowed, ScaledTanhProduct, find_crossings
+from ..potential import (
+    LinearLZ,
+    PolynomialWindowed,
+    ScaledTanhProduct,
+    find_crossings,
+    regularized_action,
+)
 from ..propagator import PropagationDiagnostics, fundamental_matrix, propagate
 from ..scattering import (
     _oscillatory_tail,
@@ -133,8 +139,9 @@ def _window_bound_calibration(tol: float):
             rep = _scattering_matrix(model, eps, h, tol, None, "magnus6", catalog, 0.0)
             mat = fundamental_matrix(model, eps, h, -rep.truncation, rep.truncation,
                                      tol=tol / 100)
-            j_right = dense(*jost_basis(model, eps, h, "right", rep.truncation, tol=tol * 1e-3))
-            j_left = dense(*jost_basis(model, eps, h, "left", rep.truncation, tol=tol * 1e-3))
+            j_right, j_left = (dense(*jost_basis(model, eps, h, side, rep.truncation,
+                                                 tol=tol * 1e-3, catalog=catalog))
+                               for side in ("right", "left"))
             ref = j_right.conj().T @ mat @ j_left
             routes.add(rep.diagnostics["route"])
             ratios.append(rep.diagnostics["error_estimate"]
@@ -173,7 +180,6 @@ def msa_suite(seed: int = 42, tol: float = 1e-10) -> list:
 
     # operator norm boundedness: ||(u^+-)^-1 K (u^-+ f)|| * h^(m/(m+1)) stays bounded
     m = 3
-    f = np.cos(grid.points) + 0.3
     ratios = []
     for h_test in (8e-3, 4e-3, 2e-3, 1e-3):
         g_test = MsaGrid.build(model, h_test, (-0.7, 0.7), 0.0)
@@ -287,15 +293,17 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
     out.append(("jost.closed_form_exp", worst < 1e-12, f"diff {worst:.2e}"))
 
     model = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}])
+    catalog = find_crossings(model)
     eps, h = 0.05, 0.08
-    rep1 = scattering_matrix(model, eps, h, tol=1e-10)
-    rep2 = scattering_matrix(model, eps, h, tol=1e-10, truncation=rep1.truncation * 2.0)
+    rep1 = scattering_matrix(model, eps, h, tol=1e-10, catalog=catalog)
+    rep2 = scattering_matrix(model, eps, h, tol=1e-10, truncation=rep1.truncation * 2.0,
+                             catalog=catalog)
     diff = abs(rep1.p_transition - rep2.p_transition)
     out.append(("jost.truncation_independence", diff < 1e-7, f"diff {diff:.2e}"))
     out.append(("jost.unitarity", rep1.unitarity_defect < 1e-8,
                 f"defect {rep1.unitarity_defect:.2e}"))
 
-    basis = dense(*jost_basis(model, eps, h, "right", rep1.truncation))
+    basis = dense(*jost_basis(model, eps, h, "right", rep1.truncation, catalog=catalog))
     ortho = float(np.max(np.abs(basis.conj().T @ basis - np.eye(2))))
     out.append(("jost.orthonormal", ortho < 1e-10, f"defect {ortho:.2e}"))
 
@@ -320,16 +328,14 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
     # off-diagonals are O(eps), diagonal corrections O(eps^2/h)
     h_fix = 0.1
     offs, diags, eps_vals = [], [], [0.2, 0.1, 0.05, 0.025]
+    anchor = model.tail_anchor("right", 1e-6)
+    phase = np.exp(-1j * regularized_action(model, "right", anchor, catalog=catalog) / h_fix)
     for e in eps_vals:
-        rep = scattering_matrix(model, e, h_fix, tol=1e-10)
+        rep = scattering_matrix(model, e, h_fix, tol=1e-10, catalog=catalog)
         t_far = rep.truncation
-        jb = dense(*jost_basis(model, e, h_fix, "right", t_far))
-        anchor = model.tail_anchor("right", 1e-6)
+        jb = dense(*jost_basis(model, e, h_fix, "right", t_far, catalog=catalog))
         mat = fundamental_matrix(model, e, h_fix, t_far, anchor, tol=1e-11)
         near = mat @ jb
-        from ..potential.catalog import find_crossings as fc, regularized_action
-        r_r = regularized_action(model, "right", anchor, catalog=fc(model))
-        phase = np.exp(-1j * r_r / h_fix)
         offs.append(abs(near[1, 0]))
         diags.append(abs(near[0, 0] / phase - 1.0))
     slope_off = float(np.polyfit(np.log(eps_vals), np.log(offs), 1)[0])

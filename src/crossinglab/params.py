@@ -80,6 +80,11 @@ class RegimeSplit:
         """Count of odd-order adiabatic crossings (parity contribution N)."""
         return len(self.sharp_odd)
 
+    @property
+    def parity_odd(self) -> bool:
+        """Combined parity of sigma_n and N: odd when P is near 1 at leading order."""
+        return (sum(self.orders) + self.n_sharp_odd) % 2 == 1
+
 
 def classify_regimes(orders, eps: float, h: float) -> RegimeSplit:
     """The regime rule's split of the given crossing orders at (eps, h).
@@ -104,8 +109,9 @@ def classify_regimes(orders, eps: float, h: float) -> RegimeSplit:
 
 def check_split(split: RegimeSplit, orders, eps: float, h: float) -> None:
     """Raise RegimeViolation unless ``split`` is the regime rule's split at (eps, h)."""
-    expected = classify_regimes(orders, eps, h).assignment
-    if split.assignment != expected:
+    expected = classify_regimes(orders, eps, h)
+    if split != expected:
         raise RegimeViolation(
-            f"split {split.assignment} disagrees with the regime rule's {expected} "
+            f"split {split.assignment} of orders {split.orders} disagrees with the "
+            f"regime rule's {expected.assignment} of orders {expected.orders} "
             f"at eps={eps:.4g}, h={h:.4g}")

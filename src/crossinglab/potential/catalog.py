@@ -5,10 +5,12 @@ DECREASING position (t_1 > t_2 > ... > t_n, index 0 is the rightmost), the
 partial order sums sigma_k fix the sign of V on each gap, and V -> V_r > 0 on
 the right.
 
-The catalog is the one cache of what depends on neither h nor eps: the
-crossings, the gap integrals, the tail integrals at the default anchors and,
-per truncation T, the line data that scattering reads (the Jost tails' data
-at +-T and the samples of the magnus6 step density on [-T, T]).
+The catalog is the one cache of what depends on neither h nor eps.  The
+crossings and the gap integrals are computed by ``find_crossings``; the rest
+is kept in one memo, ``CrossingCatalog.kept``, on first use: the default tail
+anchors, the tail integrals by side and anchor (the actions R at any anchor
+and the Jost tails at +-T read the same entry), the Jost tails' jets at +-T
+and the samples of the magnus6 step density on [-T, T].
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from ..errors import (
     AnchorInsideCrossings,
     BracketingFailed,
-    CrossingLabError,
     TailIntegralVanishes,
     ZeroOrderUndetermined,
 )
@@ -46,12 +47,8 @@ class CrossingCatalog:
     crossings: tuple[Crossing, ...]   # ordered by decreasing t
     sigma: tuple[int, ...]            # sigma[k] = m_0 + ... + m_k
     gaps: tuple[float, ...]           # gaps[k] = integral of V from t_{k+1} to t_k
-    # (anchor, integral of V - V_side from the anchor outward) on the right and
-    # the left, at tail_anchor(side, TAIL_LEVEL); None without tails
-    tails: tuple[tuple[float, float], ...] | None = None
-    # data of the line [-T, T] that depend on neither eps nor h, per
-    # truncation T: filled by ``scattering`` on first use, pickled with the
-    # catalog, and neither compared, hashed nor in to_dict
+    # the memo of ``kept``: filled on first use, pickled with the catalog, and
+    # neither compared, hashed nor in to_dict
     line_data: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
@@ -83,6 +80,14 @@ class CrossingCatalog:
         """sigma_{k-1}: total order of crossings to the right of crossing k."""
         return self.sigma[k - 1] if k > 0 else 0
 
+    def kept(self, key: tuple, compute):
+        """compute(), kept under a flat ``key`` such as ("tail", side, anchor)
+        and computed on the first use only; a compute() that raises keeps
+        nothing."""
+        if key not in self.line_data:
+            self.line_data[key] = compute()
+        return self.line_data[key]
+
     def phase_between(self, j: int, k: int) -> float:
         """integral of V from crossing k up to crossing j (j <= k), a sum of gaps."""
         return sum(self.gaps[j:k], 0.0)
@@ -92,9 +97,6 @@ class CrossingCatalog:
             "crossings": [{"t": c.t, "m": c.m, "v": c.v} for c in self.crossings],
             "sigma": list(self.sigma),
             "gaps": list(self.gaps),
-            "tails": None if self.tails is None else {
-                side: {"anchor": t, "integral": tail}
-                for side, (t, tail) in zip(SIDES, self.tails)},
             "m_star": self.m_star if self.crossings else None,
             "lambda_star": list(self.lambda_star) if self.crossings else [],
         }
@@ -146,8 +148,8 @@ def find_crossings(model: PotentialModel,
     Builtin families expose their zero candidates exactly; a sign-change scan
     over the search interval guards against omissions (it can only add
     odd-order zeros, the even-order ones do not change sign).  The integrals
-    of V between consecutive zeros and the tail integrals at the default
-    anchors depend on neither h nor eps and are computed here, once.
+    of V between consecutive zeros depend on neither h nor eps and are
+    computed here, once; the tails are left to the memo.
     """
     if search_interval is None:
         search_interval = model.suggest_interval()
@@ -183,25 +185,9 @@ def find_crossings(model: PotentialModel,
 
     sigma = tuple(int(s) for s in np.cumsum([c.m for c in crossings]))
     gaps = tuple(phase_integral(model, lo_t, hi_t) for hi_t, lo_t in zip(zeros, zeros[1:]))
-    catalog = CrossingCatalog(tuple(crossings), sigma, gaps, _default_tails(model))
+    catalog = CrossingCatalog(tuple(crossings), sigma, gaps)
     _check_sign_pattern(model, catalog, lo, hi)
     return catalog
-
-
-def _default_tails(model: PotentialModel):
-    """(anchor, tail integral) on both sides at the default anchors, or None.
-
-    None also when an anchor or an integral fails, or the model lacks them:
-    the actions then take the explicit path, which raises the same error
-    where R is needed.
-    """
-    if not model.has_tails:
-        return None
-    try:
-        anchors = [model.tail_anchor(side, TAIL_LEVEL) for side in SIDES]
-        return tuple((t, model.tail_integral(side, t)) for side, t in zip(SIDES, anchors))
-    except (CrossingLabError, NotImplementedError):
-        return None
 
 
 def _check_sign_pattern(model, catalog, lo, hi):
@@ -249,6 +235,21 @@ def area_adjacent(catalog: CrossingCatalog, k: int) -> float:
     return area_between(catalog, k, k + 1)
 
 
+def tail_integral(model: PotentialModel, catalog: CrossingCatalog, side: str,
+                  anchor: float) -> float:
+    """integral of V - V_side from the anchor out to the side's infinity,
+    kept on the catalog under ("tail", side, anchor)."""
+    return catalog.kept(("tail", side, anchor), lambda: model.tail_integral(side, anchor))
+
+
+def default_anchors(model: PotentialModel, catalog: CrossingCatalog) -> tuple[float, float]:
+    """tail_anchor(side, TAIL_LEVEL) on the right and the left, kept on the
+    catalog under ("anchor", side)."""
+    return tuple(catalog.kept(("anchor", side),
+                              lambda side=side: model.tail_anchor(side, TAIL_LEVEL))
+                 for side in SIDES)
+
+
 def regularized_action(model: PotentialModel, side: str, t_anchor: float,
                        catalog: CrossingCatalog | None = None,
                        vanish_tol: float = 1e-13) -> float:
@@ -257,40 +258,18 @@ def regularized_action(model: PotentialModel, side: str, t_anchor: float,
     R_r = V_r * t_r + integral_{+inf}^{t_r} (V - V_r), and the mirrored
     expression on the left.  The anchor must sit beyond the outermost zero and
     the tail integral must not vanish (it controls the leading diagonal phase
-    of the connector there).
+    of the connector there).  The tail integral is kept on the catalog.
     """
     if catalog is None:
         catalog = find_crossings(model)
     if side not in SIDES:
         raise ValueError("side must be 'right' or 'left'")
-    return _action(model, side, t_anchor, None, catalog, vanish_tol)
-
-
-def regularized_actions(model: PotentialModel, catalog: CrossingCatalog,
-                        anchors: tuple[float, float] | None = None) -> tuple[float, float]:
-    """R on the right and the left.
-
-    Without anchors they sit at tail_anchor(side, TAIL_LEVEL) and R comes
-    from the catalog's tail integrals, with no new search or quadrature.
-    """
-    if anchors is None and catalog.tails is not None:
-        return tuple(_action(model, side, t, tail, catalog)
-                     for side, (t, tail) in zip(SIDES, catalog.tails))
-    if anchors is None:
-        anchors = tuple(model.tail_anchor(side, TAIL_LEVEL) for side in SIDES)
-    return tuple(regularized_action(model, side, t, catalog=catalog)
-                 for side, t in zip(SIDES, anchors))
-
-
-def _action(model, side, t_anchor, tail, catalog, vanish_tol=1e-13):
-    """R at t_anchor from its tail integral, computed here when ``tail`` is None."""
     if catalog.crossings:
         if side == "right" and t_anchor <= catalog.positions[0]:
             raise AnchorInsideCrossings(f"anchor {t_anchor} not beyond t_1")
         if side == "left" and t_anchor >= catalog.positions[-1]:
             raise AnchorInsideCrossings(f"anchor {t_anchor} not beyond t_n")
-    if tail is None:
-        tail = model.tail_integral(side, t_anchor)
+    tail = tail_integral(model, catalog, side, t_anchor)
     if abs(tail) < vanish_tol:
         raise TailIntegralVanishes(
             f"tail integral {tail:.3e} at anchor {t_anchor}; move the anchor")
@@ -298,3 +277,13 @@ def _action(model, side, t_anchor, tail, catalog, vanish_tol=1e-13):
     if side == "right":
         return v_inf * t_anchor - tail  # integral from +inf to t_r flips sign
     return v_inf * t_anchor + tail
+
+
+def regularized_actions(model: PotentialModel, catalog: CrossingCatalog,
+                        anchors: tuple[float, float] | None = None) -> tuple[float, float]:
+    """R on the right and the left, at ``default_anchors`` when no anchors
+    are given."""
+    if anchors is None:
+        anchors = default_anchors(model, catalog)
+    return tuple(regularized_action(model, side, t, catalog)
+                 for side, t in zip(SIDES, anchors))

@@ -105,20 +105,19 @@ def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
             "leading coefficient requires a tangential crossing; transversal-only "
             "catalogs need the log-corrected treatment (enable allow_order_one "
             "for diagnostics)")
-    assignment = classify_regimes(catalog.orders, eps, h).assignment
-    if "A" in assignment:
-        raise RegimeViolation(f"crossings {assignment} at eps={eps:.4g}, h={h:.4g}: "
+    split = classify_regimes(catalog.orders, eps, h)
+    if "A" in split.assignment:
+        raise RegimeViolation(f"crossings {split.assignment} at eps={eps:.4g}, h={h:.4g}: "
                               "not every crossing is diabatic")
     mu_star = mu(m_star, eps, h)
     gamma_val = gamma_factor(m_star)
     delta_val = interference_factor(catalog, h)
     c_star = gamma_val * delta_val
-    parity_odd = catalog.sigma_n % 2 == 1
     correction = c_star * mu_star ** 2
-    p = 1.0 - correction if parity_odd else correction
+    p = 1.0 - correction if split.parity_odd else correction
     order = f"mu_star^2*(mu_star + h^(1/{m_star * (m_star + 1)}))"
     return NonadiabaticPrediction(
-        eps=eps, h=h, mu_star=mu_star, m_star=m_star, parity_odd=parity_odd,
+        eps=eps, h=h, mu_star=mu_star, m_star=m_star, parity_odd=split.parity_odd,
         gamma_star=gamma_val, delta_star=delta_val, c_star=c_star, p_pred=p,
         error_order=order)
 
@@ -225,9 +224,7 @@ def _predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     nus = [*phases, 1.0 + 0.0j]  # trailing connector phase, modulus irrelevant
 
     leading = chain_prob_leading(alphas, betas, nus)
-    n_sharp_odd = split.n_sharp_odd
-    parity_odd = (catalog.sigma_n + n_sharp_odd) % 2 == 1
-    p = 1.0 - leading if parity_odd else leading
+    p = 1.0 - leading if split.parity_odd else leading
 
     mu_flat = mu(split.m_flat, eps, h) if split.m_flat else 0.0
     mu_sharp = mu(split.m_sharp, eps, h) if split.m_sharp else 0.0
@@ -239,8 +236,8 @@ def _predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
                   and catalog.crossings[k].m == split.m_sharp}
     blocks, coeffs = _mixed_blocks(catalog, split, alphas, betas, nus, mu_flat, sharp_exps)
     eps1, eps2 = _error_gauges(split, h, mu_flat, mu_sharp, exponent, sharp_exps)
-    return MixedPrediction(eps=eps, h=h, n_sharp_odd=n_sharp_odd,
-                           parity_odd=parity_odd, leading=leading, p_pred=p,
+    return MixedPrediction(eps=eps, h=h, n_sharp_odd=split.n_sharp_odd,
+                           parity_odd=split.parity_odd, leading=leading, p_pred=p,
                            eps1=eps1, eps2=eps2, blocks=blocks,
                            coefficients=coeffs)
 

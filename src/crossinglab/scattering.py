@@ -42,10 +42,12 @@ the prediction and window_steps the steps of each window's returned mesh.
 
 The Jost tails' smooth integrals and jets at +/-T, and the samples of V and
 its derivatives under the whole region's step density, depend on neither
-eps nor h.  The catalog keeps them per truncation T
-(``CrossingCatalog.line_data``), so the rows of an h or eps ladder that
-share a catalog and a T compute them once, and each row pays only its own
-eps and h arithmetic.  The panel tail depends on omega and is never kept.
+eps nor h.  The catalog's memo keeps them (``CrossingCatalog.kept``, under
+("tail", side, +-T), ("jet", side, T) and ("density", T)), so the rows of an
+h or eps ladder that share a catalog and a T compute them once, and each row
+pays only its own eps and h arithmetic.  The smooth tail integral is the
+entry the actions R read at that anchor.  The panel tail depends on omega
+and is never kept.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 
 from .adiabatic import WindowPlan, plan_windows
 from .errors import ConfigError, TailNotConverged
-from .potential.catalog import CrossingCatalog, find_crossings
+from .potential.catalog import CrossingCatalog, find_crossings, tail_integral
 from .potential.families import _MAX_JET_ORDER
 from .propagator import (
     PropagationDiagnostics,
@@ -227,18 +229,6 @@ def _oscillatory_tail(model, side: str, v_inf: float, t_eval: float,
             or _panel_tail(model, side, v_inf, t_eval, omega, tol))
 
 
-def _kept(catalog: CrossingCatalog | None, truncation: float, key: str, compute):
-    """compute(), kept under ``key`` in the catalog's line data at this
-    truncation: computed on the first use only.  Without a catalog it is
-    computed every time."""
-    if catalog is None:
-        return compute()
-    entry = catalog.line_data.setdefault(truncation, {})
-    if key not in entry:
-        entry[key] = compute()
-    return entry[key]
-
-
 def jost_basis(model, eps: float, h: float, side: str, T: float,
                tol: float = 1e-12, diagnostics: dict | None = None,
                catalog: CrossingCatalog | None = None) -> tuple[complex, complex]:
@@ -248,11 +238,13 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
     tail-exponential; J^+ is the pair's first column.  A
     given ``diagnostics`` dict receives the oscillatory tail's route and
     remainder bound.  The smooth tail integral and the jet of V - V_inf at
-    the anchor depend on neither eps nor h: a given ``catalog`` keeps them
-    per T, so that only the first call at a T computes them.
+    the anchor depend on neither eps nor h: the catalog (built here when
+    None) keeps them, so that only the first call at a T computes them.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    if catalog is None:
+        catalog = find_crossings(model)
     v_inf = model.v_right if side == "right" else model.v_left
     angles = JostAngles.for_side(v_inf, eps)
     t_eval = T if side == "right" else -T
@@ -262,8 +254,8 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
     two_a = 2.0 * angles.angle
     cos2, sin2 = math.cos(two_a), math.sin(two_a)
     # the integral to +/-inf from t_eval, and the derivatives of V - V_inf there
-    smooth_tail, derivs = _kept(catalog, T, side, lambda: (
-        model.tail_integral(side, t_eval), _tail_derivatives(model, v_inf, t_eval)))
+    smooth_tail = tail_integral(model, catalog, side, t_eval)
+    derivs = catalog.kept(("jet", side, T), lambda: _tail_derivatives(model, v_inf, t_eval))
     i_diag = -smooth_tail if side == "right" else smooth_tail
     osc = _oscillatory_tail(model, side, v_inf, t_eval, 2.0 * angles.lam / h, tol, derivs)
     if diagnostics is not None:
@@ -322,8 +314,8 @@ def _scattering_matrix(model, eps: float, h: float, tol: float, truncation: floa
 
     plan = density = predicted = None
     if method == "magnus6":
-        samples = _kept(catalog, truncation, "density",
-                        lambda: _density_samples(model, -truncation, truncation))
+        samples = catalog.kept(("density", truncation),
+                               lambda: _density_samples(model, -truncation, truncation))
         density = _magnus6_density(model, eps, h, -truncation, truncation, tol, samples)
         predicted = pilot_steps(density)
         if predicted > window_cost * catalog.n:

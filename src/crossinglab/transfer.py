@@ -125,7 +125,9 @@ def end_connectors(model, catalog: CrossingCatalog, h: float,
     O(eps^2/h) on the diagonal and O(eps^2) off it; where the limit is
     negative (the left one when sigma_n is odd) it is that diagonal times J,
     with errors O(eps^2/h) off the diagonal and O(eps) on it.  Without
-    ``anchors`` R comes from the catalog's tail integrals.
+    ``anchors`` R sits at the default anchors.  The anchors and the tail
+    integrals, default or explicit, are kept on the catalog, so a second call
+    on the same catalog searches and integrates nothing.
     """
     out = []
     for side, r in zip(SIDES, regularized_actions(model, catalog, anchors)):
@@ -304,9 +306,10 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     phases and both end connectors.  The other is the pure SU(2) chain of
     flip-conjugated factors and effective phases, whose (2,1) entry gives P
     through the combined parity rule.  Their probabilities must agree to
-    roundoff; both are reported.  Without ``anchors`` the connector actions
-    come from the catalog's tail integrals at the default anchors.  Raises
-    RegimeViolation unless ``split`` is the regime rule's split at (eps, h).
+    roundoff; both are reported.  The connector actions sit at ``anchors``,
+    else at the default anchors; either way their tail integrals are kept on
+    the catalog, computed by the first call only.  Raises RegimeViolation
+    unless ``split`` is the regime rule's split at (eps, h), orders included.
     """
     if catalog is None:
         catalog = find_crossings(model)
@@ -334,13 +337,11 @@ def _predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     # flip-conjugated SU(2) chain with effective phases
     tau = su2_chain_product(_interleaved(*chain.flip_conjugated(factors)))
     tau21_sq = float(abs(tau[1]) ** 2)
-    n_sharp_odd = split.n_sharp_odd
-    parity_odd = (catalog.sigma_n + n_sharp_odd) % 2 == 1
-    p_chain = 1.0 - tau21_sq if parity_odd else tau21_sq
+    p_chain = 1.0 - tau21_sq if split.parity_odd else tau21_sq
 
     return PredictedScattering(
         s_matrix=dense(*s), p_pred=p_direct, chain=chain, factors=factors,
-        parity_odd=parity_odd, n_sharp_odd=n_sharp_odd,
+        parity_odd=split.parity_odd, n_sharp_odd=split.n_sharp_odd,
         p_chain_paths={"direct": p_direct, "su2_chain": p_chain},
     )
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import multiprocessing
@@ -14,6 +15,7 @@ import pytest
 from crossinglab.errors import ConfigError, NoMinimaFound
 from crossinglab.harness.cli import main as cli_main
 from crossinglab.harness.sweep import (
+    CSV_COLUMNS,
     DEMO_POTENTIAL,
     NUMERIC_COLUMNS,
     SweepConfig,
@@ -23,6 +25,8 @@ from crossinglab.harness.sweep import (
     write_csv,
 )
 from crossinglab.harness.verify import run_verify
+from crossinglab.potential import find_crossings, model_from_config
+from crossinglab.potential.catalog import TAIL_LEVEL, regularized_actions
 
 TANH_PAIR_DOC = {
     "family": "scaled_tanh_product",
@@ -365,6 +369,27 @@ class TestRunSweep:
         header = path.read_text().splitlines()[0]
         assert header.split(",")[:5] == ["index", "eps", "h", "mu_star", "status"]
 
+    def test_csv_quotes_error_cells(self, tmp_path):
+        """A partial row's error holds the band message's comma: read back
+        with csv.reader, every row has one cell per column; a comma-free row
+        is its cells joined by commas, as before."""
+        config = SweepConfig(
+            potential=CUBIC_DOC,
+            grid={"type": "list", "rows": [{"eps": 0.05 * 0.1**0.75, "h": 0.1},
+                                           {"eps": 0.1**0.75, "h": 0.1}]},
+            oracles=("numeric", "chain"), tol=1e-8)
+        rows = run_sweep(config)
+        assert [row["status"] for row in rows] == ["ok", "partial"]
+        assert ", below" in rows[1]["error"]
+        path = tmp_path / "out.csv"
+        write_csv(rows, str(path))
+        with open(path, newline="") as fh:
+            header, *cells = list(csv.reader(fh))
+        assert header == list(CSV_COLUMNS)
+        assert [len(line) for line in cells] == [len(CSV_COLUMNS)] * 2
+        assert cells[1][CSV_COLUMNS.index("error")] == rows[1]["error"]
+        assert path.read_text().splitlines()[1] == ",".join(cells[0])
+
     def test_numeric_route_columns(self, tmp_path):
         """Schema 2 says how P_numeric was obtained, identically for any jobs."""
         config = SweepConfig(
@@ -417,6 +442,26 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["catalog"]["m_star"] == 3
         assert out["regimes"] == ["N"]
+
+    def test_describe_prints_the_tails(self, tmp_path, capsys):
+        """The default anchor and tail integral per side for the tanh pair
+        (pure LZ has no limits to describe); the catalog's own to_dict holds
+        no memo contents, so a warm and a fresh catalog still compare and
+        serialize equal."""
+        pair = model_from_config(TANH_PAIR_DOC)
+        anchors = [pair.tail_anchor(side, TAIL_LEVEL) for side in ("right", "left")]
+        rc = cli_main(["describe", "--config", self._write_cfg(tmp_path, TANH_PAIR_DOC)])
+        assert rc == 0
+        tails = json.loads(capsys.readouterr().out)["catalog"]["tails"]
+        assert tails == {side: {"anchor": t, "integral": pair.tail_integral(side, t)}
+                         for side, t in zip(("right", "left"), anchors)}
+        lz_pure = {"family": "linear_lz", "params": {"slope": 1.0}}
+        assert cli_main(["describe", "--config", self._write_cfg(tmp_path, lz_pure)]) == 2
+        warm, fresh = find_crossings(pair), find_crossings(pair)
+        regularized_actions(pair, warm)
+        assert warm.line_data and not fresh.line_data
+        assert warm == fresh and json.dumps(warm.to_dict()) == json.dumps(fresh.to_dict())
+        assert "tails" not in warm.to_dict()
 
     def test_describe_reports_the_band(self, tmp_path, capsys):
         """Demo orders (1, 3) at mu_1 = 5, mu~_1 = 15.2: the order-1 crossing

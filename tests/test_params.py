@@ -5,10 +5,12 @@ import pytest
 
 from crossinglab import classify_regimes, mu, mu_tilde_1
 from crossinglab.errors import CrossingLabError, RegimeViolation
+from crossinglab.params import RegimeSplit
 from crossinglab.harness.sweep import DEMO_POTENTIAL, ORACLES, SweepConfig, run_sweep
 from crossinglab.potential import find_crossings, model_from_config
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import predict_mixed
+from crossinglab.transfer import predicted_scattering
 
 DEMO = model_from_config(DEMO_POTENTIAL)
 DEMO_CATALOG = find_crossings(DEMO)
@@ -83,3 +85,34 @@ def test_mixed_coefficients_without_underflow_warnings():
         pred = predict_mixed(model, catalog, eps, h, split, turning_sets=tps)
     assert pred.coefficients["q"] == {}
     assert math.isfinite(pred.eps1) and math.isfinite(pred.eps2)
+
+
+def test_split_of_other_orders_is_refused():
+    """A split with the rule's assignment but other orders is no split of
+    this catalog: the tanh pair (3, 3) at h = 1e-3, mu_3 = 10.5 is all
+    adiabatic, and a split built from orders (2, 3) has other odd sharp
+    crossings, hence other flip flags and parity count."""
+    pair = model_from_config({"family": "scaled_tanh_product", "params": {
+        "scale": 1.0, "factors": [{"power": 3, "slope": 1.0, "center": 2.0},
+                                  {"power": 3, "slope": 1.0, "center": -2.0}]}})
+    catalog = find_crossings(pair)
+    h = 1e-3
+    eps = 10.5 * h**0.75
+    tps = {k: turning_points(pair, catalog, k, eps) for k in range(catalog.n)}
+    rule = classify_regimes(catalog.orders, eps, h)
+    other = RegimeSplit.build([2, 3], rule.assignment)
+    assert other.assignment == rule.assignment == ("A", "A")
+    assert other.sharp_odd != rule.sharp_odd
+    assert predict_mixed(pair, catalog, eps, h, rule, turning_sets=tps).p_pred < 1e-20
+    with pytest.raises(RegimeViolation, match=r"orders \(2, 3\)"):
+        predict_mixed(pair, catalog, eps, h, other, turning_sets=tps)
+    with pytest.raises(RegimeViolation, match=r"orders \(2, 3\)"):
+        predicted_scattering(pair, eps, h, other, catalog=catalog, turning_sets=tps)
+
+
+@pytest.mark.parametrize("orders, assignment, odd", [
+    ((3, 3), ("N", "N"), False), ((3, 3), ("A", "N"), True), ((3, 3), ("A", "A"), False),
+    ((1, 3), ("N", "N"), False), ((1, 2), ("N", "N"), True), ((2, 3), ("N", "A"), False)])
+def test_parity_odd(orders, assignment, odd):
+    """sigma_n plus the count of odd adiabatic orders, mod 2."""
+    assert RegimeSplit.build(orders, assignment).parity_odd is odd

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +22,13 @@ from crossinglab.potential import (
     phase_integral,
     regularized_action,
 )
-from crossinglab.potential.catalog import TAIL_LEVEL, area_adjacent, regularized_actions
+from crossinglab.potential.catalog import (
+    SIDES,
+    TAIL_LEVEL,
+    area_adjacent,
+    default_anchors,
+    regularized_actions,
+)
 from crossinglab.params import RegimeSplit
 from crossinglab.potential.families import _dilog_neg_exp
 from crossinglab.transfer import ChainFactors, _tilde_flags
@@ -366,6 +371,9 @@ class TestRegularizedAction:
 
 
 class TestCatalogTails:
+    """The default anchors and the tail integrals are kept in the catalog's
+    memo on first use; find_crossings computes none of them."""
+
     @pytest.mark.parametrize("model", [
         ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
                                 {"power": 3, "slope": 1.0, "center": -2.0}]),
@@ -375,25 +383,29 @@ class TestCatalogTails:
         PolynomialWindowed([0, 0, 0, 1.0], window=3.0, sharpness=8.0),
     ])
     def test_default_anchors_bitwise(self, model):
-        """The catalog's tails give R bit for bit as regularized_action does."""
+        """The kept tails give R bit for bit as a fresh catalog does at the
+        same anchors, and the memo holds the anchors and integrals."""
         cat = find_crossings(model)
-        anchors = tuple(model.tail_anchor(side, TAIL_LEVEL) for side in ("right", "left"))
-        assert cat.tails == tuple((t, model.tail_integral(side, t))
-                                  for side, t in zip(("right", "left"), anchors))
-        assert regularized_actions(model, cat) == tuple(
-            regularized_action(model, side, t, catalog=cat)
-            for side, t in zip(("right", "left"), anchors))
-        assert regularized_actions(model, cat, anchors) == regularized_actions(model, cat)
-        doc = cat.to_dict()["tails"]
-        assert doc["right"] == {"anchor": anchors[0], "integral": cat.tails[0][1]}
-        assert doc["left"] == {"anchor": anchors[1], "integral": cat.tails[1][1]}
+        assert not cat.line_data
+        anchors = tuple(model.tail_anchor(side, TAIL_LEVEL) for side in SIDES)
+        actions = regularized_actions(model, cat)
+        assert default_anchors(model, cat) == anchors
+        assert cat.line_data == {
+            **{("anchor", side): t for side, t in zip(SIDES, anchors)},
+            **{("tail", side, t): model.tail_integral(side, t)
+               for side, t in zip(SIDES, anchors)}}
+        assert actions == tuple(
+            regularized_action(model, side, t, catalog=find_crossings(model))
+            for side, t in zip(SIDES, anchors))
+        assert regularized_actions(model, cat, anchors) == actions
 
     def test_no_tails_without_limits(self, lz_pure):
         cat = find_crossings(lz_pure, (-1, 1))
-        assert cat.tails is None and cat.to_dict()["tails"] is None
+        assert not cat.line_data and "tails" not in cat.to_dict()
 
     def test_failed_anchor_is_no_catalog_failure(self, monkeypatch):
-        """find_crossings still succeeds; the actions raise where R is used."""
+        """find_crossings still succeeds; the actions raise where R is used,
+        and a failed anchor is not kept."""
         model = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}])
 
         def no_anchor(side, level):
@@ -401,17 +413,31 @@ class TestCatalogTails:
 
         monkeypatch.setattr(model, "tail_anchor", no_anchor)
         cat = find_crossings(model)
-        assert cat.tails is None
-        with pytest.raises(ConfigError):
-            regularized_actions(model, cat)
+        for _ in range(2):
+            with pytest.raises(ConfigError):
+                regularized_actions(model, cat)
+        assert not cat.line_data
 
-    def test_checks_stay_with_the_actions(self, tanh_pair, tanh_pair_catalog):
-        """Catalog tails are checked when R is formed, as explicit anchors are."""
-        (t_r, tail_r), left = tanh_pair_catalog.tails
-        vanishing = dataclasses.replace(tanh_pair_catalog, tails=((t_r, 0.0), left))
+    def test_find_crossings_integrates_no_tail(self, tanh_pair, monkeypatch):
+        """No anchor search and no tail quadrature in find_crossings: it
+        succeeds with both patched to raise."""
+        def no_call(*args):
+            raise AssertionError("tail computed by find_crossings")
+
+        monkeypatch.setattr(tanh_pair, "tail_anchor", no_call)
+        monkeypatch.setattr(tanh_pair, "tail_integral", no_call)
+        cat = find_crossings(tanh_pair)
+        assert cat.n == 2 and not cat.line_data
+
+    def test_checks_stay_with_the_actions(self, tanh_pair):
+        """Kept tails are checked when R is formed, as fresh ones are."""
+        vanishing = find_crossings(tanh_pair)
+        t_r = default_anchors(tanh_pair, vanishing)[0]
+        vanishing.line_data[("tail", "right", t_r)] = 0.0
         with pytest.raises(TailIntegralVanishes):
             regularized_actions(tanh_pair, vanishing)
-        inside = dataclasses.replace(tanh_pair_catalog, tails=((1.0, tail_r), left))
+        inside = find_crossings(tanh_pair)
+        inside.line_data[("anchor", "right")] = 1.0
         with pytest.raises(AnchorInsideCrossings):
             regularized_actions(tanh_pair, inside)
 

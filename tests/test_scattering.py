@@ -15,6 +15,7 @@ from crossinglab.potential import (
     find_crossings,
     regularized_action,
 )
+from crossinglab.potential.catalog import TAIL_LEVEL
 from crossinglab import propagator, scattering
 from crossinglab.quadrature import integrate_panels
 from crossinglab.su2 import dense
@@ -339,9 +340,15 @@ def _windowed(model, eps, h, tol, catalog, truncation=None):
                                          0.0)
 
 
+def _line_keys(T):
+    """Memo keys of what numeric scattering at truncation T keeps."""
+    return {("tail", "right", T), ("tail", "left", -T), ("jet", "right", T),
+            ("jet", "left", T), ("density", T)}
+
+
 class TestLineData:
-    """The catalog keeps the Jost tails' data at +-T and the whole-line
-    density samples per truncation T; later rows at that T read them."""
+    """The catalog's memo keeps the Jost tails' data at +-T and the
+    whole-line density samples; later rows at that T read them."""
 
     @pytest.mark.parametrize("h, route, tail_route", [
         (1.0, "whole_line", "panels"), (0.1, "whole_line", "series"),
@@ -356,7 +363,8 @@ class TestLineData:
         fresh = scattering_matrix(tanh_pair, eps, h, catalog=find_crossings(tanh_pair))
         assert fresh.diagnostics["route"] == route
         assert fresh.diagnostics["tail_route"] == tail_route
-        assert list(warm.line_data) == [other.truncation] == [fresh.truncation]
+        assert other.truncation == fresh.truncation
+        assert set(warm.line_data) == _line_keys(fresh.truncation)
         for rep in reps:
             assert rep.s_matrix.tobytes() == fresh.s_matrix.tobytes()
             assert rep.p_transition.hex() == fresh.p_transition.hex()
@@ -401,9 +409,7 @@ class TestLineData:
         truncations = [scattering_matrix(tanh_pair, eps, 1e-4, tol=tol, catalog=catalog).truncation
                        for tol in (1e-9, 1e-11, 1e-12)]
         assert truncations[0] == truncations[1] != truncations[2]
-        assert list(catalog.line_data) == [truncations[0], truncations[2]]
-        assert all(set(entry) == {"density", "right", "left"}
-                   for entry in catalog.line_data.values())
+        assert set(catalog.line_data) == _line_keys(truncations[0]) | _line_keys(truncations[2])
 
     def test_catalog_identity_unaffected(self, tanh_pair):
         """==, hash and to_dict ignore the line data; pickling carries it."""
@@ -414,9 +420,30 @@ class TestLineData:
         assert warm.to_dict() == fresh.to_dict()
         assert "line_data" not in repr(warm)
         copy = pickle.loads(pickle.dumps(warm))
-        assert copy == warm and list(copy.line_data) == list(warm.line_data)
-        (entry,) = copy.line_data.values()
-        assert entry["right"] == next(iter(warm.line_data.values()))["right"]
+        assert copy == warm and set(copy.line_data) == set(warm.line_data)
+        for key, value in warm.line_data.items():
+            if key[0] in ("tail", "jet"):
+                assert copy.line_data[key] == value
+
+    def test_catalog_none_integrates_only_at_the_truncation(self, tanh_pair, monkeypatch):
+        """Without a catalog, scattering integrates the smooth tails at +-T
+        only: no default anchor and no tail at it."""
+        anchors, levels = [], []
+
+        def tail_integral(side, anchor, real=tanh_pair.tail_integral):
+            anchors.append((side, anchor))
+            return real(side, anchor)
+
+        def tail_anchor(side, level, real=tanh_pair.tail_anchor):
+            levels.append(level)
+            return real(side, level)
+
+        monkeypatch.setattr(tanh_pair, "tail_integral", tail_integral)
+        monkeypatch.setattr(tanh_pair, "tail_anchor", tail_anchor)
+        rep = scattering_matrix(tanh_pair, 0.01, 0.05)
+        T = rep.truncation
+        assert sorted(anchors) == [("left", -T), ("right", T)]
+        assert TAIL_LEVEL not in levels
 
     def test_jost_basis_with_and_without_catalog(self, tanh_pair, tanh_pair_catalog):
         """Without a catalog the tails are computed as they are kept."""

@@ -10,6 +10,7 @@ from crossinglab.msa import MsaGrid, connection_T_numeric
 from crossinglab.oscillatory import omega_m
 from crossinglab.params import RegimeSplit
 from crossinglab.potential import ScaledTanhProduct, find_crossings, phase_integral
+from crossinglab.potential.catalog import default_anchors
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import predict_mixed
 from crossinglab.su2 import dense, normalized, su2_mul
@@ -316,25 +317,37 @@ class TestPredictedScattering:
                                   anchors=(11.0, -9.5)).p_pred
         assert p1 == pytest.approx(p2, abs=1e-13)
 
-    def test_default_anchors_reuse_the_catalog(self, tanh_pair, tanh_pair_catalog,
-                                               monkeypatch):
-        """No anchor search and no tail quadrature per call; same result as
-        passing the catalog's anchors explicitly."""
+    def test_default_anchors_reuse_the_catalog(self, tanh_pair, monkeypatch):
+        """The first call on a catalog searches the anchors and integrates the
+        tails; a second one, default or explicit anchors, does neither and
+        gives the same result as the default anchors passed explicitly."""
         h = 0.05
         eps = 0.04 * h**0.75
-        split = classify_regimes(tanh_pair_catalog.orders, eps, h)
-        anchors = tuple(t for t, _ in tanh_pair_catalog.tails)
-        explicit = predicted_scattering(tanh_pair, eps, h, split,
-                                        catalog=tanh_pair_catalog, anchors=anchors)
+        catalog = find_crossings(tanh_pair)
+        split = classify_regimes(catalog.orders, eps, h)
+        calls = []
+        for name in ("tail_anchor", "tail_integral"):
+            def spy(*args, name=name, real=getattr(tanh_pair, name)):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(tanh_pair, name, spy)
 
-        def no_call(*args):
-            raise AssertionError("tail recomputed")
+        def counted(anchors=None):
+            calls.clear()
+            pred = predicted_scattering(tanh_pair, eps, h, split, catalog=catalog,
+                                        anchors=anchors)
+            return pred, sorted(calls)
 
-        monkeypatch.setattr(tanh_pair, "tail_anchor", no_call)
-        monkeypatch.setattr(tanh_pair, "tail_integral", no_call)
-        pred = predicted_scattering(tanh_pair, eps, h, split, catalog=tanh_pair_catalog)
-        assert pred.p_pred == explicit.p_pred
-        assert np.array_equal(pred.s_matrix, explicit.s_matrix)
+        first, calls_first = counted()
+        assert calls_first == ["tail_anchor"] * 2 + ["tail_integral"] * 2
+        explicit, calls_explicit = counted(default_anchors(tanh_pair, catalog))
+        again, calls_again = counted()
+        assert calls_explicit == calls_again == []
+        assert counted((8.0, -8.0))[1] == ["tail_integral"] * 2
+        assert counted((8.0, -8.0))[1] == []
+        for pred in (explicit, again):
+            assert pred.p_pred == first.p_pred
+            assert np.array_equal(pred.s_matrix, first.s_matrix)
 
     def test_chain_serialization(self, tanh_pair, tanh_pair_catalog):
         h = 0.05
