@@ -74,8 +74,9 @@ def cmd_describe(args) -> int:
     catalog = find_crossings(model)
     info = {
         "potential": model.to_config(),
-        "v_right": model.v_right,
-        "v_left": model.v_left,
+        # a model without constant limits has none to report
+        "v_right": model.v_right if model.has_tails else None,
+        "v_left": model.v_left if model.has_tails else None,
         "catalog": {**catalog.to_dict(), "tails": _tails(model, catalog)},
     }
     if args.eps is not None and args.h is not None:

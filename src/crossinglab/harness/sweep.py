@@ -63,9 +63,7 @@ def _chain(model, catalog, eps, h, tol):
 
 def _mixed(model, catalog, eps, h, tol):
     split = classify_regimes(catalog.orders, eps, h)
-    tps = {k: turning_points(model, catalog, k, eps)
-           for k, a in enumerate(split.assignment) if a == "A"}
-    pred = predict_mixed(model, catalog, eps, h, split, turning_sets=tps)
+    pred = predict_mixed(model, catalog, eps, h, split)
     return pred.p_pred, pred
 
 
@@ -402,9 +400,9 @@ DEMO_STATIONS = (
 )
 
 
-def regime_switch_demo(potential: dict | None = None, stations=None,
-                       tol: float = 1e-7) -> dict:
-    """Walk a path across regime boundaries and report the parity switch.
+def regime_switch_demo(potential: dict | None = None, tol: float = 1e-7) -> dict:
+    """Walk the path of DEMO_STATIONS across regime boundaries and report
+    the parity switch.
 
     Each row records the per-crossing smallness parameters, the strict and
     demo-scale regime classifications, the parity prediction for P (near one
@@ -412,7 +410,6 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
     and the observed class from the numerically exact P.
     """
     potential = potential or DEMO_POTENTIAL
-    stations = stations or DEMO_STATIONS
     model = model_from_config(potential)
     catalog = find_crossings(model)
     orders = catalog.orders
@@ -420,7 +417,7 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
 
     rows = []
     n_forbidden = 0
-    for alpha, h in stations:
+    for alpha, h in DEMO_STATIONS:
         eps = h ** alpha
         mus = [mu(m, eps, h) for m in orders]
         try:
@@ -466,30 +463,34 @@ def regime_switch_demo(potential: dict | None = None, stations=None,
     }
 
 
-def sharp_decay_slope(potential: dict | None = None, h: float = 1e-4,
-                      mu_range=(2.5, 5.0), samples: int = 72,
-                      crossing: int | None = None) -> dict:
-    """Fit the exponential decay rate of the adiabatic coupling.
+DECAY_H = 1e-4
+DECAY_MU_RANGE = (2.5, 5.0)
+DECAY_SAMPLES = 72
+
+
+def sharp_decay_slope(potential: dict | None = None) -> dict:
+    """Fit the exponential decay rate of the adiabatic coupling at the
+    crossing of highest order.
 
     The coupling is a two-saddle interference, |beta| =
     envelope(mu) * |2 cos(phase)|, so the raw log-values oscillate below the
     envelope line.  The envelope decay -a_k is fitted on the upper convex
-    hull of (mu^((m+1)/m), log|beta|) and compared with the decay
-    coefficient extracted independently from the turning-point actions at
-    small eps.
+    hull of (mu^((m+1)/m), log|beta|), over DECAY_SAMPLES values of mu in
+    DECAY_MU_RANGE at h = DECAY_H, and compared with the decay coefficient
+    extracted independently from the turning-point actions at small eps.
     """
     potential = potential or DEMO_POTENTIAL
     model = model_from_config(potential)
     catalog = find_crossings(model)
-    if crossing is None:
-        crossing = max(range(catalog.n), key=lambda k: catalog.crossings[k].m)
+    crossing = max(range(catalog.n), key=lambda k: catalog.crossings[k].m)
     m = catalog.crossings[crossing].m
     exponent = (m + 1.0) / m
+    h = DECAY_H
 
     ref = turning_points(model, catalog, crossing, 1e-4)
     a_ref = ref.a_min
 
-    mus = np.linspace(mu_range[0], mu_range[1], samples)
+    mus = np.linspace(DECAY_MU_RANGE[0], DECAY_MU_RANGE[1], DECAY_SAMPLES)
     xs, ys = [], []
     for mu_val in mus:
         eps = mu_val * h ** (m / (m + 1.0))
@@ -508,7 +509,7 @@ def sharp_decay_slope(potential: dict | None = None, h: float = 1e-4,
         "crossing": crossing, "m": m, "a_turning_point": float(a_ref),
         "fitted_decay": float(-slope),
         "rel_error": float(abs(-slope - a_ref) / a_ref),
-        "hull_points": len(hull_x), "mu_range": list(mu_range), "h": h,
+        "hull_points": len(hull_x), "mu_range": list(DECAY_MU_RANGE), "h": h,
     }
 
 

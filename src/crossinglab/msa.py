@@ -12,10 +12,10 @@ a tail O(mu^(2(d+1))) with mu = eps * h^(-m/(m+1)).  Everything is sampled on
 a uniform grid fine enough that the fastest phase advances by a fraction of a
 radian per interval.  Cumulative integrals, the grid phase among them (from
 one evaluation of V per node), use the sixth-order fixed-weight rule
-``quadrature.cumulative_uniform``, and values between nodes come from the
-degree-5 Lagrange interpolant on the same six-node stencil.  The grid phase
-is accumulated outward from the node nearest t_ref, so that it is exactly 0
-at a t_ref that is a node.  Base points must be grid nodes.
+``quadrature.cumulative_uniform``; solutions are read at the nodes only,
+with no interpolation between them.  The grid phase is accumulated outward
+from the node nearest t_ref, so that it is exactly 0 at a t_ref that is a
+node.  Base points must be grid nodes.
 
 The series runs in the interaction frame: with s the sign of the leading
 component, its terms f, g are carried as F = f u^{-s} and G = g u^{s}, and
@@ -30,7 +30,7 @@ terms at that node alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +43,6 @@ GRID_MIN_POINTS = 4097
 GRID_PHASE_STEP = 0.2     # max radians of the fastest phase per grid interval
 GRID_MAX_POINTS = 1 << 21
 NODE_TOL = 1e-9           # fraction of a grid step within which a point is a node
-_STENCIL = np.arange(6)   # interpolation nodes, in grid steps from the stencil start
-# prod_{k != j} (j - k): denominators of the Lagrange basis on the nodes 0..5
-_LAGRANGE_DENOM = np.array([np.prod([j - k for k in range(6) if k != j]) for j in range(6)],
-                           dtype=float)
 
 
 def grid_size(model, h: float, a: float, b: float) -> int:
@@ -80,8 +76,7 @@ class MsaGrid:
               n: int | None = None) -> "MsaGrid":
         """Grid of ``n`` points (default ``grid_size``) from interval[0] to
         interval[1].  A reversed interval gives descending points and dx < 0,
-        which the cumulative rule handles; ``index`` and ``interp`` need
-        ascending points."""
+        which the cumulative rule handles; ``index`` needs ascending points."""
         a, b = float(interval[0]), float(interval[1])
         if n is None:
             n = grid_size(model, h, a, b)
@@ -112,32 +107,13 @@ class MsaGrid:
                              f"[{self.points[0]}, {self.points[-1]}]")
         return i
 
-    def interp(self, values: np.ndarray, t):
-        """Degree-5 Lagrange interpolant through the six nodes nearest t (the
-        first or last six at the ends), the stencil of cumulative_uniform."""
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.points[0]) or np.any(t > self.points[-1]):
-            raise ValueError(f"t outside the grid [{self.points[0]}, {self.points[-1]}]")
-        pos = (t - self.points[0]) / self.dx
-        start = np.clip(np.floor(pos).astype(int) - 2, 0, len(self.points) - 6)
-        diff = (pos - start)[..., None] - _STENCIL
-        basis = np.stack([np.prod(np.delete(diff, j, axis=-1), axis=-1)
-                          for j in range(6)], axis=-1) / _LAGRANGE_DENOM
-        return np.sum(basis * values[start[..., None] + _STENCIL], axis=-1)
 
-
-def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray,
-            out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """Volterra application K_a^+- f on the grid (sign +1 for K^+); the base
-    point ``a`` must be a grid node.
-
-    ``out`` and ``work``, complex arrays of the grid's length, are filled in
-    place instead of allocating: ``out`` receives the result (it may be
-    ``f`` itself), ``work`` is scratch and must be neither ``f`` nor ``out``.
-    """
+def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray) -> np.ndarray:
+    """Volterra application K_a^+- f on the grid (sign +1 for K^+) in the lab
+    frame, as a new array; the base point ``a`` must be a grid node."""
     i = grid.index(a)
-    g = np.multiply(f, grid.u(-sign), out=work)    # f / u^{sign} = f * u^{-sign}
-    cumulative = cumulative_uniform(g, grid.dx, out=out, origin=i)
+    g = f * grid.u(-sign)    # f / u^{sign} = f * u^{-sign}
+    cumulative = cumulative_uniform(g, grid.dx, origin=i)
     cumulative *= np.multiply(grid.u(sign), 1j / grid.h, out=g)
     return cumulative
 
@@ -145,18 +121,9 @@ def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray,
 @dataclass
 class MsaSolution:
     grid: MsaGrid
-    which: str                  # "w1" or "w2"
-    base_plus: float
-    base_minus: float
-    depth: int
     comp1: np.ndarray
     comp2: np.ndarray
-    term_sups: list = field(default_factory=list)
     truncation_estimate: float = 0.0
-
-    def at(self, t) -> np.ndarray:
-        return np.array([self.grid.interp(self.comp1, t),
-                         self.grid.interp(self.comp2, t)])
 
 
 def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
@@ -235,9 +202,7 @@ def msa_solution(model, eps: float, h: float, which: str,
         comp1, comp2 = comp_lead, comp_other
     else:
         comp1, comp2 = comp_other, comp_lead
-    return MsaSolution(grid=grid, which=which, base_plus=a_plus, base_minus=a_minus,
-                       depth=depth, comp1=comp1, comp2=comp2,
-                       term_sups=sups, truncation_estimate=tail)
+    return MsaSolution(grid=grid, comp1=comp1, comp2=comp2, truncation_estimate=tail)
 
 
 def residual_norm(sol: MsaSolution, eps: float) -> float:

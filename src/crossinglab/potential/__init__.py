@@ -8,8 +8,6 @@ from .families import (
 from .catalog import (
     Crossing,
     CrossingCatalog,
-    area_adjacent,
-    area_between,
     find_crossings,
     phase_integral,
     regularized_action,
@@ -19,6 +17,6 @@ from .turning import TurningPoint, TurningPointSet, turning_points
 __all__ = [
     "PotentialModel", "LinearLZ", "ScaledTanhProduct", "PolynomialWindowed",
     "model_from_config", "Crossing", "CrossingCatalog", "find_crossings",
-    "area_between", "regularized_action",
+    "regularized_action",
     "phase_integral", "TurningPoint", "TurningPointSet", "turning_points",
 ]

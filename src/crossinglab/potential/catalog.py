@@ -32,6 +32,8 @@ from .families import PotentialModel
 ORDER_TOL = 1e-9       # |V^(l)| below ORDER_TOL * scale counts as vanishing
 MAX_ZERO_ORDER = 12
 TAIL_LEVEL = 1e-10     # tail envelope at the default anchors of the actions R
+TAIL_VANISH_TOL = 1e-13  # |tail integral| below which an anchor is refused
+SCAN_POINTS = 4001     # samples of the sign-change scan in find_crossings
 SIDES = ("right", "left")
 
 
@@ -141,8 +143,7 @@ def _polish_zero(model: PotentialModel, t0: float) -> float:
 
 
 def find_crossings(model: PotentialModel,
-                   search_interval: tuple[float, float] | None = None,
-                   scan_points: int = 4001) -> CrossingCatalog:
+                   search_interval: tuple[float, float] | None = None) -> CrossingCatalog:
     """Locate all real zeros of V with their orders and leading coefficients.
 
     Builtin families expose their zero candidates exactly; a sign-change scan
@@ -158,7 +159,7 @@ def find_crossings(model: PotentialModel,
     if len(candidates) != len(model.candidate_zeros()):
         raise BracketingFailed("family zeros fall outside the search interval")
 
-    ts = np.linspace(lo, hi, scan_points)
+    ts = np.linspace(lo, hi, SCAN_POINTS)
     vs = np.real(model.eval(ts))
     sign_changes = np.nonzero(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0)[0]
     for idx in sign_changes:
@@ -216,25 +217,6 @@ def phase_integral(model: PotentialModel, a: float, b: float) -> float:
     return integrate_smooth(lambda s: np.real(model.eval(s)), a, b)
 
 
-def area_between(catalog: CrossingCatalog, j: int, k: int) -> float:
-    """Phase-space area 2 * integral of |V| between crossings j and k (j < k).
-
-    Indices follow the catalog ordering (decreasing t), so crossing j lies to
-    the right of crossing k.  V keeps its sign on each gap, so the area is
-    twice the sum of the absolute gap integrals.
-    """
-    if j == k:
-        return 0.0
-    if not (0 <= j < k < catalog.n):
-        raise IndexError(f"need 0 <= j < k < {catalog.n}")
-    return 2.0 * sum(abs(g) for g in catalog.gaps[j:k])
-
-
-def area_adjacent(catalog: CrossingCatalog, k: int) -> float:
-    """Area A_k between consecutive crossings k and k+1 (0-based)."""
-    return area_between(catalog, k, k + 1)
-
-
 def tail_integral(model: PotentialModel, catalog: CrossingCatalog, side: str,
                   anchor: float) -> float:
     """integral of V - V_side from the anchor out to the side's infinity,
@@ -251,8 +233,7 @@ def default_anchors(model: PotentialModel, catalog: CrossingCatalog) -> tuple[fl
 
 
 def regularized_action(model: PotentialModel, side: str, t_anchor: float,
-                       catalog: CrossingCatalog | None = None,
-                       vanish_tol: float = 1e-13) -> float:
+                       catalog: CrossingCatalog | None = None) -> float:
     """Action constant R with the infinite tail folded in.
 
     R_r = V_r * t_r + integral_{+inf}^{t_r} (V - V_r), and the mirrored
@@ -270,7 +251,7 @@ def regularized_action(model: PotentialModel, side: str, t_anchor: float,
         if side == "left" and t_anchor >= catalog.positions[-1]:
             raise AnchorInsideCrossings(f"anchor {t_anchor} not beyond t_n")
     tail = tail_integral(model, catalog, side, t_anchor)
-    if abs(tail) < vanish_tol:
+    if abs(tail) < TAIL_VANISH_TOL:
         raise TailIntegralVanishes(
             f"tail integral {tail:.3e} at anchor {t_anchor}; move the anchor")
     v_inf = model.v_right if side == "right" else model.v_left

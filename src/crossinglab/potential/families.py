@@ -31,8 +31,6 @@ import numpy as np
 from ..errors import ConfigError
 from ..quadrature import integrate_smooth
 
-_MAX_JET_ORDER = 24
-
 
 # ----------------------------------------------------------------------------
 # Jet (truncated Taylor series) arithmetic, the one engine behind every exact
@@ -229,14 +227,6 @@ class PotentialModel:
         For an array of base points the result has shape (n + 1,) + shape(t0).
         """
         raise NotImplementedError
-
-    def derivative(self, t0, order: int):
-        """Exact derivative V^(order)(t0) from the Taylor jet."""
-        if order > _MAX_JET_ORDER:
-            raise ConfigError(f"derivative order {order} beyond jet cap {_MAX_JET_ORDER}")
-        c = self.taylor(t0, order)
-        val = c[order] * math.factorial(order)
-        return complex(val) if np.iscomplexobj(val) else float(val)
 
     # -- structure -----------------------------------------------------------
     @property

@@ -33,6 +33,7 @@ NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-12
 EPS_MACHINE = float(np.finfo(float).eps)
 ROUNDING_ULPS = 4.0
+ACTION_NODES = 48      # Gauss-Legendre nodes along each action path
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,14 @@ def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> 
     return z
 
 
-def _actions(model: PotentialModel, t_k: float, zeta: np.ndarray, eps: np.ndarray,
-             n_nodes: int = 48):
+def _actions(model: PotentialModel, t_k: float, zeta: np.ndarray, eps: np.ndarray):
     """2 * integral along each straight segment, branch +eps at t_k.
 
     The substitution s = 1 - u^2 removes the square-root endpoint singularity
     at the turning point.  Walking from t_k, each node takes the square root
     nearer to the value at the node before, starting from +eps.
     """
-    x, w = gauss_legendre(n_nodes)
+    x, w = gauss_legendre(ACTION_NODES)
     u = 0.5 * (x + 1.0)          # nodes on (0,1)
     wu = 0.5 * w
     s = 1.0 - u[::-1] ** 2       # path parameter in walking order, from 0 to 1

@@ -91,8 +91,8 @@ class NonadiabaticPrediction:
         }
 
 
-def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
-                         allow_order_one: bool = False) -> NonadiabaticPrediction:
+def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float,
+                         h: float) -> NonadiabaticPrediction:
     """Leading asymptotics of P when every crossing is crossed diabatically.
 
     Raises RegimeViolation unless the regime rule classes every crossing "N".
@@ -100,11 +100,10 @@ def predict_nonadiabatic(model, catalog: CrossingCatalog, eps: float, h: float,
     if not catalog.crossings:
         raise MStarTooSmall("no crossing: the leading coefficient needs one")
     m_star = catalog.m_star
-    if m_star < 2 and not allow_order_one:
+    if m_star < 2:
         raise MStarTooSmall(
             "leading coefficient requires a tangential crossing; transversal-only "
-            "catalogs need the log-corrected treatment (enable allow_order_one "
-            "for diagnostics)")
+            "catalogs need the log-corrected treatment")
     split = classify_regimes(catalog.orders, eps, h)
     if "A" in split.assignment:
         raise RegimeViolation(f"crossings {split.assignment} at eps={eps:.4g}, h={h:.4g}: "
@@ -205,8 +204,9 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     probability of the chain, then applies the combined parity rule.  The
     diabatic pairs stay unnormalized: the mu^2 adjustment belongs to the
     error term, and the reduction to the all-diabatic coefficient must be
-    exact.  Raises RegimeViolation unless ``split`` is the regime rule's
-    split at (eps, h).
+    exact.  Turning points missing from ``turning_sets`` are solved; the error
+    gauges read the sets the chain was built from.  Raises RegimeViolation
+    unless ``split`` is the regime rule's split at (eps, h).
     """
     if len(split.assignment) != catalog.n:
         raise ValueError("regime split does not match catalog")
@@ -230,10 +230,9 @@ def _predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     mu_sharp = mu(split.m_sharp, eps, h) if split.m_sharp else 0.0
     exponent = (split.m_sharp + 1.0) / split.m_sharp if split.m_sharp else 0.0
     # exp(-a_k mu_sharp^((m+1)/m)) at each sharp crossing of the smallest order
-    sharp_exps = {k: math.exp(-turning_sets[k].a_min * mu_sharp ** exponent)
-                  for k, tag in enumerate(split.assignment)
-                  if tag == "A" and turning_sets and k in turning_sets
-                  and catalog.crossings[k].m == split.m_sharp}
+    sharp_exps = {k: math.exp(-tps.a_min * mu_sharp ** exponent)
+                  for k, tps in chain.turning_sets.items()
+                  if catalog.crossings[k].m == split.m_sharp}
     blocks, coeffs = _mixed_blocks(catalog, split, alphas, betas, nus, mu_flat, sharp_exps)
     eps1, eps2 = _error_gauges(split, h, mu_flat, mu_sharp, exponent, sharp_exps)
     return MixedPrediction(eps=eps, h=h, n_sharp_odd=split.n_sharp_odd,

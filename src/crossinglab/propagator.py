@@ -327,13 +327,3 @@ def _dop853_matrix(model, eps, h, t0, t1, tol, diagnostics):
         det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
         diagnostics.norm_drift = float(abs(abs(det) - 1.0))
     return mat
-
-
-def propagate(model, eps: float, h: float, t0: float, t1: float, psi0,
-              tol: float = 1e-10, method: str = "magnus6",
-              diagnostics: PropagationDiagnostics | None = None) -> np.ndarray:
-    """Propagate a state vector from t0 to t1 with local error control."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    mat = fundamental_matrix(model, eps, h, t0, t1, tol=tol, method=method,
-                             diagnostics=diagnostics)
-    return mat @ psi0

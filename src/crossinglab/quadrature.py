@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import QuadratureTolExceeded
 
+PANEL_RTOL = 1e-13     # accepted error estimate of integrate_panels, relative
+PANEL_ATOL = 1e-15     # and absolute
+
 
 @lru_cache(maxsize=16)
 def gauss_legendre(n: int):
@@ -88,9 +91,7 @@ def adaptive_mesh(sampled, boost: float, max_points: int) -> np.ndarray:
     return mesh
 
 
-def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125,
-                     order: int = 16, rtol: float = 1e-13,
-                     atol: float = 1e-15) -> float:
+def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125) -> float:
     """Composite Gauss-Legendre integral of a smooth vectorized function.
 
     Equal panels no longer than ``max_panel``; see ``integrate_panels``.
@@ -102,16 +103,15 @@ def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125,
         a, b = b, a
         sign = -1.0
     n_panels = max(1, int(np.ceil((b - a) / max_panel)))
-    return sign * integrate_panels(fn, np.linspace(a, b, n_panels + 1), order, rtol, atol)
+    return sign * integrate_panels(fn, np.linspace(a, b, n_panels + 1))
 
 
-def integrate_panels(fn, edges: np.ndarray, order: int = 16, rtol: float = 1e-13,
-                     atol: float = 1e-15) -> float:
+def integrate_panels(fn, edges: np.ndarray, order: int = 16) -> float:
     """Composite Gauss-Legendre integral over the panels between ascending edges.
 
     A complex-valued ``fn`` gives a complex integral.  Compares the requested
     order against order//2 on the same panels as an error estimate; raises
-    QuadratureTolExceeded when it is not met.
+    QuadratureTolExceeded when it exceeds PANEL_ATOL + PANEL_RTOL max(1, |I|).
     """
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -126,7 +126,7 @@ def integrate_panels(fn, edges: np.ndarray, order: int = 16, rtol: float = 1e-13
     hi = composite(order)
     lo = composite(max(4, order // 2))
     err = abs(hi - lo)
-    if err > atol + rtol * max(1.0, abs(hi)):
+    if err > PANEL_ATOL + PANEL_RTOL * max(1.0, abs(hi)):
         raise QuadratureTolExceeded(
             f"smooth quadrature error estimate {err:.3e} over [{edges[0]}, {edges[-1]}]")
     return hi

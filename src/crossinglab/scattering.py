@@ -61,7 +61,6 @@ import numpy as np
 from .adiabatic import WindowPlan, plan_windows
 from .errors import ConfigError, TailNotConverged
 from .potential.catalog import CrossingCatalog, find_crossings, tail_integral
-from .potential.families import _MAX_JET_ORDER
 from .propagator import (
     PropagationDiagnostics,
     _density_samples,
@@ -137,6 +136,7 @@ def free_basis(angles: JostAngles, h: float, t: float) -> tuple[complex, complex
 
 # multiple of eps_machine |V_inf| / omega below which a tail bound is not reported
 _ROUNDOFF_FLOOR = 4.0
+_MAX_JET_ORDER = 24    # derivatives of V - V_inf that the tail series takes
 
 
 def _rounding_floor(v_inf: float, omega: float) -> float:

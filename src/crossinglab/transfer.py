@@ -21,7 +21,7 @@ separately so the full product can serve as their oracle.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,21 +89,16 @@ def wkb_alpha_beta(k: int, eps: float, h: float, catalog: CrossingCatalog,
     return alpha, beta
 
 
-def crossing_transfer_adiabatic(k: int, eps: float, h: float,
-                                catalog: CrossingCatalog,
-                                tps: TurningPointSet | None = None,
-                                model=None) -> AdiabaticFactor:
-    """Adiabatic-crossing factor with the parity case table applied.
+def crossing_transfer_adiabatic(k: int, eps: float, h: float, catalog: CrossingCatalog,
+                                tps: TurningPointSet) -> AdiabaticFactor:
+    """Adiabatic-crossing factor with the parity case table applied, from
+    the turning points ``tps`` of crossing k.
 
     The dressing depends on (m_k parity, sigma_{k-1} parity); odd orders pull
     out an i*Q factor recorded separately so the SU(2) product algebra applies
     to the rest.
     """
     c = catalog.crossings[k]
-    if tps is None:
-        if model is None:
-            raise ValueError("need either turning points or the model")
-        tps = turning_points(model, catalog, k, eps)
     alpha, beta = wkb_alpha_beta(k, eps, h, catalog, tps)
     a, b = normalized(alpha, beta)
     s_odd = catalog.sigma_before(k) % 2 == 1
@@ -150,7 +145,8 @@ class ChainFactors:
     set when i*Q stands to its left.  ``phases[k]`` is e^{-i gap_k/h}, the
     diagonal factor between crossings k and k+1.  ``flipped[k]`` marks the
     crossings from an odd-order adiabatic crossing up to the next one, whose
-    factors the flip-conjugated chain replaces by Q M Q.
+    factors the flip-conjugated chain replaces by Q M Q.  ``turning_sets[k]``
+    holds the turning points that built the factor of each "A" crossing k.
     """
 
     split: RegimeSplit
@@ -158,6 +154,7 @@ class ChainFactors:
     iq: tuple[bool, ...]
     phases: tuple[complex, ...]
     flipped: tuple[bool, ...]
+    turning_sets: dict[int, TurningPointSet] = field(default_factory=dict, compare=False)
 
     def flip_conjugated(self, pairs):
         """``pairs`` and the phases with every flagged factor replaced by Q M Q.
@@ -177,21 +174,23 @@ def chain_factors(model, eps: float, h: float, split: RegimeSplit,
     """Each crossing's factor, the phases between crossings and the flip flags.
 
     Adiabatic factors use ``turning_sets[k]`` where given and solve for the
-    turning points otherwise.  The split is taken as it is.
+    turning points otherwise; the sets used are kept on the result.  The
+    split is taken as it is.
     """
-    pairs, iq = [], []
+    given = turning_sets or {}
+    pairs, iq, used = [], [], {}
     for k, tag in enumerate(split.assignment):
         if tag == "N":
             pairs.append(crossing_transfer_nonadiabatic(k, eps, h, catalog))
             iq.append(False)
         else:
-            tps = None if turning_sets is None else turning_sets.get(k)
-            f = crossing_transfer_adiabatic(k, eps, h, catalog, tps=tps, model=model)
+            used[k] = given[k] if k in given else turning_points(model, catalog, k, eps)
+            f = crossing_transfer_adiabatic(k, eps, h, catalog, used[k])
             pairs.append(f.pair)
             iq.append(f.has_iq)
     phases = tuple(cmath.exp(-1j * g / h) for g in catalog.gaps)
     return ChainFactors(split, tuple(pairs), tuple(iq), phases,
-                        tuple(_tilde_flags(split, catalog.n)))
+                        tuple(_tilde_flags(split, catalog.n)), used)
 
 
 def su2_chain_product(pairs) -> tuple[complex, complex]:

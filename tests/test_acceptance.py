@@ -23,7 +23,6 @@ from crossinglab.potential import (
     ScaledTanhProduct,
     find_crossings,
 )
-from crossinglab.potential.catalog import area_adjacent
 from crossinglab.predictor import gamma_factor, quantization_ladder
 from crossinglab.scattering import landau_zener_probability, scattering_matrix
 from crossinglab.su2 import dense
@@ -87,7 +86,7 @@ def test_criterion_3_interference_cos_squared():
         {"power": 3, "slope": 1.0, "center": -2.0},
     ])
     catalog = find_crossings(model)
-    area = area_adjacent(catalog, 0)
+    area = 2.0 * abs(catalog.gaps[0])
     v = abs(catalog.crossings[0].v)
     amp = 4.0 * gamma_factor(3) * v ** (-0.5)
     mu3 = 0.05
@@ -129,7 +128,7 @@ def test_criterion_4_degenerate_stationary_phase():
     }
     slopes = {}
     for m, model in cases.items():
-        v = model.derivative(0.0, m)
+        v = float(math.factorial(m) * model.taylor(0.0, m)[m])
         hs = 0.2 * 2.0 ** -np.arange(6)
         resid = []
         for h in hs:

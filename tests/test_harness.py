@@ -444,10 +444,9 @@ class TestCli:
         assert out["regimes"] == ["N"]
 
     def test_describe_prints_the_tails(self, tmp_path, capsys):
-        """The default anchor and tail integral per side for the tanh pair
-        (pure LZ has no limits to describe); the catalog's own to_dict holds
-        no memo contents, so a warm and a fresh catalog still compare and
-        serialize equal."""
+        """The default anchor and tail integral per side for the tanh pair;
+        the catalog's own to_dict holds no memo contents, so a warm and a
+        fresh catalog still compare and serialize equal."""
         pair = model_from_config(TANH_PAIR_DOC)
         anchors = [pair.tail_anchor(side, TAIL_LEVEL) for side in ("right", "left")]
         rc = cli_main(["describe", "--config", self._write_cfg(tmp_path, TANH_PAIR_DOC)])
@@ -455,13 +454,21 @@ class TestCli:
         tails = json.loads(capsys.readouterr().out)["catalog"]["tails"]
         assert tails == {side: {"anchor": t, "integral": pair.tail_integral(side, t)}
                          for side, t in zip(("right", "left"), anchors)}
-        lz_pure = {"family": "linear_lz", "params": {"slope": 1.0}}
-        assert cli_main(["describe", "--config", self._write_cfg(tmp_path, lz_pure)]) == 2
         warm, fresh = find_crossings(pair), find_crossings(pair)
         regularized_actions(pair, warm)
         assert warm.line_data and not fresh.line_data
         assert warm == fresh and json.dumps(warm.to_dict()) == json.dumps(fresh.to_dict())
         assert "tails" not in warm.to_dict()
+
+    def test_describe_without_tail_limits(self, tmp_path, capsys):
+        """Pure LZ has no constant limits: describe reports them as null,
+        the tails as failed, and still lists the crossing at 0."""
+        lz_pure = {"family": "linear_lz", "params": {"slope": 1.0}}
+        assert cli_main(["describe", "--config", self._write_cfg(tmp_path, lz_pure)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["v_right"] is None and out["v_left"] is None
+        assert out["catalog"]["tails"].startswith("failed: ")
+        assert [(c["t"], c["m"]) for c in out["catalog"]["crossings"]] == [(0.0, 1)]
 
     def test_describe_reports_the_band(self, tmp_path, capsys):
         """Demo orders (1, 3) at mu_1 = 5, mu~_1 = 15.2: the order-1 crossing

@@ -15,7 +15,7 @@ from crossinglab.msa import (
 )
 from crossinglab.oscillatory import omega_m
 from crossinglab.potential import PolynomialWindowed, find_crossings, phase_integral
-from crossinglab.propagator import propagate
+from crossinglab.propagator import fundamental_matrix
 from crossinglab.quadrature import cumulative_uniform
 
 
@@ -131,33 +131,6 @@ class TestApplyK:
             apply_K(grid, +1, -0.7 + offset * grid.dx, grid.u_minus)
 
 
-    def test_buffers_are_bitwise(self, cubic_setup):
-        """out and work buffers, out being f itself included, change no bit."""
-        _, _, _, grid = cubic_setup
-        f = grid.u_minus * np.cos(grid.points)
-        want = apply_K(grid, +1, -0.7, f)
-        out, work = np.empty_like(f), np.empty_like(f)
-        assert apply_K(grid, +1, -0.7, f, out=out, work=work) is out
-        assert out.tobytes() == want.tobytes()
-        f_copy = f.copy()
-        apply_K(grid, +1, -0.7, f_copy, out=f_copy, work=work)
-        assert f_copy.tobytes() == want.tobytes()
-
-
-class TestInterp:
-    def test_exact_on_quintics_between_nodes(self, cubic_setup):
-        _, _, _, grid = cubic_setup
-        poly = np.polynomial.Polynomial([0.3, -1.0, 2.0, 0.5, -4.0, 1.5])
-        t = np.array([-0.7, -0.7 + 0.3 * grid.dx, -0.1234, 0.0, 0.5678,
-                      0.7 - 0.6 * grid.dx, 0.7])
-        assert np.max(np.abs(grid.interp(poly(grid.points), t) - poly(t))) < 1e-12
-
-    def test_outside_grid_raises(self, cubic_setup):
-        _, _, _, grid = cubic_setup
-        with pytest.raises(ValueError):
-            grid.interp(grid.u_plus, 0.71)
-
-
 class TestMsaSolution:
     def test_eps_zero_is_free(self, cubic_setup):
         model, _, h, grid = cubic_setup
@@ -217,7 +190,7 @@ class TestMsaSolution:
         model, _, h, grid = cubic_setup
         eps = 0.03 * h**0.75
         w1 = msa_solution(model, eps, h, "w1", 0.7, 0.7, depth=3, grid=grid)
-        vals = w1.at(0.7)
+        vals = w1.comp1[-1], w1.comp2[-1]      # 0.7 is the last node
         assert vals[0] == pytest.approx(grid.u_plus[-1], rel=1e-10)
         assert abs(vals[1]) < 1e-10
 
@@ -354,8 +327,10 @@ class TestConnection:
         model, cat, h, grid = cubic_setup
         eps = 0.05 * h**0.75
         w1l = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=3, grid=grid)
-        psi_r = propagate(model, eps, h, -0.7, 0.7, w1l.at(-0.7), tol=1e-12)
-        msa_vals = w1l.at(0.7)
+        # -0.7 and 0.7 are the grid's end nodes
+        psi_l = np.array([w1l.comp1[0], w1l.comp2[0]])
+        psi_r = fundamental_matrix(model, eps, h, -0.7, 0.7, tol=1e-12) @ psi_l
+        msa_vals = np.array([w1l.comp1[-1], w1l.comp2[-1]])
         assert np.max(np.abs(psi_r - msa_vals)) < 1e-6
 
     def test_first_order_coupling_rate(self, tanh_cubed, tanh_cubed_catalog):

@@ -16,7 +16,6 @@ from crossinglab.potential import (
     LinearLZ,
     PolynomialWindowed,
     ScaledTanhProduct,
-    area_between,
     find_crossings,
     model_from_config,
     phase_integral,
@@ -25,7 +24,6 @@ from crossinglab.potential import (
 from crossinglab.potential.catalog import (
     SIDES,
     TAIL_LEVEL,
-    area_adjacent,
     default_anchors,
     regularized_actions,
 )
@@ -85,7 +83,7 @@ class TestDerivatives:
         # the polynomial-fit oracle itself loses accuracy with the order
         rel = 1e-6 if order <= 3 else 1e-4
         for t0 in rng.uniform(-2, 2, 8):
-            exact = tanh_cubed.derivative(float(t0), order)
+            exact = math.factorial(order) * tanh_cubed.taylor(float(t0), order)[order]
             approx = high_order_fd(tanh_cubed, float(t0), order)
             assert exact == pytest.approx(approx, rel=rel, abs=1e-8)
 
@@ -100,7 +98,7 @@ class TestDerivatives:
         ts = rng.uniform(-3, 3, 100)
         for model in models:
             vec = np.asarray(model.deriv(ts), dtype=float)
-            jets = np.array([model.derivative(float(t), 1) for t in ts])
+            jets = np.array([model.taylor(float(t), 1)[1] for t in ts])
             np.testing.assert_allclose(vec, jets, rtol=1e-8, atol=1e-10)
 
     def test_antiderivative_consistency(self, tanh_cubed):
@@ -296,10 +294,16 @@ class TestGaps:
         assert cat.phase_between(1, 1) == 0.0
 
     def test_area_is_twice_absolute_gaps(self):
-        cat = find_crossings(ScaledTanhProduct(1.0, THREE_ODD))
+        """The area 2 * integral of |V| across a sign change of V is twice
+        the sum of the absolute gaps."""
+        model = ScaledTanhProduct(1.0, THREE_ODD)
+        cat = find_crossings(model)
         assert cat.gaps[0] * cat.gaps[1] < 0  # V changes sign at the middle zero
-        assert area_between(cat, 0, 2) == 2.0 * (abs(cat.gaps[0]) + abs(cat.gaps[1]))
-        assert area_adjacent(cat, 1) == 2.0 * abs(cat.gaps[1])
+        pts = cat.positions
+        oracle = quad(lambda t: abs(float(np.real(model.eval(t)))), pts[2], pts[0],
+                      points=[pts[1]], epsabs=1e-13, epsrel=1e-13)[0]
+        assert 2.0 * (abs(cat.gaps[0]) + abs(cat.gaps[1])) == pytest.approx(
+            2.0 * oracle, rel=1e-10)
 
     def test_single_crossing_has_no_gaps(self, tanh_cubed_catalog):
         assert tanh_cubed_catalog.gaps == ()
@@ -307,7 +311,7 @@ class TestGaps:
 
 class TestAreas:
     def test_trivial_same_index(self, tanh_pair, tanh_pair_catalog):
-        assert area_between(tanh_pair_catalog, 0, 0) == 0.0
+        assert tanh_pair_catalog.phase_between(0, 0) == 0.0
 
     def test_linear_absolute_area(self):
         """2 * integral_{-1}^{1} |t| dt = 2, via the split-at-zero quadrature."""
@@ -319,15 +323,18 @@ class TestAreas:
     def test_pair_area_vs_quad_oracle(self, tanh_pair, tanh_pair_catalog):
         oracle = quad(lambda t: abs(np.tanh(t - 2) ** 3 * np.tanh(t + 2) ** 3),
                       -2.0, 2.0, epsabs=1e-13, epsrel=1e-13)[0]
-        area = area_adjacent(tanh_pair_catalog, 0)
+        area = 2.0 * abs(tanh_pair_catalog.gaps[0])
         assert area == pytest.approx(2.0 * oracle, rel=1e-10)
 
     def test_additivity(self):
+        """V keeps its sign across the even-order middle zero, so the area
+        over both gaps, the sum of the two adjacent areas, is twice one
+        quadrature of V over the span."""
         model = ScaledTanhProduct(1.0, THREE_MIXED)
         cat = find_crossings(model)
-        a02 = area_between(cat, 0, 2)
-        a01 = area_between(cat, 0, 1)
-        a12 = area_between(cat, 1, 2)
+        pts = cat.positions
+        a01, a12 = 2.0 * abs(cat.gaps[0]), 2.0 * abs(cat.gaps[1])
+        a02 = 2.0 * abs(phase_integral(model, pts[2], pts[0]))
         assert a02 == pytest.approx(a01 + a12, rel=1e-12)
 
 
@@ -335,9 +342,8 @@ class TestRegularizedAction:
     def test_constant_tail(self, lz_windowed):
         """Far beyond the window the tail correction is negligible."""
         cat = find_crossings(lz_windowed, (-9, 9))
-        t_r = 20.0
-        r = regularized_action(lz_windowed, "right", t_r, catalog=cat,
-                               vanish_tol=0.0)
+        t_r = 14.0
+        r = regularized_action(lz_windowed, "right", t_r, catalog=cat)
         assert r == pytest.approx(lz_windowed.v_right * t_r, abs=1e-10)
 
     def test_tanh_cubed_closed_form(self, tanh_cubed, tanh_cubed_catalog):

@@ -10,7 +10,6 @@ from crossinglab.oscillatory import omega_m
 from crossinglab.params import RegimeSplit
 from crossinglab.potential import ScaledTanhProduct, find_crossings, phase_integral
 import crossinglab.potential.catalog as catalog_module
-from crossinglab.potential.catalog import area_adjacent
 from crossinglab.potential.turning import turning_points
 from crossinglab.predictor import (
     _predict_mixed,
@@ -62,7 +61,7 @@ class TestInterferenceFactor:
 
     def test_two_crossing_closed_form(self, tanh_pair, tanh_pair_catalog):
         """Equal |v| odd pair: delta = 4 |v|^(-1/2) cos^2(A/(2h) - pi/8)."""
-        area = area_adjacent(tanh_pair_catalog, 0)
+        area = 2.0 * abs(tanh_pair_catalog.gaps[0])
         v = abs(tanh_pair_catalog.crossings[0].v)
         for h in (0.03, 0.045, 0.07):
             val = interference_factor(tanh_pair_catalog, h)
@@ -98,8 +97,8 @@ class TestInterferenceFactor:
         # not all |v| equal here, so build the bracket from the general form
         m = 3
         w = [abs(c.v) ** (-1 / (m + 1)) for c in cat.crossings]
-        a1 = area_adjacent(cat, 0)
-        a2 = area_adjacent(cat, 1)
+        a1 = 2.0 * abs(cat.gaps[0])
+        a2 = 2.0 * abs(cat.gaps[1])
         for h in (0.05, 0.083):
             val = interference_factor(cat, h)
             shift = math.pi / (m + 1)
@@ -120,8 +119,8 @@ class TestInterferenceFactor:
         vs = [abs(c.v) for c in cat.crossings]
         spread = max(vs) / min(vs) - 1.0
         assert spread < 1e-4
-        a1 = area_adjacent(cat, 0)
-        a2 = area_adjacent(cat, 1)
+        a1 = 2.0 * abs(cat.gaps[0])
+        a2 = 2.0 * abs(cat.gaps[1])
         h = 0.06
         val = interference_factor(cat, h)
         w2 = vs[0] ** (-2 / 4)
@@ -152,9 +151,6 @@ class TestNonadiabaticPrediction:
         cat = find_crossings(lz_windowed, (-9, 9))
         with pytest.raises(MStarTooSmall):
             predict_nonadiabatic(lz_windowed, cat, 0.001, 0.01)
-        pred = predict_nonadiabatic(lz_windowed, cat, 0.001, 0.01,
-                                    allow_order_one=True)
-        assert pred.m_star == 1
 
     def test_regime_gate(self, tanh_cubed, tanh_cubed_catalog):
         with pytest.raises(RegimeViolation):
@@ -218,7 +214,7 @@ class TestInterferenceZeros:
             {"power": 2, "slope": 1.0, "center": -2.0},
         ])
         cat = find_crossings(model)
-        area = area_adjacent(cat, 0)
+        area = 2.0 * abs(cat.gaps[0])
         zeros = interference_zeros(model, cat, (0.02, 0.08))
         for h in zeros:
             # even order: A/h + pi in 2 pi Z
@@ -271,7 +267,7 @@ class TestInterferenceZeros:
 class TestDeltaSpectrum:
     def test_fft_recovers_area_frequency(self, tanh_pair, tanh_pair_catalog):
         """delta as a function of 1/h oscillates at the enclosed area."""
-        area = area_adjacent(tanh_pair_catalog, 0)
+        area = 2.0 * abs(tanh_pair_catalog.gaps[0])
         x = np.linspace(10.0, 40.0, 2048)   # 1/h grid
         vals = np.array([interference_factor(tanh_pair_catalog, 1.0 / xi)
                          for xi in x])
@@ -328,6 +324,26 @@ class TestMixedPrediction:
         assert mixed.blocks["sharp_diag"] < mixed.blocks["flat_flat_diag"]
         assert mixed.leading <= 4.0 * mixed.eps1**2
         assert "q" in mixed.coefficients and "p" in mixed.coefficients
+
+    def test_gauges_without_turning_sets(self):
+        """Turning points solved by the chain feed the error gauges and the q
+        coefficients as given ones do: demo (1, 3), all adiabatic."""
+        model = ScaledTanhProduct(1.0, [
+            {"power": 1, "slope": 6.0, "center": 2.0},
+            {"power": 3, "slope": 1.0, "center": -2.0},
+        ])
+        cat = find_crossings(model)
+        h = 1e-4
+        eps = 11.0 * math.sqrt(h)
+        split = classify_regimes(cat.orders, eps, h)
+        assert split.assignment == ("A", "A")
+        tps = {k: turning_points(model, cat, k, eps) for k in range(cat.n)}
+        given = predict_mixed(model, cat, eps, h, split, turning_sets=tps)
+        solved = predict_mixed(model, cat, eps, h, split)
+        assert given.eps2 > 0.0 and given.coefficients["q"]
+        assert (solved.eps1, solved.eps2) == (given.eps1, given.eps2)
+        assert solved.coefficients == given.coefficients
+        assert solved.p_pred == given.p_pred
 
     def test_log_path_identity(self):
         """On the logarithmic path the sharp exponential equals h^(a rho)."""

@@ -15,7 +15,6 @@ from crossinglab.propagator import (
     PropagationDiagnostics,
     _magnus6_matrix_on_mesh,
     fundamental_matrix,
-    propagate,
 )
 from crossinglab.scattering import scattering_matrix
 
@@ -29,7 +28,7 @@ class TestClosedForms:
     def test_decoupled_diagonal_phase(self, lz_pure):
         """eps = 0, V = t: psi_1 picks up exp(-i t^2 / (2h)) exactly."""
         h = 0.05
-        psi = propagate(lz_pure, 0.0, h, 0.0, 1.5, [1.0, 0.0], tol=1e-12)
+        psi = fundamental_matrix(lz_pure, 0.0, h, 0.0, 1.5, tol=1e-12) @ [1.0, 0.0]
         assert psi[0] == pytest.approx(np.exp(-1j * 1.5**2 / (2 * h)), abs=1e-10)
         assert psi[1] == 0.0
 
@@ -69,29 +68,32 @@ class TestInvariants:
         psi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         tol = 1e-10
         diag = PropagationDiagnostics()
-        psi1 = propagate(tanh_cubed, 0.08, 0.04, -4.0, 4.0, psi0, tol=tol,
-                         diagnostics=diag)
+        psi1 = fundamental_matrix(tanh_cubed, 0.08, 0.04, -4.0, 4.0, tol=tol,
+                                  diagnostics=diag) @ psi0
         assert abs(np.linalg.norm(psi1) - np.linalg.norm(psi0)) < 10 * tol
         assert diag.norm_drift < 10 * tol
 
     def test_norm_drift_does_not_scale_with_the_state(self, tanh_cubed):
-        """propagate reports the drift of the propagator, not of |psi0|."""
-        matrix_diag = PropagationDiagnostics()
-        fundamental_matrix(tanh_cubed, 0.08, 0.04, -4.0, 4.0, tol=1e-10,
-                           diagnostics=matrix_diag)
-        state_diag = PropagationDiagnostics()
-        propagate(tanh_cubed, 0.08, 0.04, -4.0, 4.0, [2.0, 0.0], tol=1e-10,
-                  diagnostics=state_diag)
-        assert state_diag.norm_drift == matrix_diag.norm_drift
+        """The reported drift is the propagator's: it covers the returned
+        matrix's, and a state of norm 2 drifts by twice as much."""
+        diag = PropagationDiagnostics()
+        mat = fundamental_matrix(tanh_cubed, 0.08, 0.04, -4.0, 4.0, tol=1e-10,
+                                 diagnostics=diag)
+        column = abs(abs(mat[0, 0]) ** 2 + abs(mat[1, 0]) ** 2 - 1.0)
+        assert column <= diag.norm_drift < 1e-10
+        psi = mat @ [2.0, 0.0]
+        assert abs(np.linalg.norm(psi) ** 2 - 4.0) == pytest.approx(4.0 * column,
+                                                                    abs=1e-14)
 
     def test_time_reversal_structure(self, tanh_cubed, rng):
         """If psi solves the system, so does (-conj(psi2), conj(psi1))."""
         psi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi0 /= np.linalg.norm(psi0)
         eps, h = 0.12, 0.06
-        psi1 = propagate(tanh_cubed, eps, h, -3.0, 2.0, psi0, tol=1e-11)
+        mat = fundamental_matrix(tanh_cubed, eps, h, -3.0, 2.0, tol=1e-11)
+        psi1 = mat @ psi0
         flip0 = np.array([-np.conj(psi0[1]), np.conj(psi0[0])])
-        flip1 = propagate(tanh_cubed, eps, h, -3.0, 2.0, flip0, tol=1e-11)
+        flip1 = mat @ flip0
         assert np.max(np.abs(flip1 - np.array([-np.conj(psi1[1]), np.conj(psi1[0])]))) < 1e-9
 
     def test_backward_is_inverse(self, tanh_cubed):
@@ -115,16 +117,16 @@ class TestBackends:
 
     def test_bad_parameters(self, tanh_cubed):
         with pytest.raises(ValueError):
-            propagate(tanh_cubed, 0.1, -0.1, 0.0, 1.0, [1, 0])
+            fundamental_matrix(tanh_cubed, 0.1, -0.1, 0.0, 1.0)
         with pytest.raises(ValueError):
-            propagate(tanh_cubed, -0.1, 0.1, 0.0, 1.0, [1, 0])
+            fundamental_matrix(tanh_cubed, -0.1, 0.1, 0.0, 1.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="need h > 0"):
-                propagate(tanh_cubed, 0.1, bad, 0.0, 1.0, [1, 0])
+                fundamental_matrix(tanh_cubed, 0.1, bad, 0.0, 1.0)
             with pytest.raises(ValueError, match="need h > 0"):
-                propagate(tanh_cubed, bad, 0.1, 0.0, 1.0, [1, 0])
+                fundamental_matrix(tanh_cubed, bad, 0.1, 0.0, 1.0)
             with pytest.raises(ValueError, match="need h > 0"):
-                propagate(tanh_cubed, 0.1, 0.1, 0.0, 1.0, [1, 0], tol=bad)
+                fundamental_matrix(tanh_cubed, 0.1, 0.1, 0.0, 1.0, tol=bad)
 
     @pytest.mark.parametrize("eps, h, tol", [
         (0.1, math.inf, 1e-10), (0.1, math.nan, 1e-10), (0.1, -0.1, 1e-10),

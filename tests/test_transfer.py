@@ -163,7 +163,8 @@ class TestAdiabaticFactor:
         h = 1e-3
         for mu_val in (12.0, 20.0):
             eps = mu_val * h ** (2 / 3)
-            fac = crossing_transfer_adiabatic(0, eps, h, cat, model=model)
+            tps = turning_points(model, cat, 0, eps)
+            fac = crossing_transfer_adiabatic(0, eps, h, cat, tps)
             assert abs(abs(fac.alpha) - 1.0) < 0.05
             assert abs(fac.beta) < 1e-10
 
@@ -184,7 +185,7 @@ class TestAdiabaticFactor:
         h = 2e-4
         eps = 12.0 * h**0.75
         fac = crossing_transfer_adiabatic(0, eps, h, tanh_cubed_catalog,
-                                          model=tanh_cubed)
+                                          turning_points(tanh_cubed, tanh_cubed_catalog, 0, eps))
         assert fac.has_iq
         full = dense(*su2_mul(*IQ, *fac.pair))
         assert np.max(np.abs(full - 1j * Q_FLIP @ dense(*fac.pair))) < 1e-14
@@ -198,7 +199,8 @@ class TestAdiabaticFactor:
         h = 1e-3
         for mu_val in (2.8, 3.4):
             eps = mu_val * h ** (2 / 3)
-            fac = crossing_transfer_adiabatic(0, eps, h, cat, model=model)
+            tps = turning_points(model, cat, 0, eps)
+            fac = crossing_transfer_adiabatic(0, eps, h, cat, tps)
             rep = scattering_matrix(model, eps, h, tol=1e-10)
             assert rep.p_transition == pytest.approx(abs(fac.beta) ** 2, rel=0.15)
 
