@@ -225,10 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config path")
         sp.add_argument("--out", default=_env_default("out", None, str),
                         help="output directory (default: print to stdout)")
-        sp.add_argument("--tol", type=float,
-                        default=_env_default("tol", None, float),
-                        help=f"tolerance (default: CROSSINGLAB_TOL, then the "
-                             f"config's tol, then {DEFAULT_TOL:g})")
 
     sp = sub.add_parser("describe", help="catalog and regime map")
     add_common(sp)
@@ -273,13 +269,20 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, config_required=False)
     sp.set_defaults(fn=cmd_switch_demo)
 
+    # describe computes nothing to a tolerance, so it takes none
+    for name in ("simulate", "predict", "sweep", "interfere", "switch-demo"):
+        sub.choices[name].add_argument(
+            "--tol", type=float, default=_env_default("tol", None, float),
+            help=f"tolerance (default: CROSSINGLAB_TOL, then the config's tol, "
+                 f"then {DEFAULT_TOL:g})")
     return p
 
 
-def main(argv=None) -> int:
+def main() -> int:
+    """The CLI on the command line in ``sys.argv``."""
     try:
         # a bad CROSSINGLAB_* default is refused while the parser is built
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args()
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

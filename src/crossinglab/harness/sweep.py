@@ -1,4 +1,4 @@
-"""Experiment orchestration: grids, sweeps, rate fits, interference scans.
+"""Experiment orchestration: sweeps, interference scans and the regime-switch demo.
 
 Rows are independent and deterministic: identical configs produce
 bit-identical tables regardless of worker count.  Numeric failures

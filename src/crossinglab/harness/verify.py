@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, QuadratureTolExceeded
 from ..msa import MsaGrid, apply_K, msa_solution, residual_norm, sampled_norm
 from ..oscillatory import osc_integral, stationary_phase_leading
+from ..params import classify_regimes
 from ..potential import (
     LinearLZ,
     PolynomialWindowed,
@@ -31,7 +32,17 @@ from ..scattering import (
     scattering_matrix,
 )
 from ..su2 import dense
-from ..transfer import chain_offdiag_leading, chain_prob_leading, su2_chain_product
+from ..transfer import (
+    chain_offdiag_leading,
+    chain_prob_leading,
+    predicted_scattering,
+    su2_chain_product,
+)
+
+# tolerance of the propagator and scattering runs that the checks examine
+TOL = 1e-9
+TANH_PAIR = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
+                                    {"power": 3, "slope": 1.0, "center": -2.0}])
 
 # largest accepted richardson_error / observed error of the magnus6 propagator
 CALIBRATION_MAX = 10.0
@@ -53,7 +64,7 @@ def _random_tanh_model(rng) -> ScaledTanhProduct:
     return ScaledTanhProduct(1.0, factors)
 
 
-def propagator_suite(seed: int = 42, tol: float = 1e-9) -> list:
+def propagator_suite(seed: int) -> list:
     rng = np.random.default_rng(seed)
     out = []
     worst_unit = worst_flow = worst_rev = worst_cross = 0.0
@@ -62,11 +73,11 @@ def propagator_suite(seed: int = 42, tol: float = 1e-9) -> list:
         eps = float(rng.uniform(0.02, 0.2))
         h = float(rng.uniform(0.02, 0.2))
         t0, t1 = -5.0, 5.0
-        mat = fundamental_matrix(model, eps, h, t0, t1, tol=tol)
+        mat = fundamental_matrix(model, eps, h, t0, t1, tol=TOL)
         worst_unit = max(worst_unit, float(np.max(np.abs(mat.conj().T @ mat - np.eye(2)))))
         tm = float(rng.uniform(-2.0, 2.0))
-        m_a = fundamental_matrix(model, eps, h, t0, tm, tol=tol)
-        m_b = fundamental_matrix(model, eps, h, tm, t1, tol=tol)
+        m_a = fundamental_matrix(model, eps, h, t0, tm, tol=TOL)
+        m_b = fundamental_matrix(model, eps, h, tm, t1, tol=TOL)
         worst_flow = max(worst_flow, float(np.max(np.abs(m_b @ m_a - mat))))
         psi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         psi0 /= np.linalg.norm(psi0)
@@ -79,34 +90,33 @@ def propagator_suite(seed: int = 42, tol: float = 1e-9) -> list:
     m1 = fundamental_matrix(model, 0.1, 0.05, -5.0, 5.0, tol=1e-11)
     m2 = fundamental_matrix(model, 0.1, 0.05, -5.0, 5.0, tol=1e-11, method="dop853")
     worst_cross = float(np.max(np.abs(m1 - m2)))
-    out.append(("propagator.unitarity", worst_unit < 100 * tol, f"defect {worst_unit:.2e}"))
-    out.append(("propagator.composition", worst_flow < 200 * tol, f"defect {worst_flow:.2e}"))
-    out.append(("propagator.time_reversal", worst_rev < 200 * tol, f"defect {worst_rev:.2e}"))
+    out.append(("propagator.unitarity", worst_unit < 100 * TOL, f"defect {worst_unit:.2e}"))
+    out.append(("propagator.composition", worst_flow < 200 * TOL, f"defect {worst_flow:.2e}"))
+    out.append(("propagator.time_reversal", worst_rev < 200 * TOL, f"defect {worst_rev:.2e}"))
     out.append(("propagator.backend_agreement", worst_cross < 1e-8, f"diff {worst_cross:.2e}"))
-    out.append(_error_calibration(tol))
+    out.append(_error_calibration())
     return out
 
 
-def _error_calibration(tol: float):
+def _error_calibration():
     """richardson_error against the observed error of the returned matrix.
 
-    The observed error is the difference from the same run at tol/100 and,
-    where h >= 5e-2, from dop853 at tol/100.  The estimate must cover it
+    The observed error is the difference from the same run at TOL/100 and,
+    where h >= 5e-2, from dop853 at TOL/100.  The estimate must cover it
     without overstating it by more than CALIBRATION_MAX.
     """
-    pair = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
-                                   {"power": 3, "slope": 1.0, "center": -2.0}])
     lz = LinearLZ(slope=1.0, window=4.0, sharpness=4.0)
-    cases = [(pair, lambda h: 0.05 * h ** 0.75, 6.0), (lz, lambda h: 0.2 * math.sqrt(h), 6.0)]
+    cases = [(TANH_PAIR, lambda h: 0.05 * h ** 0.75, 6.0),
+             (lz, lambda h: 0.2 * math.sqrt(h), 6.0)]
     ratios = []
     for model, eps_of, span in cases:
         for h in (1e-1, 5e-2, 1e-2, 1e-3):
             eps = eps_of(h)
             diag = PropagationDiagnostics()
-            mat = fundamental_matrix(model, eps, h, -span, span, tol=tol, diagnostics=diag)
-            refs = [fundamental_matrix(model, eps, h, -span, span, tol=tol / 100)]
+            mat = fundamental_matrix(model, eps, h, -span, span, tol=TOL, diagnostics=diag)
+            refs = [fundamental_matrix(model, eps, h, -span, span, tol=TOL / 100)]
             if h >= 5e-2:
-                refs.append(fundamental_matrix(model, eps, h, -span, span, tol=tol / 100,
+                refs.append(fundamental_matrix(model, eps, h, -span, span, tol=TOL / 100,
                                                method="dop853"))
             for ref in refs:
                 ratios.append(diag.richardson_error / float(np.max(np.abs(mat - ref))))
@@ -115,32 +125,30 @@ def _error_calibration(tol: float):
             f"estimate/observed in [{min(ratios):.2f}, {max(ratios):.2f}]")
 
 
-def scattering_suite(seed: int = 42, tol: float = 1e-9) -> list:
-    return [_window_bound_calibration(tol)]
+def scattering_suite(seed: int) -> list:
+    return [_window_bound_calibration()]
 
 
-def _window_bound_calibration(tol: float):
-    """error_estimate of the windowed route against whole-line magnus6 at tol/100.
+def _window_bound_calibration():
+    """error_estimate of the windowed route against whole-line magnus6 at TOL/100.
 
     The windows are always planned here, also where the whole line is the
     cheaper route.  The estimate must cover the observed difference of S
     without overstating it by more than WINDOW_CALIBRATION_MAX.
     """
-    pair = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
-                                   {"power": 3, "slope": 1.0, "center": -2.0}])
     three = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 4.2},
                                     {"power": 3, "slope": 1.0, "center": 0.0},
                                     {"power": 3, "slope": 1.0, "center": -3.1}])
     ratios, routes = [], set()
-    for model in (pair, three):
+    for model in (TANH_PAIR, three):
         catalog = find_crossings(model)
         for h in (1e-2, 1e-3, 1e-4):
             eps = 0.05 * h ** 0.75
-            rep = _scattering_matrix(model, eps, h, tol, None, "magnus6", catalog, 0.0)
+            rep = _scattering_matrix(model, eps, h, TOL, None, "magnus6", catalog, 0.0)
             mat = fundamental_matrix(model, eps, h, -rep.truncation, rep.truncation,
-                                     tol=tol / 100)
+                                     tol=TOL / 100)
             j_right, j_left = (dense(*jost_basis(model, eps, h, side, rep.truncation,
-                                                 tol=tol * 1e-3, catalog=catalog))
+                                                 tol=TOL * 1e-3, catalog=catalog))
                                for side in ("right", "left"))
             ref = j_right.conj().T @ mat @ j_left
             routes.add(rep.diagnostics["route"])
@@ -152,7 +160,7 @@ def _window_bound_calibration(tol: float):
             f"routes {sorted(routes)}, estimate/observed in [{min(ratios):.2f}, {max(ratios):.2f}]")
 
 
-def msa_suite(seed: int = 42, tol: float = 1e-10) -> list:
+def msa_suite(seed: int) -> list:
     rng = np.random.default_rng(seed + 1)
     out = []
     model = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}])
@@ -165,8 +173,8 @@ def msa_suite(seed: int = 42, tol: float = 1e-10) -> list:
     err_id = float(np.max(np.abs(ident - expect)))
     out.append(("msa.k_identity", err_id < 1e-8 / h, f"err {err_id:.2e}"))
 
-    w1 = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=3, grid=grid)
-    w2 = msa_solution(model, eps, h, "w2", -0.7, -0.7, depth=3, grid=grid)
+    w1 = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
+    w2 = msa_solution(grid, eps, "w2", -0.7, -0.7, depth=3)
     sym = max(float(np.max(np.abs(np.conj(w2.comp2) - w1.comp1))),
               float(np.max(np.abs(-np.conj(w2.comp1) - w1.comp2))))
     out.append(("msa.symmetry", sym < 1e-10, f"defect {sym:.2e}"))
@@ -194,26 +202,52 @@ def msa_suite(seed: int = 42, tol: float = 1e-10) -> list:
     return out
 
 
-def stationary_suite(seed: int = 42, tol: float = 1e-8) -> list:
+def stationary_suite(seed: int) -> list:
     from scipy.special import fresnel
-
-    from ..potential import LinearLZ
 
     out = []
     lz = LinearLZ(slope=1.0)
     h = 0.05
     L = 3.0
-    val = osc_integral(lz, (-L, L), 0.0, h)
-    xi = L * math.sqrt(2.0 / (math.pi * h))
-    s, c = fresnel(xi)
-    exact = 2.0 * math.sqrt(math.pi * h / 2.0) * (c + 1j * s)
-    out.append(("stationary.fresnel", abs(val - exact) < tol, f"diff {abs(val-exact):.2e}"))
+
+    def fresnel_from_zero(x):  # integral from 0 to x of exp(i t^2 / h)
+        s, c = fresnel(x * math.sqrt(2.0 / (math.pi * h)))
+        return math.sqrt(math.pi * h / 2.0) * (c + 1j * s)
+
+    # every tol passed is met; the last is the default
+    exact = 2.0 * fresnel_from_zero(L)
+    ratios = []
+    for tol in (1e-6, 1e-9, 1e-12):
+        val = osc_integral(lz, (-L, L), 0.0, h, tol=tol)
+        ratios.append(abs(val - exact) / tol)
+    out.append(("stationary.fresnel", max(ratios) <= 1.0,
+                f"diff {abs(val - exact):.2e}, diff/tol <= {max(ratios):.2e}"))
 
     conj_val = osc_integral(lz, (-L, L), 0.0, h, sign=-1)
     out.append(("stationary.conjugation", abs(conj_val - np.conj(val)) < 1e-12,
                 f"diff {abs(conj_val - np.conj(val)):.2e}"))
 
+    # cos(k t) exp(i t^2 / h) = (1/2) e^{-i k^2 h / 4} sum_+- exp(i (t +- k h / 2)^2 / h)
+    k = 300.0
+    exact = 0.5 * np.exp(-0.25j * k * k * h) * sum(
+        fresnel_from_zero(L + d) - fresnel_from_zero(-L + d) for d in (0.5 * k * h, -0.5 * k * h))
+    val = osc_integral(lz, (-L, L), 0.0, h, amplitude=lambda t: np.cos(k * t))
+    out.append(("stationary.amplitude_fresnel", abs(val - exact) <= 1e-12,
+                f"diff {abs(val - exact):.2e}"))
+    one = osc_integral(lz, (-2.0, 2.0), 0.0, h, amplitude=np.cos)
+    two = osc_integral(lz, (-2.0, 2.0), 0.0, h, amplitude=lambda t: 2.0 * np.cos(t))
+    out.append(("stationary.amplitude_linearity", abs(two - 2.0 * one) <= 1e-13 * abs(2.0 * one),
+                f"diff {abs(two - 2.0 * one):.2e}"))
+
     model = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}])
+    try:
+        osc_integral(model, (-1.0, 1.0), 0.0, h, amplitude=lambda t: np.cos(2e6 * t))
+        outcome = "integrated"
+    except QuadratureTolExceeded:
+        outcome = "refused"
+    out.append(("stationary.unresolved_amplitude", outcome == "refused",
+                f"cos(2e6 t) {outcome}"))
+
     hs = 0.2 * 2.0 ** -np.arange(5)
     resid = []
     for h_test in hs:
@@ -234,7 +268,7 @@ def stationary_suite(seed: int = 42, tol: float = 1e-8) -> list:
     return out
 
 
-def su2_suite(seed: int = 42, tol: float = 1e-12) -> list:
+def su2_suite(seed: int) -> list:
     rng = np.random.default_rng(seed + 2)
     out = []
     # flip-matrix properties on random 2x2s
@@ -267,7 +301,7 @@ def su2_suite(seed: int = 42, tol: float = 1e-12) -> list:
             prob = chain_prob_leading(ones, betas, nus)
             entry = chain_offdiag_leading(ones, betas, nus)
             reduction = max(reduction, abs(prob - abs(entry) ** 2))
-    out.append(("su2.product_unitarity", worst_unit < tol, f"defect {worst_unit:.2e}"))
+    out.append(("su2.product_unitarity", worst_unit < 1e-12, f"defect {worst_unit:.2e}"))
     out.append(("su2.offdiag_first_order", worst_ratio < 40.0,
                 f"max |err|/mu^2 = {worst_ratio:.3f}"))
     out.append(("su2.prob_reduction_identity", reduction < 1e-15,
@@ -275,7 +309,7 @@ def su2_suite(seed: int = 42, tol: float = 1e-12) -> list:
     return out
 
 
-def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
+def jost_suite(seed: int) -> list:
     from scipy.linalg import expm
 
     rng = np.random.default_rng(seed + 3)
@@ -306,6 +340,17 @@ def jost_suite(seed: int = 42, tol: float = 1e-7) -> list:
     basis = dense(*jost_basis(model, eps, h, "right", rep1.truncation, catalog=catalog))
     ortho = float(np.max(np.abs(basis.conj().T @ basis - np.eye(2))))
     out.append(("jost.orthonormal", ortho < 1e-10, f"defect {ortho:.2e}"))
+
+    # the end connectors' anchors move phases only: the chain's P is fixed
+    pair_catalog = find_crossings(TANH_PAIR)
+    h_pair = 0.05
+    eps_pair = 0.04 * h_pair ** 0.75
+    split = classify_regimes(pair_catalog.orders, eps_pair, h_pair)
+    p_chain = [predicted_scattering(TANH_PAIR, eps_pair, h_pair, split, catalog=pair_catalog,
+                                    anchors=anchors).p_pred
+               for anchors in (None, (8.0, -8.0), (11.0, -9.5))]
+    moved = max(p_chain) - min(p_chain)
+    out.append(("jost.anchor_independence", moved <= 1e-13, f"diff {moved:.2e}"))
 
     # the jet series' remainder bound against the panel rule at a tighter tol:
     # it must cover the observed difference without overstating it by 1e6

@@ -59,6 +59,19 @@ def grid_size(model, h: float, a: float, b: float) -> int:
     return n
 
 
+def grid_phase(model, points: np.ndarray, t_ref: float) -> np.ndarray:
+    """integral of V from t_ref at each of the uniform ``points``.
+
+    Accumulated outward from the node nearest t_ref, so that the phase there
+    is exact rather than a difference of two sums of size Phi(a)."""
+    a, n = points[0], len(points)
+    dx = (points[-1] - a) / (n - 1)
+    origin = min(max(int(round((t_ref - a) / dx)), 0), n - 1)
+    phase = cumulative_uniform(np.real(model.eval(points)), dx, origin=origin)
+    phase += phase_integral(model, t_ref, points[origin])
+    return phase
+
+
 @dataclass
 class MsaGrid:
     """Uniform sample grid over an interval around one crossing."""
@@ -67,8 +80,7 @@ class MsaGrid:
     h: float
     t_ref: float
     points: np.ndarray
-    phase: np.ndarray          # integral of V from t_ref at each grid point
-    u_plus: np.ndarray         # exp(-i*phase/h)
+    u_plus: np.ndarray         # exp(-i*phase/h), phase = grid_phase(model, points, t_ref)
     u_minus: np.ndarray        # exp(+i*phase/h)
 
     @staticmethod
@@ -81,15 +93,9 @@ class MsaGrid:
         if n is None:
             n = grid_size(model, h, a, b)
         pts = np.linspace(a, b, n)
-        # accumulated outward from the node nearest t_ref, so that the phase
-        # there is exact rather than a difference of two sums of size Phi(a)
-        dx = (b - a) / (n - 1)
-        origin = min(max(int(round((t_ref - a) / dx)), 0), n - 1)
-        phase = cumulative_uniform(np.real(model.eval(pts)), dx, origin=origin)
-        phase += phase_integral(model, t_ref, pts[origin])
-        u_plus = np.multiply(phase / h, -1j)
+        u_plus = np.multiply(grid_phase(model, pts, t_ref) / h, -1j)
         np.exp(u_plus, out=u_plus)    # in place: no temporary larger than the result
-        return MsaGrid(model=model, h=h, t_ref=t_ref, points=pts, phase=phase,
+        return MsaGrid(model=model, h=h, t_ref=t_ref, points=pts,
                        u_plus=u_plus, u_minus=np.conj(u_plus))
 
     @property
@@ -165,12 +171,9 @@ def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
     return sum_f, sum_g, sups
 
 
-def msa_solution(model, eps: float, h: float, which: str,
-                 a_plus: float, a_minus: float, depth: int = 3,
-                 interval: tuple[float, float] | None = None,
-                 t_ref: float | None = None,
-                 grid: MsaGrid | None = None) -> MsaSolution:
-    """Truncated Neumann-series solution w1 or w2 on an interval.
+def msa_solution(grid: MsaGrid, eps: float, which: str,
+                 a_plus: float, a_minus: float, depth: int = 3) -> MsaSolution:
+    """Truncated Neumann-series solution w1 or w2 on the grid.
 
     w1 is normalized to (u^+, 0) at the base points (first component seeded by
     u^+), w2 to (0, u^-).  The base points must be grid nodes.  ``depth``
@@ -181,10 +184,6 @@ def msa_solution(model, eps: float, h: float, which: str,
         raise ValueError("which must be 'w1' or 'w2'")
     if depth < 1:
         raise ValueError("depth >= 1 required")
-    if grid is None:
-        if interval is None or t_ref is None:
-            raise ValueError("need either a grid or (interval, t_ref)")
-        grid = MsaGrid.build(model, h, interval, t_ref)
 
     lead_sign = +1 if which == "w1" else -1
     a_lead = a_plus if which == "w1" else a_minus

@@ -142,22 +142,18 @@ def _polish_zero(model: PotentialModel, t0: float) -> float:
     return t0
 
 
-def find_crossings(model: PotentialModel,
-                   search_interval: tuple[float, float] | None = None) -> CrossingCatalog:
+def find_crossings(model: PotentialModel) -> CrossingCatalog:
     """Locate all real zeros of V with their orders and leading coefficients.
 
     Builtin families expose their zero candidates exactly; a sign-change scan
-    over the search interval guards against omissions (it can only add
-    odd-order zeros, the even-order ones do not change sign).  The integrals
-    of V between consecutive zeros depend on neither h nor eps and are
-    computed here, once; the tails are left to the memo.
+    over ``model.suggest_interval()``, which holds every candidate, guards
+    against omissions (it can only add odd-order zeros, the even-order ones
+    do not change sign).  The integrals of V between consecutive zeros depend
+    on neither h nor eps and are computed here, once; the tails are left to
+    the memo.
     """
-    if search_interval is None:
-        search_interval = model.suggest_interval()
-    lo, hi = search_interval
-    candidates = [z for z in model.candidate_zeros() if lo < z < hi]
-    if len(candidates) != len(model.candidate_zeros()):
-        raise BracketingFailed("family zeros fall outside the search interval")
+    lo, hi = model.suggest_interval()
+    candidates = list(model.candidate_zeros())
 
     ts = np.linspace(lo, hi, SCAN_POINTS)
     vs = np.real(model.eval(ts))

@@ -38,7 +38,8 @@ ACTION_NODES = 48      # Gauss-Legendre nodes along each action path
 
 @dataclass(frozen=True)
 class TurningPoint:
-    zeta: complex        # root of V^2 + eps^2 in the upper half-plane
+    """A root zeta of V^2 + eps^2 in the upper half-plane, by its action."""
+
     action: complex      # A = 2 int_{t_k}^{zeta} sqrt(V^2+eps^2)
     decay_coeff: float   # a with Im A ~ a * eps^((m+1)/m)
 
@@ -50,7 +51,6 @@ class TurningPointSet:
     eps: float
     first: TurningPoint   # branch index j = 1
     last: TurningPoint    # branch index j = m (same point when m = 1)
-    scaling_exponent: float  # fitted Im A exponent, should be (m+1)/m
 
     @property
     def a_min(self) -> float:
@@ -142,8 +142,13 @@ def _actions(model: PotentialModel, t_k: float, zeta: np.ndarray, eps: np.ndarra
     return 2.0 * integral
 
 
-def _roots_and_actions(model, t_k, seeds, eps):
-    """Turning points and their actions for all seeds in one batch."""
+def _roots_and_actions(model, crossing, eps: float):
+    """Turning points and their actions at a crossing in one batch: branches
+    j = 1 and m (1 alone when m = 1), each at eps and at eps/2."""
+    t_k, m = crossing.t, crossing.m
+    js = (1, m) if m > 1 else (1,)
+    seeds = np.array([_seed(t_k, m, crossing.v, e, j) for j in js for e in (eps, eps / 2.0)])
+    eps = np.array([eps, eps / 2.0] * len(js))
     zeta = _newton_roots(model, seeds, eps)
     zeta = np.where(zeta.imag < 0, zeta.conjugate(), zeta)
     far = np.abs(zeta - t_k) > 10.0 * np.abs(seeds - t_k) + 1e-12
@@ -162,36 +167,27 @@ def turning_points(model: PotentialModel, catalog: CrossingCatalog, k: int,
     """Nearest upper-half-plane turning points and actions for crossing k.
 
     Decay coefficients come from Richardson extrapolation of
-    Im A / eps^((m+1)/m) over eps and eps/2; the fitted scaling exponent is
-    recorded so callers can check it against (m+1)/m.
+    Im A / eps^((m+1)/m) over eps and eps/2; TurningPointFailure is raised
+    when the fitted exponent of Im A is far from (m+1)/m.
     """
-    c = catalog.crossings[k]
-    m, v, t_k = c.m, c.v, c.t
+    m = catalog.crossings[k].m
     exponent = (m + 1.0) / m
-    js = (1, m) if m > 1 else (1,)
-
-    # branch j at eps and at eps/2, for each j in turn
-    eps_all = np.array([eps, eps / 2.0] * len(js))
-    seeds = np.array([_seed(t_k, m, v, e, j) for j in js for e in (eps, eps / 2.0)])
-    zetas, actions = _roots_and_actions(model, t_k, seeds, eps_all)
+    _, actions = _roots_and_actions(model, catalog.crossings[k], eps)
     points = []
     im_ratio = []
-    for i in range(0, len(seeds), 2):
+    for i in range(0, len(actions), 2):
         action, action_half = complex(actions[i]), complex(actions[i + 1])
         a_eps = action.imag / eps ** exponent
         a_half = action_half.imag / (eps / 2.0) ** exponent
         q = 2.0 ** (-1.0 / m)
         a_extrap = (a_half - q * a_eps) / (1.0 - q)
         fitted = math.log(action.imag / action_half.imag) / math.log(2.0)
-        points.append((TurningPoint(complex(zetas[i]), action, a_extrap), fitted))
+        points.append(TurningPoint(action, a_extrap))
         im_ratio.append(fitted)
 
-    first = points[0][0]
-    last = points[-1][0]
     scaling = float(np.mean(im_ratio))
     if abs(scaling - exponent) > 0.25 * exponent:
         raise TurningPointFailure(
             f"Im A scaling exponent {scaling:.3f} far from {(m+1)/m:.3f}; "
             "eps may be too large for the asymptotic regime")
-    return TurningPointSet(k=k, m=m, eps=eps, first=first, last=last,
-                           scaling_exponent=scaling)
+    return TurningPointSet(k=k, m=m, eps=eps, first=points[0], last=points[-1])

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import QuadratureTolExceeded
 
+PANEL_ORDER = 16       # Gauss-Legendre nodes per panel of integrate_panels
 PANEL_RTOL = 1e-13     # accepted error estimate of integrate_panels, relative
 PANEL_ATOL = 1e-15     # and absolute
 
@@ -106,11 +107,11 @@ def integrate_smooth(fn, a: float, b: float, max_panel: float = 0.125) -> float:
     return sign * integrate_panels(fn, np.linspace(a, b, n_panels + 1))
 
 
-def integrate_panels(fn, edges: np.ndarray, order: int = 16) -> float:
+def integrate_panels(fn, edges: np.ndarray) -> float:
     """Composite Gauss-Legendre integral over the panels between ascending edges.
 
-    A complex-valued ``fn`` gives a complex integral.  Compares the requested
-    order against order//2 on the same panels as an error estimate; raises
+    A complex-valued ``fn`` gives a complex integral.  Compares PANEL_ORDER
+    nodes against half as many on the same panels as an error estimate; raises
     QuadratureTolExceeded when it exceeds PANEL_ATOL + PANEL_RTOL max(1, |I|).
     """
     edges = np.asarray(edges, dtype=float)
@@ -123,8 +124,8 @@ def integrate_panels(fn, edges: np.ndarray, order: int = 16) -> float:
         vals = fn(pts.ravel()).reshape(pts.shape)
         return np.sum(vals @ w * half).item()
 
-    hi = composite(order)
-    lo = composite(max(4, order // 2))
+    hi = composite(PANEL_ORDER)
+    lo = composite(PANEL_ORDER // 2)
     err = abs(hi - lo)
     if err > PANEL_ATOL + PANEL_RTOL * max(1.0, abs(hi)):
         raise QuadratureTolExceeded(

@@ -386,6 +386,6 @@ def _anchor_level(eps: float, h: float, tol: float) -> float:
     return float(min(1e-8, max(1e-13, level)))
 
 
-def landau_zener_probability(eps: float, h: float, slope: float = 1.0) -> float:
-    """Exact transition probability of the linear model V = slope * t."""
-    return math.exp(-math.pi * eps * eps / (slope * h))
+def landau_zener_probability(eps: float, h: float) -> float:
+    """Exact transition probability of the linear model V = t."""
+    return math.exp(-math.pi * eps * eps / h)

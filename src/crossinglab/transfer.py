@@ -63,8 +63,6 @@ class AdiabaticFactor:
 
     pair: tuple[complex, complex]
     has_iq: bool
-    alpha: complex
-    beta: complex
 
 
 def wkb_alpha_beta(k: int, eps: float, h: float, catalog: CrossingCatalog,
@@ -108,7 +106,7 @@ def crossing_transfer_adiabatic(k: int, eps: float, h: float, catalog: CrossingC
     if m_odd:
         # diag(-i, i) @ T, or diag(i, -i) @ conj(T) when sigma is odd
         a, b = su2_mul(1j if s_odd else -1j, 0.0, a, b)
-    return AdiabaticFactor(pair=(a, b), has_iq=m_odd, alpha=alpha, beta=beta)
+    return AdiabaticFactor(pair=(a, b), has_iq=m_odd)
 
 
 def end_connectors(model, catalog: CrossingCatalog, h: float,
@@ -296,7 +294,6 @@ class PredictedScattering:
 def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
                          catalog: CrossingCatalog | None = None,
                          anchors: tuple[float, float] | None = None,
-                         turning_sets: dict[int, TurningPointSet] | None = None,
                          ) -> PredictedScattering:
     """Leading-order scattering matrix from the transfer-chain product.
 
@@ -315,14 +312,13 @@ def predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
     if len(split.assignment) != catalog.n:
         raise ValueError("regime split length mismatch")
     check_split(split, catalog.orders, eps, h)
-    return _predicted_scattering(model, eps, h, split, catalog, anchors, turning_sets)
+    return _predicted_scattering(model, eps, h, split, catalog, anchors)
 
 
 def _predicted_scattering(model, eps: float, h: float, split: RegimeSplit,
-                          catalog: CrossingCatalog, anchors=None,
-                          turning_sets=None) -> PredictedScattering:
+                          catalog: CrossingCatalog, anchors) -> PredictedScattering:
     """``predicted_scattering`` without the regime check, for any split."""
-    chain = chain_factors(model, eps, h, split, catalog, turning_sets)
+    chain = chain_factors(model, eps, h, split, catalog)
     factors = [normalized(*p) if tag == "N" else p
                for tag, p in zip(split.assignment, chain.pairs)]
 

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import time
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from crossinglab.errors import ConfigError, NoMinimaFound
-from crossinglab.harness.cli import main as cli_main
+from crossinglab.harness.cli import main
 from crossinglab.harness.sweep import (
     CSV_COLUMNS,
     DEMO_POTENTIAL,
@@ -27,6 +28,13 @@ from crossinglab.harness.sweep import (
 from crossinglab.harness.verify import run_verify
 from crossinglab.potential import find_crossings, model_from_config
 from crossinglab.potential.catalog import TAIL_LEVEL, regularized_actions
+
+
+def cli_main(argv: list[str]) -> int:
+    """The CLI as its console script runs it, on the command line ``argv``."""
+    with mock.patch.object(sys, "argv", ["crossinglab", *argv]):
+        return main()
+
 
 TANH_PAIR_DOC = {
     "family": "scaled_tanh_product",
@@ -442,6 +450,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["catalog"]["m_star"] == 3
         assert out["regimes"] == ["N"]
+
+    def test_describe_refuses_a_tol(self, tmp_path, capsys):
+        """describe computes nothing to a tolerance: a --tol is refused, not
+        silently dropped."""
+        cfg = self._write_cfg(tmp_path, CUBIC_DOC)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["describe", "--config", cfg, "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_describe_prints_the_tails(self, tmp_path, capsys):
         """The default anchor and tail integral per side for the tanh pair;

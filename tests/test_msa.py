@@ -9,6 +9,7 @@ from crossinglab.msa import (
     MsaGrid,
     apply_K,
     connection_T_numeric,
+    grid_phase,
     msa_solution,
     residual_norm,
     sampled_norm,
@@ -37,17 +38,20 @@ class TestGridPhase:
         the grid's start left ~1e-15 and ~1e-14."""
         model = PolynomialWindowed([0.0] * m + [1.0], window=3.0, sharpness=8.0)
         grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
-        assert grid.phase[grid.index(0.0)] == 0.0
+        phase = grid_phase(model, grid.points, 0.0)
+        assert np.array_equal(grid.u_plus, np.exp(np.multiply(phase / self.H, -1j)))
+        assert phase[grid.index(0.0)] == 0.0
         for t in (-1.2, -0.3, 0.6, 1.2):
-            assert abs(grid.phase[grid.index(t)] - phase_integral(model, 0.0, t)) < 1e-13
+            assert abs(phase[grid.index(t)] - phase_integral(model, 0.0, t)) < 1e-13
 
     @pytest.mark.parametrize("t_ref", [0.0, 1.3e-4])
     def test_t_ref_inside(self, tanh_cubed, t_ref):
         grid = MsaGrid.build(tanh_cubed, 5e-3, (-0.7, 0.7), t_ref, n=4201)
+        phase = grid_phase(tanh_cubed, grid.points, t_ref)
         i = int(np.argmin(np.abs(grid.points - t_ref)))
-        assert grid.phase[i] == phase_integral(tanh_cubed, t_ref, grid.points[i])
+        assert phase[i] == phase_integral(tanh_cubed, t_ref, grid.points[i])
         for t in (-0.7, 0.7):
-            assert abs(grid.phase[grid.index(t)] - phase_integral(tanh_cubed, t_ref, t)) < 1e-13
+            assert abs(phase[grid.index(t)] - phase_integral(tanh_cubed, t_ref, t)) < 1e-13
 
     @pytest.mark.parametrize("interval, t_ref", [
         ((-0.7, 0.7), -0.7), ((0.7, -0.7), 0.7),       # at the start
@@ -58,16 +62,17 @@ class TestGridPhase:
         integral plus the phase up to the start, bit for bit (osc_integral's
         grids)."""
         grid = MsaGrid.build(tanh_cubed, 5e-3, interval, t_ref, n=4201)
+        phase = grid_phase(tanh_cubed, grid.points, t_ref)
         values = np.real(tanh_cubed.eval(grid.points))
         end = int(np.argmin(np.abs(grid.points[[0, -1]] - t_ref))) * (len(grid.points) - 1)
-        assert grid.phase[end] == phase_integral(tanh_cubed, t_ref, grid.points[end])
+        assert phase[end] == phase_integral(tanh_cubed, t_ref, grid.points[end])
         if end == 0:
             want = cumulative_uniform(values, grid.dx) + phase_integral(
                 tanh_cubed, t_ref, grid.points[0])
-            assert grid.phase.tobytes() == want.tobytes()
+            assert phase.tobytes() == want.tobytes()
         for i in (0, len(grid.points) // 3, len(grid.points) - 1):
             want = phase_integral(tanh_cubed, t_ref, grid.points[i])
-            assert abs(grid.phase[i] - want) < 1e-13
+            assert abs(phase[i] - want) < 1e-13
 
 
 class TestApplyK:
@@ -134,7 +139,7 @@ class TestApplyK:
 class TestMsaSolution:
     def test_eps_zero_is_free(self, cubic_setup):
         model, _, h, grid = cubic_setup
-        sol = msa_solution(model, 0.0, h, "w1", -0.7, -0.7, depth=2, grid=grid)
+        sol = msa_solution(grid, 0.0, "w1", -0.7, -0.7, depth=2)
         assert np.array_equal(sol.comp1, grid.u_plus)
         assert not np.any(sol.comp2)
 
@@ -142,7 +147,7 @@ class TestMsaSolution:
         """depth=1 reproduces u^+ + eps^2 K^+ K^- u^+ and -eps K^- u^+."""
         model, _, h, grid = cubic_setup
         eps = 0.05 * h**0.75
-        sol = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=1, grid=grid)
+        sol = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=1)
         g1 = apply_K(grid, -1, -0.7, grid.u_plus)
         comp1 = grid.u_plus + eps**2 * apply_K(grid, +1, -0.7, g1)
         comp2 = -eps * g1
@@ -159,7 +164,7 @@ class TestMsaSolution:
         n = len(grid.points)
         a_plus, a_minus = {"left": (-0.7, -0.7), "right": (0.7, 0.7),
                            "interior": (grid.points[n // 3], grid.points[2 * n // 3])}[bases]
-        sol = msa_solution(model, eps, h, which, a_plus, a_minus, depth=3, grid=grid)
+        sol = msa_solution(grid, eps, which, a_plus, a_minus, depth=3)
         s = +1 if which == "w1" else -1
         a_lead, a_other = (a_plus, a_minus) if which == "w1" else (a_minus, a_plus)
         f = grid.u(s)
@@ -176,20 +181,18 @@ class TestMsaSolution:
     @pytest.mark.parametrize("which, depth", [("w3", 3), ("w1", 0)])
     def test_arguments_checked_before_the_grid(self, cubic_setup, monkeypatch,
                                                which, depth):
-        """A bad ``which`` or ``depth`` raises before any grid is built."""
-        model, _, h, _ = cubic_setup
-        builds = []
-        monkeypatch.setattr(MsaGrid, "build",
-                            staticmethod(lambda *args, **kwargs: builds.append(args)))
+        """A bad ``which`` or ``depth`` raises before the series runs on the grid."""
+        grid = cubic_setup[3]
+        runs = []
+        monkeypatch.setattr(msa, "_series_sums", lambda *args: runs.append(args))
         with pytest.raises(ValueError, match="which|depth"):
-            msa_solution(model, 0.01, h, which, -0.7, -0.7, depth=depth,
-                         interval=(-0.7, 0.7), t_ref=0.0)
-        assert builds == []
+            msa_solution(grid, 0.01, which, -0.7, -0.7, depth=depth)
+        assert runs == []
 
     def test_base_point_normalization(self, cubic_setup):
         model, _, h, grid = cubic_setup
         eps = 0.03 * h**0.75
-        w1 = msa_solution(model, eps, h, "w1", 0.7, 0.7, depth=3, grid=grid)
+        w1 = msa_solution(grid, eps, "w1", 0.7, 0.7, depth=3)
         vals = w1.comp1[-1], w1.comp2[-1]      # 0.7 is the last node
         assert vals[0] == pytest.approx(grid.u_plus[-1], rel=1e-10)
         assert abs(vals[1]) < 1e-10
@@ -198,15 +201,15 @@ class TestMsaSolution:
         """Structure symmetry: flip(conj(w2)) = w1 with matching bases."""
         model, _, h, grid = cubic_setup
         eps = 0.05 * h**0.75
-        w1 = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=3, grid=grid)
-        w2 = msa_solution(model, eps, h, "w2", -0.7, -0.7, depth=3, grid=grid)
+        w1 = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
+        w2 = msa_solution(grid, eps, "w2", -0.7, -0.7, depth=3)
         assert np.max(np.abs(np.conj(w2.comp2) - w1.comp1)) < 1e-10
         assert np.max(np.abs(-np.conj(w2.comp1) - w1.comp2)) < 1e-10
 
     def test_residual_of_equation(self, cubic_setup):
         model, _, h, grid = cubic_setup
         eps = 0.05 * h**0.75
-        sol = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=3, grid=grid)
+        sol = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
         res = residual_norm(sol, eps)
         step_phase = float(np.max(np.abs(np.real(model.eval(grid.points))))
                            * (grid.points[1] - grid.points[0]) / h)
@@ -219,7 +222,7 @@ class TestMsaSolution:
         1/min|V| over the interval)."""
         model, _, h, grid = cubic_setup
         eps = 0.05 * h**0.75
-        sol = msa_solution(model, eps, h, "w1", 0.7, 0.7, depth=3, grid=grid)
+        sol = msa_solution(grid, eps, "w1", 0.7, 0.7, depth=3)
         right = grid.points > 0.35
         bound = 1.0 / float(np.min(np.abs(np.real(model.eval(grid.points[right])))))
         assert np.max(np.abs(sol.comp2[right])) < 2.0 * bound * eps
@@ -234,15 +237,15 @@ class TestMsaSolution:
         bases = {"plus": -0.7, "minus": -0.7}
         bases[off] += 0.5 * grid.dx
         with pytest.raises(ValueError, match="not a node"):
-            msa_solution(model, eps, h, which, bases["plus"], bases["minus"],
-                         depth=1, grid=grid)
+            msa_solution(grid, eps, which, bases["plus"], bases["minus"],
+                         depth=1)
 
     def test_not_contracting_raises(self, tanh_cubed):
         h = 5e-3
         grid = MsaGrid.build(tanh_cubed, h, (-0.7, 0.7), 0.0)
         eps = 3.0 * h**0.75  # mu = 3, deep outside the diabatic regime
         with pytest.raises(SeriesNotContracting):
-            msa_solution(tanh_cubed, eps, h, "w1", -0.7, -0.7, depth=6, grid=grid)
+            msa_solution(grid, eps, "w1", -0.7, -0.7, depth=6)
 
 
 class TestConnection:
@@ -257,8 +260,8 @@ class TestConnection:
         matrix from both explicit solves."""
         model, cat, h, grid = cubic_setup
         eps = 0.05 * h**0.75
-        w1 = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=3, grid=grid)
-        w2 = msa_solution(model, eps, h, "w2", -0.7, -0.7, depth=3, grid=grid)
+        w1 = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
+        w2 = msa_solution(grid, eps, "w2", -0.7, -0.7, depth=3)
         assert np.array_equal(w2.comp1, -np.conj(w1.comp2))
         assert np.array_equal(w2.comp2, np.conj(w1.comp1))
         assert w2.truncation_estimate == w1.truncation_estimate
@@ -326,7 +329,7 @@ class TestConnection:
         """The same change of basis from the ODE integrator."""
         model, cat, h, grid = cubic_setup
         eps = 0.05 * h**0.75
-        w1l = msa_solution(model, eps, h, "w1", -0.7, -0.7, depth=3, grid=grid)
+        w1l = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
         # -0.7 and 0.7 are the grid's end nodes
         psi_l = np.array([w1l.comp1[0], w1l.comp2[0]])
         psi_r = fundamental_matrix(model, eps, h, -0.7, 0.7, tol=1e-12) @ psi_l
@@ -417,7 +420,7 @@ class TestCosts:
         grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
         tracemalloc.start()
         try:
-            msa_solution(model, 0.05 * self.H ** 0.75, self.H, "w1", *bases, grid=grid)
+            msa_solution(grid, 0.05 * self.H ** 0.75, "w1", *bases)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -107,7 +107,7 @@ def test_split_of_other_orders_is_refused():
     with pytest.raises(RegimeViolation, match=r"orders \(2, 3\)"):
         predict_mixed(pair, catalog, eps, h, other, turning_sets=tps)
     with pytest.raises(RegimeViolation, match=r"orders \(2, 3\)"):
-        predicted_scattering(pair, eps, h, other, catalog=catalog, turning_sets=tps)
+        predicted_scattering(pair, eps, h, other, catalog=catalog)
 
 
 @pytest.mark.parametrize("orders, assignment, odd", [

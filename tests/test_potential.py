@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from crossinglab.errors import (
     AnchorInsideCrossings,
-    BracketingFailed,
     ConfigError,
     TailIntegralVanishes,
     ZeroOrderUndetermined,
@@ -219,7 +218,7 @@ class TestFindCrossings:
         assert cat.crossings[0].v == pytest.approx(6.0, rel=1e-12)
 
     def test_linear(self):
-        cat = find_crossings(LinearLZ(slope=1.0), (-1, 1))
+        cat = find_crossings(LinearLZ(slope=1.0))
         assert (cat.crossings[0].t, cat.crossings[0].m) == (0.0, 1)
         assert cat.crossings[0].v == pytest.approx(1.0)
 
@@ -243,16 +242,6 @@ class TestFindCrossings:
         assert cat.n == 2
         assert cat.positions == pytest.approx((1.0, -1.0), abs=1e-8)
         assert cat.orders == (1, 2)
-
-    def test_idempotent_under_interval_growth(self, tanh_pair):
-        small = find_crossings(tanh_pair, (-5, 5))
-        large = find_crossings(tanh_pair, (-30, 30))
-        assert small.positions == pytest.approx(large.positions, abs=1e-10)
-        assert small.orders == large.orders
-
-    def test_interval_excluding_zero_raises(self, tanh_pair):
-        with pytest.raises(BracketingFailed):
-            find_crossings(tanh_pair, (0.0, 5.0))
 
     def test_order_beyond_cap_raises(self):
         model = ScaledTanhProduct(1.0, [{"power": 13, "slope": 1.0, "center": 0.0}])
@@ -341,7 +330,7 @@ class TestAreas:
 class TestRegularizedAction:
     def test_constant_tail(self, lz_windowed):
         """Far beyond the window the tail correction is negligible."""
-        cat = find_crossings(lz_windowed, (-9, 9))
+        cat = find_crossings(lz_windowed)
         t_r = 14.0
         r = regularized_action(lz_windowed, "right", t_r, catalog=cat)
         assert r == pytest.approx(lz_windowed.v_right * t_r, abs=1e-10)
@@ -371,7 +360,7 @@ class TestRegularizedAction:
             regularized_action(tanh_pair, "right", 1.0, catalog=tanh_pair_catalog)
 
     def test_vanishing_tail_raises(self, lz_windowed):
-        cat = find_crossings(lz_windowed, (-9, 9))
+        cat = find_crossings(lz_windowed)
         with pytest.raises(TailIntegralVanishes):
             regularized_action(lz_windowed, "right", 30.0, catalog=cat)
 
@@ -406,7 +395,7 @@ class TestCatalogTails:
         assert regularized_actions(model, cat, anchors) == actions
 
     def test_no_tails_without_limits(self, lz_pure):
-        cat = find_crossings(lz_pure, (-1, 1))
+        cat = find_crossings(lz_pure)
         assert not cat.line_data and "tails" not in cat.to_dict()
 
     def test_failed_anchor_is_no_catalog_failure(self, monkeypatch):

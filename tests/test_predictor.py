@@ -148,7 +148,7 @@ class TestNonadiabaticPrediction:
         assert pred.p_pred == pytest.approx(pred.c_star * pred.mu_star**2)
 
     def test_transversal_refused(self, lz_windowed):
-        cat = find_crossings(lz_windowed, (-9, 9))
+        cat = find_crossings(lz_windowed)
         with pytest.raises(MStarTooSmall):
             predict_nonadiabatic(lz_windowed, cat, 0.001, 0.01)
 
@@ -391,6 +391,6 @@ class TestGeometryCache:
         eps = 0.3 * math.sqrt(h)
         split = RegimeSplit.build(demo_cat.orders, ["N", "A"])
         tps = {1: turning_points(demo, demo_cat, 1, eps)}
-        _predicted_scattering(demo, eps, h, split, demo_cat, turning_sets=tps)
+        _predicted_scattering(demo, eps, h, split, demo_cat, None)
         _predict_mixed(demo, demo_cat, eps, h, split, turning_sets=tps)
         assert calls == []

@@ -163,10 +163,9 @@ class TestAdiabaticFactor:
         h = 1e-3
         for mu_val in (12.0, 20.0):
             eps = mu_val * h ** (2 / 3)
-            tps = turning_points(model, cat, 0, eps)
-            fac = crossing_transfer_adiabatic(0, eps, h, cat, tps)
-            assert abs(abs(fac.alpha) - 1.0) < 0.05
-            assert abs(fac.beta) < 1e-10
+            alpha, beta = wkb_alpha_beta(0, eps, h, cat, turning_points(model, cat, 0, eps))
+            assert abs(abs(alpha) - 1.0) < 0.05
+            assert abs(beta) < 1e-10
 
     def test_even_even_case_undressed(self, even_crossing):
         """(m even, sigma_prev even): the factor is the raw WKB matrix."""
@@ -191,7 +190,7 @@ class TestAdiabaticFactor:
         assert np.max(np.abs(full - 1j * Q_FLIP @ dense(*fac.pair))) < 1e-14
 
     def test_exact_probability_tracks_beta(self, even_crossing):
-        """|beta|^2 from the dressed factor matches the exact P through the
+        """|beta|^2 of the WKB entries matches the exact P through the
         oscillation, the sharpest validation of the adiabatic branch."""
         from crossinglab.scattering import scattering_matrix
 
@@ -199,10 +198,9 @@ class TestAdiabaticFactor:
         h = 1e-3
         for mu_val in (2.8, 3.4):
             eps = mu_val * h ** (2 / 3)
-            tps = turning_points(model, cat, 0, eps)
-            fac = crossing_transfer_adiabatic(0, eps, h, cat, tps)
+            _, beta = wkb_alpha_beta(0, eps, h, cat, turning_points(model, cat, 0, eps))
             rep = scattering_matrix(model, eps, h, tol=1e-10)
-            assert rep.p_transition == pytest.approx(abs(fac.beta) ** 2, rel=0.15)
+            assert rep.p_transition == pytest.approx(abs(beta) ** 2, rel=0.15)
 
     def test_regime_enforcement(self, even_crossing):
         """The entry points refuse an adiabatic split in the band."""
@@ -298,8 +296,7 @@ class TestPredictedScattering:
         h = 1e-4
         eps = 0.3 * math.sqrt(h)
         split = RegimeSplit.build(cat.orders, ["N", "A"])
-        tps = {1: turning_points(model, cat, 1, eps)}
-        pred = _predicted_scattering(model, eps, h, split, cat, turning_sets=tps)
+        pred = _predicted_scattering(model, eps, h, split, cat, None)
         assert pred.p_chain_paths["direct"] == pytest.approx(
             pred.p_chain_paths["su2_chain"], abs=1e-12)
         assert pred.n_sharp_odd == 1
@@ -380,7 +377,7 @@ def chain_and_mixed(model, catalog, eps, h, tag):
     assert set(split.assignment) == {tag}
     tps = {k: turning_points(model, catalog, k, eps)
            for k, a in enumerate(split.assignment) if a == "A"}
-    pred = predicted_scattering(model, eps, h, split, catalog=catalog, turning_sets=tps)
+    pred = predicted_scattering(model, eps, h, split, catalog=catalog)
     mixed = predict_mixed(model, catalog, eps, h, split, turning_sets=tps)
     return pred.p_chain_paths["su2_chain"], mixed.p_pred
 
