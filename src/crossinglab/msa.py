@@ -231,8 +231,8 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
 
     Both bases are built over [ell, r] around crossing k; the matrix is read
     off at t = r where the right-based pair reduces to diag(u^+, u^-).  Only
-    w1 is solved; w2 follows from it by symmetry.  A
-    given grid must span exactly [ell, r] and take its phase from t_k.
+    w1 is solved; w2 follows from it by symmetry.  A given grid must be built
+    for this model and h, span exactly [ell, r] and take its phase from t_k.
     """
     if depth < 1:
         raise ValueError("depth >= 1 required")
@@ -243,6 +243,10 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
         raise ValueError(f"need ell < t_k={t_k} < r")
     if grid is None:
         grid = MsaGrid.build(model, h, (ell, r), t_k)
+    elif grid.h != h:
+        raise ValueError(f"grid was built at h={grid.h}, not h={h}")
+    elif grid.model is not model:
+        raise ValueError("grid was built for another model")
     elif grid.index(ell) != 0 or grid.index(r) != len(grid.points) - 1:
         raise ValueError(f"grid spans [{grid.points[0]}, {grid.points[-1]}], "
                          f"not [ell, r] = [{ell}, {r}]")

@@ -46,16 +46,19 @@ Two independent backends:
   density is floored at lam / (MAX_PHASE h).  ``boost`` scales the density,
   which is sampled once per propagation and serves every boost.  Its samples
   of V and |V'| ... |V^(6)| (``_density_samples``) depend on neither eps nor
-  h, so scattering keeps those of the whole line on the catalog and pays
-  only the eps and h arithmetic per row.
+  h, so scattering keeps those of the whole line on the catalog, takes a
+  window's from the window plan's jets (``adiabatic.plan_windows``), and
+  pays only the eps and h arithmetic per row.
 
-  Step control: a pilot pair of meshes at boosts 0.35 and 0.7 gives a
-  Richardson estimate of the finer mesh's error, |M_fine - M_coarse| /
-  (r^q - 1) with r the boost ratio.  The observed order on these meshes is
-  6.0 (5.7 to 6.2 from boost 0.35 to 2 on the tanh pair, cubed tanh and
-  windowed LZ); q = 5 keeps the estimate above the true error, about twice
-  it at r = 2 (1.7 to 2.2 on the whole-line tanh pair at h = 8e-3 ...
-  2.5e-3, eps = 0.04 ... 0.06 h^0.75).  That needs a mesh whose step size
+  Step control: a pilot pair of meshes gives a Richardson estimate of the
+  finer mesh's error, |M_fine - M_coarse| / (r^q - 1) with r the boost
+  ratio.  The pair is nested: the fine mesh has exactly twice the steps of
+  the coarse one at boost PILOT_BOOST = 0.35, and the coarse mesh is its
+  even points, so one ``adaptive_mesh`` serves both and r = 2 exactly.
+  The observed order on these meshes is 6.0 (5.7 to 6.2 from boost 0.35 to
+  2 on the tanh pair, cubed tanh and windowed LZ); q = 5 keeps the estimate
+  above the true error, about twice it at r = 2 (1.7 to 2.2 on the
+  whole-line tanh pair at h = 8e-3 ... 2.5e-3, eps = 0.04 ... 0.06 h^0.75).  That needs a mesh whose step size
   varies continuously (``adaptive_mesh``): where local errors cancel along
   the line, steps that jump at every density sample leave errors that alias
   with the boost, and the same estimate read 0.65 to 13.8 times the error.
@@ -65,7 +68,8 @@ Two independent backends:
   Acceptance always rests on the estimate of two built meshes, never on an
   extrapolation.  Since e adds magnitudes that partly cancel, boost 1 errs
   well below tol; the pilot boosts put the accepted window meshes of the
-  tanh pair at 0.15 to 0.5 of their tol from h = 1e-2 to 1e-8.  Where local
+  tanh pair at 0.10 to 0.24 of their tol from h = 1e-2 to 1e-8 (against the
+  same window at tol / 1000).  Where local
   errors cancel along the line (away from crossings, whole-line runs) the
   accepted mesh sits one or two decades below tol, and a pilot of a few
   dozen steps (loose tol, order-1 crossings) is rejected once.
@@ -89,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureTolExceeded, StepUnderflow
+from .errors import StepUnderflow
 from .quadrature import adaptive_mesh, cumulative_density, mesh_steps
 from .su2 import dense, ordered_product, su2_mul
 
@@ -112,10 +116,10 @@ DENSITY_SAMPLES = 1025
 MAX_PHASE = 1.0
 
 MAX_TOTAL_STEPS = 40_000_000
-# boosts of the pilot pair, the smallest ratio between the boosts of a pair,
-# the order of the Richardson estimate, and the sized meshes allowed after
-# the pilot pair
-PILOT_BOOSTS = (0.35, 0.7)
+# boost of the coarse pilot mesh (the fine one has twice its steps), the
+# smallest ratio between the boosts of a pair, the order of the Richardson
+# estimate, and the sized meshes allowed after the pilot pair
+PILOT_BOOST = 0.35
 MIN_BOOST_RATIO = 1.25
 RICHARDSON_ORDER = 5
 MAX_REFINEMENTS = 3
@@ -127,10 +131,10 @@ class PropagationDiagnostics:
     """How a propagation was obtained.
 
     ``steps`` is the size of the returned mesh and ``steps_built`` that of
-    every mesh built for it, the pilot pair included; ``refinements`` counts
-    the sized meshes after the pilot pair, ``richardson_error`` is the
-    estimate for the returned mesh and ``norm_drift`` the larger norm drift
-    of the pair behind that estimate.
+    every mesh propagated for it, both meshes of the pilot pair included;
+    ``refinements`` counts the sized meshes after the pilot pair,
+    ``richardson_error`` is the estimate for the returned mesh and
+    ``norm_drift`` the larger norm drift of the pair behind that estimate.
     """
 
     steps: int = 0
@@ -185,7 +189,11 @@ def _density_samples(model, t0: float, t1: float) -> tuple:
     nor h: the DENSITY_SAMPLES points t, V and |V'| ... |V^(6)| at t, from
     one order-6 jet."""
     t = np.linspace(t0, t1, DENSITY_SAMPLES)
-    jet = model.taylor(t, 6)
+    return _density_samples_from_jets(t, model.taylor(t, 6))
+
+
+def _density_samples_from_jets(t: np.ndarray, jet: np.ndarray) -> tuple:
+    """t, V and |V'| ... |V^(6)| at t from V's Taylor jets there (order >= 6)."""
     return t, jet[0], [math.factorial(j) * np.abs(jet[j]) for j in range(1, 7)]
 
 
@@ -222,16 +230,15 @@ def pilot_steps(density) -> int:
 
     A propagation whose pilot pair is accepted builds exactly these steps.
     """
-    return sum(mesh_steps(density, boost) for boost in PILOT_BOOSTS)
+    return 3 * mesh_steps(density, PILOT_BOOST)
 
 
-def _magnus6_mesh(density, h: float, tol: float, boost: float) -> np.ndarray:
-    try:
-        return adaptive_mesh(density, boost, MAX_TOTAL_STEPS)
-    except QuadratureTolExceeded as exc:
+def _magnus6_mesh(density, h: float, tol: float, steps: int) -> np.ndarray:
+    if steps > MAX_TOTAL_STEPS:
         raise StepUnderflow(
             f"h={h}, tol={tol} needs more than {MAX_TOTAL_STEPS} steps; "
-            "below the feasible floor") from exc
+            "below the feasible floor")
+    return adaptive_mesh(density, steps)
 
 
 def check_parameters(eps: float, h: float, tol: float) -> None:
@@ -268,8 +275,7 @@ def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
     if density is None:
         density = _magnus6_density(model, eps, h, t0, t1, tol)
 
-    def solve(boost):
-        mesh = _magnus6_mesh(density, h, tol, boost)
+    def solve(mesh):
         diagnostics.steps = len(mesh) - 1
         diagnostics.steps_built += diagnostics.steps
         return _magnus6_matrix_on_mesh(model, eps, h, mesh)
@@ -277,10 +283,14 @@ def fundamental_matrix(model, eps: float, h: float, t0: float, t1: float,
     def norm_drift(pair):
         return float(abs(abs(pair[0]) ** 2 + abs(pair[1]) ** 2 - 1.0))
 
-    coarse_boost, boost = PILOT_BOOSTS
-    coarse = solve(coarse_boost)
+    # the pilot pair is nested: the coarse mesh is every other point of the fine one
+    coarse_boost, boost = PILOT_BOOST, 2.0 * PILOT_BOOST
+    mesh = _magnus6_mesh(density, h, tol, 2 * mesh_steps(density, coarse_boost))
+    coarse = solve(mesh[::2])
     for refinement in range(MAX_REFINEMENTS + 1):
-        a, b = fine = solve(boost)
+        if refinement:
+            mesh = _magnus6_mesh(density, h, tol, mesh_steps(density, boost))
+        a, b = fine = solve(mesh)
         # Richardson estimate of the fine mesh's error; the other two entries
         # are conjugates of these, with the same moduli.  Every step is
         # unitary, so the norm drift is rounding, which no mesh removes; that

@@ -3,19 +3,24 @@
 Each job has one rule:
 
 * composite Gauss-Legendre rules on panels for integrands without a fast
-  phase (action integrals, the adiabatic phases) and for the Jost tails'
-  reference panels, whose linear phase a fixed panel width resolves;
+  phase (action integrals) and for the Jost tails' reference panels, whose
+  linear phase a fixed panel width resolves;
+* a two-point Hermite rule for integrands whose Taylor jets are already at
+  hand at the points (the adiabatic phases between the window plan's
+  samples): ``hermite_integrals``;
 * a sixth-order cumulative rule for samples on a uniform grid: the
   successive-approximation operators, their grid phase, and every
   oscillatory integral on a grid (``oscillatory.osc_integral`` runs on the
   same grids);
 * an adaptive mesh for the propagator: ``cumulative_density`` integrates a
-  sampled step density once, ``adaptive_mesh`` inverts it at any boost, and
-  ``mesh_steps`` gives that mesh's size without building it.
+  sampled step density once, ``mesh_steps`` gives the steps of a mesh at any
+  boost without building it, and ``adaptive_mesh`` inverts the density for
+  a mesh of given steps.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -45,28 +50,25 @@ def cumulative_density(t: np.ndarray, rho: np.ndarray) -> tuple:
 
 
 def mesh_steps(sampled, boost: float) -> int:
-    """Steps of the mesh that ``adaptive_mesh`` builds at this boost."""
+    """Steps of the mesh with local step 1 / (boost * density(t))."""
     return max(1, int(np.ceil(boost * sampled[1][-1])))
 
 
 _MESH_BLOCK = 1 << 16
 
 
-def adaptive_mesh(sampled, boost: float, max_points: int) -> np.ndarray:
-    """Mesh with local step 1 / (boost * density(t)).
+def adaptive_mesh(sampled, count: int) -> np.ndarray:
+    """Mesh of ``count`` steps, each holding an equal share of the density.
 
     ``sampled`` comes from ``cumulative_density``; one sampled density serves
-    meshes at any boost.  Breakpoints invert the running integral of the
-    density taken linear between the samples, a quadratic on each sample
-    interval, so the step size varies continuously: a step size that jumps
-    at every sample leaves errors that alias with the boost and spoil the
-    propagator's Richardson estimate.  More than ``max_points`` steps raise
-    before any large allocation happens.
+    meshes of any size (``mesh_steps`` gives the size at a boost).
+    Breakpoints invert the running integral of the density taken linear
+    between the samples, a quadratic on each sample interval, so the step
+    size varies continuously: a step size that jumps at every sample leaves
+    errors that alias with the boost and spoil the propagator's Richardson
+    estimate.
     """
     t, cum, rho = sampled
-    count = mesh_steps(sampled, boost)
-    if count > max_points:
-        raise QuadratureTolExceeded(f"adaptive mesh needs more than {max_points} panels")
     half = 0.5 * rho
     mesh = np.linspace(0.0, cum[-1], count + 1)
     # the index of the first level at or past each sample, the last interval
@@ -131,6 +133,37 @@ def integrate_panels(fn, edges: np.ndarray) -> float:
         raise QuadratureTolExceeded(
             f"smooth quadrature error estimate {err:.3e} over [{edges[0]}, {edges[-1]}]")
     return hi
+
+
+def hermite_integrals(t: np.ndarray, jets: np.ndarray) -> np.ndarray:
+    """Integrals of f between neighbouring points, from its Taylor jets there.
+
+    ``jets[k, j]`` is the k-th Taylor coefficient c_k of f at ``t[j]``, k = 0
+    ... m; ``t`` may run either way.  Entry j is the integral from t[j] to
+    t[j+1] of the degree-(2m + 1) Hermite interpolant of the jets at both
+    ends (Obreshkov's rule),
+
+        sum_k w_k d^(k+1) (c_k(t[j]) + (-1)^k c_k(t[j+1])),   d = t[j+1] - t[j],
+
+    with w_k = C(m, k) / (2 (k + 1) C(2m + 1, k)).  Its error is exactly
+    (m+1)!^2 / (2m+3)! d^(2m+3) c_(2m+2)(xi) for some xi between the points;
+    when f is analytic and bounded by M within distance R of the interval,
+    Cauchy's estimate |c_(2m+2)| <= M / R^(2m+2) bounds it by
+
+        (m+1)!^2 / (2m+3)! M |d| (|d| / R)^(2m+2),
+
+    at m = 7 (jets of order 7, degree 15): 4.6e-6 M |d| (|d| / R)^16.
+    """
+    m = len(jets) - 1
+    d = np.diff(t)
+    signs = (-1.0) ** np.arange(m + 1)[:, None]
+    ends = jets[:, :-1] + signs * jets[:, 1:]
+    # Horner in d: d (w_0 e_0 + d (w_1 e_1 + ... ))
+    w = [math.comb(m, k) / (2.0 * (k + 1) * math.comb(2 * m + 1, k)) for k in range(m + 1)]
+    total = w[m] * ends[m]
+    for k in range(m - 1, -1, -1):
+        total = total * d + w[k] * ends[k]
+    return total * d
 
 
 # Row k integrates, over [k, k+1], the degree-5 Lagrange interpolant through

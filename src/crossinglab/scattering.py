@@ -268,7 +268,7 @@ def jost_basis(model, eps: float, h: float, side: str, T: float,
 
 # whole-line magnus6 steps built that planning and propagating one crossing's
 # window cost (see scattering_matrix)
-WINDOW_COST_STEPS = 9000
+WINDOW_COST_STEPS = 8000
 
 
 def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
@@ -282,12 +282,14 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
     predicted_steps).  Up to WINDOW_COST_STEPS per crossing the whole line
     is propagated on that density; beyond, the windows are planned, and the
     whole line is still taken when the plan fails.  The constant is the
-    windowed route's cost per crossing in whole-line steps built: the plan
-    plus the window propagations take 1.5-2.2 ms per crossing and a
-    whole-line step built 0.21 us, i.e. 7.3k-10.4k steps, median 9.1k (tanh
-    pair and three-crossing tanh at h = 1e-3 ... 1e-5, windowed LZ at
-    h = 0.05 ... 0.2, tol 1e-9, one core).  Both routes meet tol, so the
-    constant moves cost, never accuracy.
+    windowed route's cost per crossing in whole-line steps built, on the
+    tanh pair and three-crossing tanh at h = 1e-3 ... 1e-5 (eps = 0.05
+    h^0.75) and windowed LZ at h = 0.05 ... 0.2 (eps = 0.05 ... 0.2), tol
+    1e-9: the plan plus the window propagations take 1.06-1.26 ms per
+    crossing of the tanh products and 1.75-2.72 ms on LZ, and the whole line
+    0.12-0.42 us per step built on the same rows, i.e. 5.7k-11.0k steps,
+    median 8.1k (per-row medians of three runs, process time, one thread).
+    Both routes meet tol, so the constant moves cost, never accuracy.
     """
     return _scattering_matrix(model, eps, h, tol, truncation, method, catalog,
                               WINDOW_COST_STEPS)
@@ -369,9 +371,11 @@ def _windowed_matrix(model, eps: float, h: float, tol: float, plan: WindowPlan):
     total = plan.transfers[0]
     diags = []
     window_tol = 0.5 * tol / len(plan.windows)
-    for (lo, hi), after in zip(plan.windows, plan.transfers[1:]):
+    for (lo, hi), samples, after in zip(plan.windows, plan.samples, plan.transfers[1:]):
         diags.append(PropagationDiagnostics())
-        mat = fundamental_matrix(model, eps, h, lo, hi, tol=window_tol, diagnostics=diags[-1])
+        density = _magnus6_density(model, eps, h, lo, hi, window_tol, samples)
+        mat = fundamental_matrix(model, eps, h, lo, hi, tol=window_tol, diagnostics=diags[-1],
+                                 density=density)
         total = su2_mul(*after, *su2_mul(mat[0, 0], mat[1, 0], *total))
     return total, diags
 

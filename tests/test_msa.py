@@ -15,7 +15,12 @@ from crossinglab.msa import (
     sampled_norm,
 )
 from crossinglab.oscillatory import omega_m
-from crossinglab.potential import PolynomialWindowed, find_crossings, phase_integral
+from crossinglab.potential import (
+    PolynomialWindowed,
+    find_crossings,
+    model_from_config,
+    phase_integral,
+)
 from crossinglab.propagator import fundamental_matrix
 from crossinglab.quadrature import cumulative_uniform
 
@@ -312,6 +317,17 @@ class TestConnection:
         with pytest.raises(ValueError, match="grid"):
             connection_T_numeric(model, 0.05 * h**0.75, h, 0, -0.7, 0.7,
                                  catalog=cat, grid=grid)
+
+    def test_grid_for_another_h_or_model_raises(self, cubic_setup):
+        """A grid carries its h and model; the series would silently run at
+        the grid's own h or on the grid's own V."""
+        model, cat, h, grid = cubic_setup
+        eps = 0.05 * h**0.75
+        with pytest.raises(ValueError, match="h="):
+            connection_T_numeric(model, eps, 2.0 * h, 0, -0.7, 0.7, catalog=cat, grid=grid)
+        twin = model_from_config(model.to_config())
+        with pytest.raises(ValueError, match="another model"):
+            connection_T_numeric(twin, eps, h, 0, -0.7, 0.7, catalog=cat, grid=grid)
 
     def test_grid_refinement(self):
         """At a criterion-5 point the matrix is converged in the grid step."""

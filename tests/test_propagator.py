@@ -11,11 +11,14 @@ from crossinglab.potential import PolynomialWindowed, ScaledTanhProduct
 from crossinglab.propagator import (
     MAX_REFINEMENTS,
     MIN_BOOST_RATIO,
-    PILOT_BOOSTS,
+    PILOT_BOOST,
     PropagationDiagnostics,
+    _magnus6_density,
     _magnus6_matrix_on_mesh,
     fundamental_matrix,
+    pilot_steps,
 )
+from crossinglab.quadrature import mesh_steps
 from crossinglab.scattering import scattering_matrix
 
 
@@ -156,39 +159,48 @@ class TestBackends:
 class TestStepControl:
     @staticmethod
     def _record_meshes(monkeypatch):
-        """(boost, steps) of every mesh the propagator builds."""
-        meshes = []
-        build = propagator._magnus6_mesh
+        """(density, steps) of every mesh the propagator builds, and every
+        mesh it propagates."""
+        built, propagated = [], []
+        build, propagate = propagator._magnus6_mesh, propagator._magnus6_matrix_on_mesh
 
-        def recording(*args):
-            mesh = build(*args)
-            meshes.append((args[-1], len(mesh) - 1))
-            return mesh
+        def recording_build(density, h, tol, steps):
+            built.append((density, steps))
+            return build(density, h, tol, steps)
 
-        monkeypatch.setattr(propagator, "_magnus6_mesh", recording)
-        return meshes
+        def recording_propagate(model, eps, h, mesh):
+            propagated.append(mesh)
+            return propagate(model, eps, h, mesh)
+
+        monkeypatch.setattr(propagator, "_magnus6_mesh", recording_build)
+        monkeypatch.setattr(propagator, "_magnus6_matrix_on_mesh", recording_propagate)
+        return built, propagated
 
     def test_pilot_pair_accepted_on_windowed_lz(self, lz_windowed, monkeypatch):
-        meshes = self._record_meshes(monkeypatch)
+        """One mesh is built for the pilot pair: the coarse mesh is every other
+        point of the fine one, and pilot_steps counts both exactly."""
+        built, propagated = self._record_meshes(monkeypatch)
         diag = PropagationDiagnostics()
         fundamental_matrix(lz_windowed, 0.1, 0.1, -12.0, 12.0, tol=1e-9, diagnostics=diag)
-        assert [boost for boost, _ in meshes] == list(PILOT_BOOSTS)
+        density = _magnus6_density(lz_windowed, 0.1, 0.1, -12.0, 12.0, 1e-9)
+        assert [steps for _, steps in built] == [2 * mesh_steps(density, PILOT_BOOST)]
+        coarse, fine = propagated
+        assert len(fine) - 1 == built[0][1] and np.array_equal(coarse, fine[::2])
         assert diag.refinements == 0
         assert diag.richardson_error <= 1e-9
-        assert diag.steps_built == sum(steps for _, steps in meshes)
+        assert diag.steps_built == len(coarse) + len(fine) - 2 == pilot_steps(density)
 
     def test_rejected_pilot_is_followed_by_a_sized_mesh(self, lz_windowed, monkeypatch):
         """Windowed LZ at h = 1e-3, mu = 0.1: the coarse pilot mesh over the one
         window, 74 steps, is not yet in the asymptotic regime."""
-        meshes = self._record_meshes(monkeypatch)
+        built, propagated = self._record_meshes(monkeypatch)
         h = 1e-3
         diag = scattering_matrix(lz_windowed, 0.1 * h**0.75, h, tol=1e-9).diagnostics
-        boosts = [boost for boost, _ in meshes]
-        assert boosts[:2] == list(PILOT_BOOSTS)
-        assert len(boosts) == 3 and diag["refinements"] == 1
-        ratio = boosts[2] / boosts[1]
-        assert ratio >= MIN_BOOST_RATIO
-        assert abs(ratio - 2.0) > 0.1
+        assert len(built) == 2 and len(propagated) == 3 and diag["refinements"] == 1
+        (density, pilot), (_, sized) = built
+        assert pilot == 2 * mesh_steps(density, PILOT_BOOST)
+        assert sized >= mesh_steps(density, 2.0 * PILOT_BOOST * MIN_BOOST_RATIO)
+        assert abs(sized / pilot - 2.0) > 0.1
 
     def test_true_error_within_tol(self, tanh_pair):
         """Against a tol/100 run the error is below tol, and the estimate covers it."""
@@ -215,7 +227,8 @@ class TestStepControl:
         with pytest.raises(StepUnderflow, match="failed to reach"):
             fundamental_matrix(tanh_cubed, 0.1, 0.1, -1.0, 1.0, tol=1e-9, diagnostics=diag)
         assert diag.refinements == MAX_REFINEMENTS
-        assert diag.steps_built == 8 * (MAX_REFINEMENTS + 2)
+        # the coarse pilot mesh is every other point of the first
+        assert diag.steps_built == 4 + 8 * (MAX_REFINEMENTS + 1)
 
     def test_tol_below_rounding_raises(self, tanh_cubed):
         """No mesh reaches a tol below the rounding of the product; stop at once."""

@@ -1,9 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossinglab.quadrature import adaptive_mesh, cumulative_density, cumulative_uniform
+from crossinglab.quadrature import (
+    adaptive_mesh,
+    cumulative_density,
+    cumulative_uniform,
+    hermite_integrals,
+    mesh_steps,
+)
 
 
 class TestCumulativeUniform:
@@ -87,7 +94,7 @@ class TestAdaptiveMesh:
         t = np.linspace(0.0, 4.0, 9)
         rho = 200.0 + 100.0 * np.sin(t)
         sampled = cumulative_density(t, rho)
-        mesh = adaptive_mesh(sampled, 1.0, 10**6)
+        mesh = adaptive_mesh(sampled, mesh_steps(sampled, 1.0))
         j = np.clip(np.searchsorted(t, mesh, side="right") - 1, 0, len(t) - 2)
         s = mesh - t[j]
         slope = (rho[j + 1] - rho[j]) / (t[j + 1] - t[j])
@@ -99,3 +106,23 @@ class TestAdaptiveMesh:
         # interpolation of the running integral jumps by ~0.25
         steps = np.diff(mesh)
         assert np.max(np.abs(steps[1:] / steps[:-1] - 1.0)) < 0.01
+
+
+class TestHermiteIntegrals:
+    def test_exact_on_degree_15(self, rng):
+        """Order-7 jets at both ends integrate degree-15 polynomials exactly,
+        whichever way the points run."""
+        poly = np.polynomial.Polynomial(rng.standard_normal(16))
+        t = np.array([-0.4, 0.3, 1.1, 0.7])
+        jets = np.array([poly.deriv(k)(t) / math.factorial(k) for k in range(8)])
+        exact = np.diff(poly.integ()(t))
+        assert np.max(np.abs(hermite_integrals(t, jets) - exact)) < 1e-14
+
+    def test_error_term(self):
+        """On e^t over [0, d] the error is (8!)^2 / 17! d^17 e^xi / 16!, xi in [0, d]."""
+        d = 2.0
+        t = np.array([0.0, d])
+        jets = np.array([np.exp(t) / math.factorial(k) for k in range(8)])
+        error = math.expm1(d) - hermite_integrals(t, jets)[0]
+        scale = math.factorial(8) ** 2 / math.factorial(17) * d**17 / math.factorial(16)
+        assert scale <= error <= scale * math.exp(d)

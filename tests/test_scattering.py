@@ -16,7 +16,7 @@ from crossinglab.potential import (
     regularized_action,
 )
 from crossinglab.potential.catalog import TAIL_LEVEL
-from crossinglab import propagator, scattering
+from crossinglab import adiabatic, propagator, quadrature, scattering
 from crossinglab.quadrature import gauss_legendre, integrate_panels
 from crossinglab.su2 import dense
 from crossinglab.transfer import end_connectors
@@ -455,6 +455,12 @@ class TestLineData:
             assert kept == jost_basis(tanh_pair, 0.02, 0.05, side, 12.5)
 
 
+# cells of test_whole_line_estimate_calibrated that the route rule sends to
+# the windows: the tanh pair at h = 2.5e-3, eps = 0.06 h^0.75 predicts 17.6k
+# whole-line steps, above 2 WINDOW_COST_STEPS
+_WINDOWED_BY_RULE = {("pair", 2.5e-3)}
+
+
 class TestRouteRule:
     @pytest.mark.parametrize("h", [0.1, 1e-2])
     def test_whole_line_where_its_steps_are_cheaper(self, tanh_pair, tanh_pair_catalog,
@@ -493,12 +499,16 @@ class TestRouteRule:
         ("pair", 2.5e-3, 0.06 * 2.5e-3**0.75), ("pair", 3.5e-3, 0.05 * 3.5e-3**0.75),
         *(("lz", h, eps) for h in (0.1, 0.2) for eps in (0.05, 0.1, 0.2))])
     def test_whole_line_estimate_calibrated(self, tanh_pair, lz_windowed, family, h, eps):
-        """On the rows the rule sends whole-line, error_estimate covers the
-        difference of S from the same route at tol/1000, within a factor 10."""
+        """On whole-line rows, error_estimate covers the difference of S from
+        the same route at tol/1000, within a factor 10.  The rule sends every
+        row whole-line but those of _WINDOWED_BY_RULE, which are forced."""
         model = tanh_pair if family == "pair" else lz_windowed
         cat = find_crossings(model)
         tol = 1e-9
         rep = scattering_matrix(model, eps, h, tol=tol, catalog=cat)
+        if (family, h) in _WINDOWED_BY_RULE:
+            assert rep.diagnostics["route"] == "windowed"
+            rep = _whole_line(model, eps, h, tol, cat, rep.truncation)
         ref = _whole_line(model, eps, h, tol / 1000, cat, rep.truncation)
         assert rep.diagnostics["route"] == "whole_line"
         observed = float(np.max(np.abs(rep.s_matrix - ref.s_matrix)))
@@ -574,6 +584,72 @@ class TestWindowedRoute:
         assert diag["steps_built"] == sum(d.steps_built for *_, d in calls)
         assert diag["richardson_error"] == sum(d.richardson_error for *_, d in calls)
         assert 0.0 < diag["series_bound"] <= tol / 2
+
+    @pytest.mark.parametrize("family, h, eps", [
+        ("pair", 1e-4, 0.05 * 1e-4**0.75), ("three", 1e-3, 0.05 * 1e-3**0.75),
+        ("lz", 0.05, 0.1)])
+    def test_one_jet_call_per_row(self, tanh_pair, lz_windowed, monkeypatch, family, h, eps):
+        """A windowed row samples V once, for the plan: the adiabatic phases
+        and the windows' step densities come from the plan's jets, with no
+        panel quadrature and no density samples of their own."""
+        model = {"pair": tanh_pair, "three": THREE_CROSSINGS, "lz": lz_windowed}[family]
+        cat = find_crossings(model)
+        scattering_matrix(model, eps, h, tol=1e-9, catalog=cat)   # fills the catalog's memo
+        orders = []
+        real_taylor = model.taylor
+
+        def taylor(t, n):
+            orders.append(n)
+            return real_taylor(t, n)
+
+        def forbidden(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} was called")
+            return call
+
+        monkeypatch.setattr(model, "taylor", taylor)
+        for module in (adiabatic, propagator, scattering, quadrature):
+            for name in ("integrate_panels", "_density_samples"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden(name))
+        rep = scattering_matrix(model, eps, h, tol=1e-9, catalog=cat)
+        assert rep.diagnostics["route"] == "windowed"
+        assert orders == [adiabatic.JET_ORDER]
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("family", ["pair", "three", "lz"])
+    def test_phases_match_panels(self, tanh_pair, lz_windowed, monkeypatch, family, h):
+        """Phi and gamma from the plan's jets agree with composite
+        Gauss-Legendre on panels of two samples, on every side: the Hermite
+        rule's error is below their rounding (see ``adiabatic``)."""
+        model = {"pair": tanh_pair, "three": THREE_CROSSINGS, "lz": lz_windowed}[family]
+        eps = 0.1 if family == "lz" else 0.05 * h**0.75
+        sides = []
+        real = adiabatic._Side.transfer
+
+        def spy(side, h):
+            sides.append(side)
+            return real(side, h)
+
+        monkeypatch.setattr(adiabatic._Side, "transfer", spy)
+        truncation = 12.0 if family == "lz" else None
+        rep = _windowed(model, eps, h, 1e-9, find_crossings(model), truncation)
+        assert rep.diagnostics["route"] == "windowed" and sides
+
+        def rates(t):
+            v = np.real(model.eval(t))
+            lam2 = v * v + eps * eps
+            theta_p = -0.5 * eps * np.real(model.deriv(t)) / lam2
+            lam = np.sqrt(lam2)
+            return lam + 0.5j * h * theta_p**2 / lam
+
+        for side in sides:
+            i = side.edge
+            ref = integrate_panels(rates, np.sort(side.t[list(range(i, 0, -2)) + [0]]))
+            phases = -side.sign * np.sum(side.phases[:i])
+            assert abs(phases.real - ref.real) <= 1e-15 * ref.real
+            # the panels' own gamma errs by up to ~2e-14 here
+            assert abs(phases.imag - ref.imag) <= 5e-14 * ref.imag
 
     def test_no_predictor_or_transfer(self):
         """The route stays independent of the closed-form side."""
