@@ -181,8 +181,7 @@ def msa_suite(seed: int) -> list:
 
     res = residual_norm(w1, eps)
     # finite-difference floor: second-order gradient on the grid phase step
-    step = float(np.max(np.abs(np.real(model.eval(grid.points)))) *
-                 (grid.points[1] - grid.points[0]) / h)
+    step = float(np.max(np.abs(np.real(model.eval(grid.points)))) * grid.dx / h)
     floor = step**2 + w1.truncation_estimate
     out.append(("msa.residual", res < 50.0 * max(floor, 1e-13), f"residual {res:.2e} floor {floor:.2e}"))
 
@@ -192,7 +191,7 @@ def msa_suite(seed: int) -> list:
     for h_test in (8e-3, 4e-3, 2e-3, 1e-3):
         g_test = MsaGrid.build(model, h_test, (-0.7, 0.7), 0.0)
         ft = np.cos(g_test.points) + 0.3
-        val = apply_K(g_test, +1, -0.7, g_test.u_minus * ft) / g_test.u_plus
+        val = apply_K(g_test, +1, -0.7, g_test.u(-1) * ft) / g_test.u_plus
         norm_out = sampled_norm(g_test, val, 1.0 / (m + 1))
         norm_in = sampled_norm(g_test, ft, 1.0 / (m + 1))
         ratios.append(norm_out / norm_in * h_test ** (m / (m + 1.0)))

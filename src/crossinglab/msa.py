@@ -17,12 +17,15 @@ with no interpolation between them.  The grid phase is accumulated outward
 from the node nearest t_ref, so that it is exactly 0 at a t_ref that is a
 node.  Base points must be grid nodes.
 
-The series runs in the interaction frame: with s the sign of the leading
-component, its terms f, g are carried as F = f u^{-s} and G = g u^{s}, and
-E = (u^s)^2 is formed once per solve.  A term then costs one product with E
-or conj(E) and one cumulative sum, whose ``origin`` is the base node, so it
-is exactly 0 there; ``apply_K`` is the same operator in the lab frame.  The
-components u^s sum F and -eps u^{-s} sum G are formed once at the end, and
+The grid holds u^+ and the ends of its interval, nothing more: u^- is
+conj(u^+) and the nodes are a linspace over the ends, both formed when a
+caller needs them.  The series runs in the interaction frame: with s the
+sign of the leading component, its terms f, g are carried as F = f u^{-s}
+and G = g u^{s}.  A term then costs two in-place products by u^s, a
+conjugation and one cumulative sum, whose ``origin`` is the base node, so it
+is exactly 0 there; the factors i/h and eps^2 i/h ride in the sum's step.
+``apply_K`` is the same operator in the lab frame.  The components u^s sum F
+and -eps u^{-s} sum G are formed once at the end, and
 ``connection_T_numeric``, which needs only their values at t = r, sums the
 terms at that node alone.
 """
@@ -74,14 +77,17 @@ def grid_phase(model, points: np.ndarray, t_ref: float) -> np.ndarray:
 
 @dataclass
 class MsaGrid:
-    """Uniform sample grid over an interval around one crossing."""
+    """Uniform sample grid over an interval around one crossing.
+
+    It holds u^+ at the nodes and the interval's ends; the nodes are
+    ``np.linspace(*ends, len(u_plus))`` and u^- is conj(u^+).
+    """
 
     model: object
     h: float
     t_ref: float
-    points: np.ndarray
+    ends: tuple[float, float]  # first and last node
     u_plus: np.ndarray         # exp(-i*phase/h), phase = grid_phase(model, points, t_ref)
-    u_minus: np.ndarray        # exp(+i*phase/h)
 
     @staticmethod
     def build(model, h: float, interval: tuple[float, float], t_ref: float,
@@ -92,25 +98,30 @@ class MsaGrid:
         a, b = float(interval[0]), float(interval[1])
         if n is None:
             n = grid_size(model, h, a, b)
-        pts = np.linspace(a, b, n)
-        u_plus = np.multiply(grid_phase(model, pts, t_ref) / h, -1j)
+        u_plus = np.multiply(grid_phase(model, np.linspace(a, b, n), t_ref) / h, -1j)
         np.exp(u_plus, out=u_plus)    # in place: no temporary larger than the result
-        return MsaGrid(model=model, h=h, t_ref=t_ref, points=pts,
-                       u_plus=u_plus, u_minus=np.conj(u_plus))
+        return MsaGrid(model=model, h=h, t_ref=t_ref, ends=(a, b), u_plus=u_plus)
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.linspace(*self.ends, len(self.u_plus))
 
     @property
     def dx(self) -> float:
-        return float(self.points[-1] - self.points[0]) / (len(self.points) - 1)
+        a, b = self.ends
+        return (b - a) / (len(self.u_plus) - 1)
 
     def u(self, sign: int) -> np.ndarray:
-        return self.u_plus if sign > 0 else self.u_minus
+        """u^+ itself for sign > 0, else u^- = conj(u^+) as a new array."""
+        return self.u_plus if sign > 0 else np.conj(self.u_plus)
 
     def index(self, t: float) -> int:
         """Index of the grid node at t; ValueError when t is not a node."""
-        i = int(round((t - self.points[0]) / self.dx))
-        if not 0 <= i < len(self.points) or abs(self.points[i] - t) > NODE_TOL * self.dx:
-            raise ValueError(f"t={t} is not a node of the grid over "
-                             f"[{self.points[0]}, {self.points[-1]}]")
+        (a, b), dx, n = self.ends, self.dx, len(self.u_plus)
+        i = int(round((t - a) / dx))
+        # node i as linspace places it, the last one exactly at b
+        if not 0 <= i < n or abs((b if i == n - 1 else i * dx + a) - t) > NODE_TOL * dx:
+            raise ValueError(f"t={t} is not a node of the grid over [{a}, {b}]")
         return i
 
 
@@ -119,8 +130,8 @@ def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray) -> np.ndarray:
     frame, as a new array; the base point ``a`` must be a grid node."""
     i = grid.index(a)
     g = f * grid.u(-sign)    # f / u^{sign} = f * u^{-sign}
-    cumulative = cumulative_uniform(g, grid.dx, origin=i)
-    cumulative *= np.multiply(grid.u(sign), 1j / grid.h, out=g)
+    cumulative = cumulative_uniform(g, grid.dx * (1j / grid.h), origin=i)
+    cumulative *= grid.u(sign)
     return cumulative
 
 
@@ -136,31 +147,36 @@ def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
                  a_other: float, depth: int, at: slice):
     """The Neumann series in the interaction frame, summed at the nodes ``at``.
 
-    With s = lead_sign the terms are F = f u^{-s} and G = g u^{s}, and with
-    E = (u^s)^2 they follow G = (i/h) C_{a_other}[F E] and
-    F' = eps^2 (i/h) C_{a_lead}[G conj(E)] from F_0 = 1, C being
-    ``cumulative_uniform`` with its origin at the base node.  Returns sum F and
-    sum G at ``at`` and the sups of the F terms (|F| = |f|, since |u| = 1);
-    raises SeriesNotContracting when a sup does not fall.
+    With s = lead_sign the terms are F = f u^{-s} and G = g u^{s}; they follow
+    G = (i/h) C_{a_other}[F (u^s)^2] and F' = eps^2 (i/h) C_{a_lead}[G (u^{-s})^2]
+    from F_0 = 1, C being ``cumulative_uniform`` with its origin at the base
+    node.  Returns sum F and sum G at ``at`` and the sups of the F terms
+    (|F| = |f|, since |u| = 1); raises SeriesNotContracting when a sup does
+    not fall.
     """
     i_lead, i_other = grid.index(a_lead), grid.index(a_other)
-    dx, scale = grid.dx, 1j / grid.h
-    e = np.square(grid.u(lead_sign))
-    # F E and G conj(E) are formed in place in the term buffers; G conj(E) is
-    # conj(conj(G) E), and C commutes with conj, so E is the only factor kept
-    f, g = np.empty_like(e), np.empty_like(e)
-    sum_f, sum_g = np.ones_like(e[at]), np.zeros_like(e[at])
+    u = grid.u(lead_sign)
+    # the factors i/h and conj(eps^2 i/h) ride in C's step.  G (u^{-s})^2 is
+    # conj(conj(G) (u^s)^2), and C commutes with conj, so both products are
+    # by u^s, made in place in the two term buffers
+    scale = 1j / grid.h
+    step_g = grid.dx * scale
+    step_f = grid.dx * np.conj(eps * eps * scale)
+    f, g = np.empty_like(u), np.empty_like(u)
+    sum_f, sum_g = np.ones_like(u[at]), np.zeros_like(u[at])
     sups = [1.0]
     for n in range(depth):
         if n:
-            f *= e
-        cumulative_uniform(f if n else e, dx, out=g, origin=i_other)   # F_0 E = E
-        g *= scale
+            f *= u
+            f *= u
+        else:
+            np.square(u, out=f)    # F_0 (u^s)^2, F_0 = 1
+        cumulative_uniform(f, step_g, out=g, origin=i_other)
         sum_g += g[at]
         np.conjugate(g, out=g)
-        g *= e
-        cumulative_uniform(g, dx, out=f, origin=i_lead)
-        f *= np.conj(eps * eps * scale)
+        g *= u
+        g *= u
+        cumulative_uniform(g, step_f, out=f, origin=i_lead)
         np.conjugate(f, out=f)
         sum_f += f[at]
         # g is spent: its real parts take |F|
@@ -208,9 +224,10 @@ def residual_norm(sol: MsaSolution, eps: float) -> float:
     """Max norm of i h psi' - H psi on the grid, by finite differences."""
     grid = sol.grid
     h = grid.h
-    v = np.real(grid.model.eval(grid.points))
-    d1 = np.gradient(sol.comp1, grid.points, edge_order=2)
-    d2 = np.gradient(sol.comp2, grid.points, edge_order=2)
+    t = grid.points
+    v = np.real(grid.model.eval(t))
+    d1 = np.gradient(sol.comp1, t, edge_order=2)
+    d2 = np.gradient(sol.comp2, t, edge_order=2)
     r1 = 1j * h * d1 - (v * sol.comp1 + eps * sol.comp2)
     r2 = 1j * h * d2 - (eps * sol.comp1 - v * sol.comp2)
     interior = slice(2, -2)
@@ -247,15 +264,17 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
         raise ValueError(f"grid was built at h={grid.h}, not h={h}")
     elif grid.model is not model:
         raise ValueError("grid was built for another model")
-    elif grid.index(ell) != 0 or grid.index(r) != len(grid.points) - 1:
-        raise ValueError(f"grid spans [{grid.points[0]}, {grid.points[-1]}], "
+    elif grid.index(ell) != 0 or grid.index(r) != len(grid.u_plus) - 1:
+        raise ValueError(f"grid spans [{grid.ends[0]}, {grid.ends[1]}], "
                          f"not [ell, r] = [{ell}, {r}]")
     elif abs(grid.t_ref - t_k) > NODE_TOL * grid.dx:
         raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
-    # only w1's end values: the series summed at the last node, rounded as
-    # msa_solution's arrays are there
+    # only w1's end values: the series summed at the last node and taken out
+    # of the interaction frame as msa_solution does, to rounding (numpy may
+    # round a product of scalars and the same product inside an array apart)
     sum_f, sum_g, _ = _series_sums(grid, eps, +1, ell, ell, depth, slice(-1, None))
-    u_p, u_m = grid.u_plus[-1], grid.u_minus[-1]
+    u_p = grid.u_plus[-1]
+    u_m = np.conj(u_p)
     # H is real and J H J^-1 = -H with J = [[0, -1], [1, 0]], so the second
     # solution is w2 = J conj(w1): its columns need no second solve, and the
     # change of basis is the pair diag(u^-, u^+) (w1_1, w1_2) at t = r

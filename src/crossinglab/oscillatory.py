@@ -93,5 +93,5 @@ def _integral_from(model, c: float, end: float, t0: float, h: float, amplitude,
         n = 2 * n - 1
         if n > GRID_MAX_POINTS:
             raise QuadratureTolExceeded(
-                f"oscillatory integral from {c} to {end}: {len(grid.points)} grid points "
+                f"oscillatory integral from {c} to {end}: {len(g)} grid points "
                 f"and every other node differ by {abs(fine - coarse):.3e} > tol {tol:.3e}")

@@ -11,7 +11,8 @@ Each job has one rule:
 * a sixth-order cumulative rule for samples on a uniform grid: the
   successive-approximation operators, their grid phase, and every
   oscillatory integral on a grid (``oscillatory.osc_integral`` runs on the
-  same grids);
+  same grids).  Its step is folded into the weights, so a constant factor
+  of the integral, complex or not, costs no pass of its own;
 * an adaptive mesh for the propagator: ``cumulative_density`` integrates a
   sampled step density once, ``mesh_steps`` gives the steps of a mesh at any
   boost without building it, and ``adaptive_mesh`` inverts the density for
@@ -180,26 +181,30 @@ _CUMULATIVE_WEIGHTS = np.array([
 _CUMULATIVE_BLOCK = 1 << 13   # samples per pass of the interior rule
 
 
-def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = None,
-                       origin: int = 0) -> np.ndarray:
+def cumulative_uniform(values: np.ndarray, dx: float | complex,
+                       out: np.ndarray | None = None, origin: int = 0) -> np.ndarray:
     """Cumulative integral of samples on a uniform grid with step ``dx``.
 
     Returns F with F[origin] = 0 and F[j] = integral from node ``origin`` to
     node j of the degree-5 interpolant through the six nodes nearest each
     interval (the first or last six at the ends): exact on polynomials of
     degree <= 5, sixth order on smooth data.  The sums run outward from
-    ``origin``, so their rounding grows with the distance from it.  ``out``,
-    when given, receives F in place; it must not overlap ``values``.  Either
-    way the result is the same, bit for bit, and no other array larger than
-    ``_CUMULATIVE_BLOCK`` samples is made.
+    ``origin``, so their rounding grows with the distance from it.
+
+    The step is folded into the weights, so no pass scales the result.  It
+    may be complex: a step c dx gives c times the integral at step dx, to
+    rounding, and a complex result.  ``out``, when given, receives F in
+    place; it must not overlap ``values``.  Either way the result is the
+    same, bit for bit, and no other array larger than ``_CUMULATIVE_BLOCK``
+    samples is made.
     """
     g = np.asarray(values)
     n = g.shape[0]
     if n < 6:
         raise ValueError("cumulative_uniform needs at least 6 samples")
     if out is None:
-        out = np.empty(n, dtype=np.result_type(g, float))
-    w = _CUMULATIVE_WEIGHTS
+        out = np.empty(n, dtype=np.result_type(g, float, dx))
+    w = _CUMULATIVE_WEIGHTS * dx
     inc = out[1:]
     # interval i = 2..n-4 uses nodes i-2..i+3 with the symmetric interior row,
     # accumulated as w0 (g0 + g5) + w1 (g1 + g4) + w2 (g2 + g3), block by block
@@ -216,7 +221,6 @@ def cumulative_uniform(values: np.ndarray, dx: float, out: np.ndarray | None = N
             block += scratch
     inc[:2] = w[:2] @ g[:6]
     inc[n - 3:] = w[3:] @ g[n - 6:]
-    inc *= dx
     if origin > 0:
         # the intervals below the origin move down one node (a forward copy,
         # which needs no temporary) and are summed from it down to node 0

@@ -54,22 +54,51 @@ class TestCumulativeUniform:
         if origin == 0:
             assert got.tobytes() == cumulative_uniform(values, x[1] - x[0]).tobytes()
 
+    @pytest.mark.parametrize("origin", [0, 7, 40])
+    def test_complex_step(self, origin):
+        """A complex step c dx gives c times the result at step dx, to
+        rounding, and a complex array for real samples too."""
+        x = np.linspace(-1.0, 2.0, 41)
+        dx = x[1] - x[0]
+        c = np.conj(0.3 ** 2 * (1j / 2e-4))
+        for values in (np.cos(3.0 * x), np.exp(-2j * x) * (1.0 + x)):
+            unit = cumulative_uniform(values, dx, origin=origin)
+            got = cumulative_uniform(values, c * dx, origin=origin)
+            assert got.dtype == complex
+            assert got[origin] == 0.0
+            # a few roundings per increment, carried by the running sum
+            bound = len(x) * np.finfo(float).eps * abs(c) * np.max(np.abs(unit))
+            assert np.max(np.abs(got - c * unit)) <= bound
+
+    @pytest.mark.parametrize("n", [6, 7, 21])
+    def test_complex_step_exact_on_quintics(self, n):
+        """The folded step keeps the rule exact to degree 5."""
+        x = np.linspace(-1.0, 2.0, n)
+        step = (0.5 - 2.0j) * (x[1] - x[0])
+        for degree in range(6):
+            anti = np.polynomial.Polynomial(np.arange(1.0, degree + 2.0)).integ()
+            got = cumulative_uniform(anti.deriv()(x), step, origin=n // 2)
+            want = (0.5 - 2.0j) * (anti(x) - anti(x[n // 2]))
+            assert np.max(np.abs(got - want)) < 1e-12, degree
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             cumulative_uniform(np.ones(5), 0.1)
 
-    @pytest.mark.parametrize("n", [6, 7, 12, 1001])
+    @pytest.mark.parametrize("n", [6, 7, 12, 1001, 20001])
     def test_out_buffer_is_bitwise(self, n):
-        """Filling a given buffer gives the allocating form's bits."""
+        """Filling a given buffer gives the allocating form's bits, for a
+        real or complex step, across blocks of the interior rule."""
         rng = np.random.default_rng(n)
         for values in (rng.standard_normal(n),
                        rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-            for origin in (0, n // 2, n - 1):
-                want = cumulative_uniform(values, 0.37, origin=origin)
-                buf = np.full_like(want, np.nan)
-                got = cumulative_uniform(values, 0.37, out=buf, origin=origin)
-                assert got is buf
-                assert got.tobytes() == want.tobytes()
+            for step in (0.37, -0.37, 0.37 - 2.5j):
+                for origin in (0, n // 2, n - 1):
+                    want = cumulative_uniform(values, step, origin=origin)
+                    buf = np.full_like(want, np.nan)
+                    got = cumulative_uniform(values, step, out=buf, origin=origin)
+                    assert got is buf
+                    assert got.tobytes() == want.tobytes()
 
 
     @pytest.mark.parametrize("origin", [0, 60000, 99999])
