@@ -24,6 +24,7 @@ sign of the leading component, its terms f, g are carried as F = f u^{-s}
 and G = g u^{s}.  A term then costs two in-place products by u^s, a
 conjugation and one cumulative sum, whose ``origin`` is the base node, so it
 is exactly 0 there; the factors i/h and eps^2 i/h ride in the sum's step.
+For s = -1 the series is run on u^+ and conjugated, so no solve forms u^-.
 ``apply_K`` is the same operator in the lab frame.  The components u^s sum F
 and -eps u^{-s} sum G are formed once at the end, and
 ``connection_T_numeric``, which needs only their values at t = r, sums the
@@ -119,8 +120,7 @@ class MsaGrid:
         """Index of the grid node at t; ValueError when t is not a node."""
         (a, b), dx, n = self.ends, self.dx, len(self.u_plus)
         i = int(round((t - a) / dx))
-        # node i as linspace places it, the last one exactly at b
-        if not 0 <= i < n or abs((b if i == n - 1 else i * dx + a) - t) > NODE_TOL * dx:
+        if not 0 <= i < n or abs(a + i * dx - t) > NODE_TOL * dx:
             raise ValueError(f"t={t} is not a node of the grid over [{a}, {b}]")
         return i
 
@@ -155,13 +155,16 @@ def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
     not fall.
     """
     i_lead, i_other = grid.index(a_lead), grid.index(a_other)
-    u = grid.u(lead_sign)
+    u = grid.u_plus
     # the factors i/h and conj(eps^2 i/h) ride in C's step.  G (u^{-s})^2 is
     # conj(conj(G) (u^s)^2), and C commutes with conj, so both products are
-    # by u^s, made in place in the two term buffers
+    # by u^s, made in place in the two term buffers; for s = -1 the series
+    # is the conjugate of the one on u^+ with conjugated steps
     scale = 1j / grid.h
     step_g = grid.dx * scale
     step_f = grid.dx * np.conj(eps * eps * scale)
+    if lead_sign < 0:
+        step_g, step_f = np.conj(step_g), np.conj(step_f)
     f, g = np.empty_like(u), np.empty_like(u)
     sum_f, sum_g = np.ones_like(u[at]), np.zeros_like(u[at])
     sups = [1.0]
@@ -184,6 +187,9 @@ def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
         if sups[-1] >= sups[-2] and sups[-1] > 1e-14:
             raise SeriesNotContracting(
                 f"term sups {sups}: series not contracting (mu too large)")
+    if lead_sign < 0:
+        np.conjugate(sum_f, out=sum_f)
+        np.conjugate(sum_g, out=sum_g)
     return sum_f, sum_g, sups
 
 
@@ -270,12 +276,17 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
     elif abs(grid.t_ref - t_k) > NODE_TOL * grid.dx:
         raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
     # only w1's end values: the series summed at the last node and taken out
-    # of the interaction frame as msa_solution does, to rounding (numpy may
-    # round a product of scalars and the same product inside an array apart)
-    sum_f, sum_g, _ = _series_sums(grid, eps, +1, ell, ell, depth, slice(-1, None))
+    # of the interaction frame by msa_solution's products, on new one-element
+    # arrays (numpy rounds a product of scalars, or one made in place in a
+    # one-element array, apart from the same product in a longer array)
+    end = slice(-1, None)
+    sum_f, sum_g, _ = _series_sums(grid, eps, +1, ell, ell, depth, end)
+    u_end = grid.u_plus[end]
+    comp1 = sum_f * u_end
+    comp2 = sum_g * np.conj(u_end)
+    comp2 *= -eps
     u_p = grid.u_plus[-1]
-    u_m = np.conj(u_p)
     # H is real and J H J^-1 = -H with J = [[0, -1], [1, 0]], so the second
     # solution is w2 = J conj(w1): its columns need no second solve, and the
     # change of basis is the pair diag(u^-, u^+) (w1_1, w1_2) at t = r
-    return dense(u_m * (sum_f[0] * u_p), u_p * ((sum_g[0] * u_m) * -eps))
+    return dense(np.conj(u_p) * comp1[0], u_p * comp2[0])

@@ -31,8 +31,6 @@ import numpy as np
 from ..errors import ConfigError
 from ..quadrature import integrate_smooth
 
-TAIL_ANCHOR_STEPS = 10000   # candidates of tail_anchor's walk, 0.5 apart
-
 
 # ----------------------------------------------------------------------------
 # Jet (truncated Taylor series) arithmetic, the one engine behind every exact
@@ -258,37 +256,15 @@ class PotentialModel:
         raise NotImplementedError
 
     def tail_anchor(self, side: str, level: float) -> float:
-        """Smallest |t| (beyond all zeros) where the tail envelope <= level.
-
-        The candidates are the first TAIL_ANCHOR_STEPS points of a walk
-        outward in steps of 0.5, each made by adding 0.5 to the one before.
-        Every family's envelope is inf near the zeros and then decreasing, so
-        the first candidate at or below ``level`` is found by galloping and
-        bisection: where a walk would call the envelope k times, this calls
-        it at most 2 ceil(log2 k) + 1 times.
-        """
+        """Smallest |t| (beyond all zeros) where the tail envelope <= level."""
         lo, hi = self.suggest_interval(margin=1.0)
-        walk = [hi if side == "right" else lo]
+        t = hi if side == "right" else lo
         step = 0.5 if side == "right" else -0.5
-
-        def below(k: int) -> bool:
-            while len(walk) <= k:
-                walk.append(walk[-1] + step)
-            return self.tail_envelope(side, walk[k]) <= level
-
-        # gallop over 0, 1, 3, 7, ... until below(inside); below(outside) is False
-        outside, inside = -1, 0
-        while not below(inside):
-            if inside == TAIL_ANCHOR_STEPS - 1:
-                raise ConfigError("tail envelope never reached the requested level")
-            outside, inside = inside, min(2 * inside + 1, TAIL_ANCHOR_STEPS - 1)
-        while inside - outside > 1:
-            mid = (outside + inside) // 2
-            if below(mid):
-                inside = mid
-            else:
-                outside = mid
-        return walk[inside]
+        for _ in range(10000):
+            if self.tail_envelope(side, t) <= level:
+                return t
+            t += step
+        raise ConfigError("tail envelope never reached the requested level")
 
     @property
     def tail_rate(self) -> float:

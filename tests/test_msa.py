@@ -262,9 +262,7 @@ class TestConnection:
 
     def test_w2_by_symmetry_is_bitwise(self, cubic_setup):
         """w2 = J conj(w1) holds bitwise, so the matrix from w1 alone is the
-        matrix from both explicit solves, to the rounding of the last
-        products: numpy may round a product of two scalars and the same
-        product inside an array one ulp apart."""
+        matrix from both explicit solves."""
         model, cat, h, grid = cubic_setup
         eps = 0.05 * h**0.75
         w1 = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
@@ -277,7 +275,7 @@ class TestConnection:
         explicit = np.array([[u_m * w1.comp1[-1], u_m * w2.comp1[-1]],
                              [u_p * w1.comp2[-1], u_p * w2.comp2[-1]]])
         t_mat = connection_T_numeric(model, eps, h, 0, -0.7, 0.7, catalog=cat, grid=grid)
-        assert np.max(np.abs(t_mat - explicit)) <= 4 * np.finfo(float).eps
+        assert np.array_equal(t_mat, explicit)
 
     def test_depth_zero_raises(self, cubic_setup):
         model, cat, h, grid = cubic_setup
@@ -440,14 +438,17 @@ class TestCosts:
             tracemalloc.stop()
         assert peak <= 2.1 * grid.u_plus.nbytes
 
-    @pytest.mark.parametrize("bases", [(-1.2, -1.2), (0.0, 0.6)], ids=["left", "interior"])
-    def test_solution_peak_memory(self, cubic_window, bases):
-        """The connection's arrays plus the two sums, which become the components."""
+    @pytest.mark.parametrize("which, bases", [
+        ("w1", (-1.2, -1.2)), ("w1", (0.0, 0.6)), ("w2", (-1.2, -1.2)), ("w2", (0.6, 0.0)),
+    ], ids=["left", "interior", "w2_left", "w2_interior"])
+    def test_solution_peak_memory(self, cubic_window, which, bases):
+        """The connection's arrays plus the two sums, which become the
+        components; w2 runs its series on u^+ too and holds no u^- array."""
         model, _ = cubic_window
         grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
         tracemalloc.start()
         try:
-            msa_solution(grid, 0.05 * self.H ** 0.75, "w1", *bases)
+            msa_solution(grid, 0.05 * self.H ** 0.75, which, *bases)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

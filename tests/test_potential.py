@@ -27,7 +27,7 @@ from crossinglab.potential.catalog import (
     regularized_actions,
 )
 from crossinglab.params import RegimeSplit
-from crossinglab.potential.families import TAIL_ANCHOR_STEPS, _dilog_neg_exp
+from crossinglab.potential.families import _dilog_neg_exp
 from crossinglab.transfer import ChainFactors, _tilde_flags
 
 
@@ -207,58 +207,6 @@ class TestTailRate:
     def test_pure_linear_has_none(self, lz_pure):
         with pytest.raises(ConfigError):
             lz_pure.tail_rate
-
-
-def _walked_anchor(model, side, level):
-    """The outward walk in steps of 0.5: (anchor, envelope calls)."""
-    lo, hi = model.suggest_interval(margin=1.0)
-    t = hi if side == "right" else lo
-    for k in range(TAIL_ANCHOR_STEPS):
-        if model.tail_envelope(side, t) <= level:
-            return t, k + 1
-        t += 0.5 if side == "right" else -0.5
-    raise ConfigError("tail envelope never reached the requested level")
-
-
-class TestTailAnchor:
-    """Galloping and bisection on the walk's 0.5 grid find the walk's anchor."""
-
-    @pytest.mark.parametrize("model", [
-        ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}]),
-        ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
-                                {"power": 3, "slope": 1.0, "center": -2.0}]),
-        ScaledTanhProduct(0.7, [{"power": 1, "slope": 0.3, "center": -1.1},
-                                {"power": 2, "slope": 6.0, "center": 0.4}]),
-        LinearLZ(1.0, window=8.0),
-        LinearLZ(2.0, window=1.5, sharpness=0.5),
-        PolynomialWindowed([0, 0, 0, 1.0], window=3.0, sharpness=8.0),
-        PolynomialWindowed([0.1, 1.0, 0.0, -0.3], window=1.7, sharpness=2.0),
-    ], ids=["tanh_cubed", "tanh_pair", "tanh_mixed", "lz", "lz_slow", "poly_cubic",
-            "poly_mixed"])
-    @pytest.mark.parametrize("side", SIDES)
-    def test_matches_the_walk(self, model, side, monkeypatch):
-        envelope, calls = model.tail_envelope, []
-
-        def counted(*args):
-            calls.append(args)
-            return envelope(*args)
-
-        for level in np.logspace(-13.0, -8.0, 11):
-            want, walked = _walked_anchor(model, side, level)
-            calls.clear()
-            monkeypatch.setattr(model, "tail_envelope", counted)
-            got = model.tail_anchor(side, level)
-            monkeypatch.undo()
-            assert got.hex() == want.hex(), level
-            assert len(calls) <= 2 * math.ceil(math.log2(walked)) + 1, (level, walked)
-
-    def test_pure_lz_raises(self, lz_pure, monkeypatch):
-        calls = []
-        monkeypatch.setattr(lz_pure, "tail_envelope",
-                            lambda side, t: calls.append(t) or math.inf)
-        with pytest.raises(ConfigError):
-            lz_pure.tail_anchor("right", 1e-8)
-        assert len(calls) <= 2 * math.ceil(math.log2(TAIL_ANCHOR_STEPS)) + 1
 
 
 class TestFindCrossings:
