@@ -19,16 +19,24 @@ node.  Base points must be grid nodes.
 
 The grid holds u^+ and the ends of its interval, nothing more: u^- is
 conj(u^+) and the nodes are a linspace over the ends, both formed when a
-caller needs them.  The series runs in the interaction frame: with s the
-sign of the leading component, its terms f, g are carried as F = f u^{-s}
-and G = g u^{s}.  A term then costs two in-place products by u^s, a
-conjugation and one cumulative sum, whose ``origin`` is the base node, so it
-is exactly 0 there; the factors i/h and eps^2 i/h ride in the sum's step.
-For s = -1 the series is run on u^+ and conjugated, so no solve forms u^-.
-``apply_K`` is the same operator in the lab frame.  The components u^s sum F
-and -eps u^{-s} sum G are formed once at the end, and
-``connection_T_numeric``, which needs only their values at t = r, sums the
-terms at that node alone.
+caller needs them.  The build evaluates V, accumulates the phase and forms
+u^+ a block at a time, so it holds the phase and u^+ and nothing else
+grid-sized.  The series runs in the interaction frame: with s the sign of
+the leading component, its terms f, g are carried as F = f u^{-s} and
+G = g u^{s}.  A term then costs two products by u^s, a conjugation and one
+cumulative sum, whose ``origin`` is the base node, so it is exactly 0
+there; the factors i/h and eps^2 i/h ride in the sum's step.  For s = -1
+the series is run on u^+ and conjugated, so no solve forms u^-.
+``apply_K`` is the same operator in the lab frame.
+
+``msa_solution`` sums whole arrays: it holds two term buffers and the two
+components u^s sum F and -eps u^{-s} sum G, formed at the end.
+``connection_T_numeric`` needs only their values at t = r and has both base
+points at node 0, so it sums the series in one pass over blocks of the grid:
+a block of u^+ runs through all its cumulative sums in turn, each on the
+nodes the one before has completed, and each term's sup and last value are
+taken as the blocks pass.  A connection holds the grid and a few blocks, and
+its sums at t = r are ``msa_solution``'s, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ import numpy as np
 
 from .errors import QuadratureTolExceeded, SeriesNotContracting
 from .potential.catalog import CrossingCatalog, find_crossings, phase_integral
-from .quadrature import cumulative_uniform
+from .quadrature import (_CUMULATIVE_BLOCK, RunningCumulative, accumulate_from,
+                         cumulative_uniform)
 from .su2 import dense
 
 GRID_MIN_POINTS = 4097
@@ -67,11 +76,24 @@ def grid_phase(model, points: np.ndarray, t_ref: float) -> np.ndarray:
     """integral of V from t_ref at each of the uniform ``points``.
 
     Accumulated outward from the node nearest t_ref, so that the phase there
-    is exact rather than a difference of two sums of size Phi(a)."""
+    is exact rather than a difference of two sums of size Phi(a).  V is
+    evaluated a block at a time and the blocks feed the cumulative rule's
+    increments straight into the result, so no other grid-sized array is
+    made."""
     a, n = points[0], len(points)
     dx = (points[-1] - a) / (n - 1)
     origin = min(max(int(round((t_ref - a) / dx)), 0), n - 1)
-    phase = cumulative_uniform(np.real(model.eval(points)), dx, origin=origin)
+    phase = np.empty(n)
+    run, done = RunningCumulative(dx), 0
+    # V a block at a time, after the halo of the block before
+    window = np.empty(min(n, _CUMULATIVE_BLOCK) + run.HALO)
+    for lo in range(0, n, _CUMULATIVE_BLOCK):
+        halo = run.halo()
+        piece = window[:halo + min(n - lo, _CUMULATIVE_BLOCK)]
+        piece[halo:] = np.real(model.eval(points[lo:lo + _CUMULATIVE_BLOCK]))
+        done += run.increments(piece, phase[1 + done:], last=lo + _CUMULATIVE_BLOCK >= n)
+        window[:run.HALO] = piece[-run.HALO:]
+    accumulate_from(phase, origin)
     phase += phase_integral(model, t_ref, points[origin])
     return phase
 
@@ -99,8 +121,15 @@ class MsaGrid:
         a, b = float(interval[0]), float(interval[1])
         if n is None:
             n = grid_size(model, h, a, b)
-        u_plus = np.multiply(grid_phase(model, np.linspace(a, b, n), t_ref) / h, -1j)
-        np.exp(u_plus, out=u_plus)    # in place: no temporary larger than the result
+        # the nodes go once the phase is made; u^+ is formed in place a block
+        # at a time, so the phase is the only other grid-sized array
+        phase = grid_phase(model, np.linspace(a, b, n), t_ref)
+        u_plus = np.empty(n, dtype=complex)
+        for lo in range(0, n, _CUMULATIVE_BLOCK):
+            block = slice(lo, lo + _CUMULATIVE_BLOCK)
+            np.divide(phase[block], h, out=phase[block])
+            np.multiply(phase[block], -1j, out=u_plus[block])
+            np.exp(u_plus[block], out=u_plus[block])
         return MsaGrid(model=model, h=h, t_ref=t_ref, ends=(a, b), u_plus=u_plus)
 
     @property
@@ -143,30 +172,44 @@ class MsaSolution:
     truncation_estimate: float = 0.0
 
 
-def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
-                 a_other: float, depth: int, at: slice):
-    """The Neumann series in the interaction frame, summed at the nodes ``at``.
+def _check_contracting(sups: list[float]) -> None:
+    """SeriesNotContracting unless each term's sup falls below the one before
+    or is negligible (a sup that overflowed to inf or nan does neither)."""
+    for n in range(1, len(sups)):
+        if not (sups[n] < sups[n - 1] or sups[n] <= 1e-14):
+            raise SeriesNotContracting(
+                f"term sups {sups[:n + 1]}: series not contracting (mu too large)")
 
-    With s = lead_sign the terms are F = f u^{-s} and G = g u^{s}; they follow
-    G = (i/h) C_{a_other}[F (u^s)^2] and F' = eps^2 (i/h) C_{a_lead}[G (u^{-s})^2]
-    from F_0 = 1, C being ``cumulative_uniform`` with its origin at the base
-    node.  Returns sum F and sum G at ``at`` and the sups of the F terms
-    (|F| = |f|, since |u| = 1); raises SeriesNotContracting when a sup does
-    not fall.
-    """
-    i_lead, i_other = grid.index(a_lead), grid.index(a_other)
-    u = grid.u_plus
-    # the factors i/h and conj(eps^2 i/h) ride in C's step.  G (u^{-s})^2 is
-    # conj(conj(G) (u^s)^2), and C commutes with conj, so both products are
-    # by u^s, made in place in the two term buffers; for s = -1 the series
-    # is the conjugate of the one on u^+ with conjugated steps
+
+def _series_steps(grid: MsaGrid, eps: float, lead_sign: int) -> tuple[complex, complex]:
+    """The steps of the cumulative sums for G and F: the factors i/h and
+    conj(eps^2 i/h) ride in them; for s = -1 the series is the conjugate of
+    the one on u^+ with conjugated steps."""
     scale = 1j / grid.h
     step_g = grid.dx * scale
     step_f = grid.dx * np.conj(eps * eps * scale)
     if lead_sign < 0:
-        step_g, step_f = np.conj(step_g), np.conj(step_f)
+        return np.conj(step_g), np.conj(step_f)
+    return step_g, step_f
+
+
+def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
+                 a_other: float, depth: int):
+    """The Neumann series in the interaction frame, summed at every node.
+
+    With s = lead_sign the terms are F = f u^{-s} and G = g u^{s}; they follow
+    G = (i/h) C_{a_other}[F (u^s)^2] and F' = eps^2 (i/h) C_{a_lead}[G (u^{-s})^2]
+    from F_0 = 1, C being ``cumulative_uniform`` with its origin at the base
+    node.  Returns sum F and sum G and the sups of the F terms (|F| = |f|,
+    since |u| = 1); raises SeriesNotContracting when a sup does not fall.
+    """
+    i_lead, i_other = grid.index(a_lead), grid.index(a_other)
+    u = grid.u_plus
+    # G (u^{-s})^2 is conj(conj(G) (u^s)^2), and C commutes with conj, so
+    # both products are by u^s, made in place in the two term buffers
+    step_g, step_f = _series_steps(grid, eps, lead_sign)
     f, g = np.empty_like(u), np.empty_like(u)
-    sum_f, sum_g = np.ones_like(u[at]), np.zeros_like(u[at])
+    sum_f, sum_g = np.ones_like(u), np.zeros_like(u)
     sups = [1.0]
     for n in range(depth):
         if n:
@@ -175,21 +218,82 @@ def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
         else:
             np.square(u, out=f)    # F_0 (u^s)^2, F_0 = 1
         cumulative_uniform(f, step_g, out=g, origin=i_other)
-        sum_g += g[at]
+        sum_g += g
         np.conjugate(g, out=g)
         g *= u
         g *= u
         cumulative_uniform(g, step_f, out=f, origin=i_lead)
         np.conjugate(f, out=f)
-        sum_f += f[at]
+        sum_f += f
         # g is spent: its real parts take |F|
         sups.append(float(np.max(np.abs(f, out=g.real))))
-        if sups[-1] >= sups[-2] and sups[-1] > 1e-14:
-            raise SeriesNotContracting(
-                f"term sups {sups}: series not contracting (mu too large)")
+        _check_contracting(sups)
     if lead_sign < 0:
         np.conjugate(sum_f, out=sum_f)
         np.conjugate(sum_g, out=sum_g)
+    return sum_f, sum_g, sups
+
+
+def _end_sums(grid: MsaGrid, eps: float, depth: int):
+    """w1's series based at node 0, summed at the last node in one pass.
+
+    ``_series_sums`` at the last node, bit for bit, when both base points
+    are node 0: each of the 2 depth cumulative sums is a ``RunningCumulative``,
+    and a block of u^+ runs through all of them in turn, each term's samples
+    formed from the nodes its predecessor has completed.  Each term's sup and
+    last value are taken as its blocks pass, so nothing grid-sized is made.
+    Returns sum F and sum G at the last node, as one-element arrays, and the
+    sups of the F terms.
+    """
+    u = grid.u_plus
+    n = len(u)
+    step_g, step_f = _series_steps(grid, eps, +1)
+    runs = [RunningCumulative(step) for _ in range(depth) for step in (step_g, step_f)]
+    halo = RunningCumulative.HALO
+    halos = np.empty((len(runs), halo), dtype=complex)   # each run's last samples
+    done = [0] * len(runs)    # nodes each run has given
+    ends = [None] * len(runs)
+    sups = [1.0] + [0.0] * depth
+    # a run gives at most two nodes more than it takes
+    size = halo + min(n, _CUMULATIVE_BLOCK) + 2 * len(runs)
+    take, give = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+    # terms of a mu that does not contract may overflow before the check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CUMULATIVE_BLOCK):
+            last = lo + _CUMULATIVE_BLOCK >= n
+            block = u[lo:lo + _CUMULATIVE_BLOCK]
+            k = len(block)
+            np.square(block, out=take[halo:halo + k])    # F_0 (u^+)^2, F_0 = 1
+            for j, run in enumerate(runs):
+                h = run.halo()
+                window = take[halo - h:halo + k]
+                window[:h] = halos[j, halo - h:]
+                halos[j, halo - min(len(window), halo):] = window[-halo:]
+                k = run.integral(window, give, last)
+                if not k:
+                    break
+                terms, u_k = give[:k], u[done[j]:done[j] + k]
+                done[j] += k
+                np.conjugate(terms, out=terms)
+                if j % 2:   # an F term, conj of its sum: |F| in take, spent
+                    sup = float(np.abs(terms, out=take.view(float)[:k]).max())
+                    sups[1 + j // 2] = max(sups[1 + j // 2], sup)
+                    ends[j] = terms[-1]
+                else:       # a G term, conjugated for the product below
+                    ends[j] = np.conj(terms[-1])
+                if j + 1 == len(runs):
+                    break
+                # the next run's samples, conj(G) (u^+)^2 or F (u^+)^2, after
+                # its halo; made out of place, as numpy rounds an in-place
+                # product on one element apart (see quadrature._interior)
+                np.multiply(terms, u_k, out=take[halo:halo + k])
+                np.multiply(take[halo:halo + k], u_k, out=give[halo:halo + k])
+                take, give = give, take
+    _check_contracting(sups)
+    sum_f, sum_g = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
+    for j in range(0, len(runs), 2):
+        sum_g += ends[j]
+        sum_f += ends[j + 1]
     return sum_f, sum_g, sups
 
 
@@ -211,7 +315,7 @@ def msa_solution(grid: MsaGrid, eps: float, which: str,
     a_lead = a_plus if which == "w1" else a_minus
     a_other = a_minus if which == "w1" else a_plus
     comp_lead, comp_other, sups = _series_sums(grid, eps, lead_sign, a_lead, a_other,
-                                               depth, slice(None))
+                                               depth)
     ratio = sups[-1] / sups[-2] if sups[-2] > 0 else 0.0
     tail = sups[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
 
@@ -254,8 +358,11 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
 
     Both bases are built over [ell, r] around crossing k; the matrix is read
     off at t = r where the right-based pair reduces to diag(u^+, u^-).  Only
-    w1 is solved; w2 follows from it by symmetry.  A given grid must be built
-    for this model and h, span exactly [ell, r] and take its phase from t_k.
+    w1 is solved; w2 follows from it by symmetry.  Its series is summed at
+    t = r in one pass over blocks of the grid (``_end_sums``), so beyond the
+    grid the solve holds a few blocks of samples, whatever the grid's size.
+    A given grid must be built for this model and h, span exactly [ell, r]
+    and take its phase from t_k.
     """
     if depth < 1:
         raise ValueError("depth >= 1 required")
@@ -275,13 +382,13 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
                          f"not [ell, r] = [{ell}, {r}]")
     elif abs(grid.t_ref - t_k) > NODE_TOL * grid.dx:
         raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
-    # only w1's end values: the series summed at the last node and taken out
-    # of the interaction frame by msa_solution's products, on new one-element
-    # arrays (numpy rounds a product of scalars, or one made in place in a
-    # one-element array, apart from the same product in a longer array)
-    end = slice(-1, None)
-    sum_f, sum_g, _ = _series_sums(grid, eps, +1, ell, ell, depth, end)
-    u_end = grid.u_plus[end]
+    # only w1's end values: the series summed at the last node in one pass and
+    # taken out of the interaction frame by msa_solution's products, on new
+    # one-element arrays (numpy rounds a product of scalars, or one made in
+    # place in a one-element array, apart from the same product in a longer
+    # array)
+    sum_f, sum_g, _ = _end_sums(grid, eps, depth)
+    u_end = grid.u_plus[-1:]
     comp1 = sum_f * u_end
     comp2 = sum_g * np.conj(u_end)
     comp2 *= -eps

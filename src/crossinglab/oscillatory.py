@@ -8,7 +8,8 @@ where V may vanish at t0 to finite order m.  The integrand is sampled on the
 successive-approximation grids of ``msa``: a grid built at h / 2 carries
 u^-+ = exp(+-2i Phi / h), and the step that resolves the fastest MSA phase
 at h resolves this one.  The sixth-order cumulative rule integrates it on
-the grid and on every other node; the grid doubles until the two agree to
+the grid and on every other node, in pieces (``uniform_integral``), so
+only the end values are formed; the grid doubles until the two agree to
 tol, and the finer value is returned.  The interval is split at t0 and each
 piece runs from t0 outward, so the accumulated phase, whose rounding 2/h
 amplifies, is exactly zero at the stationary point.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import QuadratureTolExceeded
 from .msa import GRID_MAX_POINTS, MsaGrid, grid_size
-from .quadrature import cumulative_uniform
+from .quadrature import uniform_integral
 
 
 def omega_m(m: int, v: float) -> complex:
@@ -86,8 +87,8 @@ def _integral_from(model, c: float, end: float, t0: float, h: float, amplitude,
         g = grid.u(-sign)
         if amplitude is not None:
             g = np.asarray(amplitude(grid.points)) * g
-        fine = cumulative_uniform(g, grid.dx)[-1]
-        coarse = cumulative_uniform(g[::2], 2.0 * grid.dx)[-1]
+        fine = uniform_integral(g, grid.dx)
+        coarse = uniform_integral(g[::2], 2.0 * grid.dx)
         if abs(fine - coarse) <= tol:
             return complex(fine)
         n = 2 * n - 1

@@ -12,7 +12,13 @@ Each job has one rule:
   successive-approximation operators, their grid phase, and every
   oscillatory integral on a grid (``oscillatory.osc_integral`` runs on the
   same grids).  Its step is folded into the weights, so a constant factor
-  of the integral, complex or not, costs no pass of its own;
+  of the integral, complex or not, costs no pass of its own.  The rule has
+  one implementation, a running form: ``RunningCumulative`` takes samples
+  in pieces, each after a halo of the five samples before it, and keeps
+  only a count and the running total between them, so a pass over a grid
+  can be streamed a block at a time (the MSA connection, the grid phase,
+  ``uniform_integral``); ``cumulative_uniform`` runs it over a whole array
+  as one piece, and every way of feeding it gives the same bits;
 * an adaptive mesh for the propagator: ``cumulative_density`` integrates a
   sampled step density once, ``mesh_steps`` gives the steps of a mesh at any
   boost without building it, and ``adaptive_mesh`` inverts the density for
@@ -178,7 +184,124 @@ _CUMULATIVE_WEIGHTS = np.array([
     [27, -173, 482, -798, 1427, 475],
 ]) / 1440.0
 
-_CUMULATIVE_BLOCK = 1 << 13   # samples per pass of the interior rule
+# samples per pass of the interior rule and per piece of a stream.  The MSA
+# connection's pass holds three blocks of complex samples (0.3 MB); larger
+# blocks cost fewer numpy calls per sample
+_CUMULATIVE_BLOCK = 3 << 11
+
+
+def _interior(g: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """The centred rule: out[j] integrates over the interval from g[j + 2] to
+    g[j + 3], from the six samples g[j] ... g[j + 5], for j < len(g) - 5.
+
+    Accumulated as w0 (g0 + g5) + w1 (g1 + g4) + w2 (g2 + g3), block by
+    block, so that every sample rounds alike wherever a piece or a block
+    begins.  numpy rounds an in-place complex product on a one-element array
+    apart from the same product in a longer one, so that one is made out of
+    place.
+    """
+    m = len(g) - 5
+    pair = np.empty(min(m, _CUMULATIVE_BLOCK), dtype=out.dtype)
+    for lo in range(0, m, _CUMULATIVE_BLOCK):
+        hi = min(lo + _CUMULATIVE_BLOCK, m)
+        block, p = out[lo:hi], pair[:hi - lo]
+        np.add(g[lo:hi], g[lo + 5:hi + 5], out=p)
+        np.multiply(p, w[2, 0], out=block)
+        for k in (1, 2):
+            np.add(g[lo + k:hi + k], g[lo + 5 - k:hi + 5 - k], out=p)
+            if hi - lo > 1:
+                p *= w[2, k]
+            else:
+                p[:] = p * w[2, k]
+            block += p
+
+
+class RunningCumulative:
+    """The cumulative rule of ``cumulative_uniform`` over samples that arrive
+    in pieces, from node 0.
+
+    The interval from node i to i + 1 needs the samples from node i - 2 to
+    i + 3, and the last two intervals use the rule's end rows, so a piece
+    completes the intervals up to three nodes short of its end, and the last
+    piece (``last``) the rest.  Pieces overlap: each one after the first
+    begins with a halo, the last five samples of the pieces before (all of
+    them while there are fewer), which it reads again and does not count.
+    Between pieces the run keeps only the number of samples it has taken and
+    ``total``, the integral at the last node it gave, so a pass over a whole
+    grid holds nothing grid-sized.  Fed any way, the results are
+    ``cumulative_uniform``'s (origin 0), bit for bit.
+    """
+
+    HALO = 5
+
+    def __init__(self, dx: float | complex):
+        self.w = _CUMULATIVE_WEIGHTS * dx
+        self.seen = 0      # samples taken, halos not counted
+        self.total = None  # the integral at the last node given
+
+    def halo(self) -> int:
+        """Length of the halo that the next piece begins with."""
+        return min(self.seen, self.HALO)
+
+    def increments(self, window: np.ndarray, out: np.ndarray, last: bool = False) -> int:
+        """Take the next piece, its halo first; write the integrals over the
+        intervals it completes, in order, to ``out`` (which must not overlap
+        ``window``) and return how many.  After the ``last`` piece every
+        interval is done; a run of fewer than six samples raises ValueError."""
+        g = np.asarray(window)
+        before = self.seen
+        halo = min(before, self.HALO)
+        self.seen += len(g) - halo
+        w, k = self.w, 0
+        if before < 6 <= self.seen:
+            # g begins at node 0: before the start its halo is every sample
+            out[:2] = w[:2] @ g[:6]
+            k = 2
+        # intervals first ... seen - 4; interval i reads from node i - 2, and
+        # g begins at node before - halo
+        first = max(2, before - 3)
+        if self.seen - 3 > first:
+            _interior(g[first - 2 - before + halo:], w, out[k:])
+            k += self.seen - 3 - first
+        if last:
+            if self.seen < 6:
+                raise ValueError("the cumulative rule needs at least 6 samples")
+            out[k:k + 2] = w[3:] @ g[-6:]
+            k += 2
+        return k
+
+    def integral(self, window: np.ndarray, out: np.ndarray, last: bool = False) -> int:
+        """Take the next piece, its halo first; write the integral from node 0
+        at the nodes it completes, node 0 (exactly 0) first, to ``out`` and
+        return how many.  ``total`` becomes the value at the last of them."""
+        lead = int(self.seen < 6 <= self.seen + len(window) - self.halo())
+        k = self.increments(window, out[lead:], last)
+        if k:
+            inc = out[lead:lead + k]
+            if lead:
+                out[0] = 0.0
+            else:
+                inc[0] += self.total
+            inc.cumsum(out=inc)
+            self.total = inc[-1]
+        return lead + k
+
+
+def accumulate_from(out: np.ndarray, origin: int) -> np.ndarray:
+    """Sum the increments in ``out[1:]`` (out[j + 1] over the interval from
+    node j to j + 1) in place into the integral from node ``origin``, which
+    becomes exactly 0.  The sums run outward from the origin."""
+    if origin > 0:
+        # the intervals below the origin move down one node (a forward copy,
+        # which needs no temporary) and are summed from it down to node 0
+        out[:origin] = out[1:origin + 1]
+        below = out[origin - 1::-1]
+        np.cumsum(below, out=below)
+        np.negative(out[:origin], out=out[:origin])
+    out[origin] = 0.0
+    inc = out[origin + 1:]
+    np.cumsum(inc, out=inc)
+    return out
 
 
 def cumulative_uniform(values: np.ndarray, dx: float | complex,
@@ -196,7 +319,7 @@ def cumulative_uniform(values: np.ndarray, dx: float | complex,
     rounding, and a complex result.  ``out``, when given, receives F in
     place; it must not overlap ``values``.  Either way the result is the
     same, bit for bit, and no other array larger than ``_CUMULATIVE_BLOCK``
-    samples is made.
+    samples is made.  The rule runs as one piece of a ``RunningCumulative``.
     """
     g = np.asarray(values)
     n = g.shape[0]
@@ -204,30 +327,17 @@ def cumulative_uniform(values: np.ndarray, dx: float | complex,
         raise ValueError("cumulative_uniform needs at least 6 samples")
     if out is None:
         out = np.empty(n, dtype=np.result_type(g, float, dx))
-    w = _CUMULATIVE_WEIGHTS * dx
-    inc = out[1:]
-    # interval i = 2..n-4 uses nodes i-2..i+3 with the symmetric interior row,
-    # accumulated as w0 (g0 + g5) + w1 (g1 + g4) + w2 (g2 + g3), block by block
-    interior = inc[2:n - 3]
-    pair = np.empty(min(n - 5, _CUMULATIVE_BLOCK), dtype=out.dtype)
-    for lo in range(0, n - 5, _CUMULATIVE_BLOCK):
-        hi = min(lo + _CUMULATIVE_BLOCK, n - 5)
-        block, scratch = interior[lo:hi], pair[:hi - lo]
-        np.add(g[lo:hi], g[lo + 5:hi + 5], out=block)
-        block *= w[2, 0]
-        for k in (1, 2):
-            np.add(g[lo + k:hi + k], g[lo + 5 - k:hi + 5 - k], out=scratch)
-            scratch *= w[2, k]
-            block += scratch
-    inc[:2] = w[:2] @ g[:6]
-    inc[n - 3:] = w[3:] @ g[n - 6:]
-    if origin > 0:
-        # the intervals below the origin move down one node (a forward copy,
-        # which needs no temporary) and are summed from it down to node 0
-        out[:origin] = out[1:origin + 1]
-        below = out[origin - 1::-1]
-        np.cumsum(below, out=below)
-        np.negative(out[:origin], out=out[:origin])
-    out[origin] = 0.0
-    np.cumsum(inc[origin:], out=inc[origin:])
-    return out
+    RunningCumulative(dx).increments(g, out[1:], last=True)
+    return accumulate_from(out, origin)
+
+
+def uniform_integral(values: np.ndarray, dx: float | complex) -> complex:
+    """``cumulative_uniform(values, dx)[-1]``, bit for bit, from a run over
+    pieces of ``_CUMULATIVE_BLOCK`` samples: nothing grid-sized is made."""
+    g = np.asarray(values)
+    run = RunningCumulative(dx)
+    buf = np.empty(_CUMULATIVE_BLOCK + 3, dtype=np.result_type(g, float, dx))
+    for lo in range(0, max(len(g), 1), _CUMULATIVE_BLOCK):
+        run.integral(g[lo - run.halo():lo + _CUMULATIVE_BLOCK], buf,
+                     last=lo + _CUMULATIVE_BLOCK >= len(g))
+    return run.total

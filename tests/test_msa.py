@@ -22,7 +22,7 @@ from crossinglab.potential import (
     phase_integral,
 )
 from crossinglab.propagator import fundamental_matrix
-from crossinglab.quadrature import cumulative_uniform
+from crossinglab.quadrature import _CUMULATIVE_BLOCK, cumulative_uniform
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,18 @@ class TestGridPhase:
         for i in (0, len(grid.points) // 3, len(grid.points) - 1):
             want = phase_integral(tanh_cubed, t_ref, grid.points[i])
             assert abs(phase[i] - want) < 1e-13
+
+    @pytest.mark.parametrize("t_ref", [-0.7, 0.1, 0.7])
+    def test_blocks_are_the_whole_array(self, tanh_cubed, t_ref):
+        """V a block at a time, each after the last block's halo, gives the
+        whole-array rule's phase bit for bit, across block ends."""
+        n = 2 * _CUMULATIVE_BLOCK + 3
+        points = np.linspace(-0.7, 0.7, n)
+        dx = (points[-1] - points[0]) / (n - 1)
+        origin = int(round((t_ref - points[0]) / dx))
+        want = cumulative_uniform(np.real(tanh_cubed.eval(points)), dx, origin=origin)
+        want += phase_integral(tanh_cubed, t_ref, points[origin])
+        assert grid_phase(tanh_cubed, points, t_ref).tobytes() == want.tobytes()
 
 
 class TestApplyK:
@@ -369,6 +381,55 @@ class TestConnection:
         assert slope >= 1.0 / 4.0 - 0.1
 
 
+class TestStreamedSeries:
+    """The connection's one-pass sums are the whole-array series' last node,
+    bit for bit, on criterion 5's grids."""
+
+    H = 2e-4
+
+    @pytest.fixture(scope="class", params=[2, 3], ids=["m2", "m3"])
+    def criterion_grid(self, request):
+        m = request.param
+        model = PolynomialWindowed([0.0] * m + [1.0], window=3.0, sharpness=8.0)
+        grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
+        # the grid ends part way through a block
+        assert len(grid.u_plus) % _CUMULATIVE_BLOCK not in (0, 1)
+        return m, grid
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_end_sums_are_the_series_at_the_last_node(self, criterion_grid, depth):
+        m, grid = criterion_grid
+        eps = 0.05 * self.H ** (m / (m + 1.0))
+        sum_f, sum_g, sups = msa._end_sums(grid, eps, depth)
+        whole_f, whole_g, whole_sups = msa._series_sums(grid, eps, +1, -1.2, -1.2, depth)
+        assert sum_f.tobytes() == whole_f[-1:].tobytes()
+        assert sum_g.tobytes() == whole_g[-1:].tobytes()
+        assert sups == whole_sups
+
+    @pytest.mark.parametrize("n", [6, 7, 12, _CUMULATIVE_BLOCK + 1, 2 * _CUMULATIVE_BLOCK + 3])
+    def test_end_sums_on_short_and_ragged_grids(self, tanh_cubed, n):
+        """Grids that end within the first block, or one or three nodes past
+        a block."""
+        grid = MsaGrid.build(tanh_cubed, 5e-3, (-0.7, 0.7), 0.0, n=n)
+        eps = 0.05 * 5e-3 ** 0.75
+        sum_f, sum_g, sups = msa._end_sums(grid, eps, 3)
+        whole_f, whole_g, whole_sups = msa._series_sums(grid, eps, +1, -0.7, -0.7, 3)
+        assert sum_f.tobytes() == whole_f[-1:].tobytes()
+        assert sum_g.tobytes() == whole_g[-1:].tobytes()
+        assert sups == whole_sups
+
+    @pytest.mark.parametrize("mu_val", [3.0, 1e150], ids=["mu3", "overflowing"])
+    def test_not_contracting_raises(self, tanh_cubed, tanh_cubed_catalog, mu_val):
+        """Past the diabatic regime the connection raises SeriesNotContracting
+        and nothing else, not even when the terms overflow (warnings are
+        errors here)."""
+        h = 5e-3
+        grid = MsaGrid.build(tanh_cubed, h, (-0.7, 0.7), 0.0)
+        with pytest.raises(SeriesNotContracting, match="not contracting"):
+            connection_T_numeric(tanh_cubed, mu_val * h ** 0.75, h, 0, -0.7, 0.7, depth=6,
+                                 catalog=tanh_cubed_catalog, grid=grid)
+
+
 class TestCosts:
     """The criterion-5 grids: V once per node, and few grid-sized arrays."""
 
@@ -414,7 +475,7 @@ class TestCosts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.6 * grid.u_plus.nbytes
+        assert peak <= 1.6 * grid.u_plus.nbytes
 
     def test_grid_holds_only_u_plus(self, cubic_window):
         """u^- and the nodes are formed on demand: the grid's arrays are u^+."""
@@ -426,24 +487,32 @@ class TestCosts:
         assert np.array_equal(grid.u(-1), np.conj(grid.u_plus))
 
     def test_connection_peak_memory(self, cubic_window):
-        """The two term buffers, updated in place; the sums are end values."""
+        """One pass over blocks: a few blocks of samples and nothing
+        grid-sized, so a grid of four times the nodes takes no more bytes
+        (to 1%: a call's own small objects vary by a few hundred bytes)."""
         model, cat = cubic_window
-        grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
-        tracemalloc.start()
-        try:
-            connection_T_numeric(model, 0.05 * self.H ** 0.75, self.H, 0, -1.2, 1.2,
-                                 catalog=cat, grid=grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * grid.u_plus.nbytes
+        eps = 0.05 * self.H ** 0.75
+        peaks = []
+        for n in (None, 4 * 207360 + 1):
+            grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0, n=n)
+            if n is None:
+                assert len(grid.u_plus) == 207361
+                bound = 0.1 * grid.u_plus.nbytes
+            tracemalloc.start()
+            try:
+                connection_T_numeric(model, eps, self.H, 0, -1.2, 1.2, catalog=cat, grid=grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= bound
+        assert peaks[1] <= 1.01 * peaks[0]
 
     @pytest.mark.parametrize("which, bases", [
         ("w1", (-1.2, -1.2)), ("w1", (0.0, 0.6)), ("w2", (-1.2, -1.2)), ("w2", (0.6, 0.0)),
     ], ids=["left", "interior", "w2_left", "w2_interior"])
     def test_solution_peak_memory(self, cubic_window, which, bases):
-        """The connection's arrays plus the two sums, which become the
-        components; w2 runs its series on u^+ too and holds no u^- array."""
+        """Two term buffers plus the two sums, which become the components;
+        w2 runs its series on u^+ too and holds no u^- array."""
         model, _ = cubic_window
         grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
         tracemalloc.start()

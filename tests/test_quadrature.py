@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 from crossinglab.quadrature import (
+    _CUMULATIVE_BLOCK,
+    RunningCumulative,
+    accumulate_from,
     adaptive_mesh,
     cumulative_density,
     cumulative_uniform,
     hermite_integrals,
     mesh_steps,
+    uniform_integral,
 )
 
 
@@ -113,6 +117,84 @@ class TestCumulativeUniform:
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * values.nbytes
+
+
+def _fed(values, step, cuts, method):
+    """A RunningCumulative fed ``values`` in the pieces that ``cuts`` marks
+    off, each after its halo; the results of ``method`` laid end to end."""
+    n = len(values)
+    run = RunningCumulative(step)
+    out = np.full(n, np.nan, dtype=np.result_type(values, float, step))
+    done = 0 if method == "integral" else 1
+    bounds = [0, *cuts, n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        done += getattr(run, method)(values[lo - run.halo():hi], out[done:], last=hi == n)
+    assert done == n
+    return run, out
+
+
+def _cuts(n, rng):
+    """Uneven pieces: one to three samples at a time up to node 8, so the run
+    starts on a piece that is mostly halo, then up to two blocks at a time."""
+    cuts, at = [], 0
+    while at < min(n - 1, 8):
+        at += int(rng.integers(1, 4))
+        cuts.append(min(at, n - 1))
+    while at < n - 1:
+        at += int(rng.integers(1, 2 * _CUMULATIVE_BLOCK))
+        cuts.append(min(at, n - 1))
+    return sorted(set(cuts))
+
+
+RUN_SIZES = [6, 7, 8, 9, 10, 11, 12, _CUMULATIVE_BLOCK - 1, _CUMULATIVE_BLOCK,
+             _CUMULATIVE_BLOCK + 1, 3 * _CUMULATIVE_BLOCK + 2]
+
+
+class TestRunningCumulative:
+    """The streamed rule is cumulative_uniform, bit for bit, however it is fed."""
+
+    @pytest.mark.parametrize("n", RUN_SIZES)
+    def test_pieces_are_the_whole_array(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n),
+                       rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            for step in (0.37, -0.37 + 2.5j):
+                want = cumulative_uniform(values, step)
+                for cuts in ([], [n - 1], _cuts(n, rng), list(range(1, n))[:40]):
+                    run, got = _fed(values, step, cuts, "integral")
+                    assert got.tobytes() == want.tobytes(), cuts
+                    assert run.total == want[-1]
+                    assert run.seen == n
+
+    @pytest.mark.parametrize("n", RUN_SIZES)
+    def test_increments_summed_from_any_origin(self, n):
+        """Increments in pieces, then summed outward from the origin (the
+        MSA grid phase's path)."""
+        rng = np.random.default_rng(n + 1)
+        for values in (rng.standard_normal(n),
+                       rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            for step in (-0.37, 0.37 - 2.5j):
+                _, inc = _fed(values, step, _cuts(n, rng), "increments")
+                for origin in (0, n // 2, n - 1):
+                    want = cumulative_uniform(values, step, origin=origin)
+                    got = accumulate_from(inc.copy(), origin)
+                    assert got.tobytes() == want.tobytes(), origin
+
+    @pytest.mark.parametrize("n", [6, 13, _CUMULATIVE_BLOCK + 1, 3 * _CUMULATIVE_BLOCK + 2])
+    def test_uniform_integral(self, n):
+        """The end value alone, on every node and on every other node."""
+        rng = np.random.default_rng(n + 2)
+        values = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        for g, step in ((values[:n], 0.37 - 2.5j), (values[::2][:n], 0.74)):
+            assert uniform_integral(g, step) == cumulative_uniform(g, step)[-1]
+
+    def test_too_few_samples(self):
+        run = RunningCumulative(0.1)
+        assert run.increments(np.ones(3), np.empty(5)) == 0
+        with pytest.raises(ValueError):
+            run.increments(np.ones(5), np.empty(5), last=True)
+        with pytest.raises(ValueError):
+            uniform_integral(np.ones(5), 0.1)
 
 
 class TestAdaptiveMesh:
