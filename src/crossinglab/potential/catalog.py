@@ -9,8 +9,10 @@ The catalog is the one cache of what depends on neither h nor eps.  The
 crossings and the gap integrals are computed by ``find_crossings``; the rest
 is kept in one memo, ``CrossingCatalog.kept``, on first use: the default tail
 anchors, the tail integrals by side and anchor (the actions R at any anchor
-and the Jost tails at +-T read the same entry), the Jost tails' jets at +-T
-and the samples of the magnus6 step density on [-T, T].
+and the Jost tails at +-T read the same entry), the Jost tails' jets at +-T,
+the samples of the magnus6 step density on [-T, T], and the jets of V and V'
+at each crossing k, ("crossing", k), from which the turning points take
+their seeds.
 """
 
 from __future__ import annotations

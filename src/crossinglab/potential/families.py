@@ -331,19 +331,16 @@ class ScaledTanhProduct(PotentialModel):
         return out[()] if out.ndim == 0 else out
 
     def deriv(self, t):
+        # the product rule factor by factor: after factor i, ``value`` is the
+        # product of the first i factors and ``total`` its derivative
         t = np.asarray(t)
-        dtype = complex if np.iscomplexobj(t) else float
-        th = [np.tanh(f.slope * (t - f.center)) for f in self.factors]
-        lower = [_ipow(x, f.power - 1) for x, f in zip(th, self.factors)]
-        total = np.zeros(t.shape, dtype=dtype)
-        for i, f in enumerate(self.factors):
-            term = np.full(t.shape, self.scale, dtype=dtype)
-            for j in range(len(self.factors)):
-                if j == i:
-                    term = term * f.power * f.slope * lower[j] * (1.0 - th[j] * th[j])
-                else:
-                    term = term * (lower[j] * th[j])
-            total += term
+        value, total = self.scale, 0.0
+        for f in self.factors:
+            th = np.tanh(f.slope * (t - f.center))
+            lower = _ipow(th, f.power - 1)
+            g = lower * th
+            total = total * g + value * (f.power * f.slope) * lower * (1.0 - th * th)
+            value = value * g
         return total
 
     def taylor(self, t0, n: int) -> np.ndarray:

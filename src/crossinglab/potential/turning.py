@@ -12,15 +12,29 @@ t_k.  Im A scales like a * eps**((m+1)/m); the coefficient a is extracted by
 Richardson extrapolation over two eps values.
 
 The roots depend on eps, so unlike the catalog's gaps and tail actions they
-are found on every call: the branches j = 1 and m at eps and at eps/2 in one
-vectorized damped Newton solve, and their actions from one evaluation of V on
-the stacked quadrature segments.
+are found on every call.  What depends on the crossing alone, the Taylor
+jets of V and V' at t_k to JET_ORDER, is kept on the catalog under
+("crossing", k), computed on first use.  Each root starts from its
+leading-order seed, the root of v (t - t_k)^m / m! = +-i eps on branch j,
+and takes JET_STEPS Newton steps on the jet polynomial towards V = +-i eps.
+A refined seed is kept only where it stays in its branch's sector,
+|arg(zeta - t_k) - pi (2j-1)/(2m)| < pi/(2m), lowers the polynomial's
+residual, and lies where the jet has converged (its last two terms below
+eps); elsewhere, as at eps beyond the jet's disc of convergence, the
+leading seed stands.  Damped Newton on V^2 + eps^2 itself then finishes every
+root, and the far-from-the-crossing check still measures from the leading
+seed.  ``turning_point_sets`` solves the branches j = 1 and m at eps and at
+eps/2 of all the crossings it is given in that one vectorized solve, and
+takes their actions from one evaluation of V on the stacked quadrature
+segments; ``turning_points`` is its one-crossing case.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +48,8 @@ NEWTON_TOL = 1e-12
 EPS_MACHINE = float(np.finfo(float).eps)
 ROUNDING_ULPS = 4.0
 ACTION_NODES = 48      # Gauss-Legendre nodes along each action path
+JET_ORDER = 48         # Taylor order of the crossing jets that refine the seeds
+JET_STEPS = 4          # Newton steps on the jet polynomial from each seed
 
 
 @dataclass(frozen=True)
@@ -61,7 +77,46 @@ def _seed(t_k: float, m: int, v: float, eps: float, j: int) -> complex:
     # V^2 + eps^2 depends on |v| only; seeding with |v| targets the pair of
     # roots nearest the real axis for either sign of the leading coefficient.
     radius = (math.factorial(m) * eps / abs(v)) ** (1.0 / m)
-    return t_k + radius * np.exp(1j * math.pi * (2 * j - 1) / (2 * m))
+    return t_k + radius * cmath.exp(1j * math.pi * (2 * j - 1) / (2 * m))
+
+
+def _crossing_jet(model: PotentialModel, catalog: CrossingCatalog, k: int) -> np.ndarray:
+    """The Taylor coefficients of V (row 0) and V' (row 1) at crossing k to
+    JET_ORDER, kept on the catalog under ("crossing", k)."""
+    def compute():
+        c = model.taylor(catalog.crossings[k].t, JET_ORDER + 1)
+        return np.stack([c[:-1], c[1:] * np.arange(1, JET_ORDER + 2)])
+    return catalog.kept(("crossing", k), compute)
+
+
+def _jet_seeds(jets: np.ndarray, t: np.ndarray, lead: np.ndarray, target: np.ndarray,
+               half: np.ndarray) -> np.ndarray:
+    """The leading seeds ``lead`` refined by Newton on the jet polynomial.
+
+    Seed i solves V = target[i], which is +-i eps, near its crossing t[i],
+    where ``jets[i]`` holds the jets of V and V'.  A refined seed gives way
+    to its leading seed where it leaves its branch's sector, within half[i]
+    of the leading seed's direction, where it does not lower the
+    polynomial's residual, or where the jet has not converged: where its
+    last two terms add up to eps or more, the size of V at the root.
+    """
+    powers = np.arange(JET_ORDER + 1)
+
+    def residual(tau):
+        tau_k = tau[:, None] ** powers
+        v, dv = np.einsum("ikj,ij->ki", jets, tau_k)
+        return v - target, dv, tau_k
+
+    start = lead - t
+    r0, dv, tau_k = residual(start)
+    tau, r = start, r0
+    with np.errstate(all="ignore"):   # a step may overflow; the checks drop it
+        for _ in range(JET_STEPS):
+            tau = tau - r / dv
+            r, dv, tau_k = residual(tau)
+        keep = ((np.abs(np.angle(tau / start)) < half) & (np.abs(r) < np.abs(r0))
+                & (np.abs(jets[:, 0, -2:] * tau_k[:, -2:]).sum(axis=1) < np.abs(target)))
+    return np.where(keep, t + tau, lead)
 
 
 def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -119,75 +174,109 @@ def _newton_roots(model: PotentialModel, seeds: np.ndarray, eps: np.ndarray) -> 
     return z
 
 
-def _actions(model: PotentialModel, t_k: float, zeta: np.ndarray, eps: np.ndarray):
-    """2 * integral along each straight segment, branch +eps at t_k.
+@lru_cache(maxsize=1)
+def _action_rule():
+    """Path parameters s in walking order, from t_k (s = 0) to the turning
+    point, and their weights: Gauss-Legendre in u on (0, 1) with s = 1 - u^2.
+
+    Made on first use: the nodes come from an eigenvalue solve, whose
+    buffers would otherwise stay in every process that imports the module.
+    """
+    x, w = gauss_legendre(ACTION_NODES)
+    u = 0.5 * (x + 1.0)
+    return (1.0 - u * u)[::-1], (w * u)[::-1]
+
+
+def _actions(model: PotentialModel, t_k: np.ndarray, zeta: np.ndarray, eps: np.ndarray):
+    """2 * integral along each straight segment from t_k[i] to zeta[i], branch
+    +eps at t_k[i].
 
     The substitution s = 1 - u^2 removes the square-root endpoint singularity
     at the turning point.  Walking from t_k, each node takes the square root
     nearer to the value at the node before, starting from +eps.
     """
-    x, w = gauss_legendre(ACTION_NODES)
-    u = 0.5 * (x + 1.0)          # nodes on (0,1)
-    wu = 0.5 * w
-    s = 1.0 - u[::-1] ** 2       # path parameter in walking order, from 0 to 1
-    z = t_k + s * (zeta - t_k)[:, None]
-    g = np.sqrt(model.eval(z) ** 2 + (eps * eps)[:, None])
+    s, weights = _action_rule()
+    t_k = t_k[:, None]
+    span = zeta[:, None] - t_k
+    g = np.sqrt(model.eval(t_k + s * span) ** 2 + (eps * eps)[:, None])
     prev = np.concatenate([eps[:, None], g[:, :-1]], axis=1)
-    flips = np.cumsum(np.abs(g - prev) > np.abs(g + prev), axis=1) % 2 == 1
-    g = np.where(flips, -g, g)
-    if np.any(np.abs(g) < 1e-13 * eps[:, None]):
+    # -g is nearer to prev than g where Re(g conj(prev)) < 0
+    flips = np.logical_xor.accumulate((g * prev.conj()).real < 0, axis=1)
+    np.negative(g, out=g, where=flips)
+    if (np.abs(g) < 1e-13 * eps[:, None]).any():
         raise BranchAmbiguity("integrand vanishes inside the action path")
-    # integrate in u, nodes back in ascending order
-    integral = np.sum(wu * g[:, ::-1] * 2.0 * u, axis=1) * (zeta - t_k)
-    return 2.0 * integral
+    return 2.0 * np.einsum("ij,j->i", g, weights) * span[:, 0]
 
 
-def _roots_and_actions(model, crossing, eps: float):
-    """Turning points and their actions at a crossing in one batch: branches
-    j = 1 and m (1 alone when m = 1), each at eps and at eps/2."""
-    t_k, m = crossing.t, crossing.m
-    js = (1, m) if m > 1 else (1,)
-    seeds = np.array([_seed(t_k, m, crossing.v, e, j) for j in js for e in (eps, eps / 2.0)])
-    eps = np.array([eps, eps / 2.0] * len(js))
-    zeta = _newton_roots(model, seeds, eps)
+def _roots_and_actions(model: PotentialModel, catalog: CrossingCatalog, ks, eps: float):
+    """Turning points and their actions at the crossings ``ks`` in one batch.
+
+    Each crossing gives its branches j = 1 and m (1 alone when m = 1), each
+    at eps and at eps/2, in that order.
+    """
+    rows = []
+    for i, k in enumerate(ks):
+        c = catalog.crossings[k]
+        for j in ((1, c.m) if c.m > 1 else (1,)):
+            for e in (eps, eps / 2.0):
+                seed = _seed(c.t, c.m, c.v, e, j)
+                # the seed solves v (t - t_k)^m / m! = i^(2j - 1) sign(v) eps
+                rows.append((i, c.t, e, seed, 1j * (-1) ** (j - 1) * math.copysign(e, c.v),
+                             0.5 * math.pi / c.m, 10.0 * abs(seed - c.t) + 1e-12))
+    which, t, eps, lead, target, half, near = (np.array(col) for col in zip(*rows))
+    jets = np.array([_crossing_jet(model, catalog, k) for k in ks])[which]
+    zeta = _newton_roots(model, _jet_seeds(jets, t, lead, target, half), eps)
     zeta = np.where(zeta.imag < 0, zeta.conjugate(), zeta)
-    far = np.abs(zeta - t_k) > 10.0 * np.abs(seeds - t_k) + 1e-12
+    far = np.abs(zeta - t) > near
     if far.any():
+        i = np.argmax(far)
         raise TurningPointFailure(
-            f"Newton converged far from the crossing: zeta={zeta[far][0]}, t_k={t_k}")
-    actions = _actions(model, t_k, zeta, eps)
-    if np.any(actions.imag <= 0):
+            f"Newton converged far from the crossing: zeta={zeta[i]}, t_k={t[i]}")
+    actions = _actions(model, t, zeta, eps)
+    if (actions.imag <= 0).any():
         i = np.argmax(actions.imag <= 0)
         raise TurningPointFailure(f"Im A = {actions[i].imag:.3e} <= 0 at eps={eps[i]}")
     return zeta, actions
 
 
-def turning_points(model: PotentialModel, catalog: CrossingCatalog, k: int,
-                   eps: float) -> TurningPointSet:
-    """Nearest upper-half-plane turning points and actions for crossing k.
+def turning_point_sets(model: PotentialModel, catalog: CrossingCatalog, ks,
+                       eps: float) -> dict[int, TurningPointSet]:
+    """Nearest upper-half-plane turning points and actions of every crossing
+    k in ``ks``, by k, from one batch.
 
     Decay coefficients come from Richardson extrapolation of
     Im A / eps^((m+1)/m) over eps and eps/2; TurningPointFailure is raised
-    when the fitted exponent of Im A is far from (m+1)/m.
+    when the fitted exponent of Im A at a crossing is far from (m+1)/m.
     """
-    m = catalog.crossings[k].m
-    exponent = (m + 1.0) / m
-    _, actions = _roots_and_actions(model, catalog.crossings[k], eps)
-    points = []
-    im_ratio = []
-    for i in range(0, len(actions), 2):
-        action, action_half = complex(actions[i]), complex(actions[i + 1])
-        a_eps = action.imag / eps ** exponent
-        a_half = action_half.imag / (eps / 2.0) ** exponent
+    _, actions = _roots_and_actions(model, catalog, ks, eps)
+    actions = iter(actions.tolist())
+    sets = {}
+    for k in ks:
+        m = catalog.crossings[k].m
+        exponent = (m + 1.0) / m
         q = 2.0 ** (-1.0 / m)
-        a_extrap = (a_half - q * a_eps) / (1.0 - q)
-        fitted = math.log(action.imag / action_half.imag) / math.log(2.0)
-        points.append(TurningPoint(action, a_extrap))
-        im_ratio.append(fitted)
+        points = []
+        im_ratio = []
+        for _ in range(2 if m > 1 else 1):
+            action, action_half = next(actions), next(actions)
+            a_eps = action.imag / eps ** exponent
+            a_half = action_half.imag / (eps / 2.0) ** exponent
+            a_extrap = (a_half - q * a_eps) / (1.0 - q)
+            fitted = math.log(action.imag / action_half.imag) / math.log(2.0)
+            points.append(TurningPoint(action, a_extrap))
+            im_ratio.append(fitted)
 
-    scaling = float(np.mean(im_ratio))
-    if abs(scaling - exponent) > 0.25 * exponent:
-        raise TurningPointFailure(
-            f"Im A scaling exponent {scaling:.3f} far from {(m+1)/m:.3f}; "
-            "eps may be too large for the asymptotic regime")
-    return TurningPointSet(k=k, m=m, eps=eps, first=points[0], last=points[-1])
+        scaling = sum(im_ratio) / len(im_ratio)
+        if abs(scaling - exponent) > 0.25 * exponent:
+            raise TurningPointFailure(
+                f"Im A scaling exponent {scaling:.3f} far from {(m+1)/m:.3f}; "
+                "eps may be too large for the asymptotic regime")
+        sets[k] = TurningPointSet(k=k, m=m, eps=eps, first=points[0], last=points[-1])
+    return sets
+
+
+def turning_points(model: PotentialModel, catalog: CrossingCatalog, k: int,
+                   eps: float) -> TurningPointSet:
+    """Nearest upper-half-plane turning points and actions for crossing k:
+    the one-crossing case of ``turning_point_sets``."""
+    return turning_point_sets(model, catalog, (k,), eps)[k]

@@ -204,7 +204,8 @@ def predict_mixed(model, catalog: CrossingCatalog, eps: float, h: float,
     probability of the chain, then applies the combined parity rule.  The
     diabatic pairs stay unnormalized: the mu^2 adjustment belongs to the
     error term, and the reduction to the all-diabatic coefficient must be
-    exact.  Turning points missing from ``turning_sets`` are solved; the error
+    exact.  The turning points of the sharp crossings missing from
+    ``turning_sets`` are solved by ``chain_factors`` in one batch; the error
     gauges read the sets the chain was built from.  Raises RegimeViolation
     unless ``split`` is the regime rule's split at (eps, h).
     """

@@ -28,7 +28,7 @@ import numpy as np
 from .oscillatory import omega_m
 from .params import RegimeSplit, check_split, mu
 from .potential.catalog import SIDES, CrossingCatalog, find_crossings, regularized_actions
-from .potential.turning import TurningPointSet, turning_points
+from .potential.turning import TurningPointSet, turning_point_sets
 from .su2 import dense, normalized, su2_mul
 
 IQ = (0j, 1j)          # i Q, with Q = [[0, 1], [1, 0]] the flip matrix
@@ -171,18 +171,21 @@ def chain_factors(model, eps: float, h: float, split: RegimeSplit,
                   turning_sets: dict[int, TurningPointSet] | None = None) -> ChainFactors:
     """Each crossing's factor, the phases between crossings and the flip flags.
 
-    Adiabatic factors use ``turning_sets[k]`` where given and solve for the
-    turning points otherwise; the sets used are kept on the result.  The
+    Adiabatic factors use ``turning_sets[k]`` where given; the turning points
+    of every other adiabatic crossing are solved together, in one batch of
+    ``turning_point_sets``.  The sets used are kept on the result.  The
     split is taken as it is.
     """
     given = turning_sets or {}
+    missing = [k for k, tag in enumerate(split.assignment) if tag == "A" and k not in given]
+    solved = turning_point_sets(model, catalog, missing, eps) if missing else {}
     pairs, iq, used = [], [], {}
     for k, tag in enumerate(split.assignment):
         if tag == "N":
             pairs.append(crossing_transfer_nonadiabatic(k, eps, h, catalog))
             iq.append(False)
         else:
-            used[k] = given[k] if k in given else turning_points(model, catalog, k, eps)
+            used[k] = given[k] if k in given else solved[k]
             f = crossing_transfer_adiabatic(k, eps, h, catalog, used[k])
             pairs.append(f.pair)
             iq.append(f.has_iq)

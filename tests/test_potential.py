@@ -100,6 +100,23 @@ class TestDerivatives:
             jets = np.array([model.taylor(float(t), 1)[1] for t in ts])
             np.testing.assert_allclose(vec, jets, rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("powers", [(1,), (4,), (2, 1), (1, 3, 2), (3, 1, 4, 2)])
+    def test_tanh_product_deriv_at_complex_points(self, powers, rng):
+        """The product rule taken factor by factor equals the order-1 jet at
+        complex points near each crossing, where Newton evaluates it.
+
+        Far out in a tail 1 - tanh^2 cancels, in the closed form and the
+        jet alike, so the points stay within one unit of slope of a centre.
+        """
+        model = ScaledTanhProduct(1.3, [
+            {"power": p, "slope": s, "center": c}
+            for p, s, c in zip(powers, (0.7, 1.5, 3.0, 6.0), (-4.5, -1.5, 1.5, 4.5))])
+        z = np.concatenate([
+            f.center + (rng.uniform(-1, 1, 8) + 1j * rng.uniform(0.05, 0.5, 8)) / f.slope
+            for f in model.factors])
+        jet = model.taylor(z, 1)[1]
+        np.testing.assert_allclose(model.deriv(z), jet, rtol=1e-14, atol=0)
+
     def test_antiderivative_consistency(self, tanh_cubed):
         """Numeric differentiation of the phase integral recovers V."""
         for t in (-1.2, 0.3, 2.0):

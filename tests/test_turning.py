@@ -6,14 +6,26 @@ from scipy.integrate import quad
 
 from crossinglab.errors import NewtonDiverged, TurningPointFailure
 from crossinglab.harness.sweep import DEMO_POTENTIAL
+from crossinglab.params import classify_regimes
 from crossinglab.potential import (
+    LinearLZ,
     ScaledTanhProduct,
     find_crossings,
     model_from_config,
     turning_points,
 )
 from crossinglab.potential import turning as turning_module
-from crossinglab.potential.turning import _actions, _newton_roots, _roots_and_actions, _seed
+from crossinglab.potential.turning import (
+    EPS_MACHINE,
+    NEWTON_TOL,
+    _actions,
+    _jet_seeds,
+    _newton_roots,
+    _roots_and_actions,
+    _seed,
+    turning_point_sets,
+)
+from crossinglab.transfer import chain_factors
 
 
 def _reference_action(model, t_k, zeta, eps):
@@ -36,14 +48,14 @@ def _reference_action(model, t_k, zeta, eps):
 def _roots(model, catalog, k, eps):
     """The turning points of branches 1 and m at eps (the same point twice
     when m = 1), from the batch that turning_points solves."""
-    zetas, _ = _roots_and_actions(model, catalog.crossings[k], eps)
+    zetas, _ = _roots_and_actions(model, catalog, (k,), eps)
     return zetas[0], zetas[-2]
 
 
 def _fitted_exponent(model, catalog, k, eps):
     """The exponent of Im A over eps and eps/2, averaged over the branches,
     that turning_points checks against (m+1)/m."""
-    _, actions = _roots_and_actions(model, catalog.crossings[k], eps)
+    _, actions = _roots_and_actions(model, catalog, (k,), eps)
     return float(np.mean([math.log(a.imag / b.imag) / math.log(2.0)
                           for a, b in zip(actions[::2], actions[1::2])]))
 
@@ -192,10 +204,12 @@ class TestBatchedSolve:
             assert point.decay_coeff == pytest.approx((ims[1] - q * ims[0]) / (1.0 - q),
                                                       rel=1e-13)
 
-    @pytest.mark.parametrize("k, scalar_calls", [(0, (16, 6)), (1, (44, 18))])
-    def test_fewer_model_calls(self, k, scalar_calls, monkeypatch):
-        """V is reused from the residual and the actions share one evaluation;
-        one root at a time took 16 + 6 (m = 1) and 44 + 18 (m = 3) calls."""
+    @pytest.mark.parametrize("ks, counts", [((0,), (2, 0)), ((1,), (2, 0)), ((0, 1), (2, 0))])
+    def test_fewer_model_calls(self, ks, counts, monkeypatch):
+        """The jet seeds meet the tolerance at eps = 0.1, so V is evaluated
+        once at them and once on the action paths, for one crossing or both.
+        One root at a time took 16 + 6 (m = 1) and 44 + 18 (m = 3) calls, the
+        leading seeds in one batch 5 + 3 and 7 + 5."""
         model = model_from_config(DEMO_POTENTIAL)
         calls = {"eval": 0, "deriv": 0}
         for name in calls:
@@ -206,9 +220,8 @@ class TestBatchedSolve:
                 return real(t)
 
             monkeypatch.setattr(model, name, counted)
-        turning_points(model, DEMO_CATALOG, k, 0.1)
-        assert 0 < calls["eval"] < scalar_calls[0]
-        assert 0 < calls["deriv"] < scalar_calls[1]
+        turning_point_sets(model, DEMO_CATALOG, ks, 0.1)
+        assert (calls["eval"], calls["deriv"]) == counts
 
     def test_branch_followed_across_the_cut(self):
         """On [0, 1.2] V^2 + 1 with V = 3 t e^(i pi t / 2) crosses the negative
@@ -219,7 +232,7 @@ class TestBatchedSolve:
                 return 3.0 * t * np.exp(0.5j * np.pi * t)
 
         zeta = 1.2
-        action = _actions(Twisting(), 0.0, np.array([zeta + 0j]), np.array([1.0]))
+        action = _actions(Twisting(), np.zeros(1), np.array([zeta + 0j]), np.array([1.0]))
         s = np.linspace(0.0, 1.0, 200_001)
         f = Twisting().eval(s * zeta) ** 2 + 1.0
         continuous = np.sqrt(np.abs(f)) * np.exp(0.5j * np.unwrap(np.angle(f)))
@@ -231,10 +244,12 @@ class TestBatchedSolve:
                                           rel=1e-13)
 
     def test_stationary_step_raises(self, monkeypatch):
+        """From a leading seed Newton must step; the jet seeds of
+        turning_points meet the tolerance without one at this eps."""
         model = ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 0.0}])
         monkeypatch.setattr(model, "deriv", lambda t: np.zeros_like(t))
         with pytest.raises(NewtonDiverged, match="stationary Newton step"):
-            turning_points(model, find_crossings(model), 0, 0.1)
+            _newton_roots(model, np.array([_seed(0.0, 3, 6.0, 0.1, 1)]), np.array([0.1]))
 
     @pytest.mark.parametrize("eps, message", [(4.0, "scaling exponent"),
                                               (8.0, "converged far from the crossing")])
@@ -290,3 +305,110 @@ class TestSmallEps:
         if c.m == 1:
             # Landau-Zener: Im A = pi eps^2 / (2 |v|)
             assert sets[-1].a_min == pytest.approx(math.pi / (2.0 * abs(c.v)), rel=1e-5)
+
+
+def _leading_solve(model, catalog, ks, eps, monkeypatch):
+    """_roots_and_actions with every seed left at its leading order."""
+    with monkeypatch.context() as patch:
+        patch.setattr(turning_module, "_jet_seeds", lambda jets, t, lead, *_: lead)
+        return _roots_and_actions(model, catalog, ks, eps)
+
+
+def _seed_cases(name):
+    """(model, k, eps) of one family of cases for the jet seeds."""
+    if name == "demo_ladder":
+        return [(DEMO, k, eps) for k in (0, 1) for eps in TestSmallEps.LADDER
+                if eps >= (1.5e-4 if k == 0 else 1e-5)]
+    if name == "lz_windowed":
+        return [(LinearLZ(slope=1.0, window=8.0, sharpness=4.0), 0, eps)
+                for eps in (0.3, 0.1, 0.01, 1e-3)]
+    if name.startswith("msa_windowed"):
+        coefficients = [0.0] * int(name[-1]) + [1.0]
+        model = model_from_config({"family": "polynomial_windowed", "params": {
+            "coefficients": coefficients, "window": 3.0, "sharpness": 8.0}})
+        return [(model, 0, eps) for eps in (0.3, 0.1, 0.03, 0.01, 1e-3)]
+    power = int(name[-1])
+    return [(ScaledTanhProduct(1.0, [{"power": power, "slope": slope, "center": 0.0}]), 0, eps)
+            for slope in (0.5, 1.0, 2.0, 6.0) for eps in (0.3, 0.1, 0.03, 0.01, 1e-3)]
+
+
+class TestJetSeeds:
+    """Seeds refined on the crossing's jet, and one batch for many crossings."""
+
+    @pytest.mark.parametrize("name", ["demo_ladder", "lz_windowed", "msa_windowed_m2",
+                                      "msa_windowed_m3", "tanh_m1", "tanh_m2", "tanh_m3",
+                                      "tanh_m4", "tanh_m5"])
+    def test_same_roots_as_the_leading_seeds(self, name, monkeypatch):
+        """The same roots and actions as Newton from the leading seeds, every
+        root in its branch's sector.
+
+        Each solve stops at |F| <= NEWTON_TOL eps^2 (or at the rounding
+        floor), which places its root within that residual over |F'| of the
+        exact one; from the leading seeds the last step can stop there, 1.5e-13
+        relative on tanh^2, while the jet seeds land on the root.  The action
+        is stationary in its endpoint, so the actions agree to 1e-13.
+        """
+        models = {}
+        for model, k, eps in _seed_cases(name):
+            catalog = models.setdefault(id(model), find_crossings(model))
+            c = catalog.crossings[k]
+            zetas, actions = _roots_and_actions(model, catalog, (k,), eps)
+            lead_zetas, lead_actions = _leading_solve(model, catalog, (k,), eps, monkeypatch)
+            js = [j for j in ((1, c.m) if c.m > 1 else (1,)) for _ in range(2)]
+            for zeta, lead_zeta, j, e in zip(zetas, lead_zetas, js, [eps, eps / 2.0] * 2):
+                slope = 2.0 * e * abs(complex(model.deriv(np.asarray(zeta))))
+                bound = 2.0 * NEWTON_TOL * e * e / slope + 16.0 * EPS_MACHINE * abs(zeta)
+                assert abs(zeta - lead_zeta) <= bound, (name, k, eps)
+                sector = np.angle(zeta - c.t) - math.pi * (2 * j - 1) / (2 * c.m)
+                assert abs(sector) < math.pi / (2 * c.m), (name, k, eps, j)
+            np.testing.assert_allclose(actions, lead_actions, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_seeds_land_on_the_roots(self, k):
+        """At eps = 0.1 the refined seeds are the demo's roots to 1e-13 of
+        their distance from the crossing; the leading seeds miss by 1e-3."""
+        c = DEMO_CATALOG.crossings[k]
+        eps = 0.1
+        js = [j for j in ((1, c.m) if c.m > 1 else (1,)) for _ in range(2)]
+        es = np.array([eps, eps / 2.0] * (len(js) // 2))
+        lead = np.array([_seed(c.t, c.m, c.v, e, j) for j, e in zip(js, es)])
+        target = np.array([1j * (-1) ** (j - 1) * math.copysign(e, c.v) for j, e in zip(js, es)])
+        jets = np.array([turning_module._crossing_jet(DEMO, DEMO_CATALOG, k)] * len(js))
+        seeds = _jet_seeds(jets, np.full(len(js), c.t), lead, target,
+                           np.full(len(js), 0.5 * math.pi / c.m))
+        roots = _newton_roots(DEMO, seeds, es)
+        assert np.all(np.abs(seeds - roots) <= 1e-13 * np.abs(roots - c.t))
+        assert np.all(np.abs(lead - roots) > 1e-3 * np.abs(roots - c.t))
+
+    def test_batch_matches_crossing_by_crossing(self, monkeypatch):
+        """A three-crossing all-adiabatic chain: one batch, the same sets as
+        one crossing at a time to 1e-14, and chain_factors solves it with two
+        evaluations of V."""
+        model = ScaledTanhProduct(1.0, [{"power": 1, "slope": 2.0, "center": 3.0},
+                                        {"power": 3, "slope": 1.0, "center": 0.0},
+                                        {"power": 2, "slope": 1.5, "center": -3.0}])
+        catalog = find_crossings(model)
+        eps, h = 0.2, 1e-4
+        split = classify_regimes(catalog.orders, eps, h)
+        assert split.assignment == ("A", "A", "A")
+        batched = turning_point_sets(model, catalog, (0, 1, 2), eps)
+        for k in range(3):
+            alone = turning_points(model, catalog, k, eps)
+            assert (batched[k].k, batched[k].m, batched[k].eps) == (alone.k, alone.m, alone.eps)
+            for got, want in ((batched[k].first, alone.first), (batched[k].last, alone.last)):
+                assert abs(got.action - want.action) <= 1e-14 * abs(want.action)
+                assert got.decay_coeff == pytest.approx(want.decay_coeff, rel=1e-14)
+
+        calls = {"eval": 0}
+        real = model.eval
+
+        def counted(t):
+            calls["eval"] += 1
+            return real(t)
+
+        monkeypatch.setattr(model, "eval", counted)
+        chain = chain_factors(model, eps, h, split, catalog)
+        assert calls["eval"] == 2
+        assert chain.turning_sets.keys() == batched.keys()
+        for k, tps in chain.turning_sets.items():
+            assert tps.first.action == pytest.approx(batched[k].first.action, rel=1e-14)
