@@ -15,7 +15,8 @@ one evaluation of V per node), use the sixth-order fixed-weight rule
 ``quadrature.cumulative_uniform``; solutions are read at the nodes only,
 with no interpolation between them.  The grid phase is accumulated outward
 from the node nearest t_ref, so that it is exactly 0 at a t_ref that is a
-node.  Base points must be grid nodes.
+node.  Both base points are the grid's first node: the series and ``apply_K``
+refuse any other, so every cumulative sum runs from node 0.
 
 The grid holds u^+ and the ends of its interval, nothing more: u^- is
 conj(u^+) and the nodes are a linspace over the ends, both formed when a
@@ -24,19 +25,19 @@ u^+ a block at a time, so it holds the phase and u^+ and nothing else
 grid-sized.  The series runs in the interaction frame: with s the sign of
 the leading component, its terms f, g are carried as F = f u^{-s} and
 G = g u^{s}.  A term then costs two products by u^s, a conjugation and one
-cumulative sum, whose ``origin`` is the base node, so it is exactly 0
-there; the factors i/h and eps^2 i/h ride in the sum's step.  For s = -1
-the series is run on u^+ and conjugated, so no solve forms u^-.
-``apply_K`` is the same operator in the lab frame.
+cumulative sum, exactly 0 at node 0; the factors i/h and eps^2 i/h ride in
+the sum's step.  For s = -1 the series is run on u^+ and conjugated, so no
+solve forms u^-.  ``apply_K`` is the same operator in the lab frame.
 
-``msa_solution`` sums whole arrays: it holds two term buffers and the two
-components u^s sum F and -eps u^{-s} sum G, formed at the end.
-``connection_T_numeric`` needs only their values at t = r and has both base
-points at node 0, so it sums the series in one pass over blocks of the grid:
-a block of u^+ runs through all its cumulative sums in turn, each on the
-nodes the one before has completed, and each term's sup and last value are
-taken as the blocks pass.  A connection holds the grid and a few blocks, and
-its sums at t = r are ``msa_solution``'s, bit for bit.
+The series is summed in one pass over blocks of the grid: a block of u^+
+runs through all its cumulative sums in turn, each on the nodes the one
+before has completed, and each term's sup and last value are taken as the
+blocks pass.  ``msa_solution`` adds the terms into its two components as
+they pass and takes each block of them out of the interaction frame once
+the last term is through it, so it holds the components and a few blocks.
+``connection_T_numeric`` needs only the values at t = r: it runs the same
+pass without the components, holds the grid and a few blocks, and its
+values are ``msa_solution``'s last node, bit for bit.
 """
 
 from __future__ import annotations
@@ -154,12 +155,18 @@ class MsaGrid:
         return i
 
 
+def _check_base(grid: MsaGrid, t: float) -> None:
+    """ValueError unless t is the grid's first node, the one base point."""
+    if grid.index(t) != 0:
+        raise ValueError(f"base point t={t} is not the grid's first node {grid.ends[0]}")
+
+
 def apply_K(grid: MsaGrid, sign: int, a: float, f: np.ndarray) -> np.ndarray:
     """Volterra application K_a^+- f on the grid (sign +1 for K^+) in the lab
-    frame, as a new array; the base point ``a`` must be a grid node."""
-    i = grid.index(a)
+    frame, as a new array; the base point ``a`` must be the grid's first node."""
+    _check_base(grid, a)
     g = f * grid.u(-sign)    # f / u^{sign} = f * u^{-sign}
-    cumulative = cumulative_uniform(g, grid.dx * (1j / grid.h), origin=i)
+    cumulative = cumulative_uniform(g, grid.dx * (1j / grid.h))
     cumulative *= grid.u(sign)
     return cumulative
 
@@ -172,86 +179,56 @@ class MsaSolution:
     truncation_estimate: float = 0.0
 
 
-def _check_contracting(sups: list[float]) -> None:
-    """SeriesNotContracting unless each term's sup falls below the one before
-    or is negligible (a sup that overflowed to inf or nan does neither)."""
-    for n in range(1, len(sups)):
-        if not (sups[n] < sups[n - 1] or sups[n] <= 1e-14):
-            raise SeriesNotContracting(
-                f"term sups {sups[:n + 1]}: series not contracting (mu too large)")
-
-
-def _series_steps(grid: MsaGrid, eps: float, lead_sign: int) -> tuple[complex, complex]:
-    """The steps of the cumulative sums for G and F: the factors i/h and
-    conj(eps^2 i/h) ride in them; for s = -1 the series is the conjugate of
-    the one on u^+ with conjugated steps."""
-    scale = 1j / grid.h
-    step_g = grid.dx * scale
-    step_f = grid.dx * np.conj(eps * eps * scale)
-    if lead_sign < 0:
-        return np.conj(step_g), np.conj(step_f)
-    return step_g, step_f
-
-
-def _series_sums(grid: MsaGrid, eps: float, lead_sign: int, a_lead: float,
-                 a_other: float, depth: int):
-    """The Neumann series in the interaction frame, summed at every node.
-
-    With s = lead_sign the terms are F = f u^{-s} and G = g u^{s}; they follow
-    G = (i/h) C_{a_other}[F (u^s)^2] and F' = eps^2 (i/h) C_{a_lead}[G (u^{-s})^2]
-    from F_0 = 1, C being ``cumulative_uniform`` with its origin at the base
-    node.  Returns sum F and sum G and the sups of the F terms (|F| = |f|,
-    since |u| = 1); raises SeriesNotContracting when a sup does not fall.
-    """
-    i_lead, i_other = grid.index(a_lead), grid.index(a_other)
-    u = grid.u_plus
-    # G (u^{-s})^2 is conj(conj(G) (u^s)^2), and C commutes with conj, so
-    # both products are by u^s, made in place in the two term buffers
-    step_g, step_f = _series_steps(grid, eps, lead_sign)
-    f, g = np.empty_like(u), np.empty_like(u)
-    sum_f, sum_g = np.ones_like(u), np.zeros_like(u)
-    sups = [1.0]
-    for n in range(depth):
-        if n:
-            f *= u
-            f *= u
-        else:
-            np.square(u, out=f)    # F_0 (u^s)^2, F_0 = 1
-        cumulative_uniform(f, step_g, out=g, origin=i_other)
-        sum_g += g
-        np.conjugate(g, out=g)
-        g *= u
-        g *= u
-        cumulative_uniform(g, step_f, out=f, origin=i_lead)
-        np.conjugate(f, out=f)
-        sum_f += f
-        # g is spent: its real parts take |F|
-        sups.append(float(np.max(np.abs(f, out=g.real))))
-        _check_contracting(sups)
+def _leave_frame(sum_f, sum_g, u, u_minus, eps: float, lead_sign: int, scratch) -> None:
+    """Take the sums at some nodes out of the interaction frame, in place:
+    sum F becomes f = u^s sum F and sum G becomes -eps g = -eps u^{-s} sum G,
+    the sums of a series run on u^+ for s = -1 being conjugated first.
+    ``u`` and ``u_minus`` are u^+ and u^- at the nodes, ``scratch`` as long.
+    Every product is made out of place: numpy rounds an in-place product on
+    one element apart from the same product in a longer array, and the
+    connection's one node must take ``msa_solution``'s bits."""
     if lead_sign < 0:
         np.conjugate(sum_f, out=sum_f)
         np.conjugate(sum_g, out=sum_g)
-    return sum_f, sum_g, sups
+        u, u_minus = u_minus, u
+    np.multiply(sum_f, u, out=scratch)
+    sum_f[...] = scratch
+    np.multiply(sum_g, u_minus, out=scratch)
+    np.multiply(scratch, -eps, out=sum_g)
 
 
-def _end_sums(grid: MsaGrid, eps: float, depth: int):
-    """w1's series based at node 0, summed at the last node in one pass.
+def _series(grid: MsaGrid, eps: float, lead_sign: int, depth: int, comps=None):
+    """The Neumann series in the interaction frame, based at node 0, summed
+    in one pass over blocks of the grid.
 
-    ``_series_sums`` at the last node, bit for bit, when both base points
-    are node 0: each of the 2 depth cumulative sums is a ``RunningCumulative``,
-    and a block of u^+ runs through all of them in turn, each term's samples
-    formed from the nodes its predecessor has completed.  Each term's sup and
-    last value are taken as its blocks pass, so nothing grid-sized is made.
-    Returns sum F and sum G at the last node, as one-element arrays, and the
-    sups of the F terms.
+    With s = lead_sign the terms are F = f u^{-s} and G = g u^{s}; they follow
+    G = (i/h) C[F (u^s)^2] and F' = eps^2 (i/h) C[G (u^{-s})^2] from F_0 = 1,
+    C the cumulative rule from node 0, each of the 2 depth sums a
+    ``RunningCumulative``.  G (u^{-s})^2 is conj(conj(G) (u^s)^2) and C
+    commutes with conj, so every product is by u^s.
+
+    ``comps``, when given, is a pair of grid-sized arrays holding 1 and 0:
+    each term is added into them at the nodes it completes, and the nodes
+    the last term has passed leave the interaction frame there and then, so
+    they end as the solution's components f and -eps g.  Returns f and
+    -eps g at the last node, as one-element arrays made by the same
+    arithmetic, and the sups of the F terms (|F| = |f|, since |u| = 1);
+    raises SeriesNotContracting unless each sup falls below the one before
+    or is negligible (a sup that overflowed to inf or nan does neither).
     """
     u = grid.u_plus
     n = len(u)
-    step_g, step_f = _series_steps(grid, eps, +1)
-    runs = [RunningCumulative(step) for _ in range(depth) for step in (step_g, step_f)]
+    # the factors i/h and conj(eps^2 i/h) ride in the steps; for s = -1 the
+    # series is the conjugate of the one on u^+ with conjugated steps
+    scale = 1j / grid.h
+    steps = grid.dx * scale, grid.dx * np.conj(eps * eps * scale)
+    if lead_sign < 0:
+        steps = np.conj(steps)
+    runs = [RunningCumulative(step) for _ in range(depth) for step in steps]
     halo = RunningCumulative.HALO
     halos = np.empty((len(runs), halo), dtype=complex)   # each run's last samples
     done = [0] * len(runs)    # nodes each run has given
+    left = 0                  # nodes out of the interaction frame
     ends = [None] * len(runs)
     sups = [1.0] + [0.0] * depth
     # a run gives at most two nodes more than it takes
@@ -272,10 +249,15 @@ def _end_sums(grid: MsaGrid, eps: float, depth: int):
                 k = run.integral(window, give, last)
                 if not k:
                     break
-                terms, u_k = give[:k], u[done[j]:done[j] + k]
+                terms, nodes = give[:k], slice(done[j], done[j] + k)
+                u_k = u[nodes]
                 done[j] += k
+                if comps is not None and not j % 2:
+                    comps[1][nodes] += terms
                 np.conjugate(terms, out=terms)
                 if j % 2:   # an F term, conj of its sum: |F| in take, spent
+                    if comps is not None:
+                        comps[0][nodes] += terms
                     sup = float(np.abs(terms, out=take.view(float)[:k]).max())
                     sups[1 + j // 2] = max(sups[1 + j // 2], sup)
                     ends[j] = terms[-1]
@@ -289,11 +271,23 @@ def _end_sums(grid: MsaGrid, eps: float, depth: int):
                 np.multiply(terms, u_k, out=take[halo:halo + k])
                 np.multiply(take[halo:halo + k], u_k, out=give[halo:halo + k])
                 take, give = give, take
-    _check_contracting(sups)
+            if comps is not None and done[-1] > left:
+                # every term has passed these nodes; the buffers are spent
+                nodes, m = slice(left, done[-1]), done[-1] - left
+                np.conjugate(u[nodes], out=give[:m])
+                _leave_frame(comps[0][nodes], comps[1][nodes], u[nodes], give[:m], eps,
+                             lead_sign, take[:m])
+                left = done[-1]
+    for m in range(1, depth + 1):
+        if not (sups[m] < sups[m - 1] or sups[m] <= 1e-14):
+            raise SeriesNotContracting(
+                f"term sups {sups[:m + 1]}: series not contracting (mu too large)")
     sum_f, sum_g = np.ones(1, dtype=complex), np.zeros(1, dtype=complex)
     for j in range(0, len(runs), 2):
         sum_g += ends[j]
         sum_f += ends[j + 1]
+    u_end = u[-1:]
+    _leave_frame(sum_f, sum_g, u_end, np.conj(u_end), eps, lead_sign, np.empty_like(u_end))
     return sum_f, sum_g, sups
 
 
@@ -302,31 +296,26 @@ def msa_solution(grid: MsaGrid, eps: float, which: str,
     """Truncated Neumann-series solution w1 or w2 on the grid.
 
     w1 is normalized to (u^+, 0) at the base points (first component seeded by
-    u^+), w2 to (0, u^-).  The base points must be grid nodes.  ``depth``
-    counts the eps^2 double applications; the recorded truncation estimate is
-    the geometric tail of the term sups.
+    u^+), w2 to (0, u^-).  Both base points must be the grid's first node.
+    ``depth`` counts the eps^2 double applications; the recorded truncation
+    estimate is the geometric tail of the term sups.  The series is summed in
+    the connection's one pass (``_series``), into the two components, so the
+    solve holds them and a few blocks of samples.
     """
     if which not in ("w1", "w2"):
         raise ValueError("which must be 'w1' or 'w2'")
     if depth < 1:
         raise ValueError("depth >= 1 required")
+    _check_base(grid, a_plus)
+    _check_base(grid, a_minus)
 
+    n = len(grid.u_plus)
+    lead, other = np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
     lead_sign = +1 if which == "w1" else -1
-    a_lead = a_plus if which == "w1" else a_minus
-    a_other = a_minus if which == "w1" else a_plus
-    comp_lead, comp_other, sups = _series_sums(grid, eps, lead_sign, a_lead, a_other,
-                                               depth)
+    sups = _series(grid, eps, lead_sign, depth, (lead, other))[2]
     ratio = sups[-1] / sups[-2] if sups[-2] > 0 else 0.0
     tail = sups[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-
-    # back from the interaction frame: f = u^s F, -eps g = -eps u^{-s} G
-    comp_lead *= grid.u(lead_sign)
-    comp_other *= grid.u(-lead_sign)
-    comp_other *= -eps
-    if which == "w1":
-        comp1, comp2 = comp_lead, comp_other
-    else:
-        comp1, comp2 = comp_other, comp_lead
+    comp1, comp2 = (lead, other) if which == "w1" else (other, lead)
     return MsaSolution(grid=grid, comp1=comp1, comp2=comp2, truncation_estimate=tail)
 
 
@@ -359,8 +348,9 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
     Both bases are built over [ell, r] around crossing k; the matrix is read
     off at t = r where the right-based pair reduces to diag(u^+, u^-).  Only
     w1 is solved; w2 follows from it by symmetry.  Its series is summed at
-    t = r in one pass over blocks of the grid (``_end_sums``), so beyond the
-    grid the solve holds a few blocks of samples, whatever the grid's size.
+    t = r in ``msa_solution``'s one pass over blocks of the grid, without its
+    components, so beyond the grid the solve holds a few blocks of samples,
+    whatever the grid's size.
     A given grid must be built for this model and h, span exactly [ell, r]
     and take its phase from t_k.
     """
@@ -382,16 +372,8 @@ def connection_T_numeric(model, eps: float, h: float, k: int,
                          f"not [ell, r] = [{ell}, {r}]")
     elif abs(grid.t_ref - t_k) > NODE_TOL * grid.dx:
         raise ValueError(f"grid phase reference t_ref={grid.t_ref} is not t_k={t_k}")
-    # only w1's end values: the series summed at the last node in one pass and
-    # taken out of the interaction frame by msa_solution's products, on new
-    # one-element arrays (numpy rounds a product of scalars, or one made in
-    # place in a one-element array, apart from the same product in a longer
-    # array)
-    sum_f, sum_g, _ = _end_sums(grid, eps, depth)
-    u_end = grid.u_plus[-1:]
-    comp1 = sum_f * u_end
-    comp2 = sum_g * np.conj(u_end)
-    comp2 *= -eps
+    # only w1's values at t = r, by msa_solution's arithmetic
+    comp1, comp2, _ = _series(grid, eps, +1, depth)
     u_p = grid.u_plus[-1]
     # H is real and J H J^-1 = -H with J = [[0, -1], [1, 0]], so the second
     # solution is w2 = J conj(w1): its columns need no second solve, and the

@@ -83,20 +83,22 @@ def _jet_power(a: np.ndarray, p: float, n: int) -> np.ndarray:
     return b
 
 
-def _riccati_jet(u0, rate, a: float, b: float, n: int) -> np.ndarray:
+def _riccati_jet(u0, slope0, rate, b: float, n: int) -> np.ndarray:
     """The jet in tau of the solution of u' = rate (a + b u - u**2), u(0) = u0.
 
     tanh(x0 + rate tau) is a = 1, b = 0 and the logistic function of
-    x0 + rate tau is a = 0, b = 1.  ``u0`` and ``rate`` broadcast, so one
-    recurrence serves a stack of factors.
+    x0 + rate tau is a = 0, b = 1.  ``slope0`` = a + b u0 - u0**2 comes in a
+    form that keeps its relative accuracy in the tails, where the difference
+    cancels and every order would inherit it.  ``u0``, ``slope0`` and
+    ``rate`` broadcast, so one recurrence serves a stack of factors.
     """
     u0 = np.asarray(u0)
     c = np.empty((n + 1,) + u0.shape, dtype=np.result_type(u0, float))
     c[0] = u0
-    for k in range(n):
+    if n >= 1:
+        c[1] = rate * slope0
+    for k in range(1, n):
         rhs = b * c[k] - np.einsum("i...,i...->...", c[: k + 1], c[k::-1])
-        if k == 0:
-            rhs = rhs + a
         c[k + 1] = (rate / (k + 1)) * rhs
     return c
 
@@ -106,6 +108,13 @@ def _sigmoid(x0):
     right = np.real(x0) >= 0
     e = np.exp(np.where(right, -x0, x0))   # never overflows
     return np.where(right, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _sigmoid_slope(x0):
+    """sigma(x0) sigma(-x0) = sigma', elementwise, overflow-safe and free of
+    the cancellation in sigma - sigma^2; sech^2 x is 4 sigma(2x) sigma(-2x)."""
+    e = np.exp(np.where(np.real(x0) >= 0, -x0, x0))   # never overflows
+    return e / ((1.0 + e) * (1.0 + e))
 
 
 def _softplus(x):
@@ -130,7 +139,7 @@ def _softplus_jet(x0, rate, n: int) -> np.ndarray:
     c[0] = _softplus(x0)
     if n >= 1:
         k = np.arange(1, n + 1).reshape((-1,) + (1,) * x0.ndim)
-        c[1:] = rate * _riccati_jet(_sigmoid(x0), rate, 0.0, 1.0, n - 1) / k
+        c[1:] = rate * _riccati_jet(_sigmoid(x0), _sigmoid_slope(x0), rate, 1.0, n - 1) / k
     return c
 
 
@@ -179,9 +188,12 @@ class _SmoothClamp:
         return t - _softplus(b * (t - self.w)) / b + _softplus(b * (-t - self.w)) / b
 
     def deriv(self, t):
+        # 1 - sigma(b (t - w)) - sigma(-b (t + w)), even in t, with 1 - sigma(x)
+        # as sigma(-x): the 1 would cancel beyond the window
         t = np.asarray(t)
-        b = self.beta
-        return 1.0 - _sigmoid(b * (t - self.w)) - _sigmoid(-b * (t + self.w))
+        b, w = self.beta, self.w
+        s = np.where(np.real(t) >= 0, t, -t)
+        return _sigmoid(b * (w - s)) - _sigmoid(-b * (w + s))
 
     def jet(self, t0, n: int) -> np.ndarray:
         b = self.beta
@@ -190,7 +202,7 @@ class _SmoothClamp:
                - _softplus_jet(b * (t0 - self.w), b, n)) / b
         out[0] += t0
         if n >= 1:
-            out[1] += 1.0
+            out[1] = self.deriv(t0)
         return out
 
 
@@ -336,10 +348,12 @@ class ScaledTanhProduct(PotentialModel):
         t = np.asarray(t)
         value, total = self.scale, 0.0
         for f in self.factors:
-            th = np.tanh(f.slope * (t - f.center))
+            x = f.slope * (t - f.center)
+            th = np.tanh(x)
             lower = _ipow(th, f.power - 1)
             g = lower * th
-            total = total * g + value * (f.power * f.slope) * lower * (1.0 - th * th)
+            sech2 = 4.0 * _sigmoid_slope(2.0 * x)
+            total = total * g + value * (f.power * f.slope) * lower * sech2
             value = value * g
         return total
 
@@ -349,7 +363,8 @@ class ScaledTanhProduct(PotentialModel):
         slope = np.array([f.slope for f in self.factors]).reshape(stack)
         center = np.array([f.center for f in self.factors]).reshape(stack)
         # one recurrence for every factor, the factor along axis 1
-        th = _riccati_jet(np.tanh(slope * (t0 - center)), slope, 1.0, 0.0, n)
+        x0 = slope * (t0 - center)
+        th = _riccati_jet(np.tanh(x0), 4.0 * _sigmoid_slope(2.0 * x0), slope, 0.0, n)
         # the factors of one power are multiplied before the power is taken
         out = None
         for power in sorted({f.power for f in self.factors}):

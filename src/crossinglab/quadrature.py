@@ -229,7 +229,7 @@ class RunningCumulative:
     Between pieces the run keeps only the number of samples it has taken and
     ``total``, the integral at the last node it gave, so a pass over a whole
     grid holds nothing grid-sized.  Fed any way, the results are
-    ``cumulative_uniform``'s (origin 0), bit for bit.
+    ``cumulative_uniform``'s, bit for bit.
     """
 
     HALO = 5
@@ -304,31 +304,28 @@ def accumulate_from(out: np.ndarray, origin: int) -> np.ndarray:
     return out
 
 
-def cumulative_uniform(values: np.ndarray, dx: float | complex,
-                       out: np.ndarray | None = None, origin: int = 0) -> np.ndarray:
+def cumulative_uniform(values: np.ndarray, dx: float | complex) -> np.ndarray:
     """Cumulative integral of samples on a uniform grid with step ``dx``.
 
-    Returns F with F[origin] = 0 and F[j] = integral from node ``origin`` to
-    node j of the degree-5 interpolant through the six nodes nearest each
-    interval (the first or last six at the ends): exact on polynomials of
-    degree <= 5, sixth order on smooth data.  The sums run outward from
-    ``origin``, so their rounding grows with the distance from it.
+    Returns F with F[0] = 0 and F[j] = integral from node 0 to node j of the
+    degree-5 interpolant through the six nodes nearest each interval (the
+    first or last six at the ends): exact on polynomials of degree <= 5,
+    sixth order on smooth data.  (``accumulate_from`` sums the rule's
+    increments from another node.)
 
     The step is folded into the weights, so no pass scales the result.  It
     may be complex: a step c dx gives c times the integral at step dx, to
-    rounding, and a complex result.  ``out``, when given, receives F in
-    place; it must not overlap ``values``.  Either way the result is the
-    same, bit for bit, and no other array larger than ``_CUMULATIVE_BLOCK``
-    samples is made.  The rule runs as one piece of a ``RunningCumulative``.
+    rounding, and a complex result.  Besides F no array larger than
+    ``_CUMULATIVE_BLOCK`` samples is made.  The rule runs as one piece of a
+    ``RunningCumulative``.
     """
     g = np.asarray(values)
     n = g.shape[0]
     if n < 6:
         raise ValueError("cumulative_uniform needs at least 6 samples")
-    if out is None:
-        out = np.empty(n, dtype=np.result_type(g, float, dx))
+    out = np.empty(n, dtype=np.result_type(g, float, dx))
     RunningCumulative(dx).increments(g, out[1:], last=True)
-    return accumulate_from(out, origin)
+    return accumulate_from(out, 0)
 
 
 def uniform_integral(values: np.ndarray, dx: float | complex) -> complex:

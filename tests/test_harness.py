@@ -528,6 +528,15 @@ class TestCli:
         assert rc == 0
         assert "su2.product_unitarity" in capsys.readouterr().out
 
+    def test_verify_msa_suite(self):
+        """The MSA checks at verify's default seed: all four pass, and the
+        two explicit solutions are conjugate-symmetric exactly."""
+        checks = {name: (ok, detail) for name, ok, detail in run_verify(seed=42, suites=["msa"])}
+        assert set(checks) == {"msa.k_identity", "msa.symmetry", "msa.residual",
+                               "msa.operator_norm_scaling"}
+        assert all(ok for ok, _ in checks.values()), checks
+        assert checks["msa.symmetry"][1] == "defect 0.00e+00"
+
     def test_verify_unknown_suite(self, capsys):
         """A misspelled suite is refused, not passed with nothing run."""
         with pytest.raises(ConfigError, match="stationry"):

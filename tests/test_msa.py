@@ -22,7 +22,8 @@ from crossinglab.potential import (
     phase_integral,
 )
 from crossinglab.propagator import fundamental_matrix
-from crossinglab.quadrature import _CUMULATIVE_BLOCK, cumulative_uniform
+from crossinglab.quadrature import (_CUMULATIVE_BLOCK, RunningCumulative, accumulate_from,
+                                    cumulative_uniform)
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,21 @@ def cubic_setup(tanh_cubed, tanh_cubed_catalog):
     h = 5e-3
     grid = MsaGrid.build(tanh_cubed, h, (-0.7, 0.7), 0.0)
     return tanh_cubed, tanh_cubed_catalog, h, grid
+
+
+def apply_K_series(grid, eps, which, depth):
+    """w1 or w2 from the explicit lab-frame composition of ``apply_K``,
+    based at the first node."""
+    a = grid.ends[0]
+    s = +1 if which == "w1" else -1
+    f = grid.u(s)
+    lead, other = f.copy(), np.zeros_like(f)
+    for _ in range(depth):
+        g = apply_K(grid, -s, a, f)
+        other += g
+        f = eps**2 * apply_K(grid, s, a, g)
+        lead += f
+    return (lead, -eps * other) if which == "w1" else (-eps * other, lead)
 
 
 class TestGridPhase:
@@ -87,7 +103,9 @@ class TestGridPhase:
         points = np.linspace(-0.7, 0.7, n)
         dx = (points[-1] - points[0]) / (n - 1)
         origin = int(round((t_ref - points[0]) / dx))
-        want = cumulative_uniform(np.real(tanh_cubed.eval(points)), dx, origin=origin)
+        want = np.empty(n)
+        RunningCumulative(dx).increments(np.real(tanh_cubed.eval(points)), want[1:], last=True)
+        accumulate_from(want, origin)
         want += phase_integral(tanh_cubed, t_ref, points[origin])
         assert grid_phase(tanh_cubed, points, t_ref).tobytes() == want.tobytes()
 
@@ -137,14 +155,19 @@ class TestApplyK:
 
 
     def test_interior_node_base_point(self, cubic_setup):
-        """A base point inside the grid shifts the antiderivative's constant."""
+        """A base point at any node but the first raises before any
+        grid-sized work."""
         _, _, _, grid = cubic_setup
-        i = len(grid.points) // 3
-        from_end = apply_K(grid, +1, -0.7, grid.u(-1))
-        from_node = apply_K(grid, +1, grid.points[i], grid.u(-1))
-        assert from_node[i] == 0.0
-        shift = (from_end - from_node) / grid.u_plus
-        assert np.max(np.abs(shift - shift[0])) < 1e-9 * np.max(np.abs(shift))
+        f = grid.u(-1)
+        for a in grid.points[[1, len(f) // 3, -1]]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="first node"):
+                    apply_K(grid, +1, a, f)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1 * grid.u_plus.nbytes
 
     @pytest.mark.parametrize("offset", [1.0 / 3.0, -0.5, 1e-4])
     def test_off_grid_base_point_raises(self, cubic_setup, offset):
@@ -174,24 +197,23 @@ class TestMsaSolution:
     @pytest.mark.parametrize("bases", ["left", "right", "interior"])
     @pytest.mark.parametrize("which", ["w1", "w2"])
     def test_full_depth_matches_apply_K(self, cubic_setup, which, bases):
-        """depth=3 reproduces the explicit apply_K composition; interior
-        bases are two different nodes, so both sums start inside the grid."""
+        """depth=3 reproduces the explicit apply_K composition from the
+        first node; from the last node or from two interior nodes the
+        solution and apply_K both refuse to run."""
         model, _, h, grid = cubic_setup
         eps = 0.05 * h**0.75
         n = len(grid.points)
         a_plus, a_minus = {"left": (-0.7, -0.7), "right": (0.7, 0.7),
                            "interior": (grid.points[n // 3], grid.points[2 * n // 3])}[bases]
+        if bases != "left":
+            with pytest.raises(ValueError, match="first node"):
+                msa_solution(grid, eps, which, a_plus, a_minus, depth=3)
+            for a in (a_plus, a_minus):
+                with pytest.raises(ValueError, match="first node"):
+                    apply_K(grid, +1, a, grid.u_plus)
+            return
         sol = msa_solution(grid, eps, which, a_plus, a_minus, depth=3)
-        s = +1 if which == "w1" else -1
-        a_lead, a_other = (a_plus, a_minus) if which == "w1" else (a_minus, a_plus)
-        f = grid.u(s)
-        lead, other = f.copy(), np.zeros_like(f)
-        for _ in range(3):
-            g = apply_K(grid, -s, a_other, f)
-            other += g
-            f = eps**2 * apply_K(grid, s, a_lead, g)
-            lead += f
-        comp1, comp2 = (lead, -eps * other) if which == "w1" else (-eps * other, lead)
+        comp1, comp2 = apply_K_series(grid, eps, which, 3)
         assert np.max(np.abs(sol.comp1 - comp1)) < 1e-12
         assert np.max(np.abs(sol.comp2 - comp2)) < 1e-12
 
@@ -201,18 +223,21 @@ class TestMsaSolution:
         """A bad ``which`` or ``depth`` raises before the series runs on the grid."""
         grid = cubic_setup[3]
         runs = []
-        monkeypatch.setattr(msa, "_series_sums", lambda *args: runs.append(args))
+        monkeypatch.setattr(msa, "_series", lambda *args: runs.append(args))
         with pytest.raises(ValueError, match="which|depth"):
             msa_solution(grid, 0.01, which, -0.7, -0.7, depth=depth)
         assert runs == []
 
     def test_base_point_normalization(self, cubic_setup):
+        """(u^+, 0) and (0, u^-) at the base node, exactly: every term of
+        the series is 0 there."""
         model, _, h, grid = cubic_setup
         eps = 0.03 * h**0.75
-        w1 = msa_solution(grid, eps, "w1", 0.7, 0.7, depth=3)
-        vals = w1.comp1[-1], w1.comp2[-1]      # 0.7 is the last node
-        assert vals[0] == pytest.approx(grid.u_plus[-1], rel=1e-10)
-        assert abs(vals[1]) < 1e-10
+        w1 = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
+        w2 = msa_solution(grid, eps, "w2", -0.7, -0.7, depth=3)
+        # -0.7 is the first node
+        assert (w1.comp1[0], w1.comp2[0]) == (grid.u_plus[0], 0.0)
+        assert (w2.comp1[0], w2.comp2[0]) == (0.0, np.conj(grid.u_plus[0]))
 
     def test_conjugation_symmetry(self, cubic_setup):
         """Structure symmetry: flip(conj(w2)) = w1 with matching bases."""
@@ -239,11 +264,11 @@ class TestMsaSolution:
         1/min|V| over the interval)."""
         model, _, h, grid = cubic_setup
         eps = 0.05 * h**0.75
-        sol = msa_solution(grid, eps, "w1", 0.7, 0.7, depth=3)
-        right = grid.points > 0.35
-        bound = 1.0 / float(np.min(np.abs(np.real(model.eval(grid.points[right])))))
-        assert np.max(np.abs(sol.comp2[right])) < 2.0 * bound * eps
-        assert np.max(np.abs(sol.comp1[right] - grid.u_plus[right])) \
+        sol = msa_solution(grid, eps, "w1", -0.7, -0.7, depth=3)
+        left = grid.points < -0.35
+        bound = 1.0 / float(np.min(np.abs(np.real(model.eval(grid.points[left])))))
+        assert np.max(np.abs(sol.comp2[left])) < 2.0 * bound * eps
+        assert np.max(np.abs(sol.comp1[left] - grid.u_plus[left])) \
             < 2.0 * bound * eps**2 / h
 
     @pytest.mark.parametrize("which", ["w1", "w2"])
@@ -256,6 +281,21 @@ class TestMsaSolution:
         with pytest.raises(ValueError, match="not a node"):
             msa_solution(grid, eps, which, bases["plus"], bases["minus"],
                          depth=1)
+
+    @pytest.mark.parametrize("which", ["w1", "w2"])
+    @pytest.mark.parametrize("off", ["plus", "minus"])
+    def test_other_base_nodes_raise(self, cubic_setup, monkeypatch, which, off):
+        """Either base point at a node past the first raises before the
+        series runs on the grid."""
+        grid = cubic_setup[3]
+        runs = []
+        monkeypatch.setattr(msa, "_series", lambda *args: runs.append(args))
+        bases = {"plus": -0.7, "minus": -0.7}
+        for node in (1, len(grid.u_plus) - 1):
+            bases[off] = grid.points[node]
+            with pytest.raises(ValueError, match="first node"):
+                msa_solution(grid, 0.01, which, bases["plus"], bases["minus"])
+        assert runs == []
 
     def test_not_contracting_raises(self, tanh_cubed):
         h = 5e-3
@@ -381,9 +421,28 @@ class TestConnection:
         assert slope >= 1.0 / 4.0 - 0.1
 
 
+def check_streamed(model, cat, grid, eps, depth):
+    """The streamed w1 and w2 against the explicit apply_K composition (they
+    differ by a few roundings, ~6e-16 here), and the connection's matrix
+    against their last node, bit for bit."""
+    w1, w2 = (msa_solution(grid, eps, which, grid.ends[0], grid.ends[0], depth=depth)
+              for which in ("w1", "w2"))
+    for sol, which in ((w1, "w1"), (w2, "w2")):
+        comp1, comp2 = apply_K_series(grid, eps, which, depth)
+        assert np.max(np.abs(sol.comp1 - comp1)) < 1e-14
+        assert np.max(np.abs(sol.comp2 - comp2)) < 1e-14
+    u_m, u_p = grid.u(-1)[-1], grid.u_plus[-1]
+    explicit = np.array([[u_m * w1.comp1[-1], u_m * w2.comp1[-1]],
+                         [u_p * w1.comp2[-1], u_p * w2.comp2[-1]]])
+    t_mat = connection_T_numeric(model, eps, grid.h, 0, *grid.ends, depth=depth,
+                                 catalog=cat, grid=grid)
+    assert np.array_equal(t_mat, explicit)
+
+
 class TestStreamedSeries:
-    """The connection's one-pass sums are the whole-array series' last node,
-    bit for bit, on criterion 5's grids."""
+    """The one streamed pass: the solutions it writes are the explicit
+    apply_K composition, and the connection's end values are their last
+    node, bit for bit, on criterion 5's grids and on short and ragged ones."""
 
     H = 2e-4
 
@@ -394,29 +453,22 @@ class TestStreamedSeries:
         grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
         # the grid ends part way through a block
         assert len(grid.u_plus) % _CUMULATIVE_BLOCK not in (0, 1)
-        return m, grid
+        return m, model, find_crossings(model), grid
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_end_sums_are_the_series_at_the_last_node(self, criterion_grid, depth):
-        m, grid = criterion_grid
+        m, model, cat, grid = criterion_grid
         eps = 0.05 * self.H ** (m / (m + 1.0))
-        sum_f, sum_g, sups = msa._end_sums(grid, eps, depth)
-        whole_f, whole_g, whole_sups = msa._series_sums(grid, eps, +1, -1.2, -1.2, depth)
-        assert sum_f.tobytes() == whole_f[-1:].tobytes()
-        assert sum_g.tobytes() == whole_g[-1:].tobytes()
-        assert sups == whole_sups
+        check_streamed(model, cat, grid, eps, depth)
 
     @pytest.mark.parametrize("n", [6, 7, 12, _CUMULATIVE_BLOCK + 1, 2 * _CUMULATIVE_BLOCK + 3])
-    def test_end_sums_on_short_and_ragged_grids(self, tanh_cubed, n):
+    def test_end_sums_on_short_and_ragged_grids(self, tanh_cubed, tanh_cubed_catalog, n):
         """Grids that end within the first block, or one or three nodes past
-        a block."""
+        a block, at depths 1 to 4."""
         grid = MsaGrid.build(tanh_cubed, 5e-3, (-0.7, 0.7), 0.0, n=n)
         eps = 0.05 * 5e-3 ** 0.75
-        sum_f, sum_g, sups = msa._end_sums(grid, eps, 3)
-        whole_f, whole_g, whole_sups = msa._series_sums(grid, eps, +1, -0.7, -0.7, 3)
-        assert sum_f.tobytes() == whole_f[-1:].tobytes()
-        assert sum_g.tobytes() == whole_g[-1:].tobytes()
-        assert sups == whole_sups
+        for depth in (1, 2, 3, 4):
+            check_streamed(tanh_cubed, tanh_cubed_catalog, grid, eps, depth)
 
     @pytest.mark.parametrize("mu_val", [3.0, 1e150], ids=["mu3", "overflowing"])
     def test_not_contracting_raises(self, tanh_cubed, tanh_cubed_catalog, mu_val):
@@ -511,14 +563,21 @@ class TestCosts:
         ("w1", (-1.2, -1.2)), ("w1", (0.0, 0.6)), ("w2", (-1.2, -1.2)), ("w2", (0.6, 0.0)),
     ], ids=["left", "interior", "w2_left", "w2_interior"])
     def test_solution_peak_memory(self, cubic_window, which, bases):
-        """Two term buffers plus the two sums, which become the components;
-        w2 runs its series on u^+ too and holds no u^- array."""
+        """The two components and a few blocks of the streamed pass; w2 runs
+        its series on u^+ too and holds no u^- array.  Interior bases raise
+        before anything grid-sized is made."""
         model, _ = cubic_window
         grid = MsaGrid.build(model, self.H, (-1.2, 1.2), 0.0)
         tracemalloc.start()
         try:
-            msa_solution(grid, 0.05 * self.H ** 0.75, which, *bases)
+            if bases[0] == -1.2:
+                msa_solution(grid, 0.05 * self.H ** 0.75, which, *bases)
+                bound = 2.2 * grid.u_plus.nbytes
+            else:
+                with pytest.raises(ValueError, match="first node"):
+                    msa_solution(grid, 0.05 * self.H ** 0.75, which, *bases)
+                bound = 0.01 * grid.u_plus.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.1 * grid.u_plus.nbytes
+        assert peak <= bound

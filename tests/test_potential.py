@@ -63,7 +63,8 @@ class TestEval:
             ref_eval = model.scale * np.prod([x ** f.power for x, f in zip(th, model.factors)],
                                              axis=0)
             ref_deriv = sum(
-                model.scale * f.power * f.slope * th[i] ** (f.power - 1) * (1.0 - th[i] ** 2)
+                model.scale * f.power * f.slope * th[i] ** (f.power - 1)
+                * np.cosh(f.slope * (ts - f.center)) ** -2
                 * np.prod([th[j] ** g.power for j, g in enumerate(model.factors) if j != i],
                           axis=0)
                 for i, f in enumerate(model.factors))
@@ -153,6 +154,12 @@ JET_MODELS = {
     "poly": PolynomialWindowed([0.5, -1.0, 0.0, 1.0], window=3.0, sharpness=8.0),
 }
 
+TAIL_MODELS = {
+    "tanh_pair": ScaledTanhProduct(1.0, [{"power": 3, "slope": 1.0, "center": 2.0},
+                                         {"power": 3, "slope": 1.0, "center": -2.0}]),
+    "tanh_squared": ScaledTanhProduct(1.0, [{"power": 2, "slope": 1.28, "center": -4.0}]),
+}
+
 
 class TestJets:
     """The Taylor jets of every family against mpmath at 40 digits."""
@@ -170,6 +177,23 @@ class TestJets:
                 ref = np.array([complex(c) for c in mp.taylor(fn, mp.mpmathify(t0), order)])
                 jet = model.taylor(t0, order)
                 assert np.max(np.abs(jet - ref)) <= 3e-15 * np.max(np.abs(ref)), t0
+
+    @pytest.mark.parametrize("model, t0", [
+        (TAIL_MODELS["tanh_pair"], 10.0), (TAIL_MODELS["tanh_pair"], 14.0),
+        (TAIL_MODELS["tanh_squared"], 6.0), (TAIL_MODELS["tanh_squared"], 3.34 - 0.06j),
+        (JET_MODELS["lz"], 12.0), (JET_MODELS["lz"], -12.0), (JET_MODELS["poly"], 5.0),
+    ], ids=["pair10", "pair14", "squared6", "squared_complex", "lz12", "lz-12", "poly5"])
+    def test_tail_relative_accuracy(self, model, t0):
+        """Orders 1 to 4 and V' in the tails, each to its own size: where
+        tanh or the logistic function nears its limit, 1 - tanh^2 and
+        sigma - sigma^2 would cancel (1e-10 to 1e-6 relative off here)."""
+        mp = pytest.importorskip("mpmath")
+        fn = _mp_model(model, mp)
+        with mp.workdps(40):
+            ref = np.array([complex(c) for c in mp.taylor(fn, mp.mpmathify(t0), 4)])
+        jet = model.taylor(t0, 4)
+        assert np.all(np.abs(jet[1:] - ref[1:]) <= 1e-13 * np.abs(ref[1:]))
+        assert abs(model.deriv(t0) - ref[1]) <= 1e-13 * abs(ref[1])
 
     @pytest.mark.parametrize("family", sorted(JET_MODELS))
     def test_real_points_real_jets(self, family):

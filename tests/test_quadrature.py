@@ -17,6 +17,15 @@ from crossinglab.quadrature import (
 )
 
 
+def _from(values, step, origin):
+    """The rule's integral from node ``origin``: its increments over the
+    whole array, summed outward from there by ``accumulate_from`` (the MSA
+    grid phase's path)."""
+    out = np.empty(len(values), dtype=np.result_type(values, float, step))
+    RunningCumulative(step).increments(values, out[1:], last=True)
+    return accumulate_from(out, origin)
+
+
 class TestCumulativeUniform:
     @pytest.mark.parametrize("n", [6, 7, 8, 21])
     def test_exact_on_quintics(self, n):
@@ -47,12 +56,13 @@ class TestCumulativeUniform:
 
     @pytest.mark.parametrize("origin", [0, 1, 4, 10, 20])
     def test_origin(self, origin):
-        """F[origin] is exactly 0, every interval stays exact to degree 5,
-        and origin 0 is the default, bit for bit."""
+        """Summed from an origin by ``accumulate_from``: F[origin] is exactly
+        0, every interval stays exact to degree 5, and origin 0 is
+        ``cumulative_uniform``, bit for bit."""
         x = np.linspace(-1.0, 2.0, 21)
         anti = np.polynomial.Polynomial([1.0, -2.0, 3.0, -4.0, 5.0, -6.0]).integ()
         values = anti.deriv()(x)
-        got = cumulative_uniform(values, x[1] - x[0], origin=origin)
+        got = _from(values, x[1] - x[0], origin)
         assert got[origin] == 0.0
         assert np.max(np.abs(got - (anti(x) - anti(x[origin])))) < 1e-12
         if origin == 0:
@@ -66,8 +76,8 @@ class TestCumulativeUniform:
         dx = x[1] - x[0]
         c = np.conj(0.3 ** 2 * (1j / 2e-4))
         for values in (np.cos(3.0 * x), np.exp(-2j * x) * (1.0 + x)):
-            unit = cumulative_uniform(values, dx, origin=origin)
-            got = cumulative_uniform(values, c * dx, origin=origin)
+            unit = _from(values, dx, origin)
+            got = _from(values, c * dx, origin)
             assert got.dtype == complex
             assert got[origin] == 0.0
             # a few roundings per increment, carried by the running sum
@@ -81,7 +91,7 @@ class TestCumulativeUniform:
         step = (0.5 - 2.0j) * (x[1] - x[0])
         for degree in range(6):
             anti = np.polynomial.Polynomial(np.arange(1.0, degree + 2.0)).integ()
-            got = cumulative_uniform(anti.deriv()(x), step, origin=n // 2)
+            got = _from(anti.deriv()(x), step, n // 2)
             want = (0.5 - 2.0j) * (anti(x) - anti(x[n // 2]))
             assert np.max(np.abs(got - want)) < 1e-12, degree
 
@@ -91,28 +101,31 @@ class TestCumulativeUniform:
 
     @pytest.mark.parametrize("n", [6, 7, 12, 1001, 20001])
     def test_out_buffer_is_bitwise(self, n):
-        """Filling a given buffer gives the allocating form's bits, for a
-        real or complex step, across blocks of the interior rule."""
+        """The rule's increments written into a given buffer and summed there
+        from node 0 (the grid phase's path) give ``cumulative_uniform``'s
+        bits, for a real or complex step, across blocks of the interior
+        rule."""
         rng = np.random.default_rng(n)
         for values in (rng.standard_normal(n),
                        rng.standard_normal(n) + 1j * rng.standard_normal(n)):
             for step in (0.37, -0.37, 0.37 - 2.5j):
-                for origin in (0, n // 2, n - 1):
-                    want = cumulative_uniform(values, step, origin=origin)
-                    buf = np.full_like(want, np.nan)
-                    got = cumulative_uniform(values, step, out=buf, origin=origin)
-                    assert got is buf
-                    assert got.tobytes() == want.tobytes()
-
+                want = cumulative_uniform(values, step)
+                buf = np.full_like(want, np.nan)
+                RunningCumulative(step).increments(values, buf[1:], last=True)
+                got = accumulate_from(buf, 0)
+                assert got is buf
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("origin", [0, 60000, 99999])
     def test_no_temporary_with_out(self, origin):
-        """With ``out`` given, nothing larger than one block is allocated."""
+        """The increments written into a given buffer and summed there from
+        an origin allocate nothing larger than one block."""
         values = np.exp(1j * np.linspace(0.0, 50.0, 100000))
         buf = np.empty_like(values)
         tracemalloc.start()
         try:
-            cumulative_uniform(values, 0.01, out=buf, origin=origin)
+            RunningCumulative(0.01).increments(values, buf[1:], last=True)
+            accumulate_from(buf, origin)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -176,9 +189,11 @@ class TestRunningCumulative:
             for step in (-0.37, 0.37 - 2.5j):
                 _, inc = _fed(values, step, _cuts(n, rng), "increments")
                 for origin in (0, n // 2, n - 1):
-                    want = cumulative_uniform(values, step, origin=origin)
+                    want = _from(values, step, origin)
                     got = accumulate_from(inc.copy(), origin)
                     assert got.tobytes() == want.tobytes(), origin
+                assert _from(values, step, 0).tobytes() == cumulative_uniform(
+                    values, step).tobytes()
 
     @pytest.mark.parametrize("n", [6, 13, _CUMULATIVE_BLOCK + 1, 3 * _CUMULATIVE_BLOCK + 2])
     def test_uniform_integral(self, n):
