@@ -44,7 +44,9 @@ which these pairs carry the state.  Sups, total variations and integrals in
 the bound come from jets on a sample grid graded in the distance from the
 crossing, whose points are the candidate window edges.  Each stretch between
 windows is split at its midpoint, and each half takes the smallest window on
-its side whose bound meets its share of tol.
+its side whose bound meets its share of tol.  The half-stretches are planned
+together: each is a row of one array, padded by repeating its last sample,
+and one pass bounds every candidate edge of every row.
 
 The plan samples V once: one order-8 jet at every sample and at a few core
 points across each crossing.  Phi and gamma come from the same jets as the
@@ -113,105 +115,85 @@ class WindowPlan:
     bound: float
 
 
-class _Side:
-    """The half-stretch on one side of a crossing, sampled from its far end inward.
+def _side_grid(scale: float, far: float, max_step: float) -> np.ndarray:
+    """Distances from a crossing of one half-stretch's samples, from its far
+    end in: ``far`` (the truncation point or the midpoint to the next
+    crossing), then the candidate window edges, closing in on the crossing by
+    GRID_RATIO down to ``scale``."""
+    dist = [scale]
+    while True:
+        nxt = dist[-1] + min((GRID_RATIO - 1.0) * dist[-1], max_step)
+        if nxt >= far:
+            break
+        dist.append(nxt)
+    return np.array([far] + dist[::-1])
 
-    ``t[0]`` is the far end (the truncation point or the midpoint to the
-    next crossing); ``t[i]``, i >= 1, are the candidate window edges, closing
-    in on the crossing by GRID_RATIO.
+
+def _bounds(t: np.ndarray, r: np.ndarray, theta: np.ndarray, theta_p: np.ndarray,
+            left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Error bound and series order K for every candidate edge (column 0 unused).
+
+    The last axis runs over a half-stretch from its far end (column 0) to
+    the edge, so every quantity is a running sum or maximum up to the edge.
+    ``r`` holds r_0 ... r_7 on its first axis; ``left`` is true where the
+    half-stretch lies left of its crossing.
     """
+    absr = np.abs(r)
+    dt = np.abs(np.diff(t))
 
-    def __init__(self, center: float, sign: int, scale: float, far: float,
-                 max_step: float):
-        self.sign = sign
-        dist = [scale]
-        while True:
-            nxt = dist[-1] + min((GRID_RATIO - 1.0) * dist[-1], max_step)
-            if nxt >= far:
-                break
-            dist.append(nxt)
-        self.t = center + sign * np.array([far] + dist[::-1])
+    def running(x):
+        return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
 
-    def take(self, v: np.ndarray, sampled: tuple, start: int) -> int:
-        """This side's columns of the V jets ``v`` and of ``_sample``'s r_k,
-        theta and theta', and its stretches' phases."""
-        stop = start + len(self.t)
-        self.v = v[:, start:stop]
-        r, theta, theta_p, phases = sampled
-        self.r, self.theta, self.theta_p = r[:, start:stop], theta[start:stop], theta_p[start:stop]
-        self.phases = phases[start:stop - 1]
-        return stop
+    def integral(f):          # trapezoid rule from the far end
+        return running(0.5 * (f[..., 1:] + f[..., :-1]) * dt)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Error bound and series order K for every candidate edge (index 0 unused).
+    tv = running(np.abs(np.diff(r)))
+    sup = np.maximum.accumulate(absr, axis=-1)
+    ends = absr[..., :1] + absr
+    w = np.abs(theta_p)
+    theta_tv = running(np.abs(np.diff(theta)))
+    series = ends[1:] + tv[1:]          # row K: remainder after the terms 0..K
+    order = np.argmin(series, axis=0)
+    series = np.take_along_axis(series, order[None], axis=0)[0]
+    # int |theta'(t)| (|r_2(t)| + |r_2(a)| + TV_[a,t] r_2) dt, with a the
+    # earlier end: the far end on the left of a crossing, the edge on its right
+    w_r2, w_int, w_tv2 = integral(w * absr[2]), integral(w), integral(w * tv[2])
+    second = np.where(left, w_r2 + w_int * absr[2, ..., :1] + w_tv2,
+                      w_r2 + w_int * (absr[2] + tv[2]) - w_tv2)
+    # the second-order term anywhere on the half-stretch: -i gamma(t) on
+    # the diagonal, whose product with the coupling is oscillatory, and
+    # a rest; they bound the third order and beyond
+    gamma = integral(w * absr[0])
+    rest = ((ends[0] + ends[1]) * (ends[0] + sup[0] + tv[0])
+            + 0.5 * (sup[0]**2 + ends[0]**2) + second)
+    bound = (series * (1.0 + sup[0] + sup[1]) + second
+             + (gamma * (2.0 * sup[0] + tv[0]) + theta_tv * rest) * np.exp(theta_tv))
+    return bound, order
 
-        Sample j runs over the half-stretch from its far end (j = 0) to the
-        edge, so every quantity is a running sum or maximum up to the edge.
-        """
-        r = self.r
-        absr = np.abs(r)
-        dt = np.abs(np.diff(self.t))
 
-        def running(x):
-            return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+def _transfer(samples: tuple, edge: int, order: int, sign: int, h: float):
+    """SU(2) pair of the adiabatic transfer across a half-stretch, from its
+    window edge ``edge`` out to its far end, with the series terms 0..``order``.
 
-        def integral(f):          # trapezoid rule from the far end
-            return running(0.5 * (f[..., 1:] + f[..., :-1]) * dt)
-
-        tv = running(np.abs(np.diff(r, axis=1)))
-        sup = np.maximum.accumulate(absr, axis=1)
-        ends = absr[:, :1] + absr
-        w = np.abs(self.theta_p)
-        theta_tv = running(np.abs(np.diff(self.theta)))
-        series = ends[1:] + tv[1:]          # row K: remainder after the terms 0..K
-        order = np.argmin(series, axis=0)
-        series = series[order, np.arange(r.shape[1])]
-        # int |theta'(t)| (|r_2(t)| + |r_2(a)| + TV_[a,t] r_2) dt, with a the
-        # earlier end: the far end on the left of a crossing, the edge on its right
-        w_tv2 = integral(w * tv[2])
-        if self.sign < 0:
-            second = integral(w * absr[2]) + integral(w) * absr[2, 0] + w_tv2
-        else:
-            second = integral(w * absr[2]) + integral(w) * (absr[2] + tv[2]) - w_tv2
-        # the second-order term anywhere on the half-stretch: -i gamma(t) on
-        # the diagonal, whose product with the coupling is oscillatory, and
-        # a rest; they bound the third order and beyond
-        gamma = integral(w * absr[0])
-        rest = ((ends[0] + ends[1]) * (ends[0] + sup[0] + tv[0])
-                + 0.5 * (sup[0]**2 + ends[0]**2) + second)
-        bound = (series * (1.0 + sup[0] + sup[1]) + second
-                 + (gamma * (2.0 * sup[0] + tv[0]) + theta_tv * rest) * np.exp(theta_tv))
-        return bound, order
-
-    def choose(self, share: float) -> bool:
-        """Take the innermost edge up to which every bound meets ``share``."""
-        bound, order = self.bounds()
-        ok = bound[1:] <= share
-        if not ok[0]:
-            return False
-        self.edge = int(np.argmin(ok)) if not ok.all() else len(ok)
-        self.bound = float(bound[self.edge])
-        self.order = int(order[self.edge])
-        return True
-
-    def transfer(self, h: float):
-        """SU(2) pair of the adiabatic transfer across the chosen half-stretch."""
-        i, r = self.edge, self.r
-        # in time order: a before b
-        a, b = (i, 0) if self.sign > 0 else (0, i)
-        # the samples run from the far end in: against time on the right
-        phases = -self.sign * np.sum(self.phases[:i])
-        phi, gamma = phases.real, phases.imag
-        turn = cmath.exp(2j * phi / h)
-        big_b = sum(1j ** (k + 1) * (r[k, b] * turn - r[k, a]) for k in range(self.order + 1))
-        delta = (-1j * (gamma + r[0, a] * big_b) - r[1, a] * big_b
-                 - 0.5 * (r[0, b] ** 2 - r[0, a] ** 2))
-        coupled = (1.0 + delta, -np.conj(big_b))
-        ca, sa = math.cos(self.theta[a]), math.sin(self.theta[a])
-        cb, sb = math.cos(self.theta[b]), math.sin(self.theta[b])
-        pair = su2_mul(*coupled, ca, -sa)
-        pair = su2_mul(cmath.exp(-1j * phi / h), 0j, *pair)
-        return su2_mul(cb, sb, *pair)
+    ``samples`` are the half-stretch's t, r_k, theta and phases, from its far
+    end in; ``sign`` is -1 left of the crossing and +1 right of it.
+    """
+    _, r, theta, phases = samples
+    # in time order: a before b
+    a, b = (edge, 0) if sign > 0 else (0, edge)
+    # the samples run from the far end in: against time on the right
+    phases = -sign * np.sum(phases[:edge])
+    phi, gamma = phases.real, phases.imag
+    turn = cmath.exp(2j * phi / h)
+    big_b = sum(1j ** (k + 1) * (r[k, b] * turn - r[k, a]) for k in range(order + 1))
+    delta = (-1j * (gamma + r[0, a] * big_b) - r[1, a] * big_b
+             - 0.5 * (r[0, b] ** 2 - r[0, a] ** 2))
+    coupled = (1.0 + delta, -np.conj(big_b))
+    ca, sa = math.cos(theta[a]), math.sin(theta[a])
+    cb, sb = math.cos(theta[b]), math.sin(theta[b])
+    pair = su2_mul(*coupled, ca, -sa)
+    pair = su2_mul(cmath.exp(-1j * phi / h), 0j, *pair)
+    return su2_mul(cb, sb, *pair)
 
 
 def _sample(t: np.ndarray, v: np.ndarray, eps: float, h: float):
@@ -253,47 +235,54 @@ def plan_windows(model, eps: float, h: float, catalog: CrossingCatalog,
     pos = catalog.positions[::-1]                   # ascending
     cross = catalog.crossings[::-1]
     max_step = MAX_SPACING / model.tail_rate
-    sides, core = [], []
+    # the half-stretches alternate left, right around each crossing,
+    # ascending in t; each is sampled from its far end in
+    grids, core = [], []
     for k in range(n):
         scale = _scale(cross[k], eps, h)
         far_left = pos[k] + truncation if k == 0 else 0.5 * (pos[k] - pos[k - 1])
         far_right = truncation - pos[k] if k == n - 1 else 0.5 * (pos[k + 1] - pos[k])
         if scale >= min(far_left, far_right):
             return None
-        sides.append(_Side(pos[k], -1, scale, far_left, max_step))
-        sides.append(_Side(pos[k], +1, scale, far_right, max_step))
+        grids.append(pos[k] - _side_grid(scale, far_left, max_step))
+        grids.append(pos[k] + _side_grid(scale, far_right, max_step))
         core.append(pos[k] + scale * CORE_GRID)
     # one jet call: the sides' samples, then each crossing's core points
-    t = np.concatenate([side.t for side in sides] + core)
+    t = np.concatenate(grids + core)
     v = model.taylor(t, JET_ORDER)
     n_sides = len(t) - n * len(CORE_GRID)
-    sampled = _sample(t[:n_sides], v[:, :n_sides], eps, h)
-    share = tol / len(sides)
-    start = 0
-    for side in sides:
-        start = side.take(v, sampled, start)
-        if not side.choose(share):
-            return None
-    halves = [side.transfer(h) for side in sides]
-    # sides alternate left, right around each crossing, ascending in t
+    r, theta, theta_p, phases = _sample(t[:n_sides], v[:, :n_sides], eps, h)
+    lengths = np.array([len(grid) for grid in grids])
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    # one row a side, padded by repeating its last sample: every running sum
+    # and maximum of _bounds stays constant past the row's end
+    rows = np.minimum(starts[:, None] + np.arange(lengths.max()), stops[:, None] - 1)
+    sides = np.arange(2 * n)
+    bound, order = _bounds(t[rows], r[:, rows], theta[rows], theta_p[rows],
+                           (sides % 2 == 0)[:, None])
+    ok = bound[:, 1:] <= tol / len(sides)
+    if not ok[:, 0].all():
+        return None
+    # each side's innermost edge up to which every bound meets its share
+    edges = np.where(ok.all(axis=1), lengths - 1, np.argmin(ok, axis=1))
+    halves = [_transfer((t[a:b], r[:, a:b], theta[a:b], phases[a:b - 1]),
+                        int(edge), int(order[side, edge]), 1 if side % 2 else -1, h)
+              for side, a, b, edge in zip(sides, starts, stops, edges)]
     transfers = [halves[0]]
     for k in range(1, n):
         transfers.append(su2_mul(*halves[2 * k], *halves[2 * k - 1]))
     transfers.append(halves[-1])
-    pairs = list(zip(sides[::2], sides[1::2]))
-    windows = tuple((float(side_l.t[side_l.edge]), float(side_r.t[side_r.edge]))
-                    for side_l, side_r in pairs)
-    cores = np.split(v[:, n_sides:], n, axis=1)
-    samples = tuple(_window_samples(*pair, core_t, core_v)
-                    for pair, core_t, core_v in zip(pairs, core, cores))
-    return WindowPlan(windows=windows, transfers=tuple(transfers), samples=samples,
-                      bound=sum(side.bound for side in sides))
-
-
-def _window_samples(left: _Side, right: _Side, core_t: np.ndarray, core_v: np.ndarray) -> tuple:
-    """The samples of a window's step density, as ``_density_samples`` gives
-    them: V's jets at the plan's points from each chosen edge in to the
-    crossing, and at the core points between."""
-    t = np.concatenate([left.t[left.edge:], core_t, right.t[right.edge:][::-1]])
-    v = np.concatenate([left.v[:, left.edge:], core_v, right.v[:, right.edge:][:, ::-1]], axis=1)
-    return _density_samples_from_jets(t, v)
+    at = starts + edges                             # the window edges' indices in t
+    windows = tuple(zip(t[at[::2]].tolist(), t[at[1::2]].tolist()))
+    # the samples of each window's step density, as _density_samples gives
+    # them: V's jets at the plan's points from each chosen edge in to the
+    # crossing, and at the core points between
+    samples = []
+    for k in range(n):
+        ix = np.concatenate([np.arange(at[2 * k], stops[2 * k]),
+                             n_sides + k * len(CORE_GRID) + np.arange(len(CORE_GRID)),
+                             np.arange(stops[2 * k + 1] - 1, at[2 * k + 1] - 1, -1)])
+        samples.append(_density_samples_from_jets(t[ix], v[:, ix]))
+    return WindowPlan(windows=windows, transfers=tuple(transfers), samples=tuple(samples),
+                      bound=sum(bound[sides, edges].tolist()))

@@ -7,12 +7,13 @@ the right.
 
 The catalog is the one cache of what depends on neither h nor eps.  The
 crossings and the gap integrals are computed by ``find_crossings``; the rest
-is kept in one memo, ``CrossingCatalog.kept``, on first use: the default tail
-anchors, the tail integrals by side and anchor (the actions R at any anchor
-and the Jost tails at +-T read the same entry), the Jost tails' jets at +-T,
-the samples of the magnus6 step density on [-T, T], and the jets of V and V'
-at each crossing k, ("crossing", k), from which the turning points take
-their seeds.
+is kept in one memo, ``CrossingCatalog.kept``, on first use: the tail anchors
+by side and envelope level (the default anchors of the actions R and the
+truncation points of ``scattering_matrix``), the tail integrals by side and
+anchor (the actions R at any anchor and the Jost tails at +-T read the same
+entry), the Jost tails' jets at +-T, the samples of the magnus6 step density
+on [-T, T], and the jets of V and V' at each crossing k, ("crossing", k),
+from which the turning points take their seeds.
 """
 
 from __future__ import annotations
@@ -222,12 +223,16 @@ def tail_integral(model: PotentialModel, catalog: CrossingCatalog, side: str,
     return catalog.kept(("tail", side, anchor), lambda: model.tail_integral(side, anchor))
 
 
+def tail_anchor(model: PotentialModel, catalog: CrossingCatalog, side: str,
+                level: float) -> float:
+    """Where the side's tail envelope reaches the level, kept on the catalog
+    under ("anchor", side, level)."""
+    return catalog.kept(("anchor", side, level), lambda: model.tail_anchor(side, level))
+
+
 def default_anchors(model: PotentialModel, catalog: CrossingCatalog) -> tuple[float, float]:
-    """tail_anchor(side, TAIL_LEVEL) on the right and the left, kept on the
-    catalog under ("anchor", side)."""
-    return tuple(catalog.kept(("anchor", side),
-                              lambda side=side: model.tail_anchor(side, TAIL_LEVEL))
-                 for side in SIDES)
+    """The anchors at TAIL_LEVEL on the right and the left."""
+    return tuple(tail_anchor(model, catalog, side, TAIL_LEVEL) for side in SIDES)
 
 
 def regularized_action(model: PotentialModel, side: str, t_anchor: float,

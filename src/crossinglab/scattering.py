@@ -45,9 +45,11 @@ its derivatives under the whole region's step density, depend on neither
 eps nor h.  The catalog's memo keeps them (``CrossingCatalog.kept``, under
 ("tail", side, +-T), ("jet", side, T) and ("density", T)), so the rows of an
 h or eps ladder that share a catalog and a T compute them once, and each row
-pays only its own eps and h arithmetic.  The smooth tail integral is the
-entry the actions R read at that anchor.  The panel tail depends on omega
-and is never kept.
+pays only its own eps and h arithmetic.  The truncation points are kept by
+tail level, under ("anchor", side, level): rows at the clamped level share
+them, and each other level adds one float a side.  The smooth tail integral
+is the entry the actions R read at that anchor.  The panel tail depends on
+omega and is never kept.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import numpy as np
 
 from .adiabatic import WindowPlan, plan_windows
 from .errors import ConfigError, TailNotConverged
-from .potential.catalog import CrossingCatalog, find_crossings, tail_integral
+from .potential.catalog import SIDES, CrossingCatalog, find_crossings, tail_anchor, tail_integral
 from .propagator import (
     PropagationDiagnostics,
     _density_samples,
@@ -307,9 +309,7 @@ def _scattering_matrix(model, eps: float, h: float, tol: float, truncation: floa
         catalog = find_crossings(model)
     if truncation is None:
         level = _anchor_level(eps, h, tol)
-        t_r = model.tail_anchor("right", level)
-        t_l = model.tail_anchor("left", level)
-        truncation = max(abs(t_r), abs(t_l))
+        truncation = max(abs(tail_anchor(model, catalog, side, level)) for side in SIDES)
         if catalog.crossings:
             truncation = max(truncation, abs(catalog.positions[0]) + 2.0,
                              abs(catalog.positions[-1]) + 2.0)

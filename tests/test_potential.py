@@ -427,7 +427,7 @@ class TestCatalogTails:
         actions = regularized_actions(model, cat)
         assert default_anchors(model, cat) == anchors
         assert cat.line_data == {
-            **{("anchor", side): t for side, t in zip(SIDES, anchors)},
+            **{("anchor", side, TAIL_LEVEL): t for side, t in zip(SIDES, anchors)},
             **{("tail", side, t): model.tail_integral(side, t)
                for side, t in zip(SIDES, anchors)}}
         assert actions == tuple(
@@ -473,7 +473,7 @@ class TestCatalogTails:
         with pytest.raises(TailIntegralVanishes):
             regularized_actions(tanh_pair, vanishing)
         inside = find_crossings(tanh_pair)
-        inside.line_data[("anchor", "right")] = 1.0
+        inside.line_data[("anchor", "right", TAIL_LEVEL)] = 1.0
         with pytest.raises(AnchorInsideCrossings):
             regularized_actions(tanh_pair, inside)
 

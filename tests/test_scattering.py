@@ -343,10 +343,11 @@ def _windowed(model, eps, h, tol, catalog, truncation=None):
                                          0.0)
 
 
-def _line_keys(T):
-    """Memo keys of what numeric scattering at truncation T keeps."""
-    return {("tail", "right", T), ("tail", "left", -T), ("jet", "right", T),
-            ("jet", "left", T), ("density", T)}
+def _line_keys(T, level):
+    """Memo keys of what numeric scattering at truncation T keeps, with its
+    anchors sought at the tail envelope ``level``."""
+    return {("anchor", "right", level), ("anchor", "left", level), ("tail", "right", T),
+            ("tail", "left", -T), ("jet", "right", T), ("jet", "left", T), ("density", T)}
 
 
 class TestLineData:
@@ -367,7 +368,8 @@ class TestLineData:
         assert fresh.diagnostics["route"] == route
         assert fresh.diagnostics["tail_route"] == tail_route
         assert other.truncation == fresh.truncation
-        assert set(warm.line_data) == _line_keys(fresh.truncation)
+        # every row here seeks its anchors at the clamped level
+        assert set(warm.line_data) == _line_keys(fresh.truncation, 1e-8)
         for rep in reps:
             assert rep.s_matrix.tobytes() == fresh.s_matrix.tobytes()
             assert rep.p_transition.hex() == fresh.p_transition.hex()
@@ -375,11 +377,11 @@ class TestLineData:
 
     @pytest.mark.parametrize("h", [0.1, 1e-3])
     def test_later_rows_sample_no_line_data(self, tanh_pair, monkeypatch, h):
-        """No tail integral, no jet at +-T and no call on the whole line's
-        density grid once the catalog holds the truncation."""
+        """No anchor search, no tail integral, no jet at +-T and no call on
+        the whole line's density grid once the catalog holds the truncation."""
         catalog = find_crossings(tanh_pair)
         calls = []
-        for name in ("tail_integral", "taylor", "eval", "deriv"):
+        for name in ("tail_anchor", "tail_integral", "taylor", "eval", "deriv"):
             def spy(*args, name=name, real=getattr(tanh_pair, name)):
                 calls.append((name, args))
                 return real(*args)
@@ -391,28 +393,34 @@ class TestLineData:
                 t = np.asarray(args[-1] if name == "tail_integral" else args[0])
                 density_grid = (t.ndim == 1 and t[0] == -T and t[-1] == T
                                 and len(t) == propagator.DENSITY_SAMPLES)
-                if (name == "tail_integral" or (name == "taylor" and t.ndim == 0 and abs(t) == T)
-                        or density_grid):
+                if (name in ("tail_anchor", "tail_integral")
+                        or (name == "taylor" and t.ndim == 0 and abs(t) == T) or density_grid):
                     out.append(name)
             return sorted(out)
 
-        # the tails' integrals and jets at +-T, and the density's one jet
+        # the anchors, the tails' integrals and jets at +-T, and the density's one jet
         first = scattering_matrix(tanh_pair, 0.05 * h**0.75, h, catalog=catalog)
-        assert line_calls(first.truncation) == ["tail_integral", "tail_integral",
-                                                "taylor", "taylor", "taylor"]
+        assert line_calls(first.truncation) == ["tail_anchor", "tail_anchor", "tail_integral",
+                                                "tail_integral", "taylor", "taylor", "taylor"]
         calls.clear()
         second = scattering_matrix(tanh_pair, 0.04 * h**0.75, 0.8 * h, catalog=catalog)
         assert second.truncation == first.truncation
         assert calls and line_calls(second.truncation) == []
 
     def test_one_entry_per_truncation(self, tanh_pair):
-        """A tol that moves the truncation adds one entry; the same T adds none."""
+        """A tol that moves the truncation adds one entry of each kind; the
+        same T adds none.  The anchors are kept by level: the clamped one
+        serves both rows at that T, the unclamped one adds one a side."""
         catalog = find_crossings(tanh_pair)
         eps = 0.05 * 1e-4**0.75
+        tols = (1e-9, 1e-11, 1e-12)
         truncations = [scattering_matrix(tanh_pair, eps, 1e-4, tol=tol, catalog=catalog).truncation
-                       for tol in (1e-9, 1e-11, 1e-12)]
+                       for tol in tols]
+        levels = [scattering._anchor_level(eps, 1e-4, tol) for tol in tols]
         assert truncations[0] == truncations[1] != truncations[2]
-        assert set(catalog.line_data) == _line_keys(truncations[0]) | _line_keys(truncations[2])
+        assert levels[0] == levels[1] == 1e-8 > levels[2]
+        assert set(catalog.line_data) == (_line_keys(truncations[0], levels[0])
+                                          | _line_keys(truncations[2], levels[2]))
 
     def test_catalog_identity_unaffected(self, tanh_pair):
         """==, hash and to_dict ignore the line data; pickling carries it."""
@@ -591,7 +599,8 @@ class TestWindowedRoute:
     def test_one_jet_call_per_row(self, tanh_pair, lz_windowed, monkeypatch, family, h, eps):
         """A windowed row samples V once, for the plan: the adiabatic phases
         and the windows' step densities come from the plan's jets, with no
-        panel quadrature and no density samples of their own."""
+        panel quadrature and no density samples of their own.  The plan
+        bounds every half-stretch in one call, for 1, 2 or 3 crossings."""
         model = {"pair": tanh_pair, "three": THREE_CROSSINGS, "lz": lz_windowed}[family]
         cat = find_crossings(model)
         scattering_matrix(model, eps, h, tol=1e-9, catalog=cat)   # fills the catalog's memo
@@ -607,7 +616,15 @@ class TestWindowedRoute:
                 raise AssertionError(f"{name} was called")
             return call
 
+        bounds_calls = []
+        real_bounds = adiabatic._bounds
+
+        def bounds(*args):
+            bounds_calls.append(args)
+            return real_bounds(*args)
+
         monkeypatch.setattr(model, "taylor", taylor)
+        monkeypatch.setattr(adiabatic, "_bounds", bounds)
         for module in (adiabatic, propagator, scattering, quadrature):
             for name in ("integrate_panels", "_density_samples"):
                 if hasattr(module, name):
@@ -615,6 +632,48 @@ class TestWindowedRoute:
         rep = scattering_matrix(model, eps, h, tol=1e-9, catalog=cat)
         assert rep.diagnostics["route"] == "windowed"
         assert orders == [adiabatic.JET_ORDER]
+        assert len(bounds_calls) == 1 and len(bounds_calls[0][0]) == 2 * cat.n
+
+    @pytest.mark.parametrize("family, h", [
+        ("three", 1e-3), ("three", 1e-5), ("pair", 1e-4), ("lz", 0.05)])
+    def test_padding_adds_nothing(self, tanh_pair, lz_windowed, monkeypatch, family, h):
+        """The plan bounds its half-stretches as the rows of one array, each
+        padded by repeating its last sample: every row's bounds and orders
+        are those of its half-stretch alone, held constant past its end."""
+        model = {"pair": tanh_pair, "three": THREE_CROSSINGS, "lz": lz_windowed}[family]
+        eps = 0.1 if family == "lz" else 0.05 * h**0.75
+        lengths, calls, sides = [], [], []
+        real_grid, real_bounds = adiabatic._side_grid, adiabatic._bounds
+        real_transfer = adiabatic._transfer
+
+        def side_grid(*args):
+            grid = real_grid(*args)
+            lengths.append(len(grid))
+            return grid
+
+        def bounds(*args):
+            calls.append((args, real_bounds(*args)))
+            return calls[-1][1]
+
+        def transfer(samples, *args):
+            sides.append(samples)
+            return real_transfer(samples, *args)
+
+        monkeypatch.setattr(adiabatic, "_side_grid", side_grid)
+        monkeypatch.setattr(adiabatic, "_bounds", bounds)
+        monkeypatch.setattr(adiabatic, "_transfer", transfer)
+        rep = _windowed(model, eps, h, 1e-9, find_crossings(model))
+        assert rep.diagnostics["route"] == "windowed" and len(calls) == 1
+        (t, r, theta, theta_p, left), (bound, order) = calls[0]
+        assert len(lengths) == len(sides) == len(t)
+        for row, (n, side) in enumerate(zip(lengths, sides)):
+            assert np.array_equal(t[row, :n], side[0])
+            alone = adiabatic._bounds(t[row, :n], r[:, row, :n], theta[row, :n],
+                                      theta_p[row, :n], left[row])
+            for stacked, own in zip((bound, order), alone):
+                assert np.array_equal(stacked[row], np.pad(own, (0, t.shape[1] - n), "edge"))
+        if family == "three":
+            assert min(lengths) < t.shape[1]
 
     @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4, 1e-5])
     @pytest.mark.parametrize("family", ["pair", "three", "lz"])
@@ -625,13 +684,13 @@ class TestWindowedRoute:
         model = {"pair": tanh_pair, "three": THREE_CROSSINGS, "lz": lz_windowed}[family]
         eps = 0.1 if family == "lz" else 0.05 * h**0.75
         sides = []
-        real = adiabatic._Side.transfer
+        real = adiabatic._transfer
 
-        def spy(side, h):
-            sides.append(side)
-            return real(side, h)
+        def spy(samples, edge, order, sign, h):
+            sides.append((samples, edge, sign))
+            return real(samples, edge, order, sign, h)
 
-        monkeypatch.setattr(adiabatic._Side, "transfer", spy)
+        monkeypatch.setattr(adiabatic, "_transfer", spy)
         truncation = 12.0 if family == "lz" else None
         rep = _windowed(model, eps, h, 1e-9, find_crossings(model), truncation)
         assert rep.diagnostics["route"] == "windowed" and sides
@@ -643,10 +702,9 @@ class TestWindowedRoute:
             lam = np.sqrt(lam2)
             return lam + 0.5j * h * theta_p**2 / lam
 
-        for side in sides:
-            i = side.edge
-            ref = integrate_panels(rates, np.sort(side.t[list(range(i, 0, -2)) + [0]]))
-            phases = -side.sign * np.sum(side.phases[:i])
+        for (t, _, _, side_phases), i, sign in sides:
+            ref = integrate_panels(rates, np.sort(t[list(range(i, 0, -2)) + [0]]))
+            phases = -sign * np.sum(side_phases[:i])
             assert abs(phases.real - ref.real) <= 1e-15 * ref.real
             # the panels' own gamma errs by up to ~2e-14 here
             assert abs(phases.imag - ref.imag) <= 5e-14 * ref.imag
