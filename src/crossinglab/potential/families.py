@@ -10,20 +10,27 @@ function by the Riccati recurrence they obey, softplus as the integral of
 the logistic function, and products and powers.  Its arithmetic follows
 the base points: real jets at real points, complex jets at complex ones.
 ``eval`` and ``deriv`` stay the closed-form point evaluators of V and V'.
+Every family integrates its tails by one rule, ``PotentialModel.tail_integral``.
 
 Families:
 
 * ScaledTanhProduct  c * prod_i tanh(s_i (t - b_i))**p_i  -- zeros of
   prescribed orders p_i at the centers b_i.
-* LinearLZ           v * t, optionally saturated to constants v*w beyond
-  |t| ~ w by a smooth softplus clamp (required for scattering runs).
 * PolynomialWindowed p(clamp(t)) -- arbitrary polynomial behaviour inside
-  the window, constants outside; stress-test family.
+  the window, saturated to constants beyond |t| ~ w by a smooth softplus
+  clamp; stress-test family.
+* LinearLZ           the PolynomialWindowed p(x) = v x, pure (V = v t, no
+  tails) when the window is omitted; scattering runs need the window.
+
+Bad parameters (a window, sharpness or slope that is not finite and > 0, a
+power that is not an integer >= 1, a center, scale or coefficient that is
+not finite) are refused with a ConfigError naming the field.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,44 +150,25 @@ def _softplus_jet(x0, rate, n: int) -> np.ndarray:
     return c
 
 
-def _li2_neg(u: float) -> float:
-    """The dilogarithm Li2(-u) for 0 <= u <= 1.
-
-    Landen's identity Li2(-u) = -Li2(w) - log(1+u)**2 / 2 with w = u/(1+u)
-    <= 1/2 leaves the power series sum_k w**k / k**2, which gains a bit per
-    term.
-    """
-    w = u / (1.0 + u)
-    total, power, k = 0.0, w, 1
-    while True:
-        term = power / (k * k)
-        total += term
-        if term <= 1e-17 * total:
-            break
-        power *= w
-        k += 1
-    return -total - 0.5 * math.log1p(u) ** 2
-
-
-def _dilog_neg_exp(x: float, beta: float) -> float:
-    """Closed form of integral_{-inf}^{x} softplus_beta(u) du.
-
-    Equals -Li2(-exp(beta*x)) / beta**2; the inversion identity keeps the
-    dilogarithm argument inside the unit disk for large x.
-    """
-    y = beta * x
-    if y <= 0:
-        return -_li2_neg(math.exp(y)) / beta**2
-    # Li2(-e^y) = -y^2/2 - pi^2/6 - Li2(-e^-y)
-    return (0.5 * y * y + math.pi**2 / 6.0 - _li2_neg(math.exp(-y))) / beta**2
+def _finite(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float; ConfigError naming the field unless it is finite,
+    and > 0 when ``positive``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and x <= 0):
+        rule = "finite and > 0" if positive else "finite"
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    return x
 
 
 class _SmoothClamp:
     """Smooth saturation of t into [-w, w] with exponential approach rate beta."""
 
     def __init__(self, window: float, sharpness: float):
-        self.w = float(window)
-        self.beta = float(sharpness)
+        self.w = _finite("window", window, positive=True)
+        self.beta = _finite("sharpness", sharpness, positive=True)
 
     def __call__(self, t):
         t = np.asarray(t)
@@ -316,15 +304,18 @@ class TanhFactor:
     center: float
 
     def __post_init__(self):
-        if self.power < 1 or self.slope <= 0:
-            raise ConfigError("tanh factor needs power >= 1 and slope > 0")
+        if (isinstance(self.power, bool) or not isinstance(self.power, numbers.Integral)
+                or self.power < 1):
+            raise ConfigError(f"tanh factor power must be an integer >= 1, got {self.power!r}")
+        _finite("tanh factor slope", self.slope, positive=True)
+        _finite("tanh factor center", self.center)
 
 
 class ScaledTanhProduct(PotentialModel):
     family_name = "scaled_tanh_product"
 
     def __init__(self, scale: float, factors):
-        self.scale = float(scale)
+        self.scale = _finite("scale", scale)
         self.factors = tuple(
             f if isinstance(f, TanhFactor) else TanhFactor(**f) for f in factors
         )
@@ -417,146 +408,96 @@ class ScaledTanhProduct(PotentialModel):
         }
 
 
-class LinearLZ(PotentialModel):
-    """V = slope * t, optionally clamped to constants beyond |t| ~ window."""
+def _horner(c: np.ndarray, x):
+    """The polynomial sum_k c[k] x**k by Horner's rule from the leading
+    coefficient, adding no zero coefficient: c = [0, v] is the one product
+    v * x."""
+    out = c[-1]
+    for a in c[-2::-1]:
+        out = out * x
+        if a:
+            out = out + a
+    return out
 
-    family_name = "linear_lz"
 
-    def __init__(self, slope: float = 1.0, window: float | None = None,
-                 sharpness: float = 4.0):
-        if slope <= 0:
-            raise ConfigError("linear_lz slope must be positive (V_r > 0)")
-        self.slope = float(slope)
-        self.window = None if window is None else float(window)
+class PolynomialWindowed(PotentialModel):
+    """V = p(clamp(t)): the polynomial p inside a smooth window of half-width
+    w, the constants p(+/-w) outside.  Without a window, which only LinearLZ
+    may omit, V = p(t) has no tails."""
+
+    family_name = "polynomial_windowed"
+
+    def __init__(self, coefficients, window: float | None, sharpness: float = 4.0):
+        try:
+            self.coefficients = np.asarray(coefficients, dtype=float)
+        except (TypeError, ValueError):
+            self.coefficients = np.array([math.nan])
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ConfigError(f"coefficients must be finite, got {coefficients!r}")
+        if self.coefficients.ndim != 1 or len(self.coefficients) < 2:
+            raise ConfigError("need polynomial coefficients [a0, a1, ...] with degree >= 1")
+        if window is None and not isinstance(self, LinearLZ):
+            raise ConfigError(f"{self.family_name} needs a window")
         self.clamp = None if window is None else _SmoothClamp(window, sharpness)
+        self.window = None if window is None else self.clamp.w
+        self._slope = np.polynomial.polynomial.polyder(self.coefficients)
         self.validate()
+
+    def _window_clamp(self) -> _SmoothClamp:
+        """The window's clamp; ConfigError without a window."""
+        if self.clamp is None:
+            raise ConfigError(f"{self.family_name} without a window has no tails")
+        return self.clamp
 
     @property
     def has_tails(self) -> bool:
-        return self.window is not None
+        return self.clamp is not None
 
     def eval(self, t):
         t = np.asarray(t)
-        if self.clamp is None:
-            return self.slope * t
-        return self.slope * self.clamp(t)
+        return _horner(self.coefficients, t if self.clamp is None else self.clamp(t))
 
     def deriv(self, t):
         t = np.asarray(t)
         if self.clamp is None:
-            return np.full(t.shape, self.slope)
-        return self.slope * self.clamp.deriv(t)
+            return np.full(t.shape, _horner(self._slope, t))
+        return _horner(self._slope, self.clamp(t)) * self.clamp.deriv(t)
 
     def taylor(self, t0, n: int) -> np.ndarray:
         t0 = np.asarray(t0)
         if self.clamp is None:
-            out = np.zeros((n + 1,) + t0.shape, dtype=np.result_type(t0, float))
-            out[0] = self.slope * t0
-            if n >= 1:
-                out[1] = self.slope
-            return out
-        return self.slope * self.clamp.jet(t0, n)
-
-    @property
-    def v_right(self) -> float:
-        if self.window is None:
-            raise ConfigError("pure linear model has no tail limit")
-        return self.slope * self.window
-
-    @property
-    def v_left(self) -> float:
-        return -self.v_right
-
-    def candidate_zeros(self) -> list[float]:
-        return [0.0]
-
-    @property
-    def tail_rate(self) -> float:
-        if self.clamp is None:
-            raise ConfigError("pure linear model has no tail")
-        return self.clamp.beta
-
-    def tail_envelope(self, side: str, t: float) -> float:
-        if self.clamp is None:
-            return math.inf
-        b, w = self.clamp.beta, self.window
-        x = t - w if side == "right" else -t - w
-        if x < 0.5:
-            return math.inf
-        # |V - V_inf| <= slope * (softplus(b(w-|t|)) + softplus(-b(|t|+w))) / b
-        return self.slope * 2.0 * math.exp(-b * x) / b
-
-    def tail_integral(self, side: str, anchor: float) -> float:
-        if self.clamp is None:
-            raise ConfigError("pure linear model has no integrable tail")
-        c = self.clamp
-        if side == "right":
-            # V - V_r = slope*(clamp(t) - w) = slope*(softplus(-b(t+w)) - softplus(b(w-t)))/b
-            a1 = _dilog_neg_exp(c.w - anchor, c.beta)
-            a2 = _dilog_neg_exp(-c.w - anchor, c.beta)
-            return self.slope * (a2 - a1)
-        a1 = _dilog_neg_exp(anchor + c.w, c.beta)
-        a2 = _dilog_neg_exp(anchor - c.w, c.beta)
-        return self.slope * (a1 - a2)
-
-    def to_config(self) -> dict:
-        params = {"slope": self.slope}
-        if self.window is not None:
-            params["window"] = self.window
-            params["sharpness"] = self.clamp.beta
-        return {"family": self.family_name, "params": params}
-
-    def validate(self) -> None:
-        if self.window is not None:
-            super().validate()
-
-
-class PolynomialWindowed(PotentialModel):
-    """Polynomial inside a smooth window, constants outside."""
-
-    family_name = "polynomial_windowed"
-
-    def __init__(self, coefficients, window: float, sharpness: float = 4.0):
-        self.coefficients = np.asarray(coefficients, dtype=float)
-        if self.coefficients.ndim != 1 or len(self.coefficients) < 2:
-            raise ConfigError("need polynomial coefficients [a0, a1, ...] with degree >= 1")
-        self.clamp = _SmoothClamp(window, sharpness)
-        self.window = float(window)
-        self.validate()
-
-    def _poly(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coefficients)
-
-    def eval(self, t):
-        return self._poly(self.clamp(np.asarray(t)))
-
-    def deriv(self, t):
-        t = np.asarray(t)
-        dp = np.polynomial.polynomial.polyder(self.coefficients)
-        return np.polynomial.polynomial.polyval(self.clamp(t), dp) * self.clamp.deriv(t)
-
-    def taylor(self, t0, n: int) -> np.ndarray:
-        q = self.clamp.jet(t0, n)
-        out = np.zeros_like(q)
-        for a in self.coefficients[::-1]:
+            q = np.zeros((n + 1,) + t0.shape, dtype=np.result_type(t0, float))
+            q[0] = t0
+            q[1:2] = 1.0
+        else:
+            q = self.clamp.jet(t0, n)
+        # _horner's rule on jets
+        c = self.coefficients
+        out = c[-1] * q
+        for a in c[-2:0:-1]:
+            if a:
+                out[0] += a
             out = _jet_mul(out, q, n)
-            out[0] += a
+        if c[0]:
+            out[0] += c[0]
         return out
 
     @property
     def v_right(self) -> float:
-        return float(self._poly(self.window))
+        return float(_horner(self.coefficients, self._window_clamp().w))
 
     @property
     def v_left(self) -> float:
-        return float(self._poly(-self.window))
+        return float(_horner(self.coefficients, -self._window_clamp().w))
 
     def candidate_zeros(self) -> list[float]:
         # multiple real roots come back as near-real clusters; keep and
         # cluster them here, the catalog polishes each to full precision
         roots = np.polynomial.polynomial.polyroots(self.coefficients)
-        real = [float(r.real) for r in roots
-                if abs(r.imag) < 1e-5 and abs(r.real) < self.window]
+        edge = math.inf if self.window is None else self.window
+        # + 0.0 turns a root at -0.0 into 0.0
+        real = [float(r.real) + 0.0 for r in roots
+                if abs(r.imag) < 1e-5 and abs(r.real) < edge]
         out: list[float] = []
         for r in sorted(real):
             if not out or abs(r - out[-1]) > 1e-4:
@@ -564,18 +505,16 @@ class PolynomialWindowed(PotentialModel):
         return out
 
     def tail_envelope(self, side: str, t: float) -> float:
-        b, w = self.clamp.beta, self.window
+        b, w = self._window_clamp().beta, self.window
         x = t - w if side == "right" else -t - w
         if x < 0.5:
             return math.inf
-        dp = np.polynomial.polynomial.polyder(self.coefficients)
-        slope_max = float(np.max(np.abs(
-            np.polynomial.polynomial.polyval(np.linspace(-w, w, 64), dp))))
+        slope_max = float(np.max(np.abs(_horner(self._slope, np.linspace(-w, w, 64)))))
         return slope_max * 2.0 * math.exp(-b * x) / b
 
     @property
     def tail_rate(self) -> float:
-        return self.clamp.beta
+        return self._window_clamp().beta
 
     def to_config(self) -> dict:
         return {
@@ -586,6 +525,25 @@ class PolynomialWindowed(PotentialModel):
                 "sharpness": self.clamp.beta,
             },
         }
+
+
+class LinearLZ(PolynomialWindowed):
+    """V = slope * t, the polynomial [0, slope]: windowed when a window is
+    given (scattering needs one), pure without."""
+
+    family_name = "linear_lz"
+
+    def __init__(self, slope: float = 1.0, window: float | None = None,
+                 sharpness: float = 4.0):
+        self.slope = _finite("linear_lz slope", slope, positive=True)
+        super().__init__([0.0, self.slope], window, sharpness)
+
+    def to_config(self) -> dict:
+        params = {"slope": self.slope}
+        if self.window is not None:
+            params["window"] = self.window
+            params["sharpness"] = self.clamp.beta
+        return {"family": self.family_name, "params": params}
 
 
 _FAMILIES = {

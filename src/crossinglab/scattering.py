@@ -283,15 +283,20 @@ def scattering_matrix(model, eps: float, h: float, tol: float = 1e-9,
     (``pilot_steps``, exact when the pilot pair is accepted; the report's
     predicted_steps).  Up to WINDOW_COST_STEPS per crossing the whole line
     is propagated on that density; beyond, the windows are planned, and the
-    whole line is still taken when the plan fails.  The constant is the
-    windowed route's cost per crossing in whole-line steps built, on the
-    tanh pair and three-crossing tanh at h = 1e-3 ... 1e-5 (eps = 0.05
-    h^0.75) and windowed LZ at h = 0.05 ... 0.2 (eps = 0.05 ... 0.2), tol
-    1e-9: the plan plus the window propagations take 1.06-1.26 ms per
-    crossing of the tanh products and 1.75-2.72 ms on LZ, and the whole line
-    0.12-0.42 us per step built on the same rows, i.e. 5.7k-11.0k steps,
-    median 8.1k (per-row medians of three runs, process time, one thread).
-    Both routes meet tol, so the constant moves cost, never accuracy.
+    whole line is still taken when the plan fails.  The constant prices the
+    windowed route per crossing in whole-line steps built: a windowed row
+    against a whole-line row on the same density, on the tanh pair and
+    three-crossing tanh at h = 1e-3 ... 1e-5 (eps = 0.05 h^0.75) and
+    windowed LZ at h = 0.05 ... 0.2 (eps = 0.05 ... 0.2), tol 1e-9, per-row
+    medians of process time, one thread.  The latest reading puts the
+    three-crossing tanh at 4.9k-5.9k steps per crossing (the pair spread
+    over 2.9k-11.8k), while the LZ rows the rule keeps whole-line (h = 0.1,
+    0.2; 2.7k-6.8k steps built) ran 1.04-4.3x slower windowed; the same row
+    moved by up to 2x between readings on a shared host.  The constant stays
+    at 8000: a lower one would send those LZ rows to the slower route, and
+    any change moves P (within tol) on every row it reroutes, criterion 1's
+    LZ grid among them.  Both routes meet tol, so the constant moves cost,
+    never accuracy.
     """
     return _scattering_matrix(model, eps, h, tol, truncation, method, catalog,
                               WINDOW_COST_STEPS)

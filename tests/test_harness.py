@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -635,6 +636,27 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert cli_main(["describe", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"family": "linear_lz", "params": {"slope": 1.0, "window": 8.0, "sharpness": 0}},
+         "sharpness"),
+        ({"family": "linear_lz", "params": {"slope": 1.0, "window": 8.0, "sharpness": -4}},
+         "sharpness"),
+        ({"family": "scaled_tanh_product", "params": {"scale": 1.0, "factors": [
+            {"power": 2.5, "slope": 1.0, "center": 0.0}]}}, "power"),
+        ({"family": "scaled_tanh_product", "params": {"scale": 1.0, "factors": [
+            {"power": 3, "slope": math.inf, "center": 0.0}]}}, "slope"),
+        ({"family": "scaled_tanh_product", "params": {"scale": 1.0, "factors": [
+            {"power": 3, "slope": 1.0, "center": math.nan}]}}, "center")],
+        ids=["lz_sharpness_zero", "lz_sharpness_negative", "tanh_power_fractional",
+             "tanh_slope_inf", "tanh_center_nan"])
+    def test_bad_family_parameter_is_config_error(self, tmp_path, capsys, doc, field):
+        """Refused when the model is built, exit code 2, naming the field."""
+        cfg = self._write_cfg(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["describe", "--config", cfg]) == 2
+        assert field in capsys.readouterr().err
 
     def test_env_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CROSSINGLAB_SEED", "9")

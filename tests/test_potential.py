@@ -27,7 +27,7 @@ from crossinglab.potential.catalog import (
     regularized_actions,
 )
 from crossinglab.params import RegimeSplit
-from crossinglab.potential.families import _dilog_neg_exp
+from crossinglab.potential.families import TanhFactor, _SmoothClamp
 from crossinglab.transfer import ChainFactors, _tilde_flags
 
 
@@ -211,34 +211,137 @@ class TestJets:
             assert np.all(np.abs(model.taylor(t, 8) - jets[:, i]) <= ulps[i])
 
 
-class TestDilogarithm:
-    """The softplus antiderivative -Li2(-e^y)/beta^2 against scipy's spence,
-    spence(1 + u) = Li2(-u)."""
+def _softplus_antiderivative(x, beta):
+    """integral_{-inf}^{x} log(1 + e^(beta u)) / beta du = -Li2(-e^(beta x)) / beta^2,
+    by scipy's spence(1 + u) = Li2(-u); x <= 0 here, so 0 < u <= 1."""
+    from scipy.special import spence
 
-    @pytest.mark.parametrize("beta", [1.0, 4.0, 8.0])
-    def test_series_branch(self, beta):
-        """y <= 0; below u = 1e-12 scipy's own 1 + u rounds, so compare in
-        absolute terms throughout."""
-        from scipy.special import spence
+    return -spence(1.0 + math.exp(beta * x)) / beta**2
 
-        for y in np.linspace(-40.0, 0.0, 401):
-            want = -spence(1.0 + math.exp(y)) / beta**2
-            assert abs(_dilog_neg_exp(y / beta, beta) - want) <= 4e-15 / beta**2, y
 
-    @pytest.mark.parametrize("beta", [1.0, 4.0, 8.0])
-    def test_inversion_branch(self, beta):
-        from scipy.special import spence
+def _lz_tail_reference(slope, window, beta, side, anchor):
+    """LZ's tail integral in closed form: V - V_r = slope (softplus(-b(t+w))
+    - softplus(b(w-t))) / b on the right, V - V_l = slope (softplus(b(t+w))
+    - softplus(b(t-w))) / b on the left."""
+    d = lambda x: _softplus_antiderivative(x, beta)  # noqa: E731
+    if side == "right":
+        return slope * (d(-window - anchor) - d(window - anchor))
+    return slope * (d(anchor + window) - d(anchor - window))
 
-        for y in np.linspace(1e-3, 40.0, 401):
-            want = (0.5 * y * y + math.pi**2 / 6.0 - spence(1.0 + math.exp(-y))) / beta**2
-            got = _dilog_neg_exp(y / beta, beta)
-            assert abs(got - want) <= 4e-16 * abs(want) + 4e-15 / beta**2, y
 
-    def test_small_argument_is_relatively_exact(self):
-        """Li2(-u) = -u + u^2/4 - ... where 1 + u would round."""
-        for y in (-60.0, -40.0, -30.0):
-            u = math.exp(y)
-            assert _dilog_neg_exp(y, 1.0) == pytest.approx(u - u * u / 4.0, rel=1e-15)
+LZ_SETS = [(1.0, 8.0, 4.0), (0.25, 4.0, 4.0), (2.0, 5.0, 3.0), (1.3, 4.0, 8.0)]
+
+
+class TestLinearLZ:
+    """LZ is the windowed polynomial [0, slope]: its closed forms stay bit for
+    bit, its tails come from the one tail rule."""
+
+    @pytest.mark.parametrize("slope, window, beta", LZ_SETS)
+    def test_closed_forms_bitwise(self, slope, window, beta, rng):
+        model = LinearLZ(slope=slope, window=window, sharpness=beta)
+        clamp = _SmoothClamp(window, beta)
+        for ts, order in ((np.linspace(-20.0, 20.0, 201), 24),
+                          (rng.uniform(-10, 10, 50) + 1j * rng.uniform(-0.5, 0.5, 50), 8)):
+            assert np.array_equal(model.eval(ts), slope * clamp(ts))
+            assert np.array_equal(model.deriv(ts), slope * clamp.deriv(ts))
+            assert np.array_equal(model.taylor(ts, order), slope * clamp.jet(ts, order))
+        assert model.v_right == slope * window and model.v_left == -slope * window
+        assert model.tail_rate == beta
+
+    def test_pure_closed_forms_bitwise(self, rng):
+        model = LinearLZ(slope=0.7)
+        ts = np.concatenate([np.linspace(-20.0, 20.0, 41),
+                             rng.uniform(-3, 3, 8) + 1j * rng.uniform(-1, 1, 8)])
+        assert np.array_equal(model.eval(ts), 0.7 * ts)
+        assert np.array_equal(model.deriv(ts), np.full(ts.shape, 0.7))
+        jets = model.taylor(ts, 5)
+        assert np.array_equal(jets[0], 0.7 * ts) and np.all(jets[1] == 0.7)
+        assert not np.any(jets[2:])
+        assert model.candidate_zeros() == [0.0]
+        assert math.copysign(1.0, model.candidate_zeros()[0]) == 1.0
+
+    def test_default_anchors(self):
+        model = LinearLZ(slope=1.0, window=8.0, sharpness=4.0)
+        assert default_anchors(model, find_crossings(model)) == (14.0, -14.0)
+
+    @pytest.mark.parametrize("window", [4.0, 5.0, 8.0])
+    @pytest.mark.parametrize("beta", [3.0, 4.0, 8.0])
+    def test_tail_integral_against_dilogarithm(self, beta, window):
+        """The one tail rule integrates V - V_inf formed by subtraction, so its
+        error is about eps_machine |V_inf| per unit length over its span."""
+        for slope in (0.25, 1.0, 2.0):
+            model = LinearLZ(slope=slope, window=window, sharpness=beta)
+            bound = np.finfo(float).eps * slope * window * max(60.0 / beta, 10.0)
+            anchors = default_anchors(model, find_crossings(model))
+            for side, t_default, t_near in zip(SIDES, anchors, (window + 3.0, -window - 3.0)):
+                for anchor in (t_default, t_near):
+                    want = _lz_tail_reference(slope, window, beta, side, anchor)
+                    assert abs(model.tail_integral(side, anchor) - want) <= bound, (side, anchor)
+
+    @pytest.mark.parametrize("params", [{"slope": 2.0, "window": 5.0, "sharpness": 3.0},
+                                        {"slope": 0.5}], ids=["windowed", "pure"])
+    def test_config_round_trip(self, params):
+        doc = {"family": "linear_lz", "params": params}
+        model = model_from_config(doc)
+        assert model.to_config() == doc
+        assert model_from_config(model.to_config()).to_config() == doc
+
+    def test_pure_has_no_tails(self, lz_pure):
+        assert not lz_pure.has_tails
+        for name in ("v_right", "v_left", "tail_rate"):
+            with pytest.raises(ConfigError, match="no tails"):
+                getattr(lz_pure, name)
+        with pytest.raises(ConfigError, match="no tails"):
+            lz_pure.tail_envelope("right", 10.0)
+
+    @pytest.mark.parametrize("params", [{"coefficients": [0.0, 1.0]},
+                                        {"coefficients": [0.0, 1.0], "window": None}],
+                             ids=["omitted", "none"])
+    def test_polynomial_windowed_needs_a_window(self, params):
+        with pytest.raises(ConfigError):
+            model_from_config({"family": "polynomial_windowed", "params": params})
+
+
+def _tanh(**factor):
+    return lambda: ScaledTanhProduct(1.0, [{"power": 1, "slope": 1.0, "center": 0.0, **factor}])
+
+
+BAD_PARAMETERS = {
+    "lz_sharpness_zero": (lambda: LinearLZ(1.0, window=8.0, sharpness=0.0), "sharpness"),
+    "lz_sharpness_negative": (lambda: LinearLZ(1.0, window=8.0, sharpness=-4.0), "sharpness"),
+    "lz_sharpness_inf": (lambda: LinearLZ(1.0, window=8.0, sharpness=math.inf), "sharpness"),
+    "lz_window_zero": (lambda: LinearLZ(1.0, window=0.0), "window"),
+    "lz_window_nan": (lambda: LinearLZ(1.0, window=math.nan), "window"),
+    "lz_slope_zero": (lambda: LinearLZ(0.0, window=8.0), "slope"),
+    "lz_slope_inf": (lambda: LinearLZ(math.inf), "slope"),
+    "lz_slope_nan": (lambda: LinearLZ(math.nan, window=8.0), "slope"),
+    "tanh_power_fractional": (_tanh(power=2.5), "power"),
+    "tanh_power_float": (_tanh(power=2.0), "power"),
+    "tanh_power_bool": (_tanh(power=True), "power"),
+    "tanh_power_zero": (_tanh(power=0), "power"),
+    "tanh_slope_inf": (_tanh(slope=math.inf), "slope"),
+    "tanh_slope_negative": (_tanh(slope=-1.0), "slope"),
+    "tanh_center_nan": (_tanh(center=math.nan), "center"),
+    "tanh_center_inf": (_tanh(center=-math.inf), "center"),
+    "tanh_scale_nan": (lambda: ScaledTanhProduct(math.nan, [TanhFactor(1, 1.0, 0.0)]), "scale"),
+    "poly_coefficient_inf": (lambda: PolynomialWindowed([0.0, 1.0, math.inf], window=3.0),
+                             "coefficients"),
+    "poly_coefficient_nan": (lambda: PolynomialWindowed([math.nan, 1.0], window=3.0),
+                             "coefficients"),
+    "poly_coefficient_string": (lambda: PolynomialWindowed(["a", 1.0], window=3.0),
+                                "coefficients"),
+    "poly_sharpness_negative": (lambda: PolynomialWindowed([0.0, 1.0], 3.0, sharpness=-1.0),
+                                "sharpness"),
+    "poly_window_inf": (lambda: PolynomialWindowed([0.0, 1.0], window=math.inf), "window"),
+}
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("name", sorted(BAD_PARAMETERS))
+    def test_config_error_names_the_field(self, name):
+        build, field = BAD_PARAMETERS[name]
+        with pytest.raises(ConfigError, match=field):
+            build()
 
 
 class TestTailRate:
